@@ -1,9 +1,10 @@
 """Command-line interface: compute, cache, export, verify.
 
-Exit codes: 0 success, 2 configuration error, 3 stabilization/window
-failure, 4 identity-suite failure.  Errors are emitted as a JSON object
-on stderr.  Output is canonically sorted, so identical configurations
-and cache states produce identical bytes.
+Exit codes: 0 success, 2 configuration error, 3 stabilization failure or
+exceeded bound (window radius, element length), 4 identity-suite failure.
+Errors are emitted as a JSON object on stderr.  Output is canonically
+sorted, so identical configurations and cache states produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     DomainError,
+    ResourceError,
     StabilizationError,
-    WindowError,
 )
 from .hecke import is_coset_maximal, kl_basis, spherical_kl
 from .laurent import LaurentPoly
@@ -33,7 +34,7 @@ from .repcalc import (
 )
 from .rootsys import ModularContext, Weight, build_root_system
 from .verify import run_suite
-from .weylext import elt_key, elt_to_json, from_word, gen_indices, length, waff_elements
+from .weylext import elt_from_json, elt_to_json, from_word, gen_indices, length, w0_elt
 
 FORMATS = ("pretty", "json", "csv", "latex")
 
@@ -104,32 +105,31 @@ def _elt_str(sys, x) -> str:
     return f"{word}|{tra}"
 
 
-def cmd_kl(args) -> int:
-    sys = _system(args)
-    w = _elt_from_flag(sys, args.w)
-    cache = RecordCache(cache_dir(args.cache_dir), f"kl_{sys}")
-    key = f"kl:{json.dumps(elt_to_json(sys, w), sort_keys=True)}"
+def _row_command(args, sys, w, kind: str, prefix: str, column: str, compute) -> int:
+    """Print the canonical row ``compute(sys, w)``, cached in ``<kind>_<sys>``."""
+    cache = RecordCache(cache_dir(args.cache_dir), f"{kind}_{sys}")
+    key = f"{prefix}:{json.dumps(elt_to_json(sys, w), sort_keys=True)}"
     payload = cache.get(key)
     if payload is None:
-        row = kl_basis(sys, w)
+        row = compute(sys, w)
         payload = sorted(
             ([elt_to_json(sys, y), p.to_json()] for y, p in row.items()),
             key=lambda item: json.dumps(item[0], sort_keys=True),
         )
         cache.put(key, payload)
     rows = [
-        (_elt_str(sys, _from_json(sys, yj)), str(LaurentPoly.from_json(pj)))
+        (_elt_str(sys, elt_from_json(sys, yj)), str(LaurentPoly.from_json(pj)))
         for yj, pj in payload
     ]
     rows.sort()
-    _emit_rows(rows, ("y", "h"), args.format)
+    _emit_rows(rows, ("y", column), args.format)
     return 0
 
 
-def _from_json(sys, d):
-    from .weylext import elt_from_json
-
-    return elt_from_json(sys, d)
+def cmd_kl(args) -> int:
+    sys = _system(args)
+    w = _elt_from_flag(sys, args.w)
+    return _row_command(args, sys, w, "kl", "kl", "h", kl_basis)
 
 
 def cmd_spherical(args) -> int:
@@ -137,57 +137,25 @@ def cmd_spherical(args) -> int:
     w = _elt_from_flag(sys, args.w)
     if not is_coset_maximal(sys, w):
         raise DomainError("the element must be maximal in its finite coset")
-    cache = RecordCache(cache_dir(args.cache_dir), f"spherical_{sys}")
-    key = f"m:{json.dumps(elt_to_json(sys, w), sort_keys=True)}"
-    payload = cache.get(key)
-    if payload is None:
-        row = spherical_kl(sys, w)
-        payload = sorted(
-            ([elt_to_json(sys, y), p.to_json()] for y, p in row.items()),
-            key=lambda item: json.dumps(item[0], sort_keys=True),
-        )
-        cache.put(key, payload)
-    rows = [
-        (_elt_str(sys, _from_json(sys, yj)), str(LaurentPoly.from_json(pj)))
-        for yj, pj in payload
-    ]
-    rows.sort()
-    _emit_rows(rows, ("y", "m"), args.format)
-    return 0
+    return _row_command(args, sys, w, "spherical", "m", "m", spherical_kl)
 
 
 def cmd_periodic(args) -> int:
     ctx = _context(args)
     sys = ctx.system
-    radius = args.window or (3 * length(sys, _w0(sys)) + 4)
+    radius = args.window or (3 * length(sys, w0_elt(sys)) + 4)
     table = pkl_table(ctx, args.lmax, radius)
-    cache = RecordCache(cache_dir(args.cache_dir), f"pkl_{sys}")
-    rows = []
-    for (y, w), entry in table.entries.items():
-        key = "p:" + json.dumps(
-            [elt_to_json(sys, y), elt_to_json(sys, w), radius], sort_keys=True
+    rows = sorted(
+        (
+            _elt_str(sys, y),
+            _elt_str(sys, w),
+            str(entry.poly),
+            "yes" if entry.stabilized else "no",
         )
-        if key not in cache:
-            cache.put(
-                key, {"poly": entry.poly.to_json(), "stabilized": entry.stabilized}
-            )
-        rows.append(
-            (
-                _elt_str(sys, y),
-                _elt_str(sys, w),
-                str(entry.poly),
-                "yes" if entry.stabilized else "no",
-            )
-        )
-    rows.sort()
+        for (y, w), entry in table.entries.items()
+    )
     _emit_rows(rows, ("y", "w", "p", "stabilized"), args.format)
     return 0
-
-
-def _w0(sys):
-    from .weylext import w0_elt
-
-    return w0_elt(sys)
 
 
 def cmd_ext(args) -> int:
@@ -328,7 +296,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _error("config", exc)
         return 2
-    except (StabilizationError, WindowError) as exc:
+    except (StabilizationError, ResourceError) as exc:
         _error("stabilization", exc)
         return 3
     except ConsistencyError as exc:

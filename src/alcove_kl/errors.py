@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these to exit codes: ConfigError -> 2, StabilizationError
-(and WindowError) -> 3, ConsistencyError -> 4.
+and ResourceError (with its subclass WindowError) -> 3, ConsistencyError
+-> 4.
 """
 
 

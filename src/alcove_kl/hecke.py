@@ -17,12 +17,17 @@ generator action
     M_x Hb_s = M_{xs} + v   M_x   (xs maximal, xs > x)
     M_x Hb_s = M_{xs} + v^-1 M_x  (xs maximal, xs < x)
     M_x Hb_s = (v + v^-1) M_x     (xs not maximal).
+
+One Hb_s action (``act_hb_s``) and one canonical step (``canonical_step``)
+build the rows of all three canonical bases: the Hecke algebra and the
+spherical module here, top-down along descents, and the periodic module
+in ``periodic``, bottom-up by height inside a window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping
 
 from .errors import ConsistencyError, DomainError, ResourceError
@@ -44,28 +49,45 @@ from .weylext import (
 _V = LaurentPoly.gen()
 _VINV = LaurentPoly.gen(-1)
 _ONE = LaurentPoly.one()
+_V_PLUS_VINV = _V + _VINV
+
+LENGTH_BOUND = 64
+"""Longest element whose canonical row is computed; longer ones raise
+ResourceError."""
 
 
 @dataclass(frozen=True)
 class HeckeElt:
-    """A finitely supported Z[v,v^-1]-combination of standard basis vectors."""
+    """A finitely supported Z[v,v^-1]-combination of basis vectors.
+
+    The same sparse vector serves the Hecke algebra, the spherical module
+    (``SphericalElt``) and, keyed by alcoves, the periodic module.
+    """
 
     support: tuple[tuple[ExtWeylElt, LaurentPoly], ...]
 
-    @staticmethod
-    def from_dict(sys: RootSystem, d: Mapping[ExtWeylElt, LaurentPoly]) -> "HeckeElt":
+    @classmethod
+    def from_dict(cls, sys: RootSystem, d: Mapping, *fields, **named):
         items = [(x, p) for x, p in d.items() if p]
-        items.sort(key=lambda t: elt_key(sys, t[0]))
-        return HeckeElt(tuple(items))
+        items.sort(key=lambda t: elt_key(sys, cls.label(t[0])))
+        return cls(tuple(items), *fields, **named)
 
-    def as_dict(self) -> dict[ExtWeylElt, LaurentPoly]:
+    @staticmethod
+    def label(x) -> ExtWeylElt:
+        """The group element indexing a basis vector."""
+        return x
+
+    def as_dict(self) -> dict:
         return dict(self.support)
 
-    def coeff(self, x: ExtWeylElt) -> LaurentPoly:
+    def coeff(self, x) -> LaurentPoly:
         for y, p in self.support:
             if y == x:
                 return p
         return LaurentPoly.zero()
+
+
+SphericalElt = HeckeElt
 
 
 def unit(sys: RootSystem) -> HeckeElt:
@@ -92,17 +114,81 @@ def mul_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
     return HeckeElt.from_dict(sys, acc)
 
 
+# -- the Hb_s action and the canonical step -------------------------------------
+#
+# An action rule maps a basis label x to (xs, stay): the label of the
+# crossed term (None when there is none) and the coefficient with which x
+# stays, so that  x . Hb_s = xs + stay x.  The crossing is upward exactly
+# when stay = v.
+
+
+def crossing_rule(s: ExtWeylElt, rank):
+    """The rule x . Hb_s = xs + v^{+-1} x, with v exactly when rank(xs) >
+    rank(x) (rank is the length in W_aff, the generic height on alcoves)."""
+
+    def act(x):
+        xs = x * s
+        return xs, (_V if rank(xs) > rank(x) else _VINV)
+
+    return act
+
+
+def spherical_rule(sys: RootSystem, s: ExtWeylElt):
+    """The rule of the spherical module (see the module docstring)."""
+
+    def act(x):
+        xs = x * s
+        if not is_coset_maximal(sys, xs):
+            return None, _V_PLUS_VINV
+        return xs, (_V if length(sys, xs) > length(sys, x) else _VINV)
+
+    return act
+
+
+def act_hb_s(items, act, inside=None) -> tuple[dict, bool]:
+    """Right action of Hb_s on the (label, coefficient) pairs ``items``.
+
+    Crossed terms for which ``inside`` is false are dropped; the flag
+    reports whether any was.
+    """
+    acc: dict = {}
+    truncated = False
+    for x, p in items:
+        xs, stay = act(x)
+        if xs is not None:
+            if inside is None or inside(xs):
+                q = acc.get(xs)
+                acc[xs] = p if q is None else q + p
+            else:
+                truncated = True
+        q = acc.get(x)
+        acc[x] = stay * p if q is None else q + stay * p
+    return acc, truncated
+
+
+def canonical_step(base: Mapping, act, row_of, inside=None) -> tuple[dict, bool, list]:
+    """E_{us} = E_u . Hb_s - sum_B mu(B) E_B from the row ``base`` of E_u.
+
+    The sum runs over the support elements B whose crossing is not upward,
+    with mu(B) the coefficient of v in base[B] and E_B = row_of(B).
+    Returns the new row, whether the action truncated, and the B
+    subtracted.  (The diagonal entry of a monic row has no v-term.)
+    """
+    acc, truncated = act_hb_s(base.items(), act, inside)
+    subtracted = []
+    for b, p in base.items():
+        mu = p.coeff(1)
+        if mu and act(b)[1] != _V:
+            subtracted.append(b)
+            for z, q in row_of(b).items():
+                acc[z] = acc.get(z, LaurentPoly.zero()) - mu * q
+    return {z: p for z, p in acc.items() if p}, truncated, subtracted
+
+
 def mul_kl_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
     """Right multiplication by Hb_s = H_s + v."""
-    s = simple_reflection(sys, i)
-    acc: dict[ExtWeylElt, LaurentPoly] = {}
-    for x, p in h.support:
-        xs = x * s
-        up = length(sys, xs) > length(sys, x)
-        acc[xs] = acc.get(xs, LaurentPoly.zero()) + p
-        stay = (_V if up else _VINV) * p
-        acc[x] = acc.get(x, LaurentPoly.zero()) + stay
-    return HeckeElt.from_dict(sys, acc)
+    rule = crossing_rule(simple_reflection(sys, i), partial(length, sys))
+    return HeckeElt.from_dict(sys, act_hb_s(h.support, rule)[0])
 
 
 def std_product(sys: RootSystem, x: ExtWeylElt, y: ExtWeylElt) -> HeckeElt:
@@ -113,79 +199,70 @@ def std_product(sys: RootSystem, x: ExtWeylElt, y: ExtWeylElt) -> HeckeElt:
     return out
 
 
-# -- the canonical basis (mu-recursion) ---------------------------------------
+# -- canonical rows (the top-down mu-recursion) ----------------------------------
 
 
 class KLComputer:
-    """Canonical-basis coefficients for one affine Weyl group.
+    """Memoized canonical rows of the Hecke algebra or its spherical module.
 
-    Rows are cached per element; ``length_bound`` guards runaway
-    recursions.
+    The row of w is the canonical step applied to the row of ws, for the
+    descent s = ``descent(w)``, with the action rule ``rule(s)``; where
+    ``descent`` returns None the row is the seed {w: 1}.
     """
 
-    def __init__(self, sys: RootSystem, length_bound: int = 64):
+    def __init__(self, sys: RootSystem, name: str, descent, rule):
         self.sys = sys
-        self.length_bound = length_bound
+        self.name = name
+        self._descent = descent
+        self._rule = rule
         self._rows: dict[ExtWeylElt, dict[ExtWeylElt, LaurentPoly]] = {}
 
-    def kl_basis(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-        """The map y -> h_{y,w}."""
+    def row(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
+        """The map y -> coefficient of y in the canonical element of w."""
         sys = self.sys
         if not in_waff(sys, w):
-            raise DomainError("canonical basis elements are indexed by W_aff")
-        if length(sys, w) > self.length_bound:
+            raise DomainError(f"{self.name} basis elements are indexed by W_aff")
+        if length(sys, w) > LENGTH_BOUND:
             raise ResourceError(
                 f"length {length(sys, w)} exceeds the configured bound "
-                f"{self.length_bound}"
+                f"{LENGTH_BOUND}"
             )
-        cached = self._rows.get(w)
-        if cached is not None:
-            return dict(cached)
-        if length(sys, w) == 0:
+        return dict(self._row(w))
+
+    def _row(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
+        row = self._rows.get(w)
+        if row is not None:
+            return row
+        i = self._descent(w)
+        if i is None:
             row = {w: _ONE}
         else:
-            i = min(right_descents(sys, w))
-            s = simple_reflection(sys, i)
-            u = w * s  # shorter; w = u s with us > u
-            base = self.kl_basis(u)
-            acc: dict[ExtWeylElt, LaurentPoly] = {}
-            for y, p in base.items():
-                ys = y * s
-                up = length(sys, ys) > length(sys, y)
-                acc[ys] = acc.get(ys, LaurentPoly.zero()) + p
-                acc[y] = acc.get(y, LaurentPoly.zero()) + (_V if up else _VINV) * p
-            for y, p in base.items():
-                if y == u:
-                    continue
-                mu = p.coeff(1)
-                if mu and length(sys, y * s) < length(sys, y):
-                    for z, q in self.kl_basis(y).items():
-                        acc[z] = acc.get(z, LaurentPoly.zero()) - mu * q
-            row = {y: p for y, p in acc.items() if p}
+            s = simple_reflection(self.sys, i)
+            row = canonical_step(self._row(w * s), self._rule(s), self._row)[0]
             if row.get(w) != _ONE:
-                raise ConsistencyError("canonical basis row is not monic")
+                raise ConsistencyError(f"{self.name} basis row is not monic")
             for y, p in row.items():
                 if y != w and not p.in_positive_v():
                     raise ConsistencyError(
-                        f"coefficient {p} at a lower term is not in vZ[v]"
+                        f"{self.name} coefficient {p} at a lower term is not in vZ[v]"
                     )
         self._rows[w] = row
-        return dict(row)
-
-    def mu(self, y: ExtWeylElt, w: ExtWeylElt) -> int:
-        return self.kl_basis(w).get(y, LaurentPoly.zero()).coeff(1)
-
-    def kl_element(self, w: ExtWeylElt) -> HeckeElt:
-        return HeckeElt.from_dict(self.sys, self.kl_basis(w))
+        return row
 
 
 @lru_cache(maxsize=None)
-def kl_computer(sys: RootSystem, length_bound: int = 64) -> KLComputer:
-    return KLComputer(sys, length_bound)
+def kl_computer(sys: RootSystem) -> KLComputer:
+    def descent(w):
+        down = right_descents(sys, w)
+        return min(down) if down else None
+
+    rank = partial(length, sys)
+    return KLComputer(sys, "canonical", descent, lambda s: crossing_rule(s, rank))
 
 
 def kl_basis(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-    return kl_computer(sys).kl_basis(w)
+    """The map y -> h_{y,w}."""
+    return kl_computer(sys).row(w)
 
 
 # -- the bar involution and the self-duality oracle -----------------------------
@@ -265,28 +342,6 @@ def kl_basis_by_duality(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, Laur
 # -- the spherical module ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphericalElt:
-    """A combination of natural basis vectors indexed by coset-maximal elements."""
-
-    support: tuple[tuple[ExtWeylElt, LaurentPoly], ...]
-
-    @staticmethod
-    def from_dict(sys: RootSystem, d: Mapping[ExtWeylElt, LaurentPoly]) -> "SphericalElt":
-        items = [(x, p) for x, p in d.items() if p]
-        items.sort(key=lambda t: elt_key(sys, t[0]))
-        return SphericalElt(tuple(items))
-
-    def as_dict(self) -> dict[ExtWeylElt, LaurentPoly]:
-        return dict(self.support)
-
-    def coeff(self, x: ExtWeylElt) -> LaurentPoly:
-        for y, p in self.support:
-            if y == x:
-                return p
-        return LaurentPoly.zero()
-
-
 def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
     """Maximal in Wx: every finite simple reflection is a left descent."""
     lx = length(sys, x)
@@ -323,19 +378,8 @@ def spherical_project(sys: RootSystem, h: HeckeElt) -> SphericalElt:
 
 def spherical_act_kl_gen(sys: RootSystem, e: SphericalElt, i: int) -> SphericalElt:
     """Right action of Hb_s on the spherical module."""
-    s = simple_reflection(sys, i)
-    acc: dict[ExtWeylElt, LaurentPoly] = {}
-    for x, p in e.support:
-        xs = x * s
-        if not is_coset_maximal(sys, xs):
-            acc[x] = acc.get(x, LaurentPoly.zero()) + (_V + _VINV) * p
-        elif length(sys, xs) > length(sys, x):
-            acc[xs] = acc.get(xs, LaurentPoly.zero()) + p
-            acc[x] = acc.get(x, LaurentPoly.zero()) + _V * p
-        else:
-            acc[xs] = acc.get(xs, LaurentPoly.zero()) + p
-            acc[x] = acc.get(x, LaurentPoly.zero()) + _VINV * p
-    return SphericalElt.from_dict(sys, acc)
+    rule = spherical_rule(sys, simple_reflection(sys, i))
+    return SphericalElt.from_dict(sys, act_hb_s(e.support, rule)[0])
 
 
 def coset_minimal_rep(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
@@ -361,7 +405,7 @@ def ideal_basis_elt(sys: RootSystem, y: ExtWeylElt) -> HeckeElt:
     """
     if not is_coset_maximal(sys, y):
         raise DomainError("ideal basis vectors are indexed by coset-maximal elements")
-    out = kl_computer(sys).kl_element(w0_elt(sys))
+    out = HeckeElt.from_dict(sys, kl_computer(sys).row(w0_elt(sys)))
     for i in reduced_word(sys, coset_minimal_rep(sys, y)):
         out = mul_gen(sys, out, i)
     return out
@@ -376,7 +420,7 @@ def spherical_from_kl_row(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, La
     """
     if not is_coset_maximal(sys, w):
         raise DomainError("expansion applies to coset-maximal elements")
-    rest = kl_computer(sys).kl_basis(w)
+    rest = kl_computer(sys).row(w)
     out: dict[ExtWeylElt, LaurentPoly] = {}
     while rest:
         y = max(rest, key=lambda x: (length(sys, x), elt_key(sys, x)))
@@ -395,67 +439,25 @@ def spherical_from_kl_row(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, La
     return out
 
 
-class SphericalKLComputer:
-    """Canonical basis of the spherical module by the descent recursion."""
-
-    def __init__(self, sys: RootSystem, length_bound: int = 64):
-        self.sys = sys
-        self.length_bound = length_bound
-        self._rows: dict[ExtWeylElt, dict[ExtWeylElt, LaurentPoly]] = {}
-
-    def spherical_kl(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-        """The map y -> m_{y,w} for w maximal in its coset."""
-        sys = self.sys
-        if not in_waff(sys, w):
-            raise DomainError("spherical basis elements are indexed by W_aff")
-        if not is_coset_maximal(sys, w):
-            raise DomainError("spherical basis elements are indexed by coset-maximal elements")
-        if length(sys, w) > self.length_bound:
-            raise ResourceError("length exceeds the configured bound")
-        cached = self._rows.get(w)
-        if cached is not None:
-            return dict(cached)
-        w0 = w0_elt(sys)
-        if w == w0:
-            row = {w: _ONE}
-        else:
-            i = next(
-                j
-                for j in gen_indices(sys)
-                if length(sys, w * simple_reflection(sys, j)) < length(sys, w)
-                and is_coset_maximal(sys, w * simple_reflection(sys, j))
-            )
-            s = simple_reflection(sys, i)
-            u = w * s
-            base = self.spherical_kl(u)
-            carrier = spherical_act_kl_gen(
-                sys, SphericalElt.from_dict(sys, base), i
-            ).as_dict()
-            for y, p in base.items():
-                if y == u:
-                    continue
-                ys = y * s
-                descending = (not is_coset_maximal(sys, ys)) or length(
-                    sys, ys
-                ) < length(sys, y)
-                mu = p.coeff(1)
-                if mu and descending:
-                    for z, q in self.spherical_kl(y).items():
-                        carrier[z] = carrier.get(z, LaurentPoly.zero()) - mu * q
-            row = {y: p for y, p in carrier.items() if p}
-            if row.get(w) != _ONE:
-                raise ConsistencyError("spherical canonical row is not monic")
-            for y, p in row.items():
-                if y != w and not p.in_positive_v():
-                    raise ConsistencyError("spherical coefficient not in vZ[v]")
-        self._rows[w] = row
-        return dict(row)
-
-
 @lru_cache(maxsize=None)
-def spherical_computer(sys: RootSystem, length_bound: int = 64) -> SphericalKLComputer:
-    return SphericalKLComputer(sys, length_bound)
+def spherical_computer(sys: RootSystem) -> KLComputer:
+    w0 = w0_elt(sys)
+
+    def descent(w):
+        if w == w0:
+            return None
+        return next(
+            j
+            for j in gen_indices(sys)
+            if length(sys, w * simple_reflection(sys, j)) < length(sys, w)
+            and is_coset_maximal(sys, w * simple_reflection(sys, j))
+        )
+
+    return KLComputer(sys, "spherical", descent, partial(spherical_rule, sys))
 
 
 def spherical_kl(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-    return spherical_computer(sys).spherical_kl(w)
+    """The map y -> m_{y,w} for w maximal in its coset."""
+    if not is_coset_maximal(sys, w):
+        raise DomainError("spherical basis elements are indexed by coset-maximal elements")
+    return spherical_computer(sys).row(w)

@@ -13,11 +13,12 @@ window seed the recursion as pure alcoves, and
     E_{As} = E_A . Hb_s  -  sum_B mu~(B, A) E_B
 
 over previously built B in the support of E_A with Bs below B, where
-mu~(B, A) is the coefficient of v in p_{B,A}.  Terms leaving the window
-are truncated and the truncation is recorded.  A coefficient p_{y,w}
-(the coefficient of y(A+) in E_{w(A+)}) is only reported when the
-windows of radius R and R + 1 agree on it exactly; everything else
-raises StabilizationError.
+mu~(B, A) is the coefficient of v in p_{B,A}; this is the canonical
+step of ``hecke``, shared with the ordinary and spherical bases.  Terms
+leaving the window are truncated and the truncation is recorded.  A
+coefficient p_{y,w} (the coefficient of y(A+) in E_{w(A+)}) is only
+reported when the windows of radius R and R + 1 agree on it exactly;
+everything else raises StabilizationError.
 
 Entries are stored once per translation orbit, keyed by the canonical
 pair obtained by writing w = t_nu u with u in the finite Weyl group and
@@ -39,10 +40,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 from .alcove import Alcove, generic_height, generic_leq
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
+from .hecke import HeckeElt, act_hb_s, canonical_step, crossing_rule
 from .laurent import LaurentPoly
 from .rootsys import ModularContext, RootSystem
 from .weylext import (
@@ -61,13 +62,11 @@ from .weylext import (
     weyl_group,
 )
 
-_V = LaurentPoly.gen()
-_VINV = LaurentPoly.gen(-1)
 _ONE = LaurentPoly.one()
 
 
 @dataclass(frozen=True)
-class PeriodicElt:
+class PeriodicElt(HeckeElt):
     """A finitely supported element of the periodic module, kept inside a
     window of the given radius."""
 
@@ -76,48 +75,28 @@ class PeriodicElt:
     truncated: bool = False
 
     @staticmethod
-    def from_dict(
-        sys: RootSystem,
-        d: Mapping[Alcove, LaurentPoly],
-        radius: int,
-        truncated: bool = False,
-    ) -> "PeriodicElt":
-        items = [(a, p) for a, p in d.items() if p]
-        items.sort(key=lambda t: elt_key(sys, t[0].label))
-        return PeriodicElt(tuple(items), radius, truncated)
-
-    def as_dict(self) -> dict[Alcove, LaurentPoly]:
-        return dict(self.support)
-
-    def coeff(self, a: Alcove) -> LaurentPoly:
-        for b, p in self.support:
-            if b == a:
-                return p
-        return LaurentPoly.zero()
-
-
-def _height(sys: RootSystem, x: ExtWeylElt) -> int:
-    return generic_height(sys, Alcove(x))
+    def label(a: Alcove) -> ExtWeylElt:
+        return a.label
 
 
 def periodic_act_gen(sys: RootSystem, e: PeriodicElt, i: int) -> PeriodicElt:
     """Right action of Hb_s, truncated to the window of e."""
     if i not in gen_indices(sys):
         raise DomainError(f"no Coxeter generator with index {i}")
-    s = simple_reflection(sys, i)
-    acc: dict[Alcove, LaurentPoly] = {}
-    truncated = e.truncated
-    for a, p in e.support:
-        x = a.label
-        xs = x * s
-        up = _height(sys, xs) > _height(sys, x)
-        if length(sys, xs) <= e.radius:
-            b = Alcove(xs)
-            acc[b] = acc.get(b, LaurentPoly.zero()) + p
-        else:
-            truncated = True
-        acc[a] = acc.get(a, LaurentPoly.zero()) + (_V if up else _VINV) * p
-    return PeriodicElt.from_dict(sys, acc, e.radius, truncated)
+    rule = crossing_rule(
+        simple_reflection(sys, i), lambda x: generic_height(sys, Alcove(x))
+    )
+    acc, truncated = act_hb_s(
+        ((a.label, p) for a, p in e.support),
+        rule,
+        lambda x: length(sys, x) <= e.radius,
+    )
+    return PeriodicElt.from_dict(
+        sys,
+        {Alcove(x): p for x, p in acc.items()},
+        radius=e.radius,
+        truncated=e.truncated or truncated,
+    )
 
 
 class PeriodicWindow:
@@ -125,10 +104,17 @@ class PeriodicWindow:
 
     ``gallery_seed`` randomizes the choice of descent used at each build
     step; the default picks the first eligible generator, which fixes a
-    deterministic gallery.
+    deterministic gallery.  ``sign=-1`` reverses the crossing orientation
+    (heights are negated), which the negative control relies on.
     """
 
-    def __init__(self, sys: RootSystem, radius: int, gallery_seed: int | None = None):
+    def __init__(
+        self,
+        sys: RootSystem,
+        radius: int,
+        gallery_seed: int | None = None,
+        sign: int = 1,
+    ):
         self.sys = sys
         self.radius = radius
         rng = random.Random(gallery_seed) if gallery_seed is not None else None
@@ -137,54 +123,41 @@ class PeriodicWindow:
         members = set(elements)
         self.members = members
         gens = {i: simple_reflection(sys, i) for i in gen_indices(sys)}
-        h = {x: _height(sys, x) for x in elements}
+        h: dict[ExtWeylElt, int] = {}
+
+        def height(x: ExtWeylElt) -> int:
+            d = h.get(x)
+            if d is None:
+                d = h[x] = sign * generic_height(sys, Alcove(x))
+            return d
 
         rows: dict[ExtWeylElt, dict[ExtWeylElt, LaurentPoly]] = {}
         flags: dict[ExtWeylElt, bool] = {}
-        order = sorted(elements, key=lambda x: (h[x], elt_key(sys, x)))
+        order = sorted(elements, key=lambda x: (height(x), elt_key(sys, x)))
         for c in order:
             downs = [
-                (i, c * gens[i])
-                for i in gens
-                if _height(sys, c * gens[i]) < h[c] and c * gens[i] in members
+                (i, a)
+                for i, s in gens.items()
+                if (a := c * s) in members and h[a] < h[c]
             ]
             if not downs:
                 rows[c] = {c: _ONE}
                 flags[c] = False
                 continue
             i, a = rng.choice(downs) if rng is not None else downs[0]
-            s = gens[i]
-            row_a = rows[a]
-            acc: dict[ExtWeylElt, LaurentPoly] = {}
-            flag = flags[a]
-            for b, p in row_a.items():
-                bs = b * s
-                up = _height(sys, bs) > _height(sys, b)
-                if bs in members:
-                    acc[bs] = acc.get(bs, LaurentPoly.zero()) + p
-                else:
-                    flag = True
-                acc[b] = acc.get(b, LaurentPoly.zero()) + (_V if up else _VINV) * p
-            for b, p in row_a.items():
-                if b == a:
-                    continue
-                mu = p.coeff(1)
-                if mu and _height(sys, b * s) < _height(sys, b):
-                    for z, q in rows[b].items():
-                        r = acc.get(z, LaurentPoly.zero()) - mu * q
-                        if r:
-                            acc[z] = r
-                        else:
-                            acc.pop(z, None)
-                    flag = flag or flags[b]
-            row = {z: p for z, p in acc.items() if p}
+            row, truncated, subtracted = canonical_step(
+                rows[a],
+                crossing_rule(gens[i], height),
+                rows.__getitem__,
+                members.__contains__,
+            )
             if row.get(c) != _ONE:
                 raise ConsistencyError(
                     "canonical element is not monic at its own alcove; "
                     "up-direction or correction-sign convention is wrong"
                 )
             rows[c] = row
-            flags[c] = flag
+            flags[c] = truncated or flags[a] or any(flags[b] for b in subtracted)
         self.rows = rows
         self.flags = flags
 
@@ -194,8 +167,8 @@ class PeriodicWindow:
         return PeriodicElt.from_dict(
             self.sys,
             {Alcove(y): p for y, p in self.rows[w].items()},
-            self.radius,
-            self.flags[w],
+            radius=self.radius,
+            truncated=self.flags[w],
         )
 
     def coefficient(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
@@ -270,7 +243,7 @@ def periodic_kl(
         y, w = canonical_pair(sys, y, w)
     elif not (in_waff(sys, y) and in_waff(sys, w)):
         raise DomainError("periodic polynomials are indexed by W_aff pairs")
-    _validate_conventions(sys, radius)
+    _validate_conventions(sys)
     return _coefficient_stabilized(sys, y, w, radius)
 
 
@@ -294,27 +267,25 @@ def _coefficient_stabilized(
     return second
 
 
-_VALIDATED: dict[RootSystem, bool] = {}
+def _validate_conventions(sys: RootSystem) -> None:
+    """Refuse to hand out values for a root system that fails the gate."""
+    if not _gate_passes(sys):
+        raise ConsistencyError(_DIAGNOSTIC.format(sys=sys))
 
 
-def _validate_conventions(sys: RootSystem, radius: int) -> None:
-    """Run the built-in identity gate once per root system.
+@lru_cache(maxsize=None)
+def _gate_passes(sys: RootSystem) -> bool:
+    """The built-in identity gate, run once per root system.
 
     The gate checks the diagonal normalization and the monomial identity
     p_{w0 x, w0 check(x)} = v^{l(w0)} on every restricted element of the
-    Coxeter subgroup whose pair fits in a bounded validation window; on
-    failure the module refuses to hand out values, reporting the
-    conventions in force.
+    Coxeter subgroup whose pair fits in a validation window of radius
+    2 l(w0) + 2; on failure the module refuses to hand out values,
+    reporting the conventions in force.
     """
-    state = _VALIDATED.get(sys)
-    if state is True:
-        return
-    if state is False:
-        raise ConsistencyError(_DIAGNOSTIC.format(sys=sys))
     w0 = w0_elt(sys)
     lw0 = length(sys, w0)
     rad = 2 * lw0 + 2
-    ok = True
     try:
         for m in weyl_group(sys):
             x = restricted_element_for(sys, m)
@@ -324,16 +295,12 @@ def _validate_conventions(sys: RootSystem, radius: int) -> None:
             if max(length(sys, lhs), length(sys, rhs)) > rad:
                 continue
             if _coefficient_stabilized(sys, lhs, rhs, rad) != LaurentPoly.gen(lw0):
-                ok = False
-                break
+                return False
             if _coefficient_stabilized(sys, x, x, rad) != LaurentPoly.one():
-                ok = False
-                break
+                return False
     except (StabilizationError, WindowError):
-        ok = False
-    _VALIDATED[sys] = ok
-    if not ok:
-        raise ConsistencyError(_DIAGNOSTIC.format(sys=sys))
+        return False
+    return True
 
 
 _DIAGNOSTIC = (
@@ -406,7 +373,7 @@ def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:
     sys = ctx.system
     if length_bound > radius:
         raise WindowError("length bound exceeds the window radius")
-    _validate_conventions(sys, radius)
+    _validate_conventions(sys)
     win = _window(sys, radius)
     win_next = _window(sys, radius + 1)
     elements = waff_elements(sys, length_bound)

@@ -258,8 +258,8 @@ def check_flipped_convention_fails(ctx: ModularContext) -> CheckResult:
     top = LaurentPoly.gen(length(sys, w0))
     e = waff_elements(sys, 0)[0]
     try:
-        win_lo = _FlippedWindow(sys, 8)
-        win_hi = _FlippedWindow(sys, 9)
+        win_lo = PeriodicWindow(sys, 8, sign=-1)
+        win_hi = PeriodicWindow(sys, 9, sign=-1)
 
         def flipped(y, w):
             first = win_lo.rows[w].get(y, LaurentPoly.zero())
@@ -284,20 +284,6 @@ def check_flipped_convention_fails(ctx: ModularContext) -> CheckResult:
         if not good
         else "flipped convention unexpectedly satisfied the identity suite",
     )
-
-
-class _FlippedWindow(PeriodicWindow):
-    """The window recursion run with the opposite crossing orientation."""
-
-    def __init__(self, sys, radius):
-        import alcove_kl.periodic as periodic_mod
-
-        original = periodic_mod._height
-        periodic_mod._height = lambda s, x: -original(s, x)
-        try:
-            super().__init__(sys, radius)
-        finally:
-            periodic_mod._height = original
 
 
 DEFAULT_BOUNDS = {1: (6, 8), 2: (4, 12)}

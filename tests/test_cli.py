@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from alcove_kl.cache import cache_dir
 from alcove_kl.cli import main
@@ -20,10 +23,15 @@ def test_kl_command_longest_element(tmp_path, capsys):
     assert "e|0,0" in out and "v^3" in out
 
 
-def test_kl_rerun_hits_cache_identical_bytes(tmp_path, capsys):
-    args = ("kl", "--type", "A", "--rank", "2", "--w", "2,1", "--cache-dir", str(tmp_path))
+@pytest.mark.parametrize(
+    "command,word,cache_name",
+    [("kl", "2,1", "kl_A2.jsonl"), ("spherical", "1,2,1,0", "spherical_A2.jsonl")],
+    ids=["kl", "spherical"],
+)
+def test_kl_rerun_hits_cache_identical_bytes(tmp_path, capsys, command, word, cache_name):
+    args = (command, "--type", "A", "--rank", "2", "--w", word, "--cache-dir", str(tmp_path))
     code1, out1, _ = run(capsys, *args)
-    cache_file = tmp_path / "kl_A2.jsonl"
+    cache_file = tmp_path / cache_name
     assert cache_file.exists()
     stamp = cache_file.read_text()
     code2, out2, _ = run(capsys, *args)
@@ -43,6 +51,42 @@ def test_cache_corruption_triggers_recompute(tmp_path, capsys):
     assert code == 0
     assert out2 == out1
     assert len(cache_file.read_text().splitlines()) == 2  # fresh record appended
+
+
+def test_length_bound_exit_code(tmp_path, capsys):
+    word = ",".join(str(k % 2) for k in range(69))
+    code, out, err = run(
+        capsys,
+        "kl", "--type", "A", "--rank", "1", "--w", word, "--cache-dir", str(tmp_path),
+    )
+    assert code == 3
+    assert out == ""
+    assert "exceeds the configured bound" in json.loads(err)["message"]
+
+
+# sha256 of stdout for the README command-line examples: output bytes are
+# part of the interface, so any change to them must update these digests.
+README_EXAMPLES = {
+    "kl --type A --rank 2 --w 1,2,1":
+        "cdbdca7b362bca0a58606313e6084eb7263eafafe71384a550e17d18743eb3c4",
+    "spherical --type A --rank 2 --w 1,2,1":
+        "6703695281e873beb1454febe91dfab02ab53c5523ff75fd2f9c2f580d310567",
+    "periodic --type A --rank 1 --p 5 --lmax 6":
+        "d2eb0936e016e661315a9e47035b2477535d2aabfe68c964773a698842054502",
+    "ext --type A --rank 2 --p 5 --w 1 --y 1":
+        "8439c9bde9895622eaf5a6023acea3540b3ae5d442f8b780c9ec811e320b245a",
+    "loewy --type A --rank 1 --p 5 --w 0,1":
+        "1ed83a95fca9a8320d24c10260e100bd628bc678976581884adb0fa83536786e",
+    "char --type A --rank 2 --p 5 --module Z --lam 0,0":
+        "0c0876ca1b36cdf95710b26c0cbf0b2773efa36f69cdc96a1b6f2bceaf69af65",
+}
+
+
+@pytest.mark.parametrize("command", README_EXAMPLES, ids=lambda c: c.split()[0])
+def test_readme_examples_golden_stdout(tmp_path, capsys, command):
+    code, out, _ = run(capsys, *command.split(), "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
