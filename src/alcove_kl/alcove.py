@@ -8,27 +8,30 @@ generic height d (the signed count of up-crossings from A+, normalized
 by d(A+) = 0), the partial order generated by up-crossings, and the
 alcove form of the check operation.
 
+All three are read off Shi's integer alcove coordinates k_alpha(A), the
+floor of the pairing with the coroot alpha^vee on A
+(``weylext.shi_coords``): d(A) is their sum, a crossing changes exactly
+one of them by one, and A <= B in the generic order exactly when
+k(A) <= k(B) componentwise.
+
 Convention: a crossing is "up" when it moves toward the side where the
-pairing with the crossed coroot increases.
+pairing with the crossed coroot increases, i.e. when d grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import floor
 
 from .errors import DomainError, IndeterminateError
 from .rootsys import ModularContext, RootSystem
 from .weylext import (
     ExtWeylElt,
     check,
-    crossed_wall,
-    fundamental_center,
     gen_indices,
     identity_elt,
     in_waff,
-    pairing_frac,
+    shi_coords,
     simple_reflection,
 )
 
@@ -53,38 +56,35 @@ def alcove_of(sys: RootSystem, x: ExtWeylElt) -> Alcove:
     return Alcove(x)
 
 
-@lru_cache(maxsize=None)
-def _center(sys: RootSystem, x: ExtWeylElt):
-    return x.act_affine(fundamental_center(sys))
+def _shi(sys: RootSystem, a: Alcove) -> tuple[int, ...]:
+    return shi_coords(sys, a.label.fin, a.label.translation)
 
 
 def wall_cross(sys: RootSystem, a: Alcove, i: int) -> tuple[Alcove, str]:
     """Cross the wall of type i: returns (As, direction)."""
     if i not in gen_indices(sys):
         raise DomainError(f"no Coxeter generator with index {i}")
-    target = a.label * simple_reflection(sys, i)
-    c, c2 = _center(sys, a.label), _center(sys, target)
-    wall = crossed_wall(sys, c, c2)
-    assert wall is not None
-    root, _ = wall
-    direction = UP if pairing_frac(c2, root) > pairing_frac(c, root) else DOWN
-    return Alcove(target), direction
+    b = Alcove(a.label * simple_reflection(sys, i))
+    direction = UP if generic_height(sys, b) > generic_height(sys, a) else DOWN
+    return b, direction
 
 
 @lru_cache(maxsize=None)
 def generic_height(sys: RootSystem, a: Alcove) -> int:
-    """d(A) = sum over positive coroots of the integer part of the pairing
-    at an interior point; each up-crossing raises it by exactly one."""
-    c = _center(sys, a.label)
-    return sum(floor(pairing_frac(c, r)) for r in sys.positive_roots)
+    """d(A) = sum of the Shi coordinates of A, the floors of the positive
+    coroot pairings at an interior point; each up-crossing raises it by
+    exactly one."""
+    return sum(_shi(sys, a))
 
 
 def generic_leq(sys: RootSystem, a: Alcove, b: Alcove, radius: int) -> bool:
     """Whether b is reachable from a by up-crossings.
 
-    The search explores at most ``radius`` crossing steps; since d
-    increases by one per step the query is conclusive whenever
-    d(b) - d(a) <= radius, and raises IndeterminateError otherwise.
+    That holds exactly when k(a) <= k(b) componentwise: along a straight
+    segment between interior points every coroot pairing is linear, so
+    each wall it crosses is crossed upward.  The answer is only given
+    when d(b) - d(a), the length of every such gallery, is at most
+    ``radius``; IndeterminateError is raised otherwise.
     """
     if a == b:
         return True
@@ -95,18 +95,7 @@ def generic_leq(sys: RootSystem, a: Alcove, b: Alcove, radius: int) -> bool:
         raise IndeterminateError(
             f"height gap {gap} exceeds search radius {radius}"
         )
-    frontier = {a}
-    for _ in range(gap):
-        nxt = set()
-        for cur in frontier:
-            for i in gen_indices(sys):
-                neighbor, direction = wall_cross(sys, cur, i)
-                if direction == UP:
-                    nxt.add(neighbor)
-        if b in nxt:
-            return True
-        frontier = nxt
-    return False
+    return all(ka <= kb for ka, kb in zip(_shi(sys, a), _shi(sys, b)))
 
 
 def alcove_check(ctx: ModularContext, a: Alcove) -> Alcove:

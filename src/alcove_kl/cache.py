@@ -2,8 +2,10 @@
 
 One JSONL file per (kind, type, rank); every line carries the canonical
 key, the payload, and a sha256 checksum of both.  Corrupt or truncated
-records are skipped on load (forcing recomputation), and later records
-win over earlier ones for the same key, so appending is always safe.
+records, undecodable bytes included, are skipped on load (forcing
+recomputation), and later records win over earlier ones for the same
+key, so appending is always safe.  A cache file that cannot be read,
+created or appended to raises ConfigError naming its path.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import hashlib
 import json
 import os
 from pathlib import Path
+
+from .errors import ConfigError
 
 ENV_VAR = "ALCOVE_KL_CACHE"
 
@@ -38,22 +42,25 @@ class RecordCache:
         self._records: dict[str, object] = {}
         self._load()
 
+    def _unusable(self, exc: OSError) -> ConfigError:
+        return ConfigError(f"cache file {str(self.path)!r} is unusable: {exc}")
+
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key, payload, sha = rec["key"], rec["payload"], rec["sha"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    continue  # corrupt record: recompute later
-                if _digest(key, payload) != sha:
-                    continue
-                self._records[key] = payload
+        try:
+            data = self.path.read_bytes()
+        except OSError as exc:
+            raise self._unusable(exc) from exc
+        for line in data.splitlines():
+            try:
+                rec = json.loads(line.decode("utf-8"))
+                key, payload, sha = rec["key"], rec["payload"], rec["sha"]
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+                continue  # blank or corrupt record: recompute later
+            if _digest(key, payload) != sha:
+                continue
+            self._records[key] = payload
 
     def get(self, key: str):
         return self._records.get(key)
@@ -63,10 +70,13 @@ class RecordCache:
 
     def put(self, key: str, payload) -> None:
         self._records[key] = payload
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         rec = {"key": key, "payload": payload, "sha": _digest(key, payload)}
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        except OSError as exc:
+            raise self._unusable(exc) from exc
 
     def __len__(self) -> int:
         return len(self._records)

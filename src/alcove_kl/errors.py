@@ -7,7 +7,8 @@ and ResourceError (with its subclass WindowError) -> 3, ConsistencyError
 
 
 class ConfigError(ValueError):
-    """Invalid configuration (unsupported type/rank, bad prime, ...)."""
+    """Invalid configuration (unsupported type/rank, bad prime, unusable
+    cache file, ...)."""
 
 
 class DomainError(ValueError):

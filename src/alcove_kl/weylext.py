@@ -7,21 +7,19 @@ The multiplication rule is
 
     (w t_lam)(w' t_mu) = (w w') t_{w'^{-1}(lam) + mu}.
 
-On top of the group structure this module provides the length function,
-the p-dilated dot-action, the finite group Omega of length-zero
-elements, the restricted elements and the check involution, the
-dot-stabilizers of weights in the closure of the fundamental box, and a
-breadth-first search conjugating an affine simple reflection into a
-finite one.
+On top of the group structure this module provides Shi's alcove
+coordinates and the length function read off them, the p-dilated
+dot-action, the finite group Omega of length-zero elements, the
+restricted elements and the check involution, the dot-stabilizers of
+weights in the closure of the fundamental box, and a breadth-first
+search conjugating an affine simple reflection into a finite one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import floor
 
 from .errors import DomainError, SearchError
 from .rootsys import (
@@ -80,7 +78,7 @@ class ExtWeylElt:
         """Apply only the finite part, linearly."""
         return Weight(_mat_vec(self.fin, lam.coords))
 
-    def act_affine(self, point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    def act_affine(self, point: tuple) -> tuple:
         """The affine action on X tensor Q: x -> w(x + lam)."""
         shifted = tuple(p + t for p, t in zip(point, self.translation.coords))
         return _mat_vec(self.fin, shifted)
@@ -152,23 +150,42 @@ def from_word(sys: RootSystem, word: tuple[int, ...] | list[int]) -> ExtWeylElt:
     return x
 
 
-# -- length and descents -----------------------------------------------------
+# -- Shi coordinates, length and descents ---------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _root_images(sys: RootSystem, fin: Mat) -> tuple[tuple[int, int], ...]:
+    """For each positive root beta, (j, sign) with w(beta) = sign * alpha_j,
+    alpha_j the j-th positive root."""
+    idx = _root_index(sys)
+    position = {r: j for j, r in enumerate(sys.positive_roots)}
+    out = []
+    for beta in sys.positive_roots:
+        alpha, sign = idx[tuple(_mat_vec(fin, beta.fund))]
+        out.append((position[alpha], sign))
+    return tuple(out)
+
+
+def shi_coords(sys: RootSystem, fin: Mat, lam: Weight) -> tuple[int, ...]:
+    """Shi's alcove coordinates of x = w t_lam (J.-Y. Shi, LNM 1179, 1986).
+
+    Entry j is k_alpha for alpha the j-th positive root: the floor of
+    <q, alpha^vee> at every interior point q of the alcove x(A+).  For
+    each positive root beta with w(beta) = +-alpha it is <lam, beta^vee>
+    on the sign +, and -<lam, beta^vee> - 1 on the sign -.  Crossing one
+    wall moves exactly one coordinate by one, upward when it grows.
+    """
+    k = [0] * len(sys.positive_roots)
+    for beta, (j, sign) in zip(sys.positive_roots, _root_images(sys, fin)):
+        pair = sys.pairing(lam, beta)
+        k[j] = pair if sign > 0 else -pair - 1
+    return tuple(k)
 
 
 @lru_cache(maxsize=None)
 def length(sys: RootSystem, x: ExtWeylElt) -> int:
-    """Sum over positive roots of |<lam, a^vee>| or |1 + <lam, a^vee>|,
-    according to whether the finite part keeps a positive or makes it
-    negative."""
-    total = 0
-    idx = _root_index(sys)
-    lam = x.translation
-    for r in sys.positive_roots:
-        pair = sys.pairing(lam, r)
-        image = tuple(_mat_vec(x.fin, r.fund))
-        _, sign = idx[image]
-        total += abs(pair) if sign > 0 else abs(1 + pair)
-    return total
+    """The number of walls between A+ and x(A+): the sum of |k_alpha|."""
+    return sum(map(abs, shi_coords(sys, x.fin, x.translation)))
 
 
 def right_descents(sys: RootSystem, x: ExtWeylElt) -> list[int]:
@@ -204,8 +221,7 @@ def finite_simple_mats(sys: RootSystem) -> tuple[Mat, ...]:
 
 @lru_cache(maxsize=None)
 def finite_length_of(sys: RootSystem, m: Mat) -> int:
-    idx = _root_index(sys)
-    return sum(1 for r in sys.positive_roots if idx[tuple(_mat_vec(m, r.fund))][1] < 0)
+    return sum(map(abs, shi_coords(sys, m, Weight.zero(sys.rank))))
 
 
 @lru_cache(maxsize=None)
@@ -280,74 +296,25 @@ class OmegaElt:
     elt: ExtWeylElt
 
 
-@lru_cache(maxsize=None)
-def fundamental_center(sys: RootSystem) -> tuple[Fraction, ...]:
-    """An interior point of the fundamental alcove (rho / h)."""
-    h = sys.coxeter_number
-    return tuple(Fraction(1, h) for _ in range(sys.rank))
-
-
 def lattice_class(sys: RootSystem, lam: Weight) -> tuple[int, ...]:
     """Canonical representative of lam modulo the root lattice."""
     c = root_coords(sys, lam)
     out = list(lam.coords)
     for j, x in enumerate(c):
-        f = floor(x)
+        f = x.numerator // x.denominator
         if f:
             for k in range(sys.rank):
                 out[k] -= f * sys.cartan[k][j]
     return tuple(out)
 
 
-def element_to_alcove(sys: RootSystem, target: tuple[Fraction, ...]) -> ExtWeylElt:
-    """The W_aff element whose alcove contains the (interior) point."""
-    g = identity_elt(sys)
-    c0 = fundamental_center(sys)
-    while True:
-        c = g.act_affine(c0)
-        moved = False
-        for i in gen_indices(sys):
-            gs = g * simple_reflection(sys, i)
-            c2 = gs.act_affine(c0)
-            wall = crossed_wall(sys, c, c2)
-            if wall is None:
-                continue
-            root, level = wall
-            side = pairing_frac(target, root) - level
-            here = pairing_frac(c, root) - level
-            assert side != 0, "target must be an alcove-interior point"
-            if (side > 0) != (here > 0):
-                g = gs
-                moved = True
-                break
-        if not moved:
-            return g
-
-
-def pairing_frac(point: tuple[Fraction, ...], root: PosRoot):
-    return sum(a * b for a, b in zip(point, root.coroot))
-
-
-def crossed_wall(sys: RootSystem, c, c2):
-    """The unique (root, level) hyperplane separating adjacent alcove centers."""
-    found = None
-    for r in sys.positive_roots:
-        a = pairing_frac(c, r)
-        b = pairing_frac(c2, r)
-        if floor(a) != floor(b):
-            level = max(floor(a), floor(b))
-            assert found is None, "adjacent alcoves cross a single wall"
-            found = (r, level)
-    return found
-
-
 @lru_cache(maxsize=None)
 def omega_group(sys: RootSystem) -> tuple[OmegaElt, ...]:
     """All length-zero elements, one per class of X modulo the root lattice.
 
-    Each is found by translating the fundamental alcove back to itself:
-    for a class representative lam we locate the W_aff element w with
-    w(A+) = t_{-lam}(A+) and take t_lam w.
+    Each is found from t_lam, for a representative lam of its class, by
+    following right descents down to length zero; right multiplication
+    by S_aff stays in the class.
     """
     reps: dict[tuple[int, ...], Weight] = {lattice_class(sys, Weight.zero(sys.rank)): Weight.zero(sys.rank)}
     frontier = [Weight.zero(sys.rank)]
@@ -366,11 +333,10 @@ def omega_group(sys: RootSystem) -> tuple[OmegaElt, ...]:
         frontier = nxt
 
     out = []
-    c0 = fundamental_center(sys)
     for lam in reps.values():
-        shifted = tuple(c - t for c, t in zip(c0, lam.coords))
-        w = element_to_alcove(sys, shifted)
-        x = translation_elt(sys, lam) * w
+        x = translation_elt(sys, lam)
+        while descents := right_descents(sys, x):
+            x = x * simple_reflection(sys, descents[0])
         assert length(sys, x) == 0
         out.append(OmegaElt(x))
     out.sort(key=lambda o: elt_key(sys, o.elt))

@@ -53,6 +53,33 @@ def test_cache_corruption_triggers_recompute(tmp_path, capsys):
     assert len(cache_file.read_text().splitlines()) == 2  # fresh record appended
 
 
+def test_cache_undecodable_line_is_skipped(tmp_path, capsys):
+    args = ("kl", "--type", "A", "--rank", "1", "--w", "0,1", "--cache-dir", str(tmp_path))
+    _, out1, _ = run(capsys, *args)
+    cache_file = tmp_path / "kl_A1.jsonl"
+    with open(cache_file, "ab") as fh:
+        fh.write(b"\xff\xfe garbage\n")
+    stamp = cache_file.read_bytes()
+    code, out2, err = run(capsys, *args)
+    assert code == 0, err
+    assert out2 == out1
+    assert cache_file.read_bytes() == stamp  # the valid record still hits
+
+
+def test_unusable_cache_dir_is_config_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    code, out, err = run(
+        capsys,
+        "kl", "--type", "A", "--rank", "1", "--w", "0,1", "--cache-dir", str(not_a_dir),
+    )
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert str(not_a_dir) in payload["message"]
+
+
 def test_length_bound_exit_code(tmp_path, capsys):
     word = ",".join(str(k % 2) for k in range(69))
     code, out, err = run(
