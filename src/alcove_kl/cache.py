@@ -4,8 +4,10 @@ One JSONL file per (kind, type, rank); every line carries the canonical
 key, the payload, and a sha256 checksum of both.  Corrupt or truncated
 records, undecodable bytes included, are skipped on load (forcing
 recomputation), and later records win over earlier ones for the same
-key, so appending is always safe.  A cache file that cannot be read,
-created or appended to raises ConfigError naming its path.
+key, so appending is always safe.  The cache directory is created when
+the cache is opened, so a directory that cannot be made fails before
+anything is computed; that, and a cache file that cannot be read or
+appended to, raises ConfigError naming the path.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ class RecordCache:
     def __init__(self, directory: Path, name: str):
         self.path = Path(directory) / f"{name}.jsonl"
         self._records: dict[str, object] = {}
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise self._unusable(exc) from exc
         self._load()
 
     def _unusable(self, exc: OSError) -> ConfigError:
@@ -72,7 +78,6 @@ class RecordCache:
         self._records[key] = payload
         rec = {"key": key, "payload": payload, "sha": _digest(key, payload)}
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
         except OSError as exc:

@@ -1,7 +1,8 @@
 """Command-line interface: compute, cache, export, verify.
 
 Exit codes: 0 success, 2 configuration error, 3 stabilization failure or
-exceeded bound (window radius, element length), 4 identity-suite failure.
+exceeded bound (window radius, element length, an exhausted search or an
+order query undecided within its radius), 4 identity-suite failure.
 Errors are emitted as a JSON object on stderr.  Output is canonically
 sorted, so identical configurations and cache states produce identical
 bytes.
@@ -18,7 +19,9 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     DomainError,
+    IndeterminateError,
     ResourceError,
+    SearchError,
     StabilizationError,
 )
 from .hecke import is_coset_maximal, kl_basis, spherical_kl
@@ -298,6 +301,12 @@ def main(argv=None) -> int:
         return 2
     except (StabilizationError, ResourceError) as exc:
         _error("stabilization", exc)
+        return 3
+    except SearchError as exc:
+        _error("search", exc)
+        return 3
+    except IndeterminateError as exc:
+        _error("indeterminate", exc)
         return 3
     except ConsistencyError as exc:
         _error("identity", exc)

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-The CLI maps these to exit codes: ConfigError -> 2, StabilizationError
-and ResourceError (with its subclass WindowError) -> 3, ConsistencyError
--> 4.
+The CLI maps these to exit codes, each with a JSON error object on
+stderr whose "error" kind is given in brackets: ConfigError and
+DomainError -> 2 ("config"); StabilizationError and ResourceError (with
+its subclass WindowError) -> 3 ("stabilization"), SearchError -> 3
+("search"), IndeterminateError -> 3 ("indeterminate"); ConsistencyError
+-> 4 ("identity").
 """
 
 

@@ -1,9 +1,12 @@
 """Exact integer Laurent polynomials in a single variable v.
 
-Coefficients are arbitrary-precision Python integers; the support is a
-sparse map from integer exponents to coefficients.  Values are immutable
-and hashable, so they can be used as dictionary entries everywhere else
-in the package.
+Coefficients are arbitrary-precision Python integers.  A value keeps its
+support in normal form: a tuple of (exponent, coefficient) pairs with
+strictly increasing exponents and no zero coefficient.  Sums and
+differences merge the two term tuples in one pass; a product with an
+integer or a monomial scales and shifts the terms; neither sorts.
+Values are immutable and hashable, so they can be used as dictionary
+entries everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -56,32 +59,33 @@ class LaurentPoly:
     # -- ring structure --------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        return LaurentPoly.from_dict(acc)
+        return LaurentPoly(_merge(self.terms, _coerce(other).terms, 1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
+        return LaurentPoly(tuple([(e, -c) for e, c in self.terms]))
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return self + (-_coerce(other))
+        return LaurentPoly(_merge(self.terms, _coerce(other).terms, -1))
 
     def __rsub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return _coerce(other) + (-self)
+        return LaurentPoly(_merge(_coerce(other).terms, self.terms, -1))
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
+        if isinstance(other, int):
+            if not other:
+                return _ZERO
+            return LaurentPoly(tuple([(e, c * other) for e, c in self.terms]))
+        a, b = self.terms, _coerce(other).terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:  # a monomial shifts and scales the other factor
+            ((e0, c0),) = a
+            return LaurentPoly(tuple([(e0 + e, c0 * c) for e, c in b]))
         acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
                 s = acc.get(e, 0) + c1 * c2
                 if s:
@@ -111,7 +115,7 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The bar involution v -> v^-1."""
-        return LaurentPoly(tuple(sorted((-e, c) for e, c in self.terms)))
+        return LaurentPoly(tuple([(-e, c) for e, c in reversed(self.terms)]))
 
     def coeff(self, exponent: int) -> int:
         for e, c in self.terms:
@@ -189,6 +193,41 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
     if isinstance(x, int):
         return LaurentPoly.const(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly")
+
+
+def _merge(a: tuple, b: tuple, sign: int) -> tuple:
+    """The terms of a + sign * b, for the terms a and b of two normal forms,
+    by one pass over both (sign is 1 or -1)."""
+    if not b:
+        return a
+    if sign < 0:
+        b = tuple([(e, -c) for e, c in b])
+    if not a:
+        return b
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ea, ca = a[i]
+        eb, cb = b[j]
+        if ea < eb:
+            out.append(a[i])
+            i += 1
+        elif eb < ea:
+            out.append(b[j])
+            j += 1
+        else:
+            if ca + cb:
+                out.append((ea, ca + cb))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def lsum(polys: Iterable[LaurentPoly]) -> LaurentPoly:

@@ -147,6 +147,10 @@ class RootSystem:
         assert len(ties) == 1, "highest coroot must be unique"
         return best
 
+    def __hash__(self) -> int:
+        # the type and rank determine the rest of the datum
+        return hash((self.cartan_type, self.rank))
+
     def pairing(self, lam: Weight, root: PosRoot) -> int:
         """<lam, alpha^vee> for the coroot of ``root``."""
         return sum(a * b for a, b in zip(lam.coords, root.coroot))

@@ -1,11 +1,17 @@
 """The extended affine Weyl group W ltimes X and its combinatorics.
 
-Elements are stored as pairs (w, lam) representing w * t_lam, with the
-finite part w kept as an integer matrix in the fundamental-weight basis
-(together with its inverse, so that no matrix ever has to be inverted).
-The multiplication rule is
+Elements are stored as pairs (w, lam) representing w * t_lam.  The
+finite part w is an integer: its number in the finite Weyl group table
+of the root system (``FiniteWeylGroup``), built on first use by a
+breadth-first closure from the simple reflections.  The table keeps each
+element's matrix on the fundamental-weight basis, the number of its
+inverse and its positive-root permutation, and memoizes products as they
+are asked for; matrices exist only inside it.  The multiplication rule is
 
-    (w t_lam)(w' t_mu) = (w w') t_{w'^{-1}(lam) + mu}.
+    (w t_lam)(w' t_mu) = (w w') t_{w'^{-1}(lam) + mu},
+
+so a product costs two table lookups and one rank-sized matrix-vector
+product, and an element hashes as (number, translation).
 
 On top of the group structure this module provides Shi's alcove
 coordinates and the length function read off them, the p-dilated
@@ -18,10 +24,11 @@ search conjugating an affine simple reflection into a finite one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
-from .errors import DomainError, SearchError
+from .errors import DomainError, ResourceError, SearchError
 from .rootsys import (
     ModularContext,
     PosRoot,
@@ -41,72 +48,12 @@ def _identity_mat(n: int) -> Mat:
 
 
 def _mat_mul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _mat_vec(m: Mat, v: tuple) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(row))) for row in m)
-
-
-@dataclass(frozen=True, slots=True)
-class ExtWeylElt:
-    """An element w * t_lam of the extended affine Weyl group."""
-
-    fin: Mat
-    fin_inv: Mat
-    translation: Weight
-
-    def __mul__(self, other: "ExtWeylElt") -> "ExtWeylElt":
-        return ExtWeylElt(
-            _mat_mul(self.fin, other.fin),
-            _mat_mul(other.fin_inv, self.fin_inv),
-            Weight(_mat_vec(other.fin_inv, self.translation.coords)) + other.translation,
-        )
-
-    def inverse(self) -> "ExtWeylElt":
-        return ExtWeylElt(
-            self.fin_inv,
-            self.fin,
-            Weight(tuple(-c for c in _mat_vec(self.fin, self.translation.coords))),
-        )
-
-    def finite_apply(self, lam: Weight) -> Weight:
-        """Apply only the finite part, linearly."""
-        return Weight(_mat_vec(self.fin, lam.coords))
-
-    def act_affine(self, point: tuple) -> tuple:
-        """The affine action on X tensor Q: x -> w(x + lam)."""
-        shifted = tuple(p + t for p, t in zip(point, self.translation.coords))
-        return _mat_vec(self.fin, shifted)
-
-    @property
-    def rank(self) -> int:
-        return len(self.fin)
-
-    @property
-    def has_trivial_finite_part(self) -> bool:
-        return self.fin == _identity_mat(self.rank)
-
-    def __str__(self) -> str:
-        return f"(fin={self.fin}, t={self.translation})"
-
-
-# -- constructors -----------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def identity_elt(sys: RootSystem) -> ExtWeylElt:
-    m = _identity_mat(sys.rank)
-    return ExtWeylElt(m, m, Weight.zero(sys.rank))
-
-
-def translation_elt(sys: RootSystem, lam: Weight) -> ExtWeylElt:
-    m = _identity_mat(sys.rank)
-    return ExtWeylElt(m, m, lam)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def reflection_mat(sys: RootSystem, root: PosRoot) -> Mat:
@@ -120,6 +67,187 @@ def reflection_mat(sys: RootSystem, root: PosRoot) -> Mat:
 
 
 @lru_cache(maxsize=None)
+def _simple_root_positions(sys: RootSystem) -> tuple[int, ...]:
+    """Position of alpha_i in ``sys.positive_roots``, for i = 1..rank."""
+    return tuple(
+        next(j for j, r in enumerate(sys.positive_roots) if r.height == 1 and r.root[i])
+        for i in range(sys.rank)
+    )
+
+
+MAX_FINITE_ORDER = 100_000
+"""Largest finite Weyl group whose table is built (E6 has 51,840
+elements); larger ones raise ResourceError."""
+
+
+class FiniteWeylGroup:
+    """The finite Weyl group of one root system, as a table.
+
+    The elements are numbered 0..|W|-1 in the sorted order of their
+    matrices on the fundamental-weight basis.  For element k the table
+    holds ``mats[k]``, the number ``inv[k]`` of its inverse, and
+    ``roots[k]``, the positive-root permutation: entry j is b when the
+    element maps the b-th positive root to the j-th one, and ~b when it
+    maps it to minus the j-th one.  Products are memoized as they are
+    asked for; no |W|^2 table is built.
+    """
+
+    __slots__ = ("order", "mats", "inv", "roots", "identity", "simples", "_index", "_products")
+
+    def __init__(self, sys: RootSystem):
+        if sys.weyl_order > MAX_FINITE_ORDER:
+            raise ResourceError(
+                f"the Weyl group of {sys} has {sys.weyl_order} elements; "
+                f"the element table holds at most {MAX_FINITE_ORDER}"
+            )
+        roots = sys.positive_roots
+        images = _root_index(sys)
+        position = {r: j for j, r in enumerate(roots)}
+        gens = []
+        for j in _simple_root_positions(sys):
+            g = reflection_mat(sys, roots[j])
+            # perm[c] encodes g(beta_c) = +-beta_b as b or ~b; g is an
+            # involution, so perm is also g's entry in ``roots``
+            perm = []
+            for beta in roots:
+                alpha, sign = images[_mat_vec(g, beta.fund)]
+                perm.append(position[alpha] if sign > 0 else ~position[alpha])
+            gens.append((g, tuple(perm)))
+
+        # breadth-first closure, carrying along the inverse, (m g)^-1 = g m^-1,
+        # and the root permutation: if m(beta_b) = +-alpha_j and
+        # g(beta_c) = +-beta_b, then m g (beta_c) = +-alpha_j
+        one = _identity_mat(sys.rank)
+        inverse = {one: one}
+        perms = {one: tuple(range(len(roots)))}
+        frontier = [one]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for g, gperm in gens:
+                    prod = _mat_mul(m, g)
+                    if prod not in inverse:
+                        inverse[prod] = _mat_mul(g, inverse[m])
+                        perms[prod] = tuple([gperm[b] if b >= 0 else ~gperm[~b] for b in perms[m]])
+                        nxt.append(prod)
+            frontier = nxt
+        assert len(inverse) == sys.weyl_order
+        self.order = len(inverse)
+        self.mats = tuple(sorted(inverse))
+        self._index = {m: k for k, m in enumerate(self.mats)}
+        self.inv = tuple(self._index[inverse[m]] for m in self.mats)
+        self.roots = tuple(perms[m] for m in self.mats)
+        self.identity = self._index[one]
+        self.simples = tuple(self._index[g] for g, _ in gens)
+        self._products: dict[int, int] = {}  # i * order + j -> product
+
+    def index(self, m: Mat) -> int:
+        """The number of the element with matrix m."""
+        return self._index[m]
+
+    def product(self, i: int, j: int) -> int:
+        """The number of the product of elements i and j."""
+        key = i * self.order + j
+        k = self._products.get(key)
+        if k is None:
+            k = self._products[key] = self._index[_mat_mul(self.mats[i], self.mats[j])]
+        return k
+
+
+@lru_cache(maxsize=None)
+def finite_group(sys: RootSystem) -> FiniteWeylGroup:
+    """The finite Weyl group table of ``sys``, built on first use."""
+    return FiniteWeylGroup(sys)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ExtWeylElt:
+    """An element w * t_lam of the extended affine Weyl group.
+
+    ``fin`` is the number of w in the table ``group`` of its root system;
+    equality and hashing look at ``fin`` and the translation only.
+    """
+
+    fin: int
+    translation: Weight
+    group: FiniteWeylGroup = field(repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.fin, self.translation.coords)))
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            return self.fin == other.fin and self.translation.coords == other.translation.coords
+        except AttributeError:
+            return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __mul__(self, other: "ExtWeylElt") -> "ExtWeylElt":
+        # (w t_lam)(w' t_mu) = (w w') t_{w'^-1(lam) + mu}
+        g = self.group
+        j = other.fin
+        lam = self.translation.coords
+        return ExtWeylElt(
+            g.product(self.fin, j),
+            Weight(tuple([
+                sum(map(mul, row, lam)) + m
+                for row, m in zip(g.mats[g.inv[j]], other.translation.coords)
+            ])),
+            g,
+        )
+
+    def inverse(self) -> "ExtWeylElt":
+        g = self.group
+        return ExtWeylElt(
+            g.inv[self.fin],
+            Weight(tuple([-c for c in _mat_vec(g.mats[self.fin], self.translation.coords)])),
+            g,
+        )
+
+    def finite_apply(self, lam: Weight) -> Weight:
+        """Apply only the finite part, linearly."""
+        return Weight(_mat_vec(self.group.mats[self.fin], lam.coords))
+
+    def act_affine(self, point: tuple) -> tuple:
+        """The affine action on X tensor Q: x -> w(x + lam)."""
+        shifted = tuple(p + t for p, t in zip(point, self.translation.coords))
+        return _mat_vec(self.group.mats[self.fin], shifted)
+
+    @property
+    def rank(self) -> int:
+        return len(self.translation.coords)
+
+    @property
+    def has_trivial_finite_part(self) -> bool:
+        return self.fin == self.group.identity
+
+    def __str__(self) -> str:
+        return f"(fin={self.group.mats[self.fin]}, t={self.translation})"
+
+
+# -- constructors -----------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def identity_elt(sys: RootSystem) -> ExtWeylElt:
+    g = finite_group(sys)
+    return ExtWeylElt(g.identity, Weight.zero(sys.rank), g)
+
+
+def translation_elt(sys: RootSystem, lam: Weight) -> ExtWeylElt:
+    g = finite_group(sys)
+    return ExtWeylElt(g.identity, lam, g)
+
+
+def _reflection_elt(sys: RootSystem, root: PosRoot, lam: Weight) -> ExtWeylElt:
+    g = finite_group(sys)
+    return ExtWeylElt(g.index(reflection_mat(sys, root)), lam, g)
+
+
+@lru_cache(maxsize=None)
 def simple_reflection(sys: RootSystem, i: int) -> ExtWeylElt:
     """Coxeter generator of W_aff: i = 1..rank finite, i = 0 affine.
 
@@ -129,13 +257,11 @@ def simple_reflection(sys: RootSystem, i: int) -> ExtWeylElt:
     """
     if i == 0:
         theta = sys.affine_root
-        m = reflection_mat(sys, theta)
-        return ExtWeylElt(m, m, -theta.as_weight())
+        return _reflection_elt(sys, theta, -theta.as_weight())
     if not 1 <= i <= sys.rank:
         raise DomainError(f"no simple reflection with index {i}")
-    root = next(r for r in sys.positive_roots if r.height == 1 and r.root[i - 1])
-    m = reflection_mat(sys, root)
-    return ExtWeylElt(m, m, Weight.zero(sys.rank))
+    g = finite_group(sys)
+    return ExtWeylElt(g.simples[i - 1], Weight.zero(sys.rank), g)
 
 
 def gen_indices(sys: RootSystem) -> range:
@@ -153,20 +279,7 @@ def from_word(sys: RootSystem, word: tuple[int, ...] | list[int]) -> ExtWeylElt:
 # -- Shi coordinates, length and descents ---------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _root_images(sys: RootSystem, fin: Mat) -> tuple[tuple[int, int], ...]:
-    """For each positive root beta, (j, sign) with w(beta) = sign * alpha_j,
-    alpha_j the j-th positive root."""
-    idx = _root_index(sys)
-    position = {r: j for j, r in enumerate(sys.positive_roots)}
-    out = []
-    for beta in sys.positive_roots:
-        alpha, sign = idx[tuple(_mat_vec(fin, beta.fund))]
-        out.append((position[alpha], sign))
-    return tuple(out)
-
-
-def shi_coords(sys: RootSystem, fin: Mat, lam: Weight) -> tuple[int, ...]:
+def shi_coords(sys: RootSystem, fin: int, lam: Weight) -> tuple[int, ...]:
     """Shi's alcove coordinates of x = w t_lam (J.-Y. Shi, LNM 1179, 1986).
 
     Entry j is k_alpha for alpha the j-th positive root: the floor of
@@ -175,11 +288,10 @@ def shi_coords(sys: RootSystem, fin: Mat, lam: Weight) -> tuple[int, ...]:
     on the sign +, and -<lam, beta^vee> - 1 on the sign -.  Crossing one
     wall moves exactly one coordinate by one, upward when it grows.
     """
-    k = [0] * len(sys.positive_roots)
-    for beta, (j, sign) in zip(sys.positive_roots, _root_images(sys, fin)):
-        pair = sys.pairing(lam, beta)
-        k[j] = pair if sign > 0 else -pair - 1
-    return tuple(k)
+    pair = [sum(map(mul, lam.coords, r.coroot)) for r in sys.positive_roots]
+    return tuple([
+        pair[b] if b >= 0 else -1 - pair[~b] for b in finite_group(sys).roots[fin]
+    ])
 
 
 @lru_cache(maxsize=None)
@@ -214,58 +326,36 @@ def in_waff(sys: RootSystem, x: ExtWeylElt) -> bool:
 # -- the finite Weyl group ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def finite_simple_mats(sys: RootSystem) -> tuple[Mat, ...]:
-    return tuple(simple_reflection(sys, i).fin for i in range(1, sys.rank + 1))
+def finite_length_of(sys: RootSystem, m: int) -> int:
+    """The number of positive roots the finite element m makes negative."""
+    return sum(b < 0 for b in finite_group(sys).roots[m])
+
+
+def weyl_group(sys: RootSystem) -> range:
+    """The numbers of all elements of the finite Weyl group, in the
+    sorted order of their matrices."""
+    return range(finite_group(sys).order)
 
 
 @lru_cache(maxsize=None)
-def finite_length_of(sys: RootSystem, m: Mat) -> int:
-    return sum(map(abs, shi_coords(sys, m, Weight.zero(sys.rank))))
-
-
-@lru_cache(maxsize=None)
-def weyl_group(sys: RootSystem) -> tuple[Mat, ...]:
-    """All elements of the finite Weyl group, by breadth-first closure."""
-    gens = finite_simple_mats(sys)
-    seen = {_identity_mat(sys.rank)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = _mat_mul(m, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    assert len(seen) == sys.weyl_order
-    return tuple(sorted(seen))
-
-
-@lru_cache(maxsize=None)
-def finite_word(sys: RootSystem, m: Mat) -> tuple[int, ...]:
+def finite_word(sys: RootSystem, m: int) -> tuple[int, ...]:
     """Shortlex reduced word (1-based) of a finite Weyl group element."""
+    g = finite_group(sys)
     word: list[int] = []
-    gens = finite_simple_mats(sys)
-    while m != _identity_mat(sys.rank):
-        for i in range(1, sys.rank + 1):
-            if finite_length_of(sys, _mat_mul(gens[i - 1], m)) < finite_length_of(sys, m):
+    while m != g.identity:
+        for i, s in enumerate(g.simples, 1):
+            sm = g.product(s, m)
+            if finite_length_of(sys, sm) < finite_length_of(sys, m):
                 word.append(i)
-                m = _mat_mul(gens[i - 1], m)
+                m = sm
                 break
         else:  # pragma: no cover - closure guarantees a descent
             raise AssertionError("no descent found")
     return tuple(word)
 
 
-def finite_elt(sys: RootSystem, m: Mat) -> ExtWeylElt:
-    word = finite_word(sys, m)
-    inv = _identity_mat(sys.rank)
-    gens = finite_simple_mats(sys)
-    for i in reversed(word):
-        inv = _mat_mul(inv, gens[i - 1])
-    return ExtWeylElt(m, inv, Weight.zero(sys.rank))
+def finite_elt(sys: RootSystem, m: int) -> ExtWeylElt:
+    return ExtWeylElt(m, Weight.zero(sys.rank), finite_group(sys))
 
 
 @lru_cache(maxsize=None)
@@ -405,30 +495,25 @@ def elt_from_json(sys: RootSystem, d: dict) -> ExtWeylElt:
     fin = identity_elt(sys)
     for i in d["w"]:
         fin = fin * simple_reflection(sys, int(i))
-    return ExtWeylElt(fin.fin, fin.fin_inv, Weight(tuple(int(c) for c in d["t"])))
+    return ExtWeylElt(fin.fin, Weight(tuple(int(c) for c in d["t"])), fin.group)
 
 
 # -- restricted elements and the check involution --------------------------------
 
 
 @lru_cache(maxsize=None)
-def restricted_element_for(sys: RootSystem, m: Mat) -> ExtWeylElt:
+def restricted_element_for(sys: RootSystem, m: int) -> ExtWeylElt:
     """The unique element of W_ex^res with the given finite part.
 
     For u in W the recipe is u t_lam with lam = u^{-1}(sum of the
     fundamental weights indexed by {i : u^{-1}(alpha_i) < 0}); this makes
-    u t_lam . 0 restricted for every p > h.
+    u t_lam . 0 restricted for every p > h.  The sign of u^{-1}(alpha_i)
+    is the sign with which u maps some positive root onto +-alpha_i.
     """
-    idx = _root_index(sys)
-    inv = finite_elt(sys, m).fin_inv
-    sigma = [0] * sys.rank
-    for i in range(1, sys.rank + 1):
-        alpha = next(r for r in sys.positive_roots if r.height == 1 and r.root[i - 1])
-        image = tuple(_mat_vec(inv, alpha.fund))
-        if idx[image][1] < 0:
-            sigma[i - 1] = 1
-    lam = Weight(_mat_vec(inv, tuple(sigma)))
-    return ExtWeylElt(m, inv, lam)
+    g = finite_group(sys)
+    roots = g.roots[m]
+    sigma = tuple(1 if roots[j] < 0 else 0 for j in _simple_root_positions(sys))
+    return ExtWeylElt(m, Weight(_mat_vec(g.mats[g.inv[m]], sigma)), g)
 
 
 def restricted_elements(ctx: ModularContext, length_bound: int) -> list[ExtWeylElt]:
@@ -529,11 +614,9 @@ def dot_stabilizer(ctx: ModularContext, eta: Weight) -> list[ExtWeylElt]:
     for r in sys.positive_roots:
         pair = sys.pairing(shifted, r)
         if pair == 0:
-            m = reflection_mat(sys, r)
-            out.append(ExtWeylElt(m, m, Weight.zero(sys.rank)))
+            out.append(_reflection_elt(sys, r, Weight.zero(sys.rank)))
         elif pair == ctx.p:
-            m = reflection_mat(sys, r)
-            out.append(ExtWeylElt(m, m, -r.as_weight()))
+            out.append(_reflection_elt(sys, r, -r.as_weight()))
     return out
 
 

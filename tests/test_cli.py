@@ -5,6 +5,7 @@ import pytest
 
 from alcove_kl.cache import cache_dir
 from alcove_kl.cli import main
+from alcove_kl.errors import IndeterminateError, SearchError
 
 
 def run(capsys, *argv):
@@ -237,3 +238,55 @@ def test_verify_command_passes(tmp_path, capsys):
         "--cache-dir", str(tmp_path),
     )
     assert (code2, out2) == (code, out)
+
+
+def test_unusable_cache_dir_fails_before_compute(tmp_path, capsys, monkeypatch):
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    calls = []
+    monkeypatch.setattr("alcove_kl.cli.kl_basis", lambda *args: calls.append(args) or {})
+    code, out, err = run(
+        capsys,
+        "kl", "--type", "A", "--rank", "2", "--w", "1,2,1", "--cache-dir", str(not_a_dir),
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+    assert calls == []  # the row is never computed
+
+
+@pytest.mark.parametrize(
+    "exc,kind",
+    [(SearchError, "search"), (IndeterminateError, "indeterminate")],
+    ids=["search", "indeterminate"],
+)
+def test_search_and_indeterminate_errors_exit_3(tmp_path, capsys, monkeypatch, exc, kind):
+    """A SearchError or IndeterminateError escaping a command exits 3 with a
+    JSON error.  No valid command-line input reaches either today, so the
+    command is made to raise it."""
+
+    def fail(*args, **kwargs):
+        raise exc("bounded search exhausted")
+
+    monkeypatch.setattr("alcove_kl.cli.ext_dim", fail)
+    code, out, err = run(
+        capsys,
+        "ext", "--type", "A", "--rank", "1", "--p", "5", "--w", "1", "--y", "1",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": kind, "message": "bounded search exhausted"}
+
+
+def test_weyl_group_beyond_table_limit_exits_3(tmp_path, capsys):
+    # E7's Weyl group (2,903,040 elements) is larger than the element table
+    code, out, err = run(
+        capsys,
+        "kl", "--type", "E", "--rank", "7", "--w", "1", "--cache-dir", str(tmp_path),
+    )
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "stabilization"
+    assert "2903040 elements" in payload["message"]
