@@ -2,11 +2,13 @@
 
 Elements are stored as pairs (w, lam) representing w * t_lam.  The
 finite part w is an integer: its number in the finite Weyl group table
-of the root system (``FiniteWeylGroup``), built on first use by a
-breadth-first closure from the simple reflections.  The table keeps each
-element's matrix on the fundamental-weight basis, the number of its
-inverse and its positive-root permutation, and memoizes products as they
-are asked for; matrices exist only inside it.  The multiplication rule is
+of the root system (``FiniteWeylGroup``), which numbers an element, with
+its inverse, the first time it turns up as a product or a reflection, so
+a large group is never enumerated unless ``weyl_group`` asks for all of
+it.  The table keeps each element's matrix on the fundamental-weight
+basis, the number of its inverse and its positive-root permutation, and
+memoizes products as they are asked for; matrices exist only inside it.
+The multiplication rule is
 
     (w t_lam)(w' t_mu) = (w w') t_{w'^{-1}(lam) + mu},
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-from .errors import DomainError, ResourceError, SearchError
+from .errors import DomainError, SearchError
 from .rootsys import (
     ModularContext,
     PosRoot,
@@ -75,88 +77,98 @@ def _simple_root_positions(sys: RootSystem) -> tuple[int, ...]:
     )
 
 
-MAX_FINITE_ORDER = 100_000
-"""Largest finite Weyl group whose table is built (E6 has 51,840
-elements); larger ones raise ResourceError."""
-
-
 class FiniteWeylGroup:
-    """The finite Weyl group of one root system, as a table.
+    """The finite Weyl group of one root system, numbered as it is met.
 
-    The elements are numbered 0..|W|-1 in the sorted order of their
-    matrices on the fundamental-weight basis.  For element k the table
-    holds ``mats[k]``, the number ``inv[k]`` of its inverse, and
-    ``roots[k]``, the positive-root permutation: entry j is b when the
-    element maps the b-th positive root to the j-th one, and ~b when it
-    maps it to minus the j-th one.  Products are memoized as they are
-    asked for; no |W|^2 table is built.
+    An element gets its number the first time it turns up, as a product
+    or as a reflection, and its inverse is numbered with it; the identity
+    is 0 and the simple reflections follow.  For element k the table
+    holds ``mats[k]``, its matrix on the fundamental-weight basis, the
+    number ``inv[k]`` of its inverse, and ``roots[k]``, the positive-root
+    permutation: entry j is b when the element maps the b-th positive
+    root to the j-th one, and ~b when it maps it to minus the j-th one.
+    Products are memoized as they are asked for.  Nothing here closes the
+    whole group; only ``weyl_group`` does.
     """
 
-    __slots__ = ("order", "mats", "inv", "roots", "identity", "simples", "_index", "_products")
+    __slots__ = ("mats", "inv", "roots", "identity", "simples", "_sys", "_index", "_products", "_stride")
 
     def __init__(self, sys: RootSystem):
-        if sys.weyl_order > MAX_FINITE_ORDER:
-            raise ResourceError(
-                f"the Weyl group of {sys} has {sys.weyl_order} elements; "
-                f"the element table holds at most {MAX_FINITE_ORDER}"
-            )
-        roots = sys.positive_roots
-        images = _root_index(sys)
-        position = {r: j for j, r in enumerate(roots)}
-        gens = []
-        for j in _simple_root_positions(sys):
-            g = reflection_mat(sys, roots[j])
-            # perm[c] encodes g(beta_c) = +-beta_b as b or ~b; g is an
-            # involution, so perm is also g's entry in ``roots``
+        self._sys = sys
+        self.mats: list[Mat] = []
+        self.inv: list[int] = []
+        self.roots: list[tuple[int, ...]] = []
+        self._index: dict[Mat, int] = {}
+        self._products: dict[int, int] = {}  # i * stride + j -> product
+        self._stride = sys.weyl_order
+        self.identity = self._add(_identity_mat(sys.rank), None, tuple(range(len(sys.positive_roots))))
+        self.simples = tuple(
+            self.reflection(sys.positive_roots[j]) for j in _simple_root_positions(sys)
+        )
+
+    def _add(self, m: Mat, m_inv: Mat | None, perm: tuple[int, ...]) -> int:
+        """Number a new element m and its inverse m_inv (None or m itself
+        for an involution); every numbered element has its inverse numbered."""
+        k = len(self.mats)
+        self._index[m] = k
+        self.mats.append(m)
+        self.roots.append(perm)
+        if m_inv is None or m_inv == m:
+            self.inv.append(k)
+            return k
+        # m(beta_b) = +-alpha_j  <=>  m^-1(alpha_j) = +-beta_b
+        inv_perm = [0] * len(perm)
+        for j, b in enumerate(perm):
+            if b >= 0:
+                inv_perm[b] = j
+            else:
+                inv_perm[~b] = ~j
+        self._index[m_inv] = k + 1
+        self.mats.append(m_inv)
+        self.roots.append(tuple(inv_perm))
+        self.inv += [k + 1, k]
+        return k
+
+    def reflection(self, root: PosRoot) -> int:
+        """The number of the reflection in a positive root."""
+        m = reflection_mat(self._sys, root)
+        k = self._index.get(m)
+        if k is None:
+            # perm[c] = b when m(beta_c) = +-beta_b; m is an involution,
+            # so m(beta_b) = +-beta_c and b is also the entry at c
+            roots = self._sys.positive_roots
+            images = _root_index(self._sys)
+            position = {r: j for j, r in enumerate(roots)}
             perm = []
             for beta in roots:
-                alpha, sign = images[_mat_vec(g, beta.fund)]
+                alpha, sign = images[_mat_vec(m, beta.fund)]
                 perm.append(position[alpha] if sign > 0 else ~position[alpha])
-            gens.append((g, tuple(perm)))
-
-        # breadth-first closure, carrying along the inverse, (m g)^-1 = g m^-1,
-        # and the root permutation: if m(beta_b) = +-alpha_j and
-        # g(beta_c) = +-beta_b, then m g (beta_c) = +-alpha_j
-        one = _identity_mat(sys.rank)
-        inverse = {one: one}
-        perms = {one: tuple(range(len(roots)))}
-        frontier = [one]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g, gperm in gens:
-                    prod = _mat_mul(m, g)
-                    if prod not in inverse:
-                        inverse[prod] = _mat_mul(g, inverse[m])
-                        perms[prod] = tuple([gperm[b] if b >= 0 else ~gperm[~b] for b in perms[m]])
-                        nxt.append(prod)
-            frontier = nxt
-        assert len(inverse) == sys.weyl_order
-        self.order = len(inverse)
-        self.mats = tuple(sorted(inverse))
-        self._index = {m: k for k, m in enumerate(self.mats)}
-        self.inv = tuple(self._index[inverse[m]] for m in self.mats)
-        self.roots = tuple(perms[m] for m in self.mats)
-        self.identity = self._index[one]
-        self.simples = tuple(self._index[g] for g, _ in gens)
-        self._products: dict[int, int] = {}  # i * order + j -> product
-
-    def index(self, m: Mat) -> int:
-        """The number of the element with matrix m."""
-        return self._index[m]
+            k = self._add(m, None, tuple(perm))
+        return k
 
     def product(self, i: int, j: int) -> int:
         """The number of the product of elements i and j."""
-        key = i * self.order + j
+        key = i * self._stride + j
         k = self._products.get(key)
         if k is None:
-            k = self._products[key] = self._index[_mat_mul(self.mats[i], self.mats[j])]
+            m = _mat_mul(self.mats[i], self.mats[j])
+            k = self._index.get(m)
+            if k is None:
+                # (i j)^-1 = j^-1 i^-1; if i(beta_b) = +-alpha_t and
+                # j(beta_c) = +-beta_b, then i j (beta_c) = +-alpha_t
+                rj = self.roots[j]
+                k = self._add(
+                    m,
+                    _mat_mul(self.mats[self.inv[j]], self.mats[self.inv[i]]),
+                    tuple([rj[b] if b >= 0 else ~rj[~b] for b in self.roots[i]]),
+                )
+            self._products[key] = k
         return k
 
 
 @lru_cache(maxsize=None)
 def finite_group(sys: RootSystem) -> FiniteWeylGroup:
-    """The finite Weyl group table of ``sys``, built on first use."""
+    """The finite Weyl group table of ``sys``, made on first use."""
     return FiniteWeylGroup(sys)
 
 
@@ -164,8 +176,10 @@ def finite_group(sys: RootSystem) -> FiniteWeylGroup:
 class ExtWeylElt:
     """An element w * t_lam of the extended affine Weyl group.
 
-    ``fin`` is the number of w in the table ``group`` of its root system;
-    equality and hashing look at ``fin`` and the translation only.
+    ``fin`` is the number of w in the table ``group`` of its root system.
+    Numbers mean nothing across tables, so equal elements share the table
+    as well as ``fin`` and the translation; the hash reads ``fin`` and the
+    translation only.
     """
 
     fin: int
@@ -178,7 +192,11 @@ class ExtWeylElt:
 
     def __eq__(self, other: object) -> bool:
         try:
-            return self.fin == other.fin and self.translation.coords == other.translation.coords
+            return (
+                self.fin == other.fin
+                and self.group is other.group
+                and self.translation.coords == other.translation.coords
+            )
         except AttributeError:
             return NotImplemented
 
@@ -244,7 +262,7 @@ def translation_elt(sys: RootSystem, lam: Weight) -> ExtWeylElt:
 
 def _reflection_elt(sys: RootSystem, root: PosRoot, lam: Weight) -> ExtWeylElt:
     g = finite_group(sys)
-    return ExtWeylElt(g.index(reflection_mat(sys, root)), lam, g)
+    return ExtWeylElt(g.reflection(root), lam, g)
 
 
 @lru_cache(maxsize=None)
@@ -331,10 +349,24 @@ def finite_length_of(sys: RootSystem, m: int) -> int:
     return sum(b < 0 for b in finite_group(sys).roots[m])
 
 
-def weyl_group(sys: RootSystem) -> range:
-    """The numbers of all elements of the finite Weyl group, in the
-    sorted order of their matrices."""
-    return range(finite_group(sys).order)
+@lru_cache(maxsize=None)
+def weyl_group(sys: RootSystem) -> tuple[int, ...]:
+    """The numbers of all elements of the finite Weyl group, by
+    breadth-first closure, in the sorted order of their matrices."""
+    g = finite_group(sys)
+    seen = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for s in g.simples:
+                k = g.product(m, s)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(k)
+        frontier = nxt
+    assert len(seen) == sys.weyl_order
+    return tuple(sorted(seen, key=g.mats.__getitem__))
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,8 @@ import pytest
 from alcove_kl.cache import cache_dir
 from alcove_kl.cli import main
 from alcove_kl.errors import IndeterminateError, SearchError
+from alcove_kl.rootsys import build_root_system
+from alcove_kl.weylext import finite_group
 
 
 def run(capsys, *argv):
@@ -279,14 +281,25 @@ def test_search_and_indeterminate_errors_exit_3(tmp_path, capsys, monkeypatch, e
     assert json.loads(err) == {"error": kind, "message": "bounded search exhausted"}
 
 
-def test_weyl_group_beyond_table_limit_exits_3(tmp_path, capsys):
-    # E7's Weyl group (2,903,040 elements) is larger than the element table
+def test_kl_in_e7_numbers_only_the_elements_it_meets(tmp_path, capsys):
+    # E7's Weyl group has 2,903,040 elements; a short row must not list them
     code, out, err = run(
         capsys,
-        "kl", "--type", "E", "--rank", "7", "--w", "1", "--cache-dir", str(tmp_path),
+        "kl", "--type", "E", "--rank", "7", "--w", "0,1,3", "--format", "csv",
+        "--cache-dir", str(tmp_path),
     )
-    assert code == 3
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "stabilization"
-    assert "2903040 elements" in payload["message"]
+    assert (code, err) == (0, "")
+    # the rows the matrix-based group gave before the element table
+    w0 = "1.3.4.2.5.4.3.1.6.5.4.2.3.4.5.6.7.6.5.4.2.3.1.4.3.5.4.2.6.5.4"
+    assert out.splitlines() == [
+        "y,h",
+        f"1.3.1.{w0[4:]}.3.1|-1,0,0,0,0,0,0,v",
+        f"{w0}.3.1|-1,0,0,0,0,0,0,v^2",
+        f"{w0}.3|1,0,-1,0,0,0,0,v",
+        f"{w0}|0,0,1,-1,0,0,0,1",
+        "1.3|0,0,0,0,0,0,0,v",
+        "1|0,0,0,0,0,0,0,v^2",
+        "3|0,0,0,0,0,0,0,v^2",
+        "e|0,0,0,0,0,0,0,v^3",
+    ]
+    assert len(finite_group(build_root_system("E", 7)).mats) < 1000

@@ -23,6 +23,7 @@ from alcove_kl.weylext import (
     length,
     omega_group,
     reflection_mat,
+    weyl_group,
 )
 
 SYSTEMS = tuple(build_root_system(t, r) for t, r in (("A", 1), ("A", 2), ("B", 2), ("G", 2)))
@@ -109,3 +110,29 @@ def test_finite_part_matches_reflection_matrices(data):
     fin_word = finite_word(sys, x.fin)
     assert from_word(sys, fin_word) == finite_elt(sys, x.fin)
     assert apply(matrix_along(sys, fin_word), lam.coords) == x.finite_apply(lam).coords
+
+
+def test_weyl_group_lists_every_element_in_matrix_order():
+    # the finite table numbers elements as they are met; weyl_group must
+    # still give the whole group in the sorted order of the matrices
+    for sys in SYSTEMS + (build_root_system("A", 3), build_root_system("C", 3)):
+        n = sys.rank
+        one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        simple = [reflection_mat(sys, r) for r in sys.positive_roots if r.height == 1]
+        seen, frontier = {one}, [one]
+        while frontier:
+            frontier = [
+                m for m in {
+                    tuple(tuple(sum(a[k] * g[k][b] for k in range(n)) for b in range(n)) for a in f)
+                    for f in frontier
+                    for g in simple
+                }
+                if m not in seen
+            ]
+            seen.update(frontier)
+        basis = [Weight(tuple(int(i == j) for i in range(n))) for j in range(n)]
+        listed = [
+            tuple(zip(*(finite_elt(sys, k).finite_apply(v).coords for v in basis)))
+            for k in weyl_group(sys)
+        ]
+        assert listed == sorted(seen)
