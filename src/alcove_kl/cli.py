@@ -30,6 +30,7 @@ from .periodic import pkl_table
 from .repcalc import (
     baby_verma_support,
     baby_verma_weight_dim,
+    default_radius,
     ext_dim,
     loewy_layers,
     nabla_weight_dim,
@@ -37,7 +38,7 @@ from .repcalc import (
 )
 from .rootsys import ModularContext, Weight, build_root_system
 from .verify import run_suite
-from .weylext import elt_from_json, elt_to_json, from_word, gen_indices, length, w0_elt
+from .weylext import elt_from_json, elt_to_json, from_word, gen_indices
 
 FORMATS = ("pretty", "json", "csv", "latex")
 
@@ -146,7 +147,7 @@ def cmd_spherical(args) -> int:
 def cmd_periodic(args) -> int:
     ctx = _context(args)
     sys = ctx.system
-    radius = args.window or (3 * length(sys, w0_elt(sys)) + 4)
+    radius = args.window or default_radius(sys)
     table = pkl_table(ctx, args.lmax, radius)
     rows = sorted(
         (
@@ -193,23 +194,22 @@ def cmd_loewy(args) -> int:
     return 0
 
 
+_CHAR_DIMS = {
+    "Z": baby_verma_weight_dim,
+    "Delta": verma_weight_dim,
+    "Nabla": nabla_weight_dim,
+}
+
+
 def cmd_char(args) -> int:
     ctx = _context(args)
     sys = ctx.system
     lam = _parse_weight(args.lam, sys.rank)
-    kind = args.module
-    if kind == "Z":
-        support = baby_verma_support(ctx, lam)
-        dims = {mu: baby_verma_weight_dim(ctx, lam, mu) for mu in support}
-    elif kind in ("Delta", "Nabla"):
-        fn = verma_weight_dim if kind == "Delta" else nabla_weight_dim
-        support = []
-        dims = {}
-        for mu in baby_verma_support(ctx, lam):  # finite probe window
-            dims[mu] = fn(ctx, lam, mu)
-            support.append(mu)
-    else:
+    fn = _CHAR_DIMS.get(args.module)
+    if fn is None:
         raise ConfigError(f"unknown module family {args.module!r}")
+    # Delta and Nabla are read on the finite probe window of Z
+    dims = {mu: fn(ctx, lam, mu) for mu in baby_verma_support(ctx, lam)}
     rows = sorted((str(mu), str(d)) for mu, d in dims.items() if d)
     _emit_rows(rows, ("weight", "dim"), args.format)
     print(f"# total {sum(dims.values())}")

@@ -106,10 +106,8 @@ def mul_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
     acc: dict[ExtWeylElt, LaurentPoly] = {}
     for x, p in h.support:
         xs = x * s
-        if length(sys, xs) > length(sys, x):
-            acc[xs] = acc.get(xs, LaurentPoly.zero()) + p
-        else:
-            acc[xs] = acc.get(xs, LaurentPoly.zero()) + p
+        acc[xs] = acc.get(xs, LaurentPoly.zero()) + p
+        if length(sys, xs) < length(sys, x):
             acc[x] = acc.get(x, LaurentPoly.zero()) + (_VINV - _V) * p
     return HeckeElt.from_dict(sys, acc)
 
@@ -189,14 +187,6 @@ def mul_kl_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
     """Right multiplication by Hb_s = H_s + v."""
     rule = crossing_rule(simple_reflection(sys, i), partial(length, sys))
     return HeckeElt.from_dict(sys, act_hb_s(h.support, rule)[0])
-
-
-def std_product(sys: RootSystem, x: ExtWeylElt, y: ExtWeylElt) -> HeckeElt:
-    """H_x H_y, multiplying out a reduced word of y."""
-    out = std_elt(sys, x)
-    for i in reduced_word(sys, y):
-        out = mul_gen(sys, out, i)
-    return out
 
 
 # -- canonical rows (the top-down mu-recursion) ----------------------------------

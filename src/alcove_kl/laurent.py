@@ -12,7 +12,7 @@ entries everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,16 +130,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no support")
-        return self.terms[0][0]
-
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no support")
-        return self.terms[-1][0]
-
     def in_positive_v(self) -> bool:
         """True if the polynomial lies in v * Z[v] (zero allowed)."""
         return all(e >= 1 for e, _ in self.terms)
@@ -229,14 +219,3 @@ def _merge(a: tuple, b: tuple, sign: int) -> tuple:
     out.extend(b[j:])
     return tuple(out)
 
-
-def lsum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    acc: dict[int, int] = {}
-    for p in polys:
-        for e, c in p.terms:
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    return LaurentPoly.from_dict(acc)

@@ -120,14 +120,6 @@ class RootSystem:
         )
 
     @property
-    def simple_coroots(self) -> tuple[tuple[int, ...], ...]:
-        """Pairing functionals of the simple coroots (the standard basis)."""
-        return tuple(
-            tuple(1 if i == j else 0 for i in range(self.rank))
-            for j in range(self.rank)
-        )
-
-    @property
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
 
@@ -154,10 +146,6 @@ class RootSystem:
     def pairing(self, lam: Weight, root: PosRoot) -> int:
         """<lam, alpha^vee> for the coroot of ``root``."""
         return sum(a * b for a, b in zip(lam.coords, root.coroot))
-
-    def root_by_fund(self, fund: tuple[int, ...]) -> tuple[PosRoot, int] | None:
-        """Find (root, sign) whose fundamental coordinates are ``fund``."""
-        return _root_index(self).get(fund)
 
     def __str__(self) -> str:
         return f"{self.cartan_type}{self.rank}"
@@ -379,10 +367,6 @@ def dominance_leq(sys: RootSystem, lam: Weight, mu: Weight) -> bool:
     """True iff mu - lam is a nonnegative integer combination of simple roots."""
     c = root_coords(sys, mu - lam)
     return all(x.denominator == 1 and x >= 0 for x in c)
-
-
-def is_dominant(lam: Weight) -> bool:
-    return all(c >= 0 for c in lam.coords)
 
 
 # -- Kostant partition function --------------------------------------------

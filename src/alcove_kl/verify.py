@@ -15,7 +15,7 @@ from .alcove import Alcove, generic_height
 from .errors import ConsistencyError, StabilizationError, WindowError
 from .hecke import kl_basis, kl_basis_by_duality
 from .laurent import LaurentPoly
-from .periodic import PeriodicWindow, in_support_band, periodic_kl, pkl_table
+from .periodic import PeriodicWindow, _window, in_support_band, periodic_kl, pkl_table
 from .repcalc import (
     StdLabel,
     baby_verma_total_dim,
@@ -194,7 +194,7 @@ def check_galleries(
     sys = ctx.system
     rng = random.Random(seed)
     windows = [
-        (PeriodicWindow(sys, radius), PeriodicWindow(sys, radius + 1)),
+        (_window(sys, radius), _window(sys, radius + 1)),
         (
             PeriodicWindow(sys, radius, gallery_seed=rng.randint(0, 10**9)),
             PeriodicWindow(sys, radius + 1, gallery_seed=rng.randint(0, 10**9)),

@@ -5,10 +5,12 @@ finite part w is an integer: its number in the finite Weyl group table
 of the root system (``FiniteWeylGroup``), which numbers an element, with
 its inverse, the first time it turns up as a product or a reflection, so
 a large group is never enumerated unless ``weyl_group`` asks for all of
-it.  The table keeps each element's matrix on the fundamental-weight
-basis, the number of its inverse and its positive-root permutation, and
-memoizes products as they are asked for; matrices exist only inside it.
-The multiplication rule is
+it.  In the table an element is its signed positive-root permutation: a
+product composes two permutations and looks the result up, and products
+are memoized as they are asked for.  The element's matrix on the
+fundamental-weight basis is read off its permutation (row i is the
+coroot of w^-1(alpha_i)) and kept with the number of its inverse; no two
+matrices are ever multiplied.  The multiplication rule is
 
     (w t_lam)(w' t_mu) = (w w') t_{w'^{-1}(lam) + mu},
 
@@ -45,15 +47,6 @@ from .rootsys import (
 Mat = tuple[tuple[int, ...], ...]
 
 
-def _identity_mat(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
-
-
 def _mat_vec(m: Mat, v: tuple) -> tuple:
     return tuple([sum(map(mul, row, v)) for row in m])
 
@@ -80,88 +73,88 @@ def _simple_root_positions(sys: RootSystem) -> tuple[int, ...]:
 class FiniteWeylGroup:
     """The finite Weyl group of one root system, numbered as it is met.
 
-    An element gets its number the first time it turns up, as a product
-    or as a reflection, and its inverse is numbered with it; the identity
-    is 0 and the simple reflections follow.  For element k the table
-    holds ``mats[k]``, its matrix on the fundamental-weight basis, the
-    number ``inv[k]`` of its inverse, and ``roots[k]``, the positive-root
-    permutation: entry j is b when the element maps the b-th positive
-    root to the j-th one, and ~b when it maps it to minus the j-th one.
-    Products are memoized as they are asked for.  Nothing here closes the
-    whole group; only ``weyl_group`` does.
+    An element is its signed positive-root permutation ``roots[k]``:
+    entry j is b when the element maps the b-th positive root to the
+    j-th one, and ~b when it maps it to minus the j-th one.  It gets its
+    number the first time it turns up, as a product or as a reflection,
+    and its inverse is numbered with it; the identity is 0 and the simple
+    reflections follow.  A product composes the two permutations and
+    looks the result up; products are memoized as they are asked for.
+    The table also holds ``inv[k]``, the number of the inverse, and
+    ``mats[k]``, the matrix on the fundamental-weight basis read off the
+    permutation: row i is the coroot of w^-1(alpha_i).  Nothing here
+    closes the whole group; only ``weyl_group`` does.
     """
 
-    __slots__ = ("mats", "inv", "roots", "identity", "simples", "_sys", "_index", "_products", "_stride")
+    __slots__ = (
+        "mats", "inv", "roots", "identity", "simples",
+        "_sys", "_index", "_products", "_stride", "_simple_pos", "_signed_coroots",
+    )
 
     def __init__(self, sys: RootSystem):
         self._sys = sys
         self.mats: list[Mat] = []
         self.inv: list[int] = []
         self.roots: list[tuple[int, ...]] = []
-        self._index: dict[Mat, int] = {}
+        self._index: dict[tuple[int, ...], int] = {}
         self._products: dict[int, int] = {}  # i * stride + j -> product
         self._stride = sys.weyl_order
-        self.identity = self._add(_identity_mat(sys.rank), None, tuple(range(len(sys.positive_roots))))
-        self.simples = tuple(
-            self.reflection(sys.positive_roots[j]) for j in _simple_root_positions(sys)
-        )
+        self._simple_pos = _simple_root_positions(sys)
+        # entry b of the list is beta_b^vee and entry ~b is -beta_b^vee
+        coroots = [r.coroot for r in sys.positive_roots]
+        self._signed_coroots = coroots + [tuple([-c for c in r]) for r in reversed(coroots)]
+        self.identity = self._add(tuple(range(len(coroots))))
+        self.simples = tuple(self.reflection(sys.positive_roots[j]) for j in self._simple_pos)
 
-    def _add(self, m: Mat, m_inv: Mat | None, perm: tuple[int, ...]) -> int:
-        """Number a new element m and its inverse m_inv (None or m itself
-        for an involution); every numbered element has its inverse numbered."""
-        k = len(self.mats)
-        self._index[m] = k
-        self.mats.append(m)
-        self.roots.append(perm)
-        if m_inv is None or m_inv == m:
-            self.inv.append(k)
-            return k
-        # m(beta_b) = +-alpha_j  <=>  m^-1(alpha_j) = +-beta_b
+    def _add(self, perm: tuple[int, ...]) -> int:
+        """Number a new element and its inverse; every numbered element
+        has its inverse numbered."""
+        # w(beta_b) = +-alpha_j  <=>  w^-1(alpha_j) = +-beta_b
         inv_perm = [0] * len(perm)
         for j, b in enumerate(perm):
             if b >= 0:
                 inv_perm[b] = j
             else:
                 inv_perm[~b] = ~j
-        self._index[m_inv] = k + 1
-        self.mats.append(m_inv)
-        self.roots.append(tuple(inv_perm))
-        self.inv += [k + 1, k]
+        inv_perm = tuple(inv_perm)
+        k = len(self.roots)
+        new = (perm,) if inv_perm == perm else (perm, inv_perm)
+        for p in new:
+            self._index[p] = len(self.roots)
+            self.roots.append(p)
+            # row i is the coroot of w^-1(alpha_i), read at alpha_i's position
+            self.mats.append(tuple([self._signed_coroots[p[j]] for j in self._simple_pos]))
+        self.inv += [k] if len(new) == 1 else [k + 1, k]
         return k
 
     def reflection(self, root: PosRoot) -> int:
         """The number of the reflection in a positive root."""
+        # perm[c] = b when s(beta_c) = +-beta_b; s is an involution, so
+        # s(beta_b) = +-beta_c and b is also the entry at c
         m = reflection_mat(self._sys, root)
-        k = self._index.get(m)
-        if k is None:
-            # perm[c] = b when m(beta_c) = +-beta_b; m is an involution,
-            # so m(beta_b) = +-beta_c and b is also the entry at c
-            roots = self._sys.positive_roots
-            images = _root_index(self._sys)
-            position = {r: j for j, r in enumerate(roots)}
-            perm = []
-            for beta in roots:
-                alpha, sign = images[_mat_vec(m, beta.fund)]
-                perm.append(position[alpha] if sign > 0 else ~position[alpha])
-            k = self._add(m, None, tuple(perm))
-        return k
+        roots = self._sys.positive_roots
+        images = _root_index(self._sys)
+        position = {r: j for j, r in enumerate(roots)}
+        perm = []
+        for beta in roots:
+            alpha, sign = images[_mat_vec(m, beta.fund)]
+            perm.append(position[alpha] if sign > 0 else ~position[alpha])
+        perm = tuple(perm)
+        k = self._index.get(perm)
+        return self._add(perm) if k is None else k
 
     def product(self, i: int, j: int) -> int:
         """The number of the product of elements i and j."""
         key = i * self._stride + j
         k = self._products.get(key)
         if k is None:
-            m = _mat_mul(self.mats[i], self.mats[j])
-            k = self._index.get(m)
+            # if i(beta_b) = +-alpha_t and j(beta_c) = +-beta_b, then
+            # i j (beta_c) = +-alpha_t
+            rj = self.roots[j]
+            perm = tuple([rj[b] if b >= 0 else ~rj[~b] for b in self.roots[i]])
+            k = self._index.get(perm)
             if k is None:
-                # (i j)^-1 = j^-1 i^-1; if i(beta_b) = +-alpha_t and
-                # j(beta_c) = +-beta_b, then i j (beta_c) = +-alpha_t
-                rj = self.roots[j]
-                k = self._add(
-                    m,
-                    _mat_mul(self.mats[self.inv[j]], self.mats[self.inv[i]]),
-                    tuple([rj[b] if b >= 0 else ~rj[~b] for b in self.roots[i]]),
-                )
+                k = self._add(perm)
             self._products[key] = k
         return k
 
@@ -392,10 +385,7 @@ def finite_elt(sys: RootSystem, m: int) -> ExtWeylElt:
 
 @lru_cache(maxsize=None)
 def w0_elt(sys: RootSystem) -> ExtWeylElt:
-    x = identity_elt(sys)
-    for i in sys.w0_word:
-        x = x * simple_reflection(sys, i)
-    return x
+    return from_word(sys, sys.w0_word)
 
 
 # -- the dot-action ------------------------------------------------------------
@@ -524,9 +514,7 @@ def elt_to_json(sys: RootSystem, x: ExtWeylElt) -> dict:
 
 
 def elt_from_json(sys: RootSystem, d: dict) -> ExtWeylElt:
-    fin = identity_elt(sys)
-    for i in d["w"]:
-        fin = fin * simple_reflection(sys, int(i))
+    fin = from_word(sys, [int(i) for i in d["w"]])
     return ExtWeylElt(fin.fin, Weight(tuple(int(c) for c in d["t"])), fin.group)
 
 

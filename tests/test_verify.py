@@ -1,3 +1,4 @@
+from alcove_kl.periodic import PeriodicWindow, _window
 from alcove_kl.rootsys import ModularContext, build_root_system
 from alcove_kl.verify import (
     check_bijections,
@@ -52,3 +53,19 @@ def test_suite_idempotent(ctx_a1):
     assert [(r.name, r.passed, r.detail) for r in first] == [
         (r.name, r.passed, r.detail) for r in second
     ]
+
+
+def test_galleries_reuse_the_engine_windows(ctx_a2, monkeypatch):
+    sys = ctx_a2.system
+    _window(sys, 9)
+    _window(sys, 10)
+    built = []
+    init = PeriodicWindow.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("gallery_seed"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PeriodicWindow, "__init__", counting)
+    assert check_galleries(ctx_a2, 3, 9, seed=2, targets=20).passed
+    assert len(built) == 2 and None not in built
