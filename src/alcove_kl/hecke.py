@@ -22,6 +22,16 @@ One Hb_s action (``act_hb_s``) and one canonical step (``canonical_step``)
 build the rows of all three canonical bases: the Hecke algebra and the
 spherical module here, top-down along descents, and the periodic module
 in ``periodic``, bottom-up by height inside a window.
+
+``KLComputer`` numbers the basis labels of the first two as the recursion
+meets them (F. du Cloux's encoding, Experiment. Math. 2002) and keys its
+rows by number.  Its label table keeps, per number, the element, its
+length, one kept flag (every element in the Hecke algebra, the
+coset-maximal ones in the spherical module) and the numbers of the right
+neighbours x s_i, each product formed once.  Both actions above are one
+rule read off the table: x . Hb_s = xs + v^{+-1} x (v when xs is longer)
+when xs is kept and (v + v^-1) x when it is not.  The descent of x is
+the first generator s with xs shorter and kept.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .weylext import (
     w0_elt,
 )
 
+_ZERO = LaurentPoly.zero()
 _V = LaurentPoly.gen()
 _VINV = LaurentPoly.gen(-1)
 _ONE = LaurentPoly.one()
@@ -131,18 +142,6 @@ def crossing_rule(s: ExtWeylElt, rank):
     return act
 
 
-def spherical_rule(sys: RootSystem, s: ExtWeylElt):
-    """The rule of the spherical module (see the module docstring)."""
-
-    def act(x):
-        xs = x * s
-        if not is_coset_maximal(sys, xs):
-            return None, _V_PLUS_VINV
-        return xs, (_V if length(sys, xs) > length(sys, x) else _VINV)
-
-    return act
-
-
 def act_hb_s(items, act, inside=None) -> tuple[dict, bool]:
     """Right action of Hb_s on the (label, coefficient) pairs ``items``.
 
@@ -160,7 +159,11 @@ def act_hb_s(items, act, inside=None) -> tuple[dict, bool]:
             else:
                 truncated = True
         q = acc.get(x)
-        acc[x] = stay * p if q is None else q + stay * p
+        if len(stay.terms) == 1:  # a monomial stay: one shifted merge
+            ((e, c),) = stay.terms
+            acc[x] = (_ZERO if q is None else q).add_scaled(p, c, e)
+        else:
+            acc[x] = stay * p if q is None else q + stay * p
     return acc, truncated
 
 
@@ -179,7 +182,7 @@ def canonical_step(base: Mapping, act, row_of, inside=None) -> tuple[dict, bool,
         if mu and act(b)[1] != _V:
             subtracted.append(b)
             for z, q in row_of(b).items():
-                acc[z] = acc.get(z, LaurentPoly.zero()) - mu * q
+                acc[z] = acc.get(z, _ZERO).add_scaled(q, -mu)
     return {z: p for z, p in acc.items() if p}, truncated, subtracted
 
 
@@ -195,17 +198,56 @@ def mul_kl_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
 class KLComputer:
     """Memoized canonical rows of the Hecke algebra or its spherical module.
 
-    The row of w is the canonical step applied to the row of ws, for the
-    descent s = ``descent(w)``, with the action rule ``rule(s)``; where
-    ``descent`` returns None the row is the seed {w: 1}.
+    The label table (see the module docstring) is ``elts``, ``lengths``
+    and ``kept``, indexed by number, and ``nbrs[k][i]``, the number of
+    elts[k] s_i once formed; ``kept(x)`` sets the kept flag.  A label
+    with no descent seeds the row {k: 1}; any other row is the canonical
+    step applied to the row of its descent neighbour.
     """
 
-    def __init__(self, sys: RootSystem, name: str, descent, rule):
+    def __init__(self, sys: RootSystem, name: str, kept):
         self.sys = sys
         self.name = name
-        self._descent = descent
-        self._rule = rule
-        self._rows: dict[ExtWeylElt, dict[ExtWeylElt, LaurentPoly]] = {}
+        self._is_kept = kept
+        self._gens = [simple_reflection(sys, i) for i in gen_indices(sys)]
+        self._number: dict[ExtWeylElt, int] = {}
+        self.elts: list[ExtWeylElt] = []
+        self.lengths: list[int] = []
+        self.kept: list[bool] = []
+        self.nbrs: list[list[int | None]] = []
+        self._rows: dict[int, dict[int, LaurentPoly]] = {}
+
+    def number(self, x: ExtWeylElt) -> int:
+        """The number of x in the label table, assigned on first sight."""
+        k = self._number.get(x)
+        if k is None:
+            k = self._number[x] = len(self.elts)
+            self.elts.append(x)
+            self.lengths.append(length(self.sys, x))
+            self.kept.append(self._is_kept(x))
+            self.nbrs.append([None] * len(self._gens))
+        return k
+
+    def nbr(self, k: int, i: int) -> int:
+        """The number of x s_i for x the element numbered k."""
+        n = self.nbrs[k][i]
+        if n is None:
+            n = self.nbrs[k][i] = self.number(self.elts[k] * self._gens[i])
+        return n
+
+    def act(self, i: int, k: int) -> tuple[int | None, LaurentPoly]:
+        ks = self.nbr(k, i)
+        if not self.kept[ks]:
+            return None, _V_PLUS_VINV
+        return ks, (_V if self.lengths[ks] > self.lengths[k] else _VINV)
+
+    def descent(self, k: int) -> int | None:
+        lk = self.lengths[k]
+        for i in range(len(self._gens)):
+            ks = self.nbr(k, i)
+            if self.lengths[ks] < lk and self.kept[ks]:
+                return i
+        return None
 
     def row(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
         """The map y -> coefficient of y in the canonical element of w."""
@@ -217,37 +259,31 @@ class KLComputer:
                 f"length {length(sys, w)} exceeds the configured bound "
                 f"{LENGTH_BOUND}"
             )
-        return dict(self._row(w))
+        return {self.elts[y]: p for y, p in self._row(self.number(w)).items()}
 
-    def _row(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-        row = self._rows.get(w)
+    def _row(self, k: int) -> dict[int, LaurentPoly]:
+        row = self._rows.get(k)
         if row is not None:
             return row
-        i = self._descent(w)
+        i = self.descent(k)
         if i is None:
-            row = {w: _ONE}
+            row = {k: _ONE}
         else:
-            s = simple_reflection(self.sys, i)
-            row = canonical_step(self._row(w * s), self._rule(s), self._row)[0]
-            if row.get(w) != _ONE:
+            row = canonical_step(self._row(self.nbr(k, i)), partial(self.act, i), self._row)[0]
+            if row.get(k) != _ONE:
                 raise ConsistencyError(f"{self.name} basis row is not monic")
             for y, p in row.items():
-                if y != w and not p.in_positive_v():
+                if y != k and not p.in_positive_v():
                     raise ConsistencyError(
                         f"{self.name} coefficient {p} at a lower term is not in vZ[v]"
                     )
-        self._rows[w] = row
+        self._rows[k] = row
         return row
 
 
 @lru_cache(maxsize=None)
 def kl_computer(sys: RootSystem) -> KLComputer:
-    def descent(w):
-        down = right_descents(sys, w)
-        return min(down) if down else None
-
-    rank = partial(length, sys)
-    return KLComputer(sys, "canonical", descent, lambda s: crossing_rule(s, rank))
+    return KLComputer(sys, "canonical", lambda x: True)
 
 
 def kl_basis(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
@@ -367,9 +403,13 @@ def spherical_project(sys: RootSystem, h: HeckeElt) -> SphericalElt:
 
 
 def spherical_act_kl_gen(sys: RootSystem, e: SphericalElt, i: int) -> SphericalElt:
-    """Right action of Hb_s on the spherical module."""
-    rule = spherical_rule(sys, simple_reflection(sys, i))
-    return SphericalElt.from_dict(sys, act_hb_s(e.support, rule)[0])
+    """Right action of Hb_s on the spherical module, by the action rule of
+    the spherical label table."""
+    if i not in gen_indices(sys):
+        raise DomainError(f"no Coxeter generator with index {i}")
+    comp = spherical_computer(sys)
+    acc = act_hb_s(((comp.number(x), p) for x, p in e.support), partial(comp.act, i))[0]
+    return SphericalElt.from_dict(sys, {comp.elts[k]: p for k, p in acc.items()})
 
 
 def coset_minimal_rep(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
@@ -431,19 +471,7 @@ def spherical_from_kl_row(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, La
 
 @lru_cache(maxsize=None)
 def spherical_computer(sys: RootSystem) -> KLComputer:
-    w0 = w0_elt(sys)
-
-    def descent(w):
-        if w == w0:
-            return None
-        return next(
-            j
-            for j in gen_indices(sys)
-            if length(sys, w * simple_reflection(sys, j)) < length(sys, w)
-            and is_coset_maximal(sys, w * simple_reflection(sys, j))
-        )
-
-    return KLComputer(sys, "spherical", descent, partial(spherical_rule, sys))
+    return KLComputer(sys, "spherical", partial(is_coset_maximal, sys))
 
 
 def spherical_kl(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:

@@ -2,9 +2,10 @@
 
 Coefficients are arbitrary-precision Python integers.  A value keeps its
 support in normal form: a tuple of (exponent, coefficient) pairs with
-strictly increasing exponents and no zero coefficient.  Sums and
-differences merge the two term tuples in one pass; a product with an
-integer or a monomial scales and shifts the terms; neither sorts.
+strictly increasing exponents and no zero coefficient.  Sums,
+differences and ``add_scaled`` (f + c v^e g) merge the two term tuples
+in one pass; a product with an integer or a monomial scales and shifts
+the terms; neither sorts.
 Values are immutable and hashable, so they can be used as dictionary
 entries everywhere else in the package.
 """
@@ -27,6 +28,8 @@ class LaurentPoly:
     LaurentPoly('v^-2 + 2 + v^2')
     >>> ((v + v.bar()) ** 2).eval_at_one()
     4
+    >>> (1 + v).add_scaled(v, -2, shift=1)
+    LaurentPoly('1 + v - 2*v^2')
     """
 
     terms: tuple[tuple[int, int], ...] = ()
@@ -62,6 +65,10 @@ class LaurentPoly:
         return LaurentPoly(_merge(self.terms, _coerce(other).terms, 1))
 
     __radd__ = __add__
+
+    def add_scaled(self, other: "LaurentPoly", c: int, shift: int = 0) -> "LaurentPoly":
+        """self + c * v**shift * other, by one merge."""
+        return LaurentPoly(_merge(self.terms, other.terms, c, shift))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple([(e, -c) for e, c in self.terms]))
@@ -185,13 +192,13 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly")
 
 
-def _merge(a: tuple, b: tuple, sign: int) -> tuple:
-    """The terms of a + sign * b, for the terms a and b of two normal forms,
-    by one pass over both (sign is 1 or -1)."""
-    if not b:
+def _merge(a: tuple, b: tuple, c: int, shift: int = 0) -> tuple:
+    """The terms of a + c v^shift b, for the terms a and b of two normal
+    forms, by one pass over both."""
+    if not b or not c:
         return a
-    if sign < 0:
-        b = tuple([(e, -c) for e, c in b])
+    if c != 1 or shift:
+        b = tuple([(e + shift, c * x) for e, x in b])
     if not a:
         return b
     if a[-1][0] < b[0][0]:

@@ -38,6 +38,7 @@ the gate withholds all values.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -166,7 +167,11 @@ class PeriodicWindow:
 
     def element(self, w: ExtWeylElt) -> PeriodicElt:
         if w not in self.rows:
-            raise WindowError(f"element of length {length(self.sys, w)} outside window")
+            lw = length(self.sys, w)
+            raise WindowError(
+                f"element {_words(self.sys, w=w)} of length {lw} is outside the "
+                f"window of radius {self.radius}; radius {lw} reaches it"
+            )
         return PeriodicElt.from_dict(
             self.sys,
             {Alcove(y): p for y, p in self.rows[w].items()},
@@ -176,7 +181,7 @@ class PeriodicWindow:
 
     def coefficient(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
         if w not in self.rows or y not in self.members:
-            raise WindowError("label outside window")
+            raise _out_of_reach(self.sys, y, w, f"window radius {self.radius}")
         return self.rows[w].get(y, LaurentPoly.zero())
 
 
@@ -254,18 +259,32 @@ def _coefficient_stabilized(
     if not in_support_band(sys, y, w):
         return LaurentPoly.zero()
     if length(sys, y) > radius or length(sys, w) > radius:
-        raise WindowError(
-            f"pair of lengths ({length(sys, y)}, {length(sys, w)}) is out "
-            f"of reach of window radius {radius}"
-        )
+        raise _out_of_reach(sys, y, w, f"window radius {radius}")
     first = _window(sys, radius).coefficient(y, w)
     second = _window(sys, radius + 1).coefficient(y, w)
     if first != second:
         raise StabilizationError(
-            f"coefficient did not stabilize at radius {radius}: "
-            f"{first} vs {second}"
+            f"coefficient at {_words(sys, y=y, w=w)} did not stabilize "
+            f"between radius {radius} and {radius + 1}: {first} vs {second}; "
+            f"try radius {radius + 1}"
         )
     return second
+
+
+def _words(sys: RootSystem, **labels: ExtWeylElt) -> str:
+    return ", ".join(f"{k} = {json.dumps(elt_to_json(sys, x))}" for k, x in labels.items())
+
+
+def _out_of_reach(
+    sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt, what: str, knob: str = "radius"
+) -> WindowError:
+    """The WindowError for a pair beyond ``what``, naming the smallest
+    ``knob`` that reaches it."""
+    ly, lw = length(sys, y), length(sys, w)
+    return WindowError(
+        f"pair {_words(sys, y=y, w=w)} of lengths ({ly}, {lw}) is out of "
+        f"reach of {what}; {knob} {max(ly, lw)} reaches it"
+    )
 
 
 def _validate_conventions(sys: RootSystem) -> None:
@@ -336,9 +355,14 @@ class PKLTable:
         if entry is None:
             if not in_support_band(self.system, *key):
                 return LaurentPoly.zero()
-            raise WindowError("pair outside the tabulated range")
+            table = f"the table of length bound {self.length_bound}"
+            raise _out_of_reach(self.system, y, w, table, "length bound and radius")
         if not entry.stabilized:
-            raise StabilizationError("entry did not stabilize at the table radius")
+            r = self.radius
+            raise StabilizationError(
+                f"entry at {_words(self.system, y=y, w=w)} did not stabilize "
+                f"between radius {r} and {r + 1}; try radius {r + 1}"
+            )
         return entry.poly
 
     def to_json(self) -> dict:
@@ -373,7 +397,10 @@ def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:
     """
     sys = ctx.system
     if length_bound > radius:
-        raise WindowError("length bound exceeds the window radius")
+        raise WindowError(
+            f"length bound {length_bound} exceeds the window radius {radius}; "
+            f"radius {length_bound} reaches it"
+        )
     _validate_conventions(sys)
     win = _window(sys, radius)
     win_next = _window(sys, radius + 1)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .errors import ConfigError
 
@@ -332,15 +333,20 @@ def _root_index(sys: RootSystem) -> dict[tuple[int, ...], tuple[PosRoot, int]]:
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(sys: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
+def _cartan_adjugate(sys: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The determinant d > 0 of the Cartan matrix and its integer adjugate
+    d C^-1: the root coordinates of lam are adj.lam / d.
+
+    C is a positive diagonal matrix times a positive definite one, so
+    every pivot of the elimination is positive and d is their product.
+    """
     n = sys.rank
-    a = [[Fraction(sys.cartan[i][j]) for j in range(n)] for i in range(n)]
+    a = [[Fraction(x) for x in row] for row in sys.cartan]
     inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
         scale = a[col][col]
+        det *= scale
         a[col] = [x / scale for x in a[col]]
         inv[col] = [x / scale for x in inv[col]]
         for r in range(n):
@@ -348,25 +354,31 @@ def _cartan_inverse(sys: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+    d = int(det)
+    return d, tuple(tuple(int(x * d) for x in row) for row in inv)
+
+
+def scaled_root_coords(sys: RootSystem, lam: Weight) -> tuple[int, tuple[int, ...]]:
+    """d and the integers d * c, for c the root coordinates of ``lam``."""
+    d, adj = _cartan_adjugate(sys)
+    return d, tuple([sum(map(mul, row, lam.coords)) for row in adj])
 
 
 def root_coords(sys: RootSystem, lam: Weight) -> tuple[Fraction, ...]:
     """Coordinates of ``lam`` in the simple roots (rational in general)."""
-    inv = _cartan_inverse(sys)
-    return tuple(
-        sum(row[j] * lam.coords[j] for j in range(sys.rank)) for row in inv
-    )
+    d, c = scaled_root_coords(sys, lam)
+    return tuple(Fraction(x, d) for x in c)
 
 
 def in_root_lattice(sys: RootSystem, lam: Weight) -> bool:
-    return all(c.denominator == 1 for c in root_coords(sys, lam))
+    d, adj = _cartan_adjugate(sys)
+    return all(sum(map(mul, row, lam.coords)) % d == 0 for row in adj)
 
 
 def dominance_leq(sys: RootSystem, lam: Weight, mu: Weight) -> bool:
     """True iff mu - lam is a nonnegative integer combination of simple roots."""
-    c = root_coords(sys, mu - lam)
-    return all(x.denominator == 1 and x >= 0 for x in c)
+    d, c = scaled_root_coords(sys, mu - lam)
+    return all(x >= 0 and x % d == 0 for x in c)
 
 
 # -- Kostant partition function --------------------------------------------
@@ -379,10 +391,10 @@ def kostant_partition(sys: RootSystem, nu: Weight, bound: int | None = None) -> 
     ``bound`` when given (bound = p - 1 realizes the truncation relevant
     for small quantum/restricted enveloping dimensions).
     """
-    target = root_coords(sys, nu)
-    if any(x.denominator != 1 or x < 0 for x in target):
+    d, target = scaled_root_coords(sys, nu)
+    if any(x < 0 or x % d for x in target):
         return 0
-    coords = tuple(int(x) for x in target)
+    coords = tuple(x // d for x in target)
     # recurse over roots in decreasing height for aggressive pruning
     roots = tuple(r.root for r in reversed(sys.positive_roots))
     memo = _kostant_memo(sys)

@@ -41,7 +41,7 @@ from .rootsys import (
     _root_index,
     in_root_lattice,
     is_restricted,
-    root_coords,
+    scaled_root_coords,
 )
 
 Mat = tuple[tuple[int, ...], ...]
@@ -410,10 +410,10 @@ class OmegaElt:
 
 def lattice_class(sys: RootSystem, lam: Weight) -> tuple[int, ...]:
     """Canonical representative of lam modulo the root lattice."""
-    c = root_coords(sys, lam)
+    d, c = scaled_root_coords(sys, lam)
     out = list(lam.coords)
     for j, x in enumerate(c):
-        f = x.numerator // x.denominator
+        f = x // d
         if f:
             for k in range(sys.rank):
                 out[k] -= f * sys.cartan[k][j]

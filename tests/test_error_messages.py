@@ -1,0 +1,112 @@
+"""Window and stabilization errors name the pair and what to try next.
+
+Each message names the labels as ``elt_to_json`` words.  A
+StabilizationError names both radii and the next radius to try; a
+WindowError names the smallest radius (or table bound) that reaches the
+pair.  Exit codes and JSON error kinds are those of ``errors``.
+"""
+
+import json
+
+import pytest
+
+from alcove_kl.cli import main
+from alcove_kl.errors import StabilizationError, WindowError
+from alcove_kl.periodic import PeriodicWindow, periodic_kl, pkl_table
+from alcove_kl.rootsys import ModularContext, build_root_system
+from alcove_kl.weylext import elt_to_json, from_word, length, waff_elements
+
+A1 = build_root_system("A", 1)
+A2 = build_root_system("A", 2)
+CTX_A1 = ModularContext(A1, 5)
+CTX_A2 = ModularContext(A2, 5)
+
+
+def words(sys, **labels):
+    return ", ".join(f"{k} = {json.dumps(elt_to_json(sys, x))}" for k, x in labels.items())
+
+
+def test_unstable_coefficient_names_pair_radii_and_next_radius():
+    y, w = from_word(A2, [2]), from_word(A2, [])
+    with pytest.raises(StabilizationError) as info:
+        periodic_kl(CTX_A2, y, w, radius=4)
+    assert str(info.value) == (
+        f"coefficient at {words(A2, y=y, w=w)} did not stabilize between "
+        "radius 4 and 5: 0 vs v; try radius 5"
+    )
+
+
+def test_pair_out_of_reach_names_the_smallest_radius():
+    y, w = from_word(A1, [0, 1, 0, 1]), from_word(A1, [0, 1, 0, 1, 0])
+    with pytest.raises(WindowError) as info:
+        periodic_kl(CTX_A1, y, w, radius=3, normalize=False)
+    assert str(info.value) == (
+        f"pair {words(A1, y=y, w=w)} of lengths (4, 5) is out of reach of "
+        "window radius 3; radius 5 reaches it"
+    )
+
+
+def test_window_lookups_name_the_smallest_radius():
+    win = PeriodicWindow(A1, 2)
+    inside, outside = from_word(A1, [0]), from_word(A1, [0, 1, 0])
+    with pytest.raises(WindowError) as info:
+        win.element(outside)
+    assert str(info.value) == (
+        f"element {words(A1, w=outside)} of length 3 is outside the window "
+        "of radius 2; radius 3 reaches it"
+    )
+    with pytest.raises(WindowError) as info:
+        win.coefficient(outside, inside)
+    assert str(info.value) == (
+        f"pair {words(A1, y=outside, w=inside)} of lengths (3, 1) is out of "
+        "reach of window radius 2; radius 3 reaches it"
+    )
+
+
+def test_table_errors_name_the_pair_and_what_reaches_it():
+    table = pkl_table(CTX_A2, length_bound=2, radius=2)
+    unstable = [key for key, e in table.entries.items() if not e.stabilized]
+    assert unstable
+    y, w = unstable[0]
+    with pytest.raises(StabilizationError) as info:
+        table.poly(y, w)
+    assert str(info.value) == (
+        f"entry at {words(A2, y=y, w=w)} did not stabilize between radius 2 "
+        "and 3; try radius 3"
+    )
+
+    far = None
+    for w in waff_elements(A2, 4):
+        for y in waff_elements(A2, 4):
+            try:
+                table.poly(y, w)
+            except WindowError as exc:
+                far = far or (y, w, str(exc))
+            except StabilizationError:
+                pass
+    assert far is not None
+    y, w, message = far
+    top = max(length(A2, y), length(A2, w))
+    assert message == (
+        f"pair {words(A2, y=y, w=w)} of lengths ({length(A2, y)}, {length(A2, w)}) "
+        f"is out of reach of the table of length bound 2; length bound and "
+        f"radius {top} reaches it"
+    )
+
+    with pytest.raises(WindowError) as info:
+        pkl_table(CTX_A2, length_bound=4, radius=3)
+    assert str(info.value) == (
+        "length bound 4 exceeds the window radius 3; radius 4 reaches it"
+    )
+
+
+def test_cli_keeps_exit_code_and_kind(tmp_path, capsys):
+    code = main([
+        "loewy", "--type", "A", "--rank", "2", "--p", "5", "--w", "0",
+        "--window", "4", "--cache-dir", str(tmp_path),
+    ])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["error"] == "stabilization"
+    assert err["message"].endswith("try radius 5")
+    assert "did not stabilize between radius 4 and 5" in err["message"]

@@ -87,3 +87,18 @@ def test_bar_is_an_involutive_ring_automorphism(f, g, n):
     assert (n * f).bar() == n * f.bar()
     assert ONE.bar() == ONE
     assert f.bar().terms == tuple(sorted((-e, c) for e, c in f.terms))
+
+
+@PROPERTY
+@given(POLYS, POLYS, st.integers(-3, 3), st.integers(-4, 4))
+def test_add_scaled_is_one_fused_sum(f, g, c, e):
+    """f.add_scaled(g, c, e) == f + c v^e g, also for c = 0 and zero g."""
+    scaled = c * LaurentPoly.gen(e) * g
+    for h in (f.add_scaled(g, c, e), ZERO.add_scaled(g, c, e), f.add_scaled(ZERO, c, e)):
+        assert_normal(h)
+    assert f.add_scaled(g, c, e).terms == oracle(f, scaled, "+")
+    assert f.add_scaled(g, c, e) == f + scaled
+    assert ZERO.add_scaled(g, c, e) == scaled
+    assert f.add_scaled(ZERO, c, e) == f
+    assert f.add_scaled(g, 0, e) == f
+    assert f.add_scaled(g, c) == f + c * g

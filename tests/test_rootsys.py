@@ -1,6 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alcove_kl.errors import ConfigError
 from alcove_kl.rootsys import (
@@ -10,9 +13,10 @@ from alcove_kl.rootsys import (
     dominance_leq,
     is_restricted,
     kostant_partition,
+    in_root_lattice,
     root_coords,
 )
-from alcove_kl.weylext import w0_elt
+from alcove_kl.weylext import lattice_class, w0_elt
 
 
 A1 = build_root_system("A", 1)
@@ -170,3 +174,43 @@ def test_is_restricted():
     assert is_restricted(ctx, Weight((4, 4)))  # (p-1) rho
     assert not is_restricted(ctx, Weight((5, 0)))  # p omega_1
     assert not is_restricted(ctx, Weight((-1, 0)))
+
+
+LATTICE_TYPES = [
+    build_root_system(t, n)
+    for t, n in (
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+        ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6),
+    )
+]
+
+
+@st.composite
+def system_and_weights(draw):
+    sys = draw(st.sampled_from(LATTICE_TYPES))
+    weight = st.lists(st.integers(-7, 7), min_size=sys.rank, max_size=sys.rank)
+    return sys, Weight(tuple(draw(weight))), Weight(tuple(draw(weight)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(system_and_weights())
+def test_integer_lattice_tests_match_fraction_coordinates(case):
+    """The integer root-lattice, dominance and class tests agree with the
+    rational root coordinates, which are checked to solve C c = lam."""
+    sys, lam, mu = case
+    c = root_coords(sys, lam)
+    assert all(
+        sum(sys.cartan[k][j] * c[j] for j in range(sys.rank)) == lam.coords[k]
+        for k in range(sys.rank)
+    )
+    assert in_root_lattice(sys, lam) == all(x.denominator == 1 for x in c)
+    diff = root_coords(sys, mu - lam)
+    assert dominance_leq(sys, lam, mu) == all(x.denominator == 1 and x >= 0 for x in diff)
+    # the class representative is lam minus the integer part of its coordinates
+    floor = [x.numerator // x.denominator for x in c]
+    rep = root_coords(sys, Weight(lattice_class(sys, lam)))
+    assert list(rep) == [x - f for x, f in zip(c, floor)]
+    assert all(0 <= x < 1 for x in rep)
+    assert lattice_class(sys, lam) == lattice_class(sys, lam + sys.simple_roots[0])
+    if not all(x.denominator == 1 and x >= 0 for x in c):
+        assert kostant_partition(sys, lam) == 0
