@@ -38,7 +38,7 @@ from .repcalc import (
 )
 from .rootsys import ModularContext, Weight, build_root_system
 from .verify import run_suite
-from .weylext import elt_from_json, elt_to_json, from_word, gen_indices
+from .weylext import elt_to_json, from_word, gen_indices
 
 FORMATS = ("pretty", "json", "csv", "latex")
 
@@ -103,7 +103,11 @@ def _emit_rows(rows, header, fmt):
 
 
 def _elt_str(sys, x) -> str:
-    d = elt_to_json(sys, x)
+    return _record_str(elt_to_json(sys, x))
+
+
+def _record_str(d: dict) -> str:
+    """Print an element from its ``{"w", "t"}`` record (``elt_to_json``)."""
     word = ".".join(str(i) for i in d["w"]) or "e"
     tra = ",".join(str(c) for c in d["t"])
     return f"{word}|{tra}"
@@ -121,10 +125,7 @@ def _row_command(args, sys, w, kind: str, prefix: str, column: str, compute) -> 
             key=lambda item: json.dumps(item[0], sort_keys=True),
         )
         cache.put(key, payload)
-    rows = [
-        (_elt_str(sys, elt_from_json(sys, yj)), str(LaurentPoly.from_json(pj)))
-        for yj, pj in payload
-    ]
+    rows = [(_record_str(yj), str(LaurentPoly.from_json(pj))) for yj, pj in payload]
     rows.sort()
     _emit_rows(rows, ("y", column), args.format)
     return 0

@@ -23,15 +23,16 @@ build the rows of all three canonical bases: the Hecke algebra and the
 spherical module here, top-down along descents, and the periodic module
 in ``periodic``, bottom-up by height inside a window.
 
-``KLComputer`` numbers the basis labels of the first two as the recursion
-meets them (F. du Cloux's encoding, Experiment. Math. 2002) and keys its
-rows by number.  Its label table keeps, per number, the element, its
-length, one kept flag (every element in the Hecke algebra, the
-coset-maximal ones in the spherical module) and the numbers of the right
-neighbours x s_i, each product formed once.  Both actions above are one
-rule read off the table: x . Hb_s = xs + v^{+-1} x (v when xs is longer)
-when xs is kept and (v + v^-1) x when it is not.  The descent of x is
-the first generator s with xs shorter and kept.
+All three number their labels in a ``LabelTable`` (F. du Cloux's
+encoding, Experiment. Math. 2002) and key their rows by number.  The
+table keeps, per number, the element and the numbers of its right
+neighbours x s_i, each product formed once.  ``KLComputer`` numbers the
+labels of the first two as the recursion meets them and adds, per
+number, the length and one kept flag (every element in the Hecke
+algebra, the coset-maximal ones in the spherical module).  Both actions
+above are one rule read off the table: x . Hb_s = xs + v^{+-1} x (v when
+xs is longer) when xs is kept and (v + v^-1) x when it is not.  The
+descent of x is the first generator s with xs shorter and kept.
 """
 
 from __future__ import annotations
@@ -195,27 +196,20 @@ def mul_kl_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
 # -- canonical rows (the top-down mu-recursion) ----------------------------------
 
 
-class KLComputer:
-    """Memoized canonical rows of the Hecke algebra or its spherical module.
+class LabelTable:
+    """Group elements numbered on first sight (see the module docstring).
 
-    The label table (see the module docstring) is ``elts``, ``lengths``
-    and ``kept``, indexed by number, and ``nbrs[k][i]``, the number of
-    elts[k] s_i once formed; ``kept(x)`` sets the kept flag.  A label
-    with no descent seeds the row {k: 1}; any other row is the canonical
-    step applied to the row of its descent neighbour.
+    ``elts[k]`` is the element numbered k and ``nbrs[k][i]`` the number
+    of elts[k] s_i once formed, so each product is formed once.
+    Subclasses keep further per-number columns by extending ``_add``.
     """
 
-    def __init__(self, sys: RootSystem, name: str, kept):
+    def __init__(self, sys: RootSystem):
         self.sys = sys
-        self.name = name
-        self._is_kept = kept
         self._gens = [simple_reflection(sys, i) for i in gen_indices(sys)]
         self._number: dict[ExtWeylElt, int] = {}
         self.elts: list[ExtWeylElt] = []
-        self.lengths: list[int] = []
-        self.kept: list[bool] = []
         self.nbrs: list[list[int | None]] = []
-        self._rows: dict[int, dict[int, LaurentPoly]] = {}
 
     def number(self, x: ExtWeylElt) -> int:
         """The number of x in the label table, assigned on first sight."""
@@ -223,10 +217,12 @@ class KLComputer:
         if k is None:
             k = self._number[x] = len(self.elts)
             self.elts.append(x)
-            self.lengths.append(length(self.sys, x))
-            self.kept.append(self._is_kept(x))
             self.nbrs.append([None] * len(self._gens))
+            self._add(x)
         return k
+
+    def _add(self, x: ExtWeylElt) -> None:
+        """Fill the per-number columns of the newly numbered x."""
 
     def nbr(self, k: int, i: int) -> int:
         """The number of x s_i for x the element numbered k."""
@@ -234,6 +230,28 @@ class KLComputer:
         if n is None:
             n = self.nbrs[k][i] = self.number(self.elts[k] * self._gens[i])
         return n
+
+
+class KLComputer(LabelTable):
+    """Memoized canonical rows of the Hecke algebra or its spherical module.
+
+    The label table adds the columns ``lengths`` and ``kept``; ``kept(x)``
+    sets the kept flag.  A label with no descent seeds the row {k: 1};
+    any other row is the canonical step applied to the row of its descent
+    neighbour.
+    """
+
+    def __init__(self, sys: RootSystem, name: str, kept):
+        super().__init__(sys)
+        self.name = name
+        self._is_kept = kept
+        self.lengths: list[int] = []
+        self.kept: list[bool] = []
+        self._rows: dict[int, dict[int, LaurentPoly]] = {}
+
+    def _add(self, x: ExtWeylElt) -> None:
+        self.lengths.append(length(self.sys, x))
+        self.kept.append(self._is_kept(x))
 
     def act(self, i: int, k: int) -> tuple[int | None, LaurentPoly]:
         ks = self.nbr(k, i)

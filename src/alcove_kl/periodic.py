@@ -15,7 +15,10 @@ window seed the recursion as pure alcoves, and
 over previously built B in the support of E_A with Bs below B, where
 mu~(B, A) is the coefficient of v in p_{B,A}; this is the canonical
 step of ``hecke``, shared with the ordinary and spherical bases.  Terms
-leaving the window are truncated and the truncation is recorded.  A
+leaving the window are truncated and the truncation is recorded.  Each
+window numbers its alcoves in the ``hecke.LabelTable`` of the canonical
+rows, forms each neighbour As once, reads whether the crossing goes up
+off the heights of the two numbers, and keys its rows by number.  A
 coefficient p_{y,w} (the coefficient of y(A+) in E_{w(A+)}) is only
 reported when the windows of radius R and R + 1 agree on it exactly;
 everything else raises StabilizationError.
@@ -27,13 +30,14 @@ translating both labels by -nu.
 Two safeguards wrap the raw recursion.  Pairs outside the two-sided
 support band (y below w, and w0 y below w0 check(w), the latter forced
 by the length-reversing inversion identity) are certified zero without
-any window work, by one componentwise comparison of Shi coordinates.
-And an identity gate evaluates the socle coefficient
-p_{w0 x, w0 check(x)} = v^{l(w0)} once per root system, refusing to
-emit any value where the recursion does not reproduce it; the gate
-passes in types A1 and A2, while elsewhere (B2, G2, A3, ...) the
-pure-alcove seeding converges to a wrong self-consistent family and
-the gate withholds all values.
+any window work, by one componentwise comparison of Shi coordinates;
+the test is memoized per pair, because the Ext and Loewy queries of
+``repcalc`` ask for the same pairs again and again.  And an identity
+gate evaluates the socle coefficient p_{w0 x, w0 check(x)} = v^{l(w0)}
+once per root system, refusing to emit any value where the recursion
+does not reproduce it; the gate passes in types A1 and A2, while
+elsewhere (B2, G2, A3, ...) the pure-alcove seeding converges to a wrong
+self-consistent family and the gate withholds all values.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from operator import le
 
 from .alcove import Alcove, generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
-from .hecke import HeckeElt, act_hb_s, canonical_step, crossing_rule
+from .hecke import HeckeElt, LabelTable, act_hb_s, canonical_step, crossing_rule
 from .laurent import LaurentPoly
 from .rootsys import ModularContext, RootSystem
 from .weylext import (
@@ -66,7 +70,10 @@ from .weylext import (
     weyl_group,
 )
 
+_ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
+_V = LaurentPoly.gen()
+_VINV = LaurentPoly.gen(-1)
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,12 @@ class PeriodicWindow:
     step; the default picks the first eligible generator, which fixes a
     deterministic gallery.  ``sign=-1`` reverses the crossing orientation
     (heights are negated), which the negative control relies on.
+
+    The window numbers its alcove labels in a ``LabelTable``: the members
+    first, as 0..n-1, so that a number lies inside exactly when it is
+    below n, then the outside neighbours met.  ``members`` maps each
+    member to its number; ``rows`` and ``flags`` (whether a row was
+    truncated) are keyed by number.
     """
 
     def __init__(
@@ -124,36 +137,33 @@ class PeriodicWindow:
         rng = random.Random(gallery_seed) if gallery_seed is not None else None
 
         elements = waff_elements(sys, radius)
-        members = set(elements)
-        self.members = members
-        gens = {i: simple_reflection(sys, i) for i in gen_indices(sys)}
-        h: dict[ExtWeylElt, int] = {}
+        table = LabelTable(sys)
+        self.members = {x: table.number(x) for x in elements}
+        self._elts = table.elts
+        n = len(elements)
+        gens = gen_indices(sys)
+        cross = [[table.nbr(k, i) for i in gens] for k in range(n)]
+        h = [sign * generic_height(sys, Alcove(x)) for x in table.elts]
+        # acts[i][k] is the action rule of s_i at member k: the number of
+        # its neighbour and the stay v when the crossing goes up, else v^-1
+        acts = [
+            [(ks[i], _V if h[ks[i]] > h[k] else _VINV) for k, ks in enumerate(cross)]
+            for i in gens
+        ]
+        inside = range(n).__contains__
 
-        def height(x: ExtWeylElt) -> int:
-            d = h.get(x)
-            if d is None:
-                d = h[x] = sign * generic_height(sys, Alcove(x))
-            return d
-
-        rows: dict[ExtWeylElt, dict[ExtWeylElt, LaurentPoly]] = {}
-        flags: dict[ExtWeylElt, bool] = {}
-        order = sorted(elements, key=lambda x: (height(x), elt_key(sys, x)))
+        rows: dict[int, dict[int, LaurentPoly]] = {}
+        flags: dict[int, bool] = {}
+        order = sorted(range(n), key=lambda k: (h[k], elt_key(sys, elements[k])))
         for c in order:
-            downs = [
-                (i, a)
-                for i, s in gens.items()
-                if (a := c * s) in members and h[a] < h[c]
-            ]
+            downs = [(i, a) for i, a in enumerate(cross[c]) if a < n and h[a] < h[c]]
             if not downs:
                 rows[c] = {c: _ONE}
                 flags[c] = False
                 continue
             i, a = rng.choice(downs) if rng is not None else downs[0]
             row, truncated, subtracted = canonical_step(
-                rows[a],
-                crossing_rule(gens[i], height),
-                rows.__getitem__,
-                members.__contains__,
+                rows[a], acts[i].__getitem__, rows.__getitem__, inside
             )
             if row.get(c) != _ONE:
                 raise ConsistencyError(
@@ -166,23 +176,26 @@ class PeriodicWindow:
         self.flags = flags
 
     def element(self, w: ExtWeylElt) -> PeriodicElt:
-        if w not in self.rows:
+        k = self.members.get(w)
+        if k is None:
             lw = length(self.sys, w)
             raise WindowError(
                 f"element {_words(self.sys, w=w)} of length {lw} is outside the "
                 f"window of radius {self.radius}; radius {lw} reaches it"
             )
+        elts = self._elts
         return PeriodicElt.from_dict(
             self.sys,
-            {Alcove(y): p for y, p in self.rows[w].items()},
+            {Alcove(elts[y]): p for y, p in self.rows[k].items()},
             radius=self.radius,
-            truncated=self.flags[w],
+            truncated=self.flags[k],
         )
 
     def coefficient(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
-        if w not in self.rows or y not in self.members:
+        kw, ky = self.members.get(w), self.members.get(y)
+        if kw is None or ky is None:
             raise _out_of_reach(self.sys, y, w, f"window radius {self.radius}")
-        return self.rows[w].get(y, LaurentPoly.zero())
+        return self.rows[kw].get(ky, _ZERO)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .alcove import Alcove, generic_height
+from .alcove import generic_height
 from .errors import ConsistencyError, StabilizationError, WindowError
 from .hecke import kl_basis, kl_basis_by_duality
 from .laurent import LaurentPoly
@@ -262,15 +262,15 @@ def check_flipped_convention_fails(ctx: ModularContext) -> CheckResult:
         win_hi = PeriodicWindow(sys, 9, sign=-1)
 
         def flipped(y, w):
-            first = win_lo.rows[w].get(y, LaurentPoly.zero())
-            if first != win_hi.rows[w].get(y, LaurentPoly.zero()):
+            first = win_lo.coefficient(y, w)
+            if first != win_hi.coefficient(y, w):
                 raise StabilizationError("flipped value did not stabilize")
             return first
 
         ev = check(ctx, e)
         support_ok = all(
-            y == e or generic_height(sys, Alcove(y)) < 0
-            for y in win_lo.rows[e]
+            a.label == e or generic_height(sys, a) < 0
+            for a, _ in win_lo.element(e).support
         )
         monomial_ok = flipped(w0 * e, w0 * ev) == top
         inversion_ok = top * flipped(w0 * e, w0 * ev).bar() == flipped(e, e)

@@ -7,7 +7,7 @@ from alcove_kl.cache import cache_dir
 from alcove_kl.cli import main
 from alcove_kl.errors import IndeterminateError, SearchError
 from alcove_kl.rootsys import build_root_system
-from alcove_kl.weylext import finite_group
+from alcove_kl.weylext import ExtWeylElt, finite_group
 
 
 def run(capsys, *argv):
@@ -303,3 +303,23 @@ def test_kl_in_e7_numbers_only_the_elements_it_meets(tmp_path, capsys):
         "e|0,0,0,0,0,0,0,v^3",
     ]
     assert len(finite_group(build_root_system("E", 7)).mats) < 1000
+
+
+@pytest.mark.parametrize(
+    "command,word,extra",
+    [("kl", "0,1,2,1,0,2,1,0", 0), ("spherical", "2,1,2,1,0,1,2,1,0", 2)],
+    ids=["kl", "spherical"],
+)
+def test_printing_a_warm_row_forms_no_group_product(tmp_path, capsys, monkeypatch, command, word, extra):
+    """A cached row is printed from its records: the warm run forms only
+    the products of reading --w (and, for spherical, of the rank-2
+    coset-maximality test), not one per printed label."""
+    args = (command, "--type", "B", "--rank", "2", "--w", word, "--cache-dir", str(tmp_path))
+    cold = run(capsys, *args)
+    calls = []
+    mul = ExtWeylElt.__mul__
+    monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    warm = run(capsys, *args)
+    assert warm == cold and cold[0] == 0
+    assert len(cold[1].splitlines()) > 8
+    assert len(calls) == len(word.split(",")) + extra
