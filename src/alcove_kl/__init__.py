@@ -9,7 +9,7 @@ stabilization detection, and the Ext/Loewy/character tables built on
 top of them, all guarded by a built-in identity-verification harness.
 """
 
-from .alcove import Alcove, alcove_check, fundamental_alcove, generic_height, generic_leq, wall_cross
+from .alcove import generic_height, generic_leq, wall_cross
 from .hecke import HeckeElt, SphericalElt, kl_basis, kl_basis_by_duality, mul_gen, spherical_kl
 from .laurent import LaurentPoly
 from .periodic import PeriodicElt, PKLTable, periodic_act_gen, periodic_kl, pkl_table
@@ -53,7 +53,6 @@ from .weylext import (
 )
 
 __all__ = [
-    "Alcove",
     "ExtTable",
     "ExtWeylElt",
     "GradedMultTable",
@@ -68,7 +67,6 @@ __all__ = [
     "StdLabel",
     "ThetaPair",
     "Weight",
-    "alcove_check",
     "baby_verma_weight_dim",
     "bruhat_leq",
     "build_root_system",
@@ -80,7 +78,6 @@ __all__ = [
     "ext_dim",
     "ext_table",
     "find_mu_s",
-    "fundamental_alcove",
     "generic_height",
     "generic_leq",
     "is_restricted",

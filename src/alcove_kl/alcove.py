@@ -3,10 +3,11 @@
 An alcove is a connected component of the complement of the affine
 hyperplanes where a positive coroot pairs to an integer; alcoves
 correspond bijectively to W_aff elements via A = x(A+) with A+ the
-fundamental alcove.  This module provides the wall-crossing moves, the
-generic height d (the signed count of up-crossings from A+, normalized
-by d(A+) = 0), the partial order generated by up-crossings, and the
-alcove form of the check operation.
+fundamental alcove, so every function here takes and returns the label
+x in place of the alcove x(A+).  This module provides the wall-crossing
+moves, the generic height d (the signed count of up-crossings from A+,
+normalized by d(A+) = 0) and the partial order generated by
+up-crossings.
 
 All three are read off Shi's integer alcove coordinates k_alpha(A), the
 floor of the pairing with the coroot alpha^vee on A
@@ -20,17 +21,14 @@ pairing with the crossed coroot increases, i.e. when d grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, IndeterminateError
-from .rootsys import ModularContext, RootSystem
+from .rootsys import RootSystem
 from .weylext import (
     ExtWeylElt,
-    check,
     gen_indices,
     identity_elt,
-    in_waff,
     shi_coords,
     simple_reflection,
 )
@@ -39,74 +37,49 @@ UP = "up"
 DOWN = "down"
 
 
-@dataclass(frozen=True, slots=True)
-class Alcove:
-    """An alcove labeled by the W_aff element carrying A+ onto it."""
-
-    label: ExtWeylElt
-
-
-def fundamental_alcove(sys: RootSystem) -> Alcove:
-    return Alcove(identity_elt(sys))
-
-
-def alcove_of(sys: RootSystem, x: ExtWeylElt) -> Alcove:
-    if not in_waff(sys, x):
-        raise DomainError("alcoves are labeled by W_aff elements")
-    return Alcove(x)
-
-
-def _shi(sys: RootSystem, a: Alcove) -> tuple[int, ...]:
-    return shi_coords(sys, a.label.fin, a.label.translation)
-
-
-def wall_cross(sys: RootSystem, a: Alcove, i: int) -> tuple[Alcove, str]:
-    """Cross the wall of type i: returns (As, direction)."""
+def wall_cross(sys: RootSystem, x: ExtWeylElt, i: int) -> tuple[ExtWeylElt, str]:
+    """Cross the wall of type i of x(A+): returns (x s_i, direction)."""
     if i not in gen_indices(sys):
         raise DomainError(f"no Coxeter generator with index {i}")
-    b = Alcove(a.label * simple_reflection(sys, i))
-    direction = UP if generic_height(sys, b) > generic_height(sys, a) else DOWN
-    return b, direction
+    xs = x * simple_reflection(sys, i)
+    direction = UP if generic_height(sys, xs) > generic_height(sys, x) else DOWN
+    return xs, direction
 
 
 @lru_cache(maxsize=None)
-def generic_height(sys: RootSystem, a: Alcove) -> int:
-    """d(A) = sum of the Shi coordinates of A, the floors of the positive
+def generic_height(sys: RootSystem, x: ExtWeylElt) -> int:
+    """d(x(A+)) = sum of the Shi coordinates, the floors of the positive
     coroot pairings at an interior point; each up-crossing raises it by
     exactly one."""
-    return sum(_shi(sys, a))
+    return sum(shi_coords(sys, x.fin, x.translation))
 
 
-def generic_leq(sys: RootSystem, a: Alcove, b: Alcove, radius: int) -> bool:
-    """Whether b is reachable from a by up-crossings.
+def generic_leq(sys: RootSystem, x: ExtWeylElt, y: ExtWeylElt, radius: int) -> bool:
+    """Whether y(A+) is reachable from x(A+) by up-crossings.
 
-    That holds exactly when k(a) <= k(b) componentwise: along a straight
+    That holds exactly when k(x) <= k(y) componentwise: along a straight
     segment between interior points every coroot pairing is linear, so
     each wall it crosses is crossed upward.  The answer is only given
-    when d(b) - d(a), the length of every such gallery, is at most
+    when d(y) - d(x), the length of every such gallery, is at most
     ``radius``; IndeterminateError is raised otherwise.
     """
-    if a == b:
+    if x == y:
         return True
-    gap = generic_height(sys, b) - generic_height(sys, a)
+    gap = generic_height(sys, y) - generic_height(sys, x)
     if gap <= 0:
         return False
     if gap > radius:
         raise IndeterminateError(
             f"height gap {gap} exceeds search radius {radius}"
         )
-    return all(ka <= kb for ka, kb in zip(_shi(sys, a), _shi(sys, b)))
+    kx = shi_coords(sys, x.fin, x.translation)
+    return all(a <= b for a, b in zip(kx, shi_coords(sys, y.fin, y.translation)))
 
 
-def alcove_check(ctx: ModularContext, a: Alcove) -> Alcove:
-    """The alcove form of the check operation on W_aff labels."""
-    return Alcove(check(ctx, a.label))
-
-
-def up_neighbors(sys: RootSystem, a: Alcove) -> list[Alcove]:
+def up_neighbors(sys: RootSystem, x: ExtWeylElt) -> list[ExtWeylElt]:
     out = []
     for i in gen_indices(sys):
-        neighbor, direction = wall_cross(sys, a, i)
+        neighbor, direction = wall_cross(sys, x, i)
         if direction == UP:
             out.append(neighbor)
     return out
@@ -114,9 +87,9 @@ def up_neighbors(sys: RootSystem, a: Alcove) -> list[Alcove]:
 
 def gallery_heights(sys: RootSystem, word) -> list[int]:
     """Heights along the gallery from A+ determined by a generator word."""
-    a = fundamental_alcove(sys)
-    out = [generic_height(sys, a)]
+    x = identity_elt(sys)
+    out = [generic_height(sys, x)]
     for i in word:
-        a, _ = wall_cross(sys, a, i)
-        out.append(generic_height(sys, a))
+        x, _ = wall_cross(sys, x, i)
+        out.append(generic_height(sys, x))
     return out

@@ -72,8 +72,9 @@ ResourceError."""
 class HeckeElt:
     """A finitely supported Z[v,v^-1]-combination of basis vectors.
 
-    The same sparse vector serves the Hecke algebra, the spherical module
-    (``SphericalElt``) and, keyed by alcoves, the periodic module.
+    The same sparse vector, keyed by W_aff elements, serves the Hecke
+    algebra, the spherical module (``SphericalElt``) and the periodic
+    module, whose basis vector x(A+) is keyed by its label x.
     """
 
     support: tuple[tuple[ExtWeylElt, LaurentPoly], ...]
@@ -81,13 +82,8 @@ class HeckeElt:
     @classmethod
     def from_dict(cls, sys: RootSystem, d: Mapping, *fields, **named):
         items = [(x, p) for x, p in d.items() if p]
-        items.sort(key=lambda t: elt_key(sys, cls.label(t[0])))
+        items.sort(key=lambda t: elt_key(sys, t[0]))
         return cls(tuple(items), *fields, **named)
-
-    @staticmethod
-    def label(x) -> ExtWeylElt:
-        """The group element indexing a basis vector."""
-        return x
 
     def as_dict(self) -> dict:
         return dict(self.support)
@@ -134,7 +130,8 @@ def mul_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
 
 def crossing_rule(s: ExtWeylElt, rank):
     """The rule x . Hb_s = xs + v^{+-1} x, with v exactly when rank(xs) >
-    rank(x) (rank is the length in W_aff, the generic height on alcoves)."""
+    rank(x) (rank is the length in the Hecke algebra, the generic height
+    of x(A+) in the periodic module)."""
 
     def act(x):
         xs = x * s

@@ -5,10 +5,13 @@ The module is the free Z[v,v^-1]-module on alcoves with generator action
     A . Hb_s = As + v    A   (As above A)
     A . Hb_s = As + v^-1 A   (As below A),
 
-"above"/"below" referring to the generic height d.  Canonical elements
-E_A are built inside a finite window (all alcoves x(A+) with l(x) <= R)
-by increasing height: alcoves whose lower neighbors all fall outside the
-window seed the recursion as pure alcoves, and
+"above"/"below" referring to the generic height d.  The alcove x(A+) is
+keyed by its label x in W_aff, so that As is the label x s and the
+module shares the sparse vector ``HeckeElt`` with the Hecke algebra.
+Canonical elements E_A are built inside a finite window (all alcoves
+x(A+) with l(x) <= R) by increasing height: alcoves whose lower
+neighbors all fall outside the window seed the recursion as pure
+alcoves, and
 
     E_{As} = E_A . Hb_s  -  sum_B mu~(B, A) E_B
 
@@ -45,10 +48,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import le
 
-from .alcove import Alcove, generic_height
+from .alcove import generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from .hecke import HeckeElt, LabelTable, act_hb_s, canonical_step, crossing_rule
 from .laurent import LaurentPoly
@@ -79,34 +82,21 @@ _VINV = LaurentPoly.gen(-1)
 @dataclass(frozen=True)
 class PeriodicElt(HeckeElt):
     """A finitely supported element of the periodic module, kept inside a
-    window of the given radius."""
+    window of the given radius; x(A+) is keyed by its label x."""
 
-    support: tuple[tuple[Alcove, LaurentPoly], ...]
+    support: tuple[tuple[ExtWeylElt, LaurentPoly], ...]
     radius: int
     truncated: bool = False
-
-    @staticmethod
-    def label(a: Alcove) -> ExtWeylElt:
-        return a.label
 
 
 def periodic_act_gen(sys: RootSystem, e: PeriodicElt, i: int) -> PeriodicElt:
     """Right action of Hb_s, truncated to the window of e."""
     if i not in gen_indices(sys):
         raise DomainError(f"no Coxeter generator with index {i}")
-    rule = crossing_rule(
-        simple_reflection(sys, i), lambda x: generic_height(sys, Alcove(x))
-    )
-    acc, truncated = act_hb_s(
-        ((a.label, p) for a, p in e.support),
-        rule,
-        lambda x: length(sys, x) <= e.radius,
-    )
+    rule = crossing_rule(simple_reflection(sys, i), partial(generic_height, sys))
+    acc, truncated = act_hb_s(e.support, rule, lambda x: length(sys, x) <= e.radius)
     return PeriodicElt.from_dict(
-        sys,
-        {Alcove(x): p for x, p in acc.items()},
-        radius=e.radius,
-        truncated=e.truncated or truncated,
+        sys, acc, radius=e.radius, truncated=e.truncated or truncated
     )
 
 
@@ -143,7 +133,7 @@ class PeriodicWindow:
         n = len(elements)
         gens = gen_indices(sys)
         cross = [[table.nbr(k, i) for i in gens] for k in range(n)]
-        h = [sign * generic_height(sys, Alcove(x)) for x in table.elts]
+        h = [sign * generic_height(sys, x) for x in table.elts]
         # acts[i][k] is the action rule of s_i at member k: the number of
         # its neighbour and the stay v when the crossing goes up, else v^-1
         acts = [
@@ -186,7 +176,7 @@ class PeriodicWindow:
         elts = self._elts
         return PeriodicElt.from_dict(
             self.sys,
-            {Alcove(elts[y]): p for y, p in self.rows[k].items()},
+            {elts[y]: p for y, p in self.rows[k].items()},
             radius=self.radius,
             truncated=self.flags[k],
         )

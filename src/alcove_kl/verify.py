@@ -269,8 +269,8 @@ def check_flipped_convention_fails(ctx: ModularContext) -> CheckResult:
 
         ev = check(ctx, e)
         support_ok = all(
-            a.label == e or generic_height(sys, a) < 0
-            for a, _ in win_lo.element(e).support
+            x == e or generic_height(sys, x) < 0
+            for x, _ in win_lo.element(e).support
         )
         monomial_ok = flipped(w0 * e, w0 * ev) == top
         inversion_ok = top * flipped(w0 * e, w0 * ev).bar() == flipped(e, e)

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from alcove_kl.alcove import Alcove, fundamental_alcove
-from alcove_kl.errors import ConsistencyError, StabilizationError, WindowError
+from alcove_kl.errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import (
     PeriodicElt,
@@ -40,7 +39,7 @@ def a1_periodic_oracle(sys, y, w):
     def position(x):
         from alcove_kl.alcove import generic_height
 
-        return generic_height(sys, Alcove(x))
+        return generic_height(sys, x)
 
     m, n = position(y), position(w)
     if (m, y) == (n, w):
@@ -55,24 +54,24 @@ def a1_periodic_oracle(sys, y, w):
 
 def test_act_gen_fundamental_affine_wall(a1, a2):
     for sys in (a1, a2):
-        aplus = fundamental_alcove(sys)
+        aplus = identity_elt(sys)
         e = PeriodicElt.from_dict(sys, {aplus: ONE}, radius=4)
         out = periodic_act_gen(sys, e, 0)
-        s0_alcove = Alcove(from_word(sys, [0]))
+        s0_alcove = from_word(sys, [0])
         assert out.as_dict() == {s0_alcove: ONE, aplus: V}
 
 
 def test_act_gen_fundamental_finite_wall(a1, a2):
     for sys in (a1, a2):
-        aplus = fundamental_alcove(sys)
+        aplus = identity_elt(sys)
         e = PeriodicElt.from_dict(sys, {aplus: ONE}, radius=4)
         out = periodic_act_gen(sys, e, 1)
-        s1_alcove = Alcove(from_word(sys, [1]))
+        s1_alcove = from_word(sys, [1])
         assert out.as_dict() == {s1_alcove: ONE, aplus: VINV}
 
 
 def test_act_gen_squares_to_v_plus_vinv(a2):
-    aplus = fundamental_alcove(a2)
+    aplus = identity_elt(a2)
     e = PeriodicElt.from_dict(a2, {aplus: ONE}, radius=6)
     for i in gen_indices(a2):
         once = periodic_act_gen(a2, e, i)
@@ -85,7 +84,7 @@ def test_act_gen_squares_to_v_plus_vinv(a2):
 def test_act_gen_records_truncation(a1):
     from alcove_kl.alcove import wall_cross
 
-    far = Alcove(dihedral_element(a1, 3))
+    far = dihedral_element(a1, 3)
     e = PeriodicElt.from_dict(a1, {far: ONE}, radius=3)
     up = next(i for i in gen_indices(a1) if wall_cross(a1, far, i)[1] == "up")
     out = periodic_act_gen(a1, e, up)
@@ -158,9 +157,9 @@ def test_public_values_respect_support_order(ctx_a2):
             p = periodic_kl(ctx_a2, y, w, radius=12)
             if p.is_zero:
                 continue
-            gap = generic_height(sys, Alcove(w)) - generic_height(sys, Alcove(y))
+            gap = generic_height(sys, w) - generic_height(sys, y)
             assert gap >= 0
-            assert generic_leq(sys, Alcove(y), Alcove(w), radius=gap)
+            assert generic_leq(sys, y, w, radius=gap)
 
 
 def test_generic_column_is_the_boxed_orbit(ctx_a2):
@@ -188,10 +187,10 @@ def test_reported_values_have_height_parity(ctx_a1, ctx_a2):
     for ctx, bound, radius in ((ctx_a1, 5, 8), (ctx_a2, 3, 12)):
         sys = ctx.system
         for w in waff_elements(sys, bound):
-            hw = generic_height(sys, Alcove(w))
+            hw = generic_height(sys, w)
             for y in waff_elements(sys, bound + 1):
                 p = periodic_kl(ctx, y, w, radius)
-                gap = hw - generic_height(sys, Alcove(y))
+                gap = hw - generic_height(sys, y)
                 assert all((e - gap) % 2 == 0 for e, _ in p.terms)
 
 
@@ -289,3 +288,14 @@ def test_out_of_reach_raises(ctx_a1):
         periodic_kl(ctx_a1, y, w, radius=3, normalize=False)
     # the translation-normalized form of the same pair is in reach
     assert periodic_kl(ctx_a1, y, w, radius=3) == V
+
+
+def test_periodic_kl_rejects_labels_outside_waff(ctx_a1):
+    # t_{omega_1} lies in the extended group but labels no alcove
+    sys = ctx_a1.system
+    t = translation_elt(sys, Weight((1,)))
+    e = identity_elt(sys)
+    for y, w in ((t, e), (e, t)):
+        for normalize in (True, False):
+            with pytest.raises(DomainError):
+                periodic_kl(ctx_a1, y, w, radius=8, normalize=normalize)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from alcove_kl.alcove import (
     DOWN,
     UP,
-    Alcove,
     generic_height,
     generic_leq,
     up_neighbors,
@@ -76,18 +75,18 @@ def test_length_and_height_are_coordinate_sums(data):
     assert length(sys, x) == sum(abs(v) for v in k)
     assert length(sys, om * x) == length(sys, x) == sum(abs(v) for v in coords(sys, om * x))
     assert length(sys, x) <= len(word) and (len(word) - length(sys, x)) % 2 == 0
-    assert generic_height(sys, Alcove(x)) == sum(k)
+    assert generic_height(sys, x) == sum(k)
 
 
 @PROPERTY
 @given(st.data())
 def test_wall_cross_moves_one_coordinate_by_one(data):
     sys = data.draw(st.sampled_from(SYSTEMS))
-    a = Alcove(from_word(sys, data.draw(words(sys))))
-    ka = coords(sys, a.label)
+    a = from_word(sys, data.draw(words(sys)))
+    ka = coords(sys, a)
     for i in gen_indices(sys):
         b, direction = wall_cross(sys, a, i)
-        kb = coords(sys, b.label)
+        kb = coords(sys, b)
         moved = [new - old for old, new in zip(ka, kb) if new != old]
         assert moved == [1 if direction == UP else -1]
         assert direction in (UP, DOWN)
@@ -97,9 +96,9 @@ def test_wall_cross_moves_one_coordinate_by_one(data):
 @given(st.data())
 def test_generic_leq_matches_up_crossing_search(data):
     sys = data.draw(st.sampled_from(SYSTEMS))
-    a = Alcove(from_word(sys, data.draw(words(sys))))
+    a = from_word(sys, data.draw(words(sys)))
     if data.draw(st.booleans()):
-        b = Alcove(from_word(sys, data.draw(words(sys))))
+        b = from_word(sys, data.draw(words(sys)))
     else:
         # a gallery of up-crossings from a, so that the order holds
         b = a
