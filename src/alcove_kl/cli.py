@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 stabilization failure or
 exceeded bound (window radius, element length, an exhausted search or an
 order query undecided within its radius), 4 identity-suite failure.
-Errors are emitted as a JSON object on stderr.  Output is canonically
-sorted, so identical configurations and cache states produce identical
-bytes.
+Errors, usage errors included, are emitted as a JSON object on stderr.
+Output is canonically sorted, so identical configurations and cache
+states produce identical bytes.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def cmd_spherical(args) -> int:
 def cmd_periodic(args) -> int:
     ctx = _context(args)
     sys = ctx.system
-    radius = args.window or default_radius(sys)
+    radius = default_radius(sys) if args.window is None else args.window
     table = pkl_table(ctx, args.lmax, radius)
     rows = sorted(
         (
@@ -231,8 +231,23 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _check_bounds(args) -> None:
+    if args.window is not None and args.window < 1:
+        raise ConfigError(f"--window must be at least 1, got {args.window}")
+    if args.lmax is not None and args.lmax < 0:
+        raise ConfigError(f"--lmax must be at least 0, got {args.lmax}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ConfigError (exit 2, JSON on
+    stderr) instead of printing the usage text; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alcove-kl",
         description="Exact alcove combinatorics and Kazhdan-Lusztig-type polynomials",
     )
@@ -293,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        _check_bounds(args)
         return args.fn(args)
     except ConfigError as exc:
         _error("config", exc)

@@ -168,8 +168,10 @@ def act_hb_s(items, act, inside=None) -> tuple[dict, bool]:
 def canonical_step(base: Mapping, act, row_of, inside=None) -> tuple[dict, bool, list]:
     """E_{us} = E_u . Hb_s - sum_B mu(B) E_B from the row ``base`` of E_u.
 
-    The sum runs over the support elements B whose crossing is not upward,
-    with mu(B) the coefficient of v in base[B] and E_B = row_of(B).
+    mu(B) is the coefficient of v in base[B] and E_B = row_of(B).  The
+    sum runs over the support elements B whose stay is not v: those whose
+    crossing goes down (stay v^-1) and, in the spherical module, those
+    whose Bs is not kept (stay v + v^-1), which must be subtracted too.
     Returns the new row, whether the action truncated, and the B
     subtracted.  (The diagonal entry of a monic row has no v-term.)
     """

@@ -10,9 +10,10 @@ corresponding annotation.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, ResourceError
 from .laurent import LaurentPoly
 from .periodic import periodic_kl
 from .rootsys import (
@@ -137,7 +138,7 @@ def ext_dim(
     for x in (w, y):
         if not in_waff(sys, x):
             raise DomainError("Ext series are indexed by Coxeter-group elements")
-    return periodic_kl(ctx, y, w, radius or default_radius(sys))
+    return periodic_kl(ctx, y, w, default_radius(sys) if radius is None else radius)
 
 
 def ext_table(
@@ -162,13 +163,21 @@ def loewy_layers(
     The multiplicity of the simple of y in the m-th layer is the m-th
     coefficient of p_{w0 w, w0 y}; by the grading comparison this is
     also the degree table of the graded baby Verma.  ``bound`` limits
-    the length of the candidate labels y.
+    the length of the candidate labels y; it must reach w itself, whose
+    simple is the head, and ResourceError is raised otherwise.
     """
     sys = ctx.system
     if not in_waff(sys, w):
         raise DomainError("baby Verma labels here lie in the Coxeter subgroup")
+    lw = length(sys, w)
+    if lw > bound:
+        raise ResourceError(
+            f"baby Verma label {json.dumps(elt_to_json(sys, w))} of length {lw} "
+            f"exceeds the length bound {bound} of the candidate labels; "
+            f"bound {lw} reaches it"
+        )
     w0 = w0_elt(sys)
-    rad = radius or default_radius(sys)
+    rad = default_radius(sys) if radius is None else radius
     entries: dict[tuple[StdLabel, int], int] = {}
     for y in waff_elements(sys, bound):
         p = periodic_kl(ctx, w0 * w, w0 * y, rad)

@@ -147,7 +147,11 @@ def check_bijections(ctx: ModularContext) -> CheckResult:
     return _result("restricted bijection", True, f"{len(res)} elements")
 
 
-def check_characters(ctx: ModularContext, seed: int, window: int = 200) -> CheckResult:
+WEIGHT_SAMPLES = 200
+"""Random (highest weight, weight) pairs compared by ``check_characters``."""
+
+
+def check_characters(ctx: ModularContext, seed: int) -> CheckResult:
     """Truncated character total p^{|positive roots|} and the agreement of
     standard and costandard weight multiplicities."""
     sys = ctx.system
@@ -156,7 +160,7 @@ def check_characters(ctx: ModularContext, seed: int, window: int = 200) -> Check
     if total != expected:
         return _result("character totals", False, f"{total} != {expected}")
     rng = random.Random(seed)
-    for _ in range(window):
+    for _ in range(WEIGHT_SAMPLES):
         lam = Weight(tuple(rng.randint(-3, 3) for _ in range(sys.rank)))
         mu = Weight(tuple(rng.randint(-6, 6) for _ in range(sys.rank)))
         if nabla_weight_dim(ctx, lam, mu) != verma_weight_dim(ctx, lam, mu):

@@ -200,6 +200,68 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kl", "--type", "A", "--rank", "x", "--w", "1"),
+        ("kl", "--type", "A", "--rank", "2"),
+        ("frob", "--type", "A"),
+        (),
+        ("kl", "--type", "A", "--rank", "2", "--w", "1", "--format", "xml"),
+    ],
+    ids=["malformed-int", "missing-w", "unknown-command", "no-command", "bad-choice"],
+)
+def test_usage_errors_are_json_config_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["kl", "--help"])
+    assert info.value.code == 0
+    assert "--w" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("periodic", "--type", "A", "--rank", "1", "--p", "5", "--window", "0"),
+        ("ext", "--type", "A", "--rank", "1", "--p", "5", "--w", "0", "--y", "1,0",
+         "--window", "0"),
+        ("loewy", "--type", "A", "--rank", "1", "--p", "5", "--w", "0", "--window", "0"),
+        ("verify", "--type", "A", "--rank", "1", "--p", "5", "--window", "0"),
+        ("loewy", "--type", "A", "--rank", "1", "--p", "5", "--w", "0", "--lmax", "-1"),
+        ("periodic", "--type", "A", "--rank", "1", "--p", "5", "--lmax", "-1"),
+    ],
+    ids=["periodic-window", "ext-window", "loewy-window", "verify-window",
+         "loewy-lmax", "periodic-lmax"],
+)
+def test_window_below_one_and_negative_lmax_are_config_errors(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert ("--window" if "--window" in argv else "--lmax") in payload["message"]
+
+
+def test_loewy_lmax_below_the_label_length_exits_3(tmp_path, capsys):
+    code, out, err = run(
+        capsys,
+        "loewy", "--type", "A", "--rank", "1", "--p", "5", "--w", "0,1,0,1,0",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "stabilization"
+    assert "of length 5" in payload["message"]
+    assert "bound 4" in payload["message"]
+
+
 def test_identity_gate_exit_code(tmp_path, capsys):
     code, _, err = run(
         capsys,

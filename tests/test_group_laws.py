@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
 from alcove_kl.weylext import (
+    check,
     dot_action,
     finite_elt,
     finite_word,
@@ -23,6 +24,7 @@ from alcove_kl.weylext import (
     length,
     omega_group,
     reflection_mat,
+    w0_elt,
     weyl_group,
 )
 
@@ -110,6 +112,27 @@ def test_finite_part_matches_reflection_matrices(data):
     fin_word = finite_word(sys, x.fin)
     assert from_word(sys, fin_word) == finite_elt(sys, x.fin)
     assert apply(matrix_along(sys, fin_word), lam.coords) == x.finite_apply(lam).coords
+
+
+@PROPERTY
+@given(st.data())
+def test_check_of_w0_check_is_w0(data):
+    # check(w0 check(x)) = w0 x: the involution under the support band
+    # and the inversion identity
+    sys = data.draw(st.sampled_from(SYSTEMS))
+    ctx = ModularContext(sys, PRIMES[str(sys)])
+    x = draw_element(data, sys)
+    w0 = w0_elt(sys)
+    assert check(ctx, w0 * check(ctx, x)) == w0 * x
+
+
+@PROPERTY
+@given(st.data())
+def test_check_multiplies_the_finite_part_by_w0(data):
+    sys = data.draw(st.sampled_from(SYSTEMS))
+    ctx = ModularContext(sys, PRIMES[str(sys)])
+    x = draw_element(data, sys)
+    assert finite_elt(sys, check(ctx, x).fin) == w0_elt(sys) * finite_elt(sys, x.fin)
 
 
 def test_weyl_group_lists_every_element_in_matrix_order():

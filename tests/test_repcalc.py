@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from alcove_kl.errors import ConsistencyError, DomainError
+from alcove_kl.errors import ConsistencyError, DomainError, ResourceError
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.repcalc import (
     CONJECTURE_NOTE,
@@ -24,6 +24,7 @@ from alcove_kl.weylext import (
     check,
     dot_action,
     find_mu_s,
+    from_word,
     identity_elt,
     simple_reflection,
     translation_elt,
@@ -104,6 +105,18 @@ def test_loewy_layers_a2_shape(ctx_a2):
     assert table.at_degree(0) == {StdLabel.make(ctx_a2, "L", w): 1}
     assert table.at_degree(3) == {StdLabel.make(ctx_a2, "L", check(ctx_a2, w)): 1}
     assert all(m == 1 for m in table.entries.values())
+
+
+def test_loewy_layers_bound_below_the_label_is_a_resource_error(ctx_a1, ctx_a2):
+    # the head simple is indexed by w itself, so the bound must reach l(w)
+    for ctx, word in ((ctx_a1, [0, 1, 0, 1, 0]), (ctx_a2, [0, 1, 2, 0, 1])):
+        w = from_word(ctx.system, word)
+        with pytest.raises(ResourceError) as info:
+            loewy_layers(ctx, w, bound=4)
+        message = str(info.value)
+        assert "of length 5" in message and "bound 4" in message
+        assert "bound 5 reaches it" in message
+    assert loewy_layers(ctx_a1, from_word(ctx_a1.system, [0, 1, 0, 1, 0]), bound=5).total() == 2
 
 
 def test_socle_degree_check_routes_dihedral(ctx_a1):
