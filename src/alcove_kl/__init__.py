@@ -38,8 +38,6 @@ from .rootsys import (
 from .verify import run_suite
 from .weylext import (
     ExtWeylElt,
-    OmegaElt,
-    ThetaPair,
     bruhat_leq,
     check,
     conjugate_affine_simple,
@@ -59,13 +57,11 @@ __all__ = [
     "HeckeElt",
     "LaurentPoly",
     "ModularContext",
-    "OmegaElt",
     "PKLTable",
     "PeriodicElt",
     "RootSystem",
     "SphericalElt",
     "StdLabel",
-    "ThetaPair",
     "Weight",
     "baby_verma_weight_dim",
     "bruhat_leq",

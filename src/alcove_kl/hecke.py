@@ -429,22 +429,10 @@ def spherical_act_kl_gen(sys: RootSystem, e: SphericalElt, i: int) -> SphericalE
     return SphericalElt.from_dict(sys, {comp.elts[k]: p for k, p in acc.items()})
 
 
-def coset_minimal_rep(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
-    """The minimal element of Wx."""
-    moved = True
-    while moved:
-        moved = False
-        for i in range(1, sys.rank + 1):
-            y = simple_reflection(sys, i) * x
-            if length(sys, y) < length(sys, x):
-                x = y
-                moved = True
-                break
-    return x
-
-
 def ideal_basis_elt(sys: RootSystem, y: ExtWeylElt) -> HeckeElt:
     """Hb_{w0} H_{y0} for y coset-maximal with minimal representative y0.
+
+    y0 = w0 y, since y = w0 y0 with l(y) = l(w0) + l(y0).
 
     These span the right ideal Hb_{w0} H, which realizes the spherical
     module inside the Hecke algebra; the basis vector has unitriangular
@@ -452,8 +440,9 @@ def ideal_basis_elt(sys: RootSystem, y: ExtWeylElt) -> HeckeElt:
     """
     if not is_coset_maximal(sys, y):
         raise DomainError("ideal basis vectors are indexed by coset-maximal elements")
-    out = HeckeElt.from_dict(sys, kl_computer(sys).row(w0_elt(sys)))
-    for i in reduced_word(sys, coset_minimal_rep(sys, y)):
+    w0 = w0_elt(sys)
+    out = HeckeElt.from_dict(sys, kl_computer(sys).row(w0))
+    for i in reduced_word(sys, w0 * y):
         out = mul_gen(sys, out, i)
     return out
 

@@ -61,6 +61,7 @@ from .weylext import (
     check_for_system,
     elt_key,
     elt_to_json,
+    finite_elt,
     gen_indices,
     in_waff,
     length,
@@ -203,8 +204,7 @@ def canonical_pair(
         if not in_waff(sys, x):
             raise DomainError("periodic polynomials are indexed by W_aff pairs")
     nu = w.finite_apply(w.translation)
-    shift = translation_elt(sys, -nu)
-    return shift * y, shift * w
+    return translation_elt(sys, -nu) * y, finite_elt(sys, w.fin)
 
 
 @lru_cache(maxsize=None)

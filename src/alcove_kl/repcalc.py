@@ -34,6 +34,7 @@ from .weylext import (
     in_waff,
     length,
     restricted_element_for,
+    restricted_shift,
     simple_reflection,
     w0_elt,
     waff_elements,
@@ -59,10 +60,9 @@ class StdLabel:
         if kind not in KINDS:
             raise DomainError(f"unknown family {kind!r}")
         sys = ctx.system
-        w_res = restricted_element_for(sys, x.fin)
-        t_part = x * w_res.inverse()
-        assert t_part.has_trivial_finite_part
-        return StdLabel(kind, w_res, ctx.p * t_part.translation)
+        return StdLabel(
+            kind, restricted_element_for(sys, x.fin), ctx.p * restricted_shift(sys, x)
+        )
 
     def weight(self, ctx: ModularContext) -> Weight:
         """The highest weight this label denotes."""

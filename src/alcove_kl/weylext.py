@@ -231,10 +231,6 @@ class ExtWeylElt:
     def rank(self) -> int:
         return len(self.translation.coords)
 
-    @property
-    def has_trivial_finite_part(self) -> bool:
-        return self.fin == self.group.identity
-
     def __str__(self) -> str:
         return f"(fin={self.group.mats[self.fin]}, t={self.translation})"
 
@@ -401,13 +397,6 @@ def dot_action(ctx: ModularContext, x: ExtWeylElt, mu: Weight) -> Weight:
 # -- Omega: length-zero elements ------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class OmegaElt:
-    """A length-zero element of the extended affine Weyl group."""
-
-    elt: ExtWeylElt
-
-
 def lattice_class(sys: RootSystem, lam: Weight) -> tuple[int, ...]:
     """Canonical representative of lam modulo the root lattice."""
     d, c = scaled_root_coords(sys, lam)
@@ -421,51 +410,42 @@ def lattice_class(sys: RootSystem, lam: Weight) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def omega_group(sys: RootSystem) -> tuple[OmegaElt, ...]:
+def omega_group(sys: RootSystem) -> tuple[ExtWeylElt, ...]:
     """All length-zero elements, one per class of X modulo the root lattice.
 
-    Each is found from t_lam, for a representative lam of its class, by
-    following right descents down to length zero; right multiplication
-    by S_aff stays in the class.
+    Each nontrivial class holds exactly one minuscule weight, and it is
+    a fundamental weight omega_i, the one with <omega_i, beta^vee> <= 1
+    for every positive root beta; with 0 they represent the classes.
+    Each element is found from t_lam, for such a lam, by following right
+    descents down to length zero; right multiplication by S_aff stays in
+    the class.
     """
-    reps: dict[tuple[int, ...], Weight] = {lattice_class(sys, Weight.zero(sys.rank)): Weight.zero(sys.rank)}
-    frontier = [Weight.zero(sys.rank)]
-    fundamental = [
-        Weight(tuple(1 if k == i else 0 for k in range(sys.rank)))
-        for i in range(sys.rank)
+    n = sys.rank
+    minuscule = [
+        Weight(tuple(1 if k == i else 0 for k in range(n)))
+        for i in range(n)
+        if all(r.coroot[i] <= 1 for r in sys.positive_roots)
     ]
-    while frontier:
-        nxt = []
-        for lam in frontier:
-            for om in fundamental:
-                cls = lattice_class(sys, lam + om)
-                if cls not in reps:
-                    reps[cls] = Weight(cls)
-                    nxt.append(Weight(cls))
-        frontier = nxt
-
     out = []
-    for lam in reps.values():
+    for lam in [Weight.zero(n), *minuscule]:
         x = translation_elt(sys, lam)
         while descents := right_descents(sys, x):
             x = x * simple_reflection(sys, descents[0])
         assert length(sys, x) == 0
-        out.append(OmegaElt(x))
-    out.sort(key=lambda o: elt_key(sys, o.elt))
+        out.append(x)
+    out.sort(key=lambda o: elt_key(sys, o))
     # conjugation by Omega permutes the Coxeter generators
     gens = [simple_reflection(sys, i) for i in gen_indices(sys)]
     gen_set = set(gens)
     for o in out:
         for s in gens:
-            assert o.elt * s * o.elt.inverse() in gen_set
+            assert o * s * o.inverse() in gen_set
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _omega_by_class(sys: RootSystem) -> dict[tuple[int, ...], ExtWeylElt]:
-    return {
-        lattice_class(sys, o.elt.translation): o.elt for o in omega_group(sys)
-    }
+    return {lattice_class(sys, o.translation): o for o in omega_group(sys)}
 
 
 def omega_class(sys: RootSystem, x: ExtWeylElt) -> tuple[int, ...]:
@@ -543,7 +523,7 @@ def restricted_elements(ctx: ModularContext, length_bound: int) -> list[ExtWeylE
     zero = Weight.zero(sys.rank)
     for z in waff_elements(sys, length_bound):
         for om in omega_group(sys):
-            x = om.elt * z
+            x = om * z
             if is_restricted(ctx, dot_action(ctx, x, zero)):
                 out.append(x)
     out.sort(key=lambda x: elt_key(sys, x))
@@ -554,13 +534,18 @@ def is_restricted_elt(ctx: ModularContext, x: ExtWeylElt) -> bool:
     return is_restricted(ctx, dot_action(ctx, x, Weight.zero(ctx.system.rank)))
 
 
-def check_for_system(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
-    """The permutation x = t_lam w  ->  t_lam w0 w, where w is the
-    restricted element sharing x's finite part (p-independent for p > h)."""
+def restricted_shift(sys: RootSystem, x: ExtWeylElt) -> Weight:
+    """The nu with x = t_nu w_res, w_res the restricted element sharing
+    x's finite part: for x = w t_lam and w_res = w t_mu it is w(lam - mu)."""
     w_res = restricted_element_for(sys, x.fin)
-    t_part = x * w_res.inverse()
-    assert t_part.has_trivial_finite_part
-    return t_part * w0_elt(sys) * w_res
+    return x.finite_apply(x.translation - w_res.translation)
+
+
+def check_for_system(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
+    """The permutation x = t_nu w  ->  t_nu w0 w, where w is the
+    restricted element sharing x's finite part (p-independent for p > h)."""
+    t_part = translation_elt(sys, restricted_shift(sys, x))
+    return t_part * w0_elt(sys) * restricted_element_for(sys, x.fin)
 
 
 def check(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:
@@ -676,10 +661,9 @@ def conjugate_affine_simple(
         simple_reflection(sys, i) for i in gen_indices(sys)
     }:
         raise DomainError("argument must be an affine (non-finite) simple reflection")
-    omegas = [o.elt for o in omega_group(sys)]
     candidates = []
     for z in waff_elements(sys, radius):
-        for om in omegas:
+        for om in omega_group(sys):
             u = om * z
             candidates.append(u)
     candidates.sort(key=lambda u: elt_key(sys, u))
@@ -688,34 +672,3 @@ def conjugate_affine_simple(
         if t in finite_simples:
             return u, t
     raise SearchError(f"no conjugating element within radius {radius}")
-
-
-# -- formal theta elements --------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ThetaPair:
-    """The formal quotient H_{t_mu} (H_{t_nu})^{-1} attached to mu - nu.
-
-    Both entries are dominant and reduced to disjoint support, so the
-    pair depends only on the difference.
-    """
-
-    mu: Weight
-    nu: Weight
-
-    @staticmethod
-    def from_weight(lam: Weight) -> "ThetaPair":
-        mu = Weight(tuple(max(c, 0) for c in lam.coords))
-        nu = Weight(tuple(max(-c, 0) for c in lam.coords))
-        return ThetaPair(mu, nu)
-
-    @property
-    def weight(self) -> Weight:
-        return self.mu - self.nu
-
-    def __mul__(self, other: "ThetaPair") -> "ThetaPair":
-        return ThetaPair.from_weight(self.weight + other.weight)
-
-    def as_element(self, sys: RootSystem) -> ExtWeylElt:
-        return translation_elt(sys, self.weight)

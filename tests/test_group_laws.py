@@ -39,7 +39,7 @@ def words(sys):
 
 
 def draw_element(data, sys):
-    om = data.draw(st.sampled_from(omega_group(sys))).elt
+    om = data.draw(st.sampled_from(omega_group(sys)))
     return om * from_word(sys, data.draw(words(sys)))
 
 

@@ -55,7 +55,7 @@ def reachable_by_up_crossings(sys, a, b):
 @given(st.data())
 def test_coords_are_floors_of_pairings_at_an_interior_point(data):
     sys = data.draw(st.sampled_from(SYSTEMS))
-    om = data.draw(st.sampled_from(omega_group(sys))).elt
+    om = data.draw(st.sampled_from(omega_group(sys)))
     x = om * from_word(sys, data.draw(words(sys)))
     centre = x.act_affine(tuple(Fraction(1, sys.coxeter_number) for _ in range(sys.rank)))
     expected = tuple(
@@ -70,7 +70,7 @@ def test_length_and_height_are_coordinate_sums(data):
     sys = data.draw(st.sampled_from(SYSTEMS))
     word = data.draw(words(sys))
     x = from_word(sys, word)
-    om = data.draw(st.sampled_from(omega_group(sys))).elt
+    om = data.draw(st.sampled_from(omega_group(sys)))
     k = coords(sys, x)
     assert length(sys, x) == sum(abs(v) for v in k)
     assert length(sys, om * x) == length(sys, x) == sum(abs(v) for v in coords(sys, om * x))

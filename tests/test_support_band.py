@@ -40,7 +40,7 @@ def test_band_matches_height_and_order_oracle(typ, rank, bound):
     for om in omega_group(sys):
         for w in elements:
             for y in elements:
-                oy, ow = om.elt * y, om.elt * w
+                oy, ow = om * y, om * w
                 got = in_support_band(sys, oy, ow)
                 assert got == band_oracle(sys, oy, ow), (typ, rank, y, w, om)
                 inside += got

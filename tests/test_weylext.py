@@ -6,7 +6,6 @@ import pytest
 from alcove_kl.errors import DomainError, SearchError
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system, is_restricted
 from alcove_kl.weylext import (
-    ThetaPair,
     bruhat_leq,
     check,
     conjugate_affine_simple,
@@ -154,7 +153,7 @@ def test_omega_a1():
     om = omega_group(A1)
     assert len(om) == 2
     expected = translation_elt(A1, Weight((1,))) * simple_reflection(A1, 1)
-    assert {o.elt for o in om} == {identity_elt(A1), expected}
+    assert set(om) == {identity_elt(A1), expected}
 
 
 def test_omega_sizes():
@@ -165,13 +164,13 @@ def test_omega_sizes():
 
 def test_omega_intersect_waff_trivial():
     for sys in (A1, A2, B2, G2):
-        inside = [o.elt for o in omega_group(sys) if in_waff(sys, o.elt)]
+        inside = [o for o in omega_group(sys) if in_waff(sys, o)]
         assert inside == [identity_elt(sys)]
 
 
 def test_omega_is_a_group():
     for sys in (A1, A2, B2):
-        elts = {o.elt for o in omega_group(sys)}
+        elts = set(omega_group(sys))
         for a in elts:
             assert a.inverse() in elts
             for b in elts:
@@ -203,9 +202,9 @@ def test_bruhat_basics():
 
 
 def test_bruhat_incomparable_cosets():
-    omega = omega_group(A1)[-1].elt
+    omega = omega_group(A1)[-1]
     if omega == identity_elt(A1):
-        omega = omega_group(A1)[0].elt
+        omega = omega_group(A1)[0]
     assert not bruhat_leq(A1, identity_elt(A1), omega)
 
 
@@ -264,7 +263,7 @@ def test_check_commutes_with_translations_and_omega():
                 sys, mu
             ) * check(ctx, x)
             for om in omega_group(sys):
-                assert check(ctx, x * om.elt) == check(ctx, x) * om.elt
+                assert check(ctx, x * om) == check(ctx, x) * om
 
 
 def test_check_is_permutation_small_window():
@@ -343,9 +342,9 @@ def test_stabilizer_omega_equivariance():
         sys = ctx.system
         for om in omega_group(sys):
             for eta in (Weight.zero(sys.rank), find_mu_s(ctx, simple_reflection(sys, 0))):
-                lhs = set(dot_stabilizer(ctx, dot_action(ctx, om.elt, eta)))
+                lhs = set(dot_stabilizer(ctx, dot_action(ctx, om, eta)))
                 rhs = {
-                    om.elt * s * om.elt.inverse() for s in dot_stabilizer(ctx, eta)
+                    om * s * om.inverse() for s in dot_stabilizer(ctx, eta)
                 }
                 assert lhs == rhs
 
@@ -385,12 +384,3 @@ def test_serialization_round_trip():
             x = random_elt(sys, rng)
             assert elt_from_json(sys, elt_to_json(sys, x)) == x
 
-
-def test_theta_pair():
-    t = ThetaPair.from_weight(Weight((2, -3)))
-    assert t.mu == Weight((2, 0)) and t.nu == Weight((0, 3))
-    u = ThetaPair.from_weight(Weight((-1, 1)))
-    prod = t * u
-    assert prod.weight == Weight((1, -2))
-    assert prod.mu == Weight((1, 0)) and prod.nu == Weight((0, 2))
-    assert prod.as_element(A2).translation == Weight((1, -2))
