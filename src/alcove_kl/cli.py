@@ -3,9 +3,15 @@
 Exit codes: 0 success, 2 configuration error, 3 stabilization failure or
 exceeded bound (window radius, element length, an exhausted search or an
 order query undecided within its radius), 4 identity-suite failure.
-Errors, usage errors included, are emitted as a JSON object on stderr.
-Output is canonically sorted, so identical configurations and cache
-states produce identical bytes.
+Errors, usage errors included, are emitted as a JSON object on stderr;
+a flag that a command does not read is a usage error.  Every command
+takes --type, --rank and --cache-dir; of the other common flags, kl and
+spherical take --format only, periodic and loewy take --p, --window,
+--lmax and --format, ext takes --p, --window and --format, char takes
+--p and --format, and verify takes --p, --window, --lmax and --seed.
+A window radius out of reach exits 3 from every command, verify
+included.  Output is canonically sorted, so identical configurations
+and cache states produce identical bytes.
 """
 
 from __future__ import annotations
@@ -232,10 +238,11 @@ def cmd_verify(args) -> int:
 
 
 def _check_bounds(args) -> None:
-    if args.window is not None and args.window < 1:
-        raise ConfigError(f"--window must be at least 1, got {args.window}")
-    if args.lmax is not None and args.lmax < 0:
-        raise ConfigError(f"--lmax must be at least 0, got {args.lmax}")
+    window, lmax = getattr(args, "window", None), getattr(args, "lmax", None)
+    if window is not None and window < 1:
+        raise ConfigError(f"--window must be at least 1, got {window}")
+    if lmax is not None and lmax < 0:
+        raise ConfigError(f"--lmax must be at least 0, got {lmax}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,57 +260,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_p=True):
+    def add(name, fn, summary, flags, **defaults):
+        """A subcommand taking --type, --rank and --cache-dir, and of the
+        other common flags only those it reads, named in ``flags``."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--type", help="Cartan type letter (A..G)")
         p.add_argument("--rank", type=int)
-        if needs_p:
+        if "p" in flags:
             p.add_argument("--p", type=int, help="prime, must exceed the Coxeter number")
-        p.add_argument("--window", type=int, help="window radius for periodic data")
-        p.add_argument("--lmax", type=int, default=4, help="length bound")
-        p.add_argument("--format", choices=FORMATS, default="pretty")
+        if "window" in flags:
+            p.add_argument("--window", type=int, help="window radius for periodic data")
+        if "lmax" in flags:
+            p.add_argument("--lmax", type=int, default=4, help="length bound")
+        if "format" in flags:
+            p.add_argument("--format", choices=FORMATS, default="pretty")
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--seed", type=int, default=0)
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=fn, **defaults)
+        return p
 
-    p_kl = sub.add_parser("kl", help="canonical-basis row of an affine element")
-    common(p_kl, needs_p=False)
-    p_kl.add_argument("--p", type=int, default=None, help=argparse.SUPPRESS)
+    p_kl = add("kl", cmd_kl, "canonical-basis row of an affine element", {"format"})
     p_kl.add_argument("--w", required=True, help="generator word, e.g. 0,1,2")
-    p_kl.set_defaults(fn=cmd_kl)
 
-    p_sph = sub.add_parser("spherical", help="spherical canonical-basis row")
-    common(p_sph, needs_p=False)
-    p_sph.add_argument("--p", type=int, default=None, help=argparse.SUPPRESS)
+    p_sph = add("spherical", cmd_spherical, "spherical canonical-basis row", {"format"})
     p_sph.add_argument("--w", required=True)
-    p_sph.set_defaults(fn=cmd_spherical)
 
-    p_per = sub.add_parser("periodic", help="table of periodic coefficients")
-    common(p_per)
-    p_per.set_defaults(fn=cmd_periodic)
+    add("periodic", cmd_periodic, "table of periodic coefficients", {"p", "window", "lmax", "format"})
 
-    p_ext = sub.add_parser("ext", help="Ext generating series of a pair")
-    common(p_ext)
+    p_ext = add("ext", cmd_ext, "Ext generating series of a pair", {"p", "window", "format"})
     p_ext.add_argument("--w", required=True)
     p_ext.add_argument("--y", required=True)
-    p_ext.set_defaults(fn=cmd_ext)
 
-    p_loe = sub.add_parser("loewy", help="radical layers of a baby Verma")
-    common(p_loe)
+    p_loe = add("loewy", cmd_loewy, "radical layers of a baby Verma", {"p", "window", "lmax", "format"})
     p_loe.add_argument("--w", required=True)
-    p_loe.set_defaults(fn=cmd_loewy)
 
-    p_char = sub.add_parser(
+    p_char = add(
         "char",
-        help="weight multiplicities of a standard module "
+        cmd_char,
+        "weight multiplicities of a standard module "
         "(Delta/Nabla are printed on the finite probe window of Z)",
+        {"p", "format"},
     )
-    common(p_char)
     p_char.add_argument("--module", choices=("Z", "Delta", "Nabla"), default="Z")
     p_char.add_argument("--lam", required=True, help="highest weight coordinates")
-    p_char.set_defaults(fn=cmd_char)
 
-    p_ver = sub.add_parser("verify", help="run the identity suite")
-    common(p_ver)
-    p_ver.set_defaults(fn=cmd_verify, lmax=None, window=None)
+    add("verify", cmd_verify, "run the identity suite", {"p", "window", "lmax", "seed"},
+        lmax=None, window=None)
     return parser
 
 

@@ -69,13 +69,6 @@ class StdLabel:
         zero = Weight.zero(ctx.system.rank)
         return dot_action(ctx, self.index, zero) + self.shift
 
-    def to_json(self, sys: RootSystem) -> dict:
-        return {
-            "kind": self.kind,
-            "index": elt_to_json(sys, self.index),
-            "shift": list(self.shift.coords),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class SingularVermaLabel:
@@ -113,9 +106,6 @@ class ExtTable:
 
     def entry(self, w: ExtWeylElt, y: ExtWeylElt, m: int) -> int:
         return self.series[(w, y)].coeff(m)
-
-    def generating(self, w: ExtWeylElt, y: ExtWeylElt) -> LaurentPoly:
-        return self.series[(w, y)]
 
 
 def default_radius(sys: RootSystem) -> int:

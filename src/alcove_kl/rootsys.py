@@ -63,10 +63,6 @@ class Weight:
 
     __rmul__ = __mul__
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 

@@ -23,6 +23,16 @@ dot-action, the finite group Omega of length-zero elements, the
 restricted elements and the check involution, the dot-stabilizers of
 weights in the closure of the fundamental box, and a breadth-first
 search conjugating an affine simple reflection into a finite one.
+
+The factorizations of an element that the engine needs are read off its
+coordinates rather than searched for with products: x = t_nu w_res, with
+w_res the restricted element sharing x's finite part
+(``restricted_shift``, used by the check involution); x = t_nu u with u
+finite (u is x's finite part and nu = u(lam)); and x = omega z with omega
+in Omega and z in W_aff (omega is picked by the class of the translation
+modulo the root lattice).  Omega itself holds plain elements, one per
+class, descended from t_0 and from t_omega for the minuscule
+fundamental weights omega.
 """
 
 from __future__ import annotations
@@ -226,13 +236,6 @@ class ExtWeylElt:
         """The affine action on X tensor Q: x -> w(x + lam)."""
         shifted = tuple(p + t for p, t in zip(point, self.translation.coords))
         return _mat_vec(self.group.mats[self.fin], shifted)
-
-    @property
-    def rank(self) -> int:
-        return len(self.translation.coords)
-
-    def __str__(self) -> str:
-        return f"(fin={self.group.mats[self.fin]}, t={self.translation})"
 
 
 # -- constructors -----------------------------------------------------------

@@ -385,3 +385,61 @@ def test_printing_a_warm_row_forms_no_group_product(tmp_path, capsys, monkeypatc
     assert warm == cold and cold[0] == 0
     assert len(cold[1].splitlines()) > 8
     assert len(calls) == len(word.split(",")) + extra
+
+
+@pytest.mark.parametrize(
+    "argv,reach",
+    [
+        (("--rank", "1", "--window", "2"), "radius 4 reaches it"),
+        (("--rank", "2", "--lmax", "1", "--window", "3"), "radius 8 reaches it"),
+    ],
+    ids=["A1-window-2", "A2-lmax-1-window-3"],
+)
+def test_verify_radius_out_of_reach_exits_3(tmp_path, capsys, argv, reach):
+    # whichever check meets the radius first, it reaches the CLI as a
+    # WindowError, not as a failed check
+    code, out, err = run(
+        capsys, "verify", "--type", "A", "--p", "5", *argv, "--cache-dir", str(tmp_path)
+    )
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "stabilization"
+    assert payload["message"].startswith("pair y = ")
+    assert reach in payload["message"]
+
+
+_COMMAND_ARGS = {
+    "kl": ("--type", "A", "--rank", "1", "--w", "1"),
+    "spherical": ("--type", "A", "--rank", "1", "--w", "1"),
+    "periodic": ("--type", "A", "--rank", "1", "--p", "5"),
+    "loewy": ("--type", "A", "--rank", "1", "--p", "5", "--w", "0"),
+    "ext": ("--type", "A", "--rank", "1", "--p", "5", "--w", "0", "--y", "0"),
+    "char": ("--type", "A", "--rank", "1", "--p", "5", "--lam", "0"),
+    "verify": ("--type", "A", "--rank", "1", "--p", "5"),
+}
+
+_UNREAD_FLAGS = [
+    *((cmd, flag, value) for cmd in ("kl", "spherical")
+      for flag, value in (("--window", "3"), ("--lmax", "3"), ("--seed", "1"), ("--p", "5"))),
+    ("periodic", "--seed", "1"),
+    ("loewy", "--seed", "1"),
+    ("ext", "--lmax", "3"),
+    ("ext", "--seed", "1"),
+    ("char", "--window", "3"),
+    ("char", "--lmax", "3"),
+    ("char", "--seed", "1"),
+    ("verify", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value", _UNREAD_FLAGS, ids=[f"{c}{f}" for c, f, _ in _UNREAD_FLAGS]
+)
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, command, flag, value):
+    code, out, err = run(
+        capsys, command, *_COMMAND_ARGS[command], flag, value, "--cache-dir", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert f"unrecognized arguments: {flag} {value}" in payload["message"]

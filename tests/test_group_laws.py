@@ -4,26 +4,35 @@ Elements are drawn as omega * (a generator word of length at most 10) in
 A1, A2, B2 and G2, with omega a length-zero element.  The finite part is
 checked against matrices this file builds from ``reflection_mat`` along
 the word, independently of the finite Weyl group table, and the affine
-action at exact rational points.
+action at exact rational points.  The factorizations read off an
+element's coordinates (the check involution, ``StdLabel``, Omega) are
+checked against group products.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alcove_kl
+from alcove_kl.repcalc import StdLabel
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
 from alcove_kl.weylext import (
     check,
+    check_for_system,
     dot_action,
     finite_elt,
     finite_word,
     from_word,
     gen_indices,
     identity_elt,
+    lattice_class,
     length,
     omega_group,
     reflection_mat,
+    restricted_element_for,
+    translation_elt,
     w0_elt,
     weyl_group,
 )
@@ -159,3 +168,64 @@ def test_weyl_group_lists_every_element_in_matrix_order():
             for k in weyl_group(sys)
         ]
         assert listed == sorted(seen)
+
+
+@PROPERTY
+@given(st.data())
+def test_check_equals_the_product_route(data):
+    # the product route: t_nu = x w_res^-1, then t_nu w0 w_res
+    sys = data.draw(st.sampled_from(SYSTEMS))
+    x = draw_element(data, sys)
+    w_res = restricted_element_for(sys, x.fin)
+    t_part = x * w_res.inverse()
+    assert finite_elt(sys, t_part.fin) == identity_elt(sys)
+    assert check_for_system(sys, x) == t_part * w0_elt(sys) * w_res
+
+
+@PROPERTY
+@given(st.data())
+def test_std_label_recomposes_to_its_element(data):
+    sys = data.draw(st.sampled_from(SYSTEMS))
+    ctx = ModularContext(sys, PRIMES[str(sys)])
+    x = draw_element(data, sys)
+    label = StdLabel.make(ctx, "L", x)
+    assert label.index == restricted_element_for(sys, x.fin)
+    nu, rest = zip(*(divmod(c, ctx.p) for c in label.shift.coords))
+    assert not any(rest)
+    assert translation_elt(sys, Weight(nu)) * label.index == x
+
+
+def _determinant(rows):
+    m = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for j in range(len(m)):
+        k = next(i for i in range(j, len(m)) if m[i][j])
+        if k != j:
+            m[j], m[k] = m[k], m[j]
+            det = -det
+        det *= m[j][j]
+        for i in range(j + 1, len(m)):
+            f = m[i][j] / m[j][j]
+            m[i] = [a - f * b for a, b in zip(m[i], m[j])]
+    return det
+
+
+OMEGA_TYPES = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3",
+    "D4", "D5", "E6", "E7", "E8", "F4", "G2",
+)
+
+
+@pytest.mark.parametrize("name", OMEGA_TYPES)
+def test_omega_has_one_length_zero_element_per_class(name):
+    # |X/Q| = det(Cartan); D4 has the non-cyclic group and D5 the order-4 one
+    sys = build_root_system(name[0], int(name[1:]))
+    omegas = omega_group(sys)
+    assert len(omegas) == _determinant(sys.cartan)
+    assert all(length(sys, o) == 0 for o in omegas)
+    assert len({lattice_class(sys, o.translation) for o in omegas}) == len(omegas)
+
+
+def test_every_exported_name_resolves():
+    for name in alcove_kl.__all__:
+        assert hasattr(alcove_kl, name), name

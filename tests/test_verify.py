@@ -69,3 +69,12 @@ def test_galleries_reuse_the_engine_windows(ctx_a2, monkeypatch):
     monkeypatch.setattr(PeriodicWindow, "__init__", counting)
     assert check_galleries(ctx_a2, 3, 9, seed=2, targets=20).passed
     assert len(built) == 2 and None not in built
+
+
+def test_stabilization_detail_names_the_pair_by_words(ctx_a2):
+    # radii 3 and 5 disagree at a pair, named as elt_to_json words
+    result = check_stabilization(ctx_a2, 1, 3)
+    assert not result.passed
+    assert result.detail == (
+        'disagreement at y = {"w": [2], "t": [0, 0]}, w = {"w": [], "t": [0, 0]}'
+    )
