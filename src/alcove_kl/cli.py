@@ -3,15 +3,13 @@
 Exit codes: 0 success, 2 configuration error, 3 stabilization failure or
 exceeded bound (window radius, element length, an exhausted search or an
 order query undecided within its radius), 4 identity-suite failure.
-Errors, usage errors included, are emitted as a JSON object on stderr;
-a flag that a command does not read is a usage error.  Every command
-takes --type, --rank and --cache-dir; of the other common flags, kl and
-spherical take --format only, periodic and loewy take --p, --window,
---lmax and --format, ext takes --p, --window and --format, char takes
---p and --format, and verify takes --p, --window, --lmax and --seed.
-A window radius out of reach exits 3 from every command, verify
-included.  Output is canonically sorted, so identical configurations
-and cache states produce identical bytes.
+Errors, usage errors included, are emitted as a JSON object on stderr.
+Every command takes --type, --rank and --cache-dir, and of the other
+common flags (--p, --window, --lmax, --format, --seed) only those it
+reads; any other flag is a usage error.  A window radius out of reach
+exits 3 from every command, verify included.  Output is canonically
+sorted, so identical configurations and cache states produce identical
+bytes.
 """
 
 from __future__ import annotations

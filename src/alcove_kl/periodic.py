@@ -225,7 +225,7 @@ def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
     ky = shi_coords(sys, y.fin, y.translation)
     if not all(map(le, ky, shi_coords(sys, w.fin, w.translation))):
         return False
-    # check(w) costs three products, so it is formed only for y below w
+    # check(w) costs two products, so it is formed only for y below w
     wv = check_for_system(sys, w)
     return all(map(le, shi_coords(sys, wv.fin, wv.translation), ky))
 
