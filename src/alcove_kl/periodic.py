@@ -49,13 +49,13 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import le
+from operator import le, mul
 
 from .alcove import generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from .hecke import HeckeElt, LabelTable, act_hb_s, canonical_step, crossing_rule
 from .laurent import LaurentPoly
-from .rootsys import ModularContext, RootSystem
+from .rootsys import ModularContext, RootSystem, Weight
 from .weylext import (
     ExtWeylElt,
     check_for_system,
@@ -68,7 +68,6 @@ from .weylext import (
     restricted_element_for,
     shi_coords,
     simple_reflection,
-    translation_elt,
     w0_elt,
     waff_elements,
     weyl_group,
@@ -199,12 +198,22 @@ def canonical_pair(
 ) -> tuple[ExtWeylElt, ExtWeylElt]:
     """Translate (y, w) by the root-lattice part of w: w = t_nu u with u
     in the finite Weyl group, giving the orbit representative
-    (t_{-nu} y, u)."""
+    (t_{-nu} y, u).
+
+    For w = u t_lam (so nu = u(lam)) and y = v t_mu the first label is
+    v t_{mu - (v^-1 u)(lam)}: one table lookup and one matrix-vector
+    product, with no group product formed.
+    """
     for x in (y, w):
         if not in_waff(sys, x):
             raise DomainError("periodic polynomials are indexed by W_aff pairs")
-    nu = w.finite_apply(w.translation)
-    return translation_elt(sys, -nu) * y, finite_elt(sys, w.fin)
+    g = y.group
+    m = g.mats[g.product(g.inv[y.fin], w.fin)]
+    lam = w.translation.coords
+    shifted = Weight(tuple([
+        c - sum(map(mul, row, lam)) for row, c in zip(m, y.translation.coords)
+    ]))
+    return ExtWeylElt(y.fin, shifted, g), finite_elt(sys, w.fin)
 
 
 @lru_cache(maxsize=None)

@@ -167,10 +167,11 @@ def loewy_layers(
             f"bound {lw} reaches it"
         )
     w0 = w0_elt(sys)
+    w0w = w0 * w
     rad = default_radius(sys) if radius is None else radius
     entries: dict[tuple[StdLabel, int], int] = {}
     for y in waff_elements(sys, bound):
-        p = periodic_kl(ctx, w0 * w, w0 * y, rad)
+        p = periodic_kl(ctx, w0w, w0 * y, rad)
         if p.is_zero:
             continue
         label = StdLabel.make(ctx, "L", y)

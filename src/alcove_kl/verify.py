@@ -108,8 +108,13 @@ def check_rank_one_oracle(ctx: ModularContext, bound: int, radius: int) -> Check
     elements = waff_elements(sys, bound)
     for w in elements:
         for y in elements:
-            if periodic_kl(ctx, y, w, radius) not in allowed:
-                return _result("rank-one oracle", False, f"value outside {{0,1,v}}")
+            value = periodic_kl(ctx, y, w, radius)
+            if value not in allowed:
+                return _result(
+                    "rank-one oracle",
+                    False,
+                    f"value {value} outside {{0,1,v}} at {_words(sys, y=y, w=w)}",
+                )
         table = loewy_layers(ctx, w, bound=bound + 2, radius=radius)
         expected = {
             (StdLabel.make(ctx, "L", w), 0): 1,

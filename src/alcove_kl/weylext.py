@@ -466,8 +466,13 @@ def waff_part(sys: RootSystem, x: ExtWeylElt) -> tuple[ExtWeylElt, ExtWeylElt]:
 # -- enumeration ---------------------------------------------------------------
 
 
-def waff_elements(sys: RootSystem, length_bound: int) -> list[ExtWeylElt]:
-    """All W_aff elements of length at most the bound, BFS from identity."""
+@lru_cache(maxsize=None)
+def waff_elements(sys: RootSystem, length_bound: int) -> tuple[ExtWeylElt, ...]:
+    """All W_aff elements of length at most the bound, BFS from identity.
+
+    Memoized per system and bound: every caller shares one tuple, in BFS
+    order, so the group is walked once for each (system, bound).
+    """
     e = identity_elt(sys)
     seen = {e}
     out = [e]
@@ -484,7 +489,7 @@ def waff_elements(sys: RootSystem, length_bound: int) -> list[ExtWeylElt]:
                     nxt.append(y)
         out.extend(nxt)
         frontier = nxt
-    return out
+    return tuple(out)
 
 
 def elt_key(sys: RootSystem, x: ExtWeylElt):

@@ -6,7 +6,8 @@ checked against matrices this file builds from ``reflection_mat`` along
 the word, independently of the finite Weyl group table, and the affine
 action at exact rational points.  The factorizations read off an
 element's coordinates (the check involution, ``StdLabel``, Omega) are
-checked against group products.
+checked against group products, and so is the translation-canonical
+pair of the periodic polynomials.
 """
 
 from fractions import Fraction
@@ -16,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alcove_kl
+from alcove_kl.errors import DomainError
+from alcove_kl.periodic import canonical_pair
 from alcove_kl.repcalc import StdLabel
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
 from alcove_kl.weylext import (
@@ -27,6 +30,7 @@ from alcove_kl.weylext import (
     from_word,
     gen_indices,
     identity_elt,
+    in_waff,
     lattice_class,
     length,
     omega_group,
@@ -193,6 +197,30 @@ def test_std_label_recomposes_to_its_element(data):
     nu, rest = zip(*(divmod(c, ctx.p) for c in label.shift.coords))
     assert not any(rest)
     assert translation_elt(sys, Weight(nu)) * label.index == x
+
+
+@PROPERTY
+@given(st.data())
+def test_canonical_pair_equals_the_product_route(data):
+    # the product route: w = t_nu u with nu = u(lam), then (t_{-nu} y, u)
+    sys = data.draw(st.sampled_from(SYSTEMS))
+    y, w = (from_word(sys, data.draw(words(sys))) for _ in range(2))
+    nu = w.finite_apply(w.translation)
+    assert canonical_pair(sys, y, w) == (
+        translation_elt(sys, -nu) * y,
+        finite_elt(sys, w.fin),
+    )
+
+
+def test_canonical_pair_refuses_labels_outside_waff():
+    for sys in SYSTEMS:
+        e = identity_elt(sys)
+        outside = [o for o in omega_group(sys) if not in_waff(sys, o)]
+        assert outside or str(sys) == "G2"  # G2's Omega is trivial
+        for o in outside:
+            for y, w in ((o, e), (e, o), (o, o)):
+                with pytest.raises(DomainError):
+                    canonical_pair(sys, y, w)
 
 
 def _determinant(rows):

@@ -21,6 +21,7 @@ from alcove_kl.repcalc import (
 )
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
 from alcove_kl.weylext import (
+    ExtWeylElt,
     check,
     dot_action,
     find_mu_s,
@@ -127,6 +128,20 @@ def test_socle_degree_check_routes_dihedral(ctx_a1):
 def test_socle_degree_check_routes_rank_two(ctx_a2):
     for x in waff_elements(ctx_a2.system, 4):
         assert socle_degree_check(ctx_a2, x, bound=3, radius=14)
+
+
+def test_loewy_layers_forms_one_product_per_candidate(ctx_a2, monkeypatch):
+    # with the enumeration and the windows warm, a table forms w0 y for
+    # each candidate y and w0 w once
+    sys = ctx_a2.system
+    w = from_word(sys, [1, 2])
+    loewy_layers(ctx_a2, w, bound=9, radius=13)
+    candidates = len(waff_elements(sys, 9))
+    calls = []
+    mul = ExtWeylElt.__mul__
+    monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    loewy_layers(ctx_a2, w, bound=9, radius=13)
+    assert 0 < len(calls) <= candidates + 1
 
 
 def test_socle_degree_check_negative_control(ctx_a1):

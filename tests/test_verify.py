@@ -1,3 +1,5 @@
+from alcove_kl import verify
+from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import PeriodicWindow, _window
 from alcove_kl.rootsys import ModularContext, build_root_system
 from alcove_kl.verify import (
@@ -77,4 +79,13 @@ def test_stabilization_detail_names_the_pair_by_words(ctx_a2):
     assert not result.passed
     assert result.detail == (
         'disagreement at y = {"w": [2], "t": [0, 0]}, w = {"w": [], "t": [0, 0]}'
+    )
+
+
+def test_rank_one_oracle_detail_names_the_pair_and_the_value(ctx_a1, monkeypatch):
+    monkeypatch.setattr(verify, "periodic_kl", lambda *args: LaurentPoly.gen(2))
+    result = check_rank_one_oracle(ctx_a1, 2, 8)
+    assert not result.passed
+    assert result.detail == (
+        'value v^2 outside {0,1,v} at y = {"w": [], "t": [0]}, w = {"w": [], "t": [0]}'
     )

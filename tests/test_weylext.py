@@ -217,6 +217,15 @@ def test_bruhat_against_subword_oracle():
             assert bruhat_leq(sys, x, y) == bruhat_by_subwords(sys, x, y)
 
 
+def test_waff_elements_is_one_shared_tuple_per_bound():
+    first = waff_elements(A2, 3)
+    assert isinstance(first, tuple) and waff_elements(A2, 3) is first
+    # breadth-first order: a smaller bound lists a prefix
+    shorter = waff_elements(A2, 2)
+    assert first[: len(shorter)] == shorter
+    assert [length(A2, x) for x in first] == sorted(length(A2, x) for x in first)
+
+
 # -- restricted elements and check ------------------------------------------------------
 
 

@@ -137,6 +137,8 @@ def test_a_window_forms_each_product_once(monkeypatch, sys, radius, options):
     calls = []
     mul = ExtWeylElt.__mul__
     monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    # the enumeration is memoized; clear it so that the hook is seen to count
+    waff_elements.cache_clear()
     members = len(waff_elements(sys, radius))
     enumerated = len(calls)
     del calls[:]
