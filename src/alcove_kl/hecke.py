@@ -18,16 +18,26 @@ generator action
     M_x Hb_s = M_{xs} + v^-1 M_x  (xs maximal, xs < x)
     M_x Hb_s = (v + v^-1) M_x     (xs not maximal).
 
-One Hb_s action (``act_hb_s``) and one canonical step (``canonical_step``)
-build the rows of all three canonical bases: the Hecke algebra and the
-spherical module here, top-down along descents, and the periodic module
-in ``periodic``, bottom-up by height inside a window.
+``KLComputer`` builds the canonical rows of the Hecke algebra and the
+spherical module top-down along descents, with each coefficient packed
+into one integer by ``laurent.PackedCodec`` (v -> 2^64, one signed digit
+per power of v).  In its step the stays v, v^-1 and v + v^-1 are
+shifts, mu is the digit of v, and a mu-correction is one integer
+multiply-add per entry.  Exactness is certified, not assumed: every row
+it stores has all digits in [-2^32, 2^32), which one biased mask-AND
+per entry checks, and the |mu| of the rows one step subtracts sum to
+less than 2^31 - 3, so the digits of a new row are its coefficients.  A
+row that fails either bound raises ResourceError; rows become
+``LaurentPoly`` values only in ``KLComputer.row``.  The generic Hb_s
+action (``act_hb_s``) and canonical step (``canonical_step``) on
+``LaurentPoly`` rows serve only the periodic module in ``periodic``,
+bottom-up by height inside a window, and ``HeckeElt`` arithmetic.
 
-All three number their labels in a ``LabelTable`` (F. du Cloux's
-encoding, Experiment. Math. 2002) and key their rows by number.  The
-table keeps, per number, the element and the numbers of its right
-neighbours x s_i, each product formed once.  ``KLComputer`` numbers the
-labels of the first two as the recursion meets them and adds, per
+``KLComputer`` and the periodic windows number their labels in a
+``LabelTable`` (F. du Cloux's encoding, Experiment. Math. 2002) and key
+their rows by number.  The table keeps, per number, the element and the
+numbers of its right neighbours x s_i, each product formed once.
+``KLComputer`` numbers labels as the recursion meets them and adds, per
 number, the length and one kept flag (every element in the Hecke
 algebra, the coset-maximal ones in the spherical module).  Both actions
 above are one rule read off the table: x . Hb_s = xs + v^{+-1} x (v when
@@ -42,7 +52,7 @@ from functools import lru_cache, partial
 from typing import Mapping
 
 from .errors import ConsistencyError, DomainError, ResourceError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, PackedCodec
 from .rootsys import RootSystem
 from .weylext import (
     ExtWeylElt,
@@ -62,11 +72,6 @@ _V = LaurentPoly.gen()
 _VINV = LaurentPoly.gen(-1)
 _ONE = LaurentPoly.one()
 _V_PLUS_VINV = _V + _VINV
-
-LENGTH_BOUND = 64
-"""Longest element whose canonical row is computed; longer ones raise
-ResourceError."""
-
 
 @dataclass(frozen=True)
 class HeckeElt:
@@ -236,9 +241,14 @@ class KLComputer(LabelTable):
 
     The label table adds the columns ``lengths`` and ``kept``; ``kept(x)``
     sets the kept flag.  A label with no descent seeds the row {k: 1};
-    any other row is the canonical step applied to the row of its descent
-    neighbour.
+    any other row is the packed canonical step applied to the row of its
+    descent neighbour.  Rows map numbers to ``codec`` integers and are
+    certified as they are made (see the module docstring).
     """
+
+    LENGTH_BOUND = 64
+    """Longest element whose canonical row is computed; longer ones raise
+    ResourceError.  It also bounds the degree of every row coefficient."""
 
     def __init__(self, sys: RootSystem, name: str, kept):
         super().__init__(sys)
@@ -246,7 +256,8 @@ class KLComputer(LabelTable):
         self._is_kept = kept
         self.lengths: list[int] = []
         self.kept: list[bool] = []
-        self._rows: dict[int, dict[int, LaurentPoly]] = {}
+        self.codec = PackedCodec(self.LENGTH_BOUND)
+        self._rows: dict[int, dict[int, int]] = {}
 
     def _add(self, x: ExtWeylElt) -> None:
         self.lengths.append(length(self.sys, x))
@@ -271,31 +282,82 @@ class KLComputer(LabelTable):
         sys = self.sys
         if not in_waff(sys, w):
             raise DomainError(f"{self.name} basis elements are indexed by W_aff")
-        if length(sys, w) > LENGTH_BOUND:
+        if length(sys, w) > self.LENGTH_BOUND:
             raise ResourceError(
                 f"length {length(sys, w)} exceeds the configured bound "
-                f"{LENGTH_BOUND}"
+                f"{self.LENGTH_BOUND}"
             )
-        return {self.elts[y]: p for y, p in self._row(self.number(w)).items()}
+        unpack = self.codec.unpack
+        return {self.elts[y]: unpack(p) for y, p in self._row(self.number(w)).items()}
 
-    def _row(self, k: int) -> dict[int, LaurentPoly]:
+    def _row(self, k: int) -> dict[int, int]:
         row = self._rows.get(k)
         if row is not None:
             return row
         i = self.descent(k)
         if i is None:
-            row = {k: _ONE}
+            row = {k: self.codec.one}
         else:
-            row = canonical_step(self._row(self.nbr(k, i)), partial(self.act, i), self._row)[0]
-            if row.get(k) != _ONE:
-                raise ConsistencyError(f"{self.name} basis row is not monic")
-            for y, p in row.items():
-                if y != k and not p.in_positive_v():
-                    raise ConsistencyError(
-                        f"{self.name} coefficient {p} at a lower term is not in vZ[v]"
-                    )
+            row = self._step(self._row(self.nbr(k, i)), i)
+            self._check(k, row)
         self._rows[k] = row
         return row
+
+    def _step(self, base: dict[int, int], i: int) -> dict[int, int]:
+        """``canonical_step`` on packed rows: E_{us} = E_u . Hb_s - sum_B
+        mu(B) E_B, for the certified row ``base`` of E_u.
+
+        Every base value lies in Z[v], so the stay v^-1 is an exact right
+        shift.  A new coefficient sums certified values with multipliers
+        of total absolute value at most 3 + sum |mu(B)|: one crossed term,
+        a stay of at most two terms, and mu(B) times a coefficient of each
+        E_B.  The step refuses the row unless that total is below
+        codec.sum_bound, which keeps its digits equal to its coefficients.
+        """
+        B = PackedCodec.B
+        act, mu_of = self.act, self.codec.mu
+        acc: dict[int, int] = {}
+        subtract = []
+        for x, p in base.items():
+            xs, stay = act(i, x)
+            if xs is not None:
+                q = acc.get(xs)
+                acc[xs] = p if q is None else q + p
+            if stay is _V:
+                p <<= B
+            else:
+                mu = mu_of(p)
+                if mu:
+                    subtract.append((x, mu))
+                p = p >> B if stay is _VINV else (p << B) + (p >> B)
+            q = acc.get(x)
+            acc[x] = p if q is None else q + p
+        if 3 + sum(abs(mu) for _, mu in subtract) >= self.codec.sum_bound:
+            raise ResourceError(
+                f"{self.name} basis row needs more mu-corrections than the packed rows certify"
+            )
+        for b, mu in subtract:
+            for z, q in self._row(b).items():
+                acc[z] = acc.get(z, 0) - mu * q
+        return {z: p for z, p in acc.items() if p}
+
+    def _check(self, k: int, row: dict[int, int]) -> None:
+        """Certify the new row of k, then check it is monic with every
+        lower coefficient in vZ[v]."""
+        codec = self.codec
+        for p in row.values():
+            if not codec.certified(p):
+                raise ResourceError(
+                    f"{self.name} basis row has a coefficient beyond the certified "
+                    f"bound 2^{codec.BOUND_BITS} of the packed rows"
+                )
+        if row.get(k) != codec.one:
+            raise ConsistencyError(f"{self.name} basis row is not monic")
+        for y, p in row.items():
+            if y != k and not codec.in_positive_v(p):
+                raise ConsistencyError(
+                    f"{self.name} coefficient {codec.unpack(p)} at a lower term is not in vZ[v]"
+                )
 
 
 @lru_cache(maxsize=None)

@@ -8,12 +8,17 @@ in one pass; a product with an integer or a monomial scales and shifts
 the terms; neither sorts.
 Values are immutable and hashable, so they can be used as dictionary
 entries everywhere else in the package.
+
+``PackedCodec`` packs a polynomial of v^-1 Z[v] into one integer, for
+the canonical-row kernel of ``hecke.KLComputer``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
+
+from .errors import DomainError, ResourceError
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,3 +231,91 @@ def _merge(a: tuple, b: tuple, c: int, shift: int = 0) -> tuple:
     out.extend(b[j:])
     return tuple(out)
 
+
+class PackedCodec:
+    """Polynomials of v^-1 Z[v] packed into one integer.
+
+    Kronecker substitution v -> 2^B (Harvey, J. Symbolic Comput. 44,
+    2009): sum c_e v^e is the integer sum c_e 2^(B(e+1)), one signed
+    B-bit digit per power of v, the v^-1 digit lowest.  The map is a ring
+    homomorphism into Z, so sums and integer multiples are integer sums
+    and multiples, v is a left shift by B and v^-1 a right shift by B,
+    exact when the v^-1 digit is zero (on Z[v]).  An integer determines
+    its balanced digits, in [-2^(B-1), 2^(B-1)), uniquely; they are the
+    coefficients of the polynomial it was formed from whenever those lie
+    in that range.
+
+    A value is *certified* when its digits for v^-1 .. v^max_degree lie
+    in [-2^b, 2^b), b = BOUND_BITS, and no higher digit is set: one
+    biased mask-AND.  A sum of certified values, each times an integer,
+    with multipliers of total absolute value m has coefficients of
+    absolute value at most m 2^b, so its digits are its coefficients
+    while m < 2^(B-1-b) = ``sum_bound``.  Only certified values are
+    decoded.
+
+    >>> codec = PackedCodec(4)
+    >>> p = LaurentPoly.from_dict({1: 3, 2: -1})
+    >>> codec.unpack(codec.pack(p) << PackedCodec.B)
+    LaurentPoly('3*v^2 - v^3')
+    >>> codec.mu(codec.pack(p)), codec.in_positive_v(codec.pack(p))
+    (3, True)
+    """
+
+    B = 64
+    BOUND_BITS = 32
+
+    def __init__(self, max_degree: int):
+        B, b = self.B, self.BOUND_BITS
+        self.max_degree = max_degree
+        digits = range(max_degree + 2)
+        self.one = 1 << B
+        self._bias = sum(1 << (B * j + b) for j in digits)
+        self._outside = ~sum(((1 << (b + 1)) - 1) << (B * j) for j in digits)
+        self._low = (1 << 2 * B) - 1
+        self.sum_bound = 1 << (B - 1 - b)
+        half = 1 << (B - 1)
+        self._mu_bias = half * (1 + (1 << B) + (1 << 2 * B))
+
+    def pack(self, p: LaurentPoly) -> int:
+        """The integer of p, which must lie in v^-1 Z[v] with coefficients
+        in [-2^b, 2^b) and degree at most max_degree."""
+        out = 0
+        for e, c in p.terms:
+            if e < -1:
+                raise DomainError(f"{p} has a power of v below v^-1")
+            if e > self.max_degree or not -(1 << self.BOUND_BITS) <= c < 1 << self.BOUND_BITS:
+                raise ResourceError(f"{p} exceeds the bounds of the packed representation")
+            out += c << (self.B * (e + 1))
+        return out
+
+    def certified(self, x: int) -> bool:
+        """True if the digits of x lie in [-2^b, 2^b) up to v^max_degree and
+        none is set above."""
+        return not (x + self._bias) & self._outside
+
+    def unpack(self, x: int) -> LaurentPoly:
+        """The polynomial of a certified x; ResourceError for any other."""
+        if not self.certified(x):
+            raise ResourceError(
+                f"a packed coefficient exceeds the certified bound 2^{self.BOUND_BITS} "
+                f"or degree {self.max_degree}"
+            )
+        B, half, mask = self.B, 1 << (self.B - 1), (1 << self.B) - 1
+        terms = []
+        e = -1
+        while x:
+            c = ((x + half) & mask) - half
+            if c:
+                terms.append((e, c))
+            x = (x - c) >> B
+            e += 1
+        return LaurentPoly(tuple(terms))
+
+    def mu(self, x: int) -> int:
+        """The balanced digit of v^1 in x (the coefficient of v when x is
+        certified)."""
+        return (((x + self._mu_bias) >> 2 * self.B) & ((1 << self.B) - 1)) - (1 << (self.B - 1))
+
+    def in_positive_v(self, x: int) -> bool:
+        """For x certified: True if its polynomial lies in v Z[v]."""
+        return not x & self._low

@@ -104,6 +104,8 @@ def test_length_bound_exit_code(tmp_path, capsys):
 README_EXAMPLES = {
     "kl --type A --rank 2 --w 1,2,1":
         "cdbdca7b362bca0a58606313e6084eb7263eafafe71384a550e17d18743eb3c4",
+    "kl --type G --rank 2 --w 2,1,2,1,2,0":
+        "4759e4f958d641803dec4f4e6115f4eaccda2c99b4531c9b1b22d6fc162e2c15",
     "spherical --type A --rank 2 --w 1,2,1":
         "6703695281e873beb1454febe91dfab02ab53c5523ff75fd2f9c2f580d310567",
     "periodic --type A --rank 1 --p 5 --lmax 6":
@@ -117,7 +119,13 @@ README_EXAMPLES = {
 }
 
 
-@pytest.mark.parametrize("command", README_EXAMPLES, ids=lambda c: c.split()[0])
+def example_id(command):
+    """The subcommand, with its root system outside type A."""
+    name, _, cartan, _, rank = command.split()[:5]
+    return name if cartan == "A" else f"{name}-{cartan}{rank}"
+
+
+@pytest.mark.parametrize("command", README_EXAMPLES, ids=example_id)
 def test_readme_examples_golden_stdout(tmp_path, capsys, command):
     code, out, _ = run(capsys, *command.split(), "--cache-dir", str(tmp_path))
     assert code == 0

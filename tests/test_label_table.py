@@ -3,13 +3,18 @@
 The computers number basis labels as the recursion meets them and key
 their rows by number; these tests check the table against the group it
 numbers, and the rows it builds against the independent oracles in B2
-and G2 (``test_hecke`` covers A1 and A2).
+and G2 (``test_hecke`` covers A1 and A2) and against ``canonical_step``
+on ``LaurentPoly`` rows driven by the computer's own action rule.
 """
+
+from functools import partial
 
 import pytest
 
+from alcove_kl.errors import ResourceError
 from alcove_kl.hecke import (
     KLComputer,
+    canonical_step,
     coset_maximal_rep,
     is_coset_maximal,
     kl_basis,
@@ -19,6 +24,7 @@ from alcove_kl.hecke import (
     spherical_from_kl_row,
     spherical_kl,
 )
+from alcove_kl.laurent import LaurentPoly, PackedCodec
 from alcove_kl.rootsys import build_root_system
 from alcove_kl.weylext import (
     ExtWeylElt,
@@ -107,3 +113,60 @@ def test_a_row_forms_each_product_once(monkeypatch):
     assert row == expected
     filled = sum(n is not None for nbrs in comp.nbrs for n in nbrs)
     assert len(calls) == filled < 2500
+
+
+def laurent_rows(comp):
+    """Rows of comp's labels by ``canonical_step`` on LaurentPoly rows,
+    with comp's descent and action rule: the route the packed kernel
+    replaced."""
+    rows = {}
+
+    def row_of(k):
+        if k not in rows:
+            i = comp.descent(k)
+            if i is None:
+                rows[k] = {k: LaurentPoly.one()}
+            else:
+                rows[k] = canonical_step(row_of(comp.nbr(k, i)), partial(comp.act, i), row_of)[0]
+        return rows[k]
+
+    return lambda w: {comp.elts[y]: p for y, p in row_of(comp.number(w)).items()}
+
+
+@pytest.mark.parametrize("sys", [B2, G2], ids=["B2", "G2"])
+def test_packed_rows_match_the_laurent_route(sys):
+    elts = waff_elements(sys, 14)
+    for comp, labels in (
+        (kl_computer(sys), [w for w in elts if length(sys, w) <= 12]),
+        (spherical_computer(sys), [w for w in elts if is_coset_maximal(sys, w)]),
+    ):
+        reference = laurent_rows(comp)
+        assert len(labels) > 10
+        for w in labels:
+            assert comp.row(w) == reference(w)
+
+
+def test_length_bound_is_read_through_the_computer():
+    class Short(KLComputer):
+        LENGTH_BOUND = 5
+
+    comp = Short(B2, "canonical", lambda x: True)
+    assert comp.codec.max_degree == 5 and KLComputer.LENGTH_BOUND == 64
+    w = from_word(B2, [0, 1, 2, 1, 0])
+    assert comp.row(w) == kl_basis(B2, w)
+    with pytest.raises(ResourceError, match="length 6 exceeds the configured bound 5"):
+        comp.row(w * simple_reflection(B2, 2))
+
+
+def test_an_uncertified_row_is_refused():
+    """A stored coefficient beyond the digit bound makes every row built
+    on it fail its certificate, and is never unpacked."""
+    comp = KLComputer(B2, "canonical", lambda x: True)
+    u = from_word(B2, [0, 1, 2])
+    comp.row(u)
+    k = comp.number(u)
+    comp._rows[k][k] += 1 << (PackedCodec.B + PackedCodec.BOUND_BITS)
+    with pytest.raises(ResourceError, match="certified bound"):
+        comp.row(u)
+    with pytest.raises(ResourceError, match="certified bound"):
+        comp.row(u * simple_reflection(B2, 1))

@@ -1,14 +1,17 @@
-"""Property tests for the arithmetic of LaurentPoly.
+"""Property tests for the arithmetic of LaurentPoly and its packed codec.
 
 Polynomials are drawn from random exponent -> coefficient maps; integers
 take part as constants.  The reference for +, - and * is arithmetic on
-coefficient dictionaries written out in this file.
+coefficient dictionaries written out in this file, and the reference for
+a packed integer is the sum c_e 2^(B(e+1)) written out here.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcove_kl.laurent import LaurentPoly
+from alcove_kl.errors import ResourceError
+from alcove_kl.laurent import LaurentPoly, PackedCodec
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
 
@@ -102,3 +105,69 @@ def test_add_scaled_is_one_fused_sum(f, g, c, e):
     assert f.add_scaled(ZERO, c, e) == f
     assert f.add_scaled(g, 0, e) == f
     assert f.add_scaled(g, c) == f + c * g
+
+
+# -- the packed codec ---------------------------------------------------------
+
+CODEC = PackedCodec(12)
+B, BOUND = PackedCodec.B, 1 << PackedCodec.BOUND_BITS
+DIGIT = st.one_of(st.integers(-5, 5), st.integers(-BOUND, BOUND - 1))
+ZV = st.dictionaries(st.integers(-1, 12), DIGIT, max_size=8).map(LaurentPoly.from_dict)
+HALF = 1 << (B - 1)
+# beyond the certified bound but inside the range in which an integer
+# still determines its coefficients
+BEYOND = st.one_of(
+    st.integers(BOUND, HALF - 1),
+    st.integers(-HALF, -BOUND - 1),
+    st.sampled_from([BOUND, -BOUND - 1, HALF - 1, -HALF]),
+)
+
+
+def kronecker(coeffs):
+    """The packed integer of {exponent: coefficient}, with no bound."""
+    return sum(c << (B * (e + 1)) for e, c in coeffs.items())
+
+
+@PROPERTY
+@given(ZV, ZV, st.integers(-5, 5))
+def test_packed_codec_round_trips_and_reads_mu(f, g, n):
+    x = CODEC.pack(f)
+    assert x == kronecker(dict(f.terms))
+    assert CODEC.certified(x)
+    assert CODEC.unpack(x) == f
+    assert CODEC.mu(x) == f.coeff(1)
+    assert CODEC.in_positive_v(x) == f.in_positive_v()
+    # integer operations are the ring operations while the result certifies
+    y = CODEC.pack(f) + n * CODEC.pack(g)
+    h = f + n * g
+    if all(-BOUND <= c < BOUND for _, c in h.terms):
+        assert CODEC.unpack(y) == h
+        assert CODEC.mu(y) == h.coeff(1)
+
+
+@PROPERTY
+@given(ZV, st.integers(-1, 12), BEYOND, st.integers(0, 8))
+def test_packed_codec_refuses_an_uncertified_coefficient(f, e, c, k):
+    """A coefficient beyond the certified bound raises ResourceError, in
+    pack and in unpack, and is never read as another polynomial.  pack
+    also refuses coefficients of any size (here c * 2^k): the integer of
+    one of 2^(B-1) or more is that of another polynomial, which the
+    row kernel rules out by its bound on the mu-corrections."""
+    coeffs = dict(f.terms)
+    coeffs[e] = c
+    with pytest.raises(ResourceError):
+        CODEC.pack(LaurentPoly.from_dict(coeffs))
+    with pytest.raises(ResourceError):
+        CODEC.pack(LaurentPoly.from_dict({**coeffs, e: c << k}))
+    assert not CODEC.certified(kronecker(coeffs))
+    with pytest.raises(ResourceError):
+        CODEC.unpack(kronecker(coeffs))
+
+
+def test_packed_codec_refuses_a_degree_beyond_its_bound():
+    top = LaurentPoly.gen(CODEC.max_degree)
+    assert CODEC.unpack(CODEC.pack(top)) == top
+    with pytest.raises(ResourceError):
+        CODEC.pack(top * LaurentPoly.gen())
+    with pytest.raises(ResourceError):
+        CODEC.unpack(CODEC.pack(top) << B)
