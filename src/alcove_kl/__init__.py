@@ -10,9 +10,9 @@ top of them, all guarded by a built-in identity-verification harness.
 """
 
 from .alcove import generic_height, generic_leq, wall_cross
-from .hecke import HeckeElt, SphericalElt, kl_basis, kl_basis_by_duality, mul_gen, spherical_kl
+from .hecke import kl_basis, kl_basis_by_duality, mul_gen, spherical_kl
 from .laurent import LaurentPoly
-from .periodic import PeriodicElt, PKLTable, periodic_act_gen, periodic_kl, pkl_table
+from .periodic import PKLTable, periodic_act_gen, periodic_kl, pkl_table
 from .repcalc import (
     ExtTable,
     GradedMultTable,
@@ -54,13 +54,10 @@ __all__ = [
     "ExtTable",
     "ExtWeylElt",
     "GradedMultTable",
-    "HeckeElt",
     "LaurentPoly",
     "ModularContext",
     "PKLTable",
-    "PeriodicElt",
     "RootSystem",
-    "SphericalElt",
     "StdLabel",
     "Weight",
     "baby_verma_weight_dim",

@@ -28,10 +28,16 @@ it stores has all digits in [-2^32, 2^32), which one biased mask-AND
 per entry checks, and the |mu| of the rows one step subtracts sum to
 less than 2^31 - 3, so the digits of a new row are its coefficients.  A
 row that fails either bound raises ResourceError; rows become
-``LaurentPoly`` values only in ``KLComputer.row``.  The generic Hb_s
-action (``act_hb_s``) and canonical step (``canonical_step``) on
-``LaurentPoly`` rows serve only the periodic module in ``periodic``,
-bottom-up by height inside a window, and ``HeckeElt`` arithmetic.
+``LaurentPoly`` values only in ``KLComputer.row``.
+
+An element of the Hecke algebra, of the spherical module or of the
+periodic module is a dict from basis labels in W_aff to nonzero
+``LaurentPoly`` coefficients, the shape every canonical row already has;
+``mul_gen``, ``mul_kl_gen`` and the spherical maps take and return such
+dicts.  The generic Hb_s action (``act_hb_s``) on ``LaurentPoly`` rows
+serves the spherical action and the periodic module in ``periodic``;
+the canonical step (``canonical_step``) serves only the periodic
+module, bottom-up by height inside a window.
 
 ``KLComputer`` and the periodic windows number their labels in a
 ``LabelTable`` (F. du Cloux's encoding, Experiment. Math. 2002) and key
@@ -47,7 +53,6 @@ descent of x is the first generator s with xs shorter and kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Mapping
 
@@ -63,6 +68,7 @@ from .weylext import (
     length,
     reduced_word,
     right_descents,
+    shi_coords,
     simple_reflection,
     w0_elt,
 )
@@ -73,56 +79,28 @@ _VINV = LaurentPoly.gen(-1)
 _ONE = LaurentPoly.one()
 _V_PLUS_VINV = _V + _VINV
 
-@dataclass(frozen=True)
-class HeckeElt:
-    """A finitely supported Z[v,v^-1]-combination of basis vectors.
-
-    The same sparse vector, keyed by W_aff elements, serves the Hecke
-    algebra, the spherical module (``SphericalElt``) and the periodic
-    module, whose basis vector x(A+) is keyed by its label x.
-    """
-
-    support: tuple[tuple[ExtWeylElt, LaurentPoly], ...]
-
-    @classmethod
-    def from_dict(cls, sys: RootSystem, d: Mapping, *fields, **named):
-        items = [(x, p) for x, p in d.items() if p]
-        items.sort(key=lambda t: elt_key(sys, t[0]))
-        return cls(tuple(items), *fields, **named)
-
-    def as_dict(self) -> dict:
-        return dict(self.support)
-
-    def coeff(self, x) -> LaurentPoly:
-        for y, p in self.support:
-            if y == x:
-                return p
-        return LaurentPoly.zero()
+def unit(sys: RootSystem) -> dict[ExtWeylElt, LaurentPoly]:
+    return {identity_elt(sys): _ONE}
 
 
-SphericalElt = HeckeElt
-
-
-def unit(sys: RootSystem) -> HeckeElt:
-    return HeckeElt(((identity_elt(sys), _ONE),))
-
-
-def std_elt(sys: RootSystem, x: ExtWeylElt) -> HeckeElt:
+def std_elt(sys: RootSystem, x: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
     if not in_waff(sys, x):
         raise DomainError("Hecke basis elements are indexed by W_aff")
-    return HeckeElt(((x, _ONE),))
+    return {x: _ONE}
 
 
-def mul_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
+def mul_gen(
+    sys: RootSystem, h: Mapping[ExtWeylElt, LaurentPoly], i: int
+) -> dict[ExtWeylElt, LaurentPoly]:
     """Right multiplication by the standard generator H_s."""
     s = simple_reflection(sys, i)
     acc: dict[ExtWeylElt, LaurentPoly] = {}
-    for x, p in h.support:
+    for x, p in h.items():
         xs = x * s
         acc[xs] = acc.get(xs, LaurentPoly.zero()) + p
         if length(sys, xs) < length(sys, x):
             acc[x] = acc.get(x, LaurentPoly.zero()) + (_VINV - _V) * p
-    return HeckeElt.from_dict(sys, acc)
+    return {x: p for x, p in acc.items() if p}
 
 
 # -- the Hb_s action and the canonical step -------------------------------------
@@ -135,8 +113,7 @@ def mul_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
 
 def crossing_rule(s: ExtWeylElt, rank):
     """The rule x . Hb_s = xs + v^{+-1} x, with v exactly when rank(xs) >
-    rank(x) (rank is the length in the Hecke algebra, the generic height
-    of x(A+) in the periodic module)."""
+    rank(x) (in the periodic module rank is the generic height of x(A+))."""
 
     def act(x):
         xs = x * s
@@ -191,10 +168,14 @@ def canonical_step(base: Mapping, act, row_of, inside=None) -> tuple[dict, bool,
     return {z: p for z, p in acc.items() if p}, truncated, subtracted
 
 
-def mul_kl_gen(sys: RootSystem, h: HeckeElt, i: int) -> HeckeElt:
+def mul_kl_gen(
+    sys: RootSystem, h: Mapping[ExtWeylElt, LaurentPoly], i: int
+) -> dict[ExtWeylElt, LaurentPoly]:
     """Right multiplication by Hb_s = H_s + v."""
-    rule = crossing_rule(simple_reflection(sys, i), partial(length, sys))
-    return HeckeElt.from_dict(sys, act_hb_s(h.support, rule)[0])
+    acc = mul_gen(sys, h, i)
+    for x, p in h.items():
+        acc[x] = acc.get(x, _ZERO) + _V * p
+    return {x: p for x, p in acc.items() if p}
 
 
 # -- canonical rows (the top-down mu-recursion) ----------------------------------
@@ -447,51 +428,59 @@ def kl_basis_by_duality(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, Laur
 # -- the spherical module ---------------------------------------------------------
 
 
+def _left_ascent(sys: RootSystem, x: ExtWeylElt) -> int | None:
+    """A finite i with s_i x longer than x, or None when x is maximal in Wx.
+
+    s_i x(A+) is the mirror image of x(A+) in the wall of alpha_i, which
+    sends k_{alpha_i} to -1 - k_{alpha_i} and permutes the other Shi
+    coordinates, so s_i x is longer exactly when k_{alpha_i}(x) >= 0.  The
+    simple roots are the positive roots of height one, listed first.
+    """
+    k = shi_coords(sys, x.fin, x.translation)
+    for r, c in zip(sys.positive_roots[: sys.rank], k):
+        if c >= 0:
+            return r.root.index(1) + 1
+    return None
+
+
 def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
     """Maximal in Wx: every finite simple reflection is a left descent."""
-    lx = length(sys, x)
-    for i in range(1, sys.rank + 1):
-        if length(sys, simple_reflection(sys, i) * x) > lx:
-            return False
-    return True
+    return _left_ascent(sys, x) is None
 
 
 def coset_maximal_rep(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
     """The maximal element of Wx."""
-    moved = True
-    while moved:
-        moved = False
-        for i in range(1, sys.rank + 1):
-            y = simple_reflection(sys, i) * x
-            if length(sys, y) > length(sys, x):
-                x = y
-                moved = True
-                break
+    while (i := _left_ascent(sys, x)) is not None:
+        x = simple_reflection(sys, i) * x
     return x
 
 
-def spherical_project(sys: RootSystem, h: HeckeElt) -> SphericalElt:
+def spherical_project(
+    sys: RootSystem, h: Mapping[ExtWeylElt, LaurentPoly]
+) -> dict[ExtWeylElt, LaurentPoly]:
     """Quotient map H -> spherical module: H_z maps to
     v^{l(max) - l(z)} M_{max(Wz)}."""
     acc: dict[ExtWeylElt, LaurentPoly] = {}
-    for z, p in h.support:
+    for z, p in h.items():
         m = coset_maximal_rep(sys, z)
         scale = LaurentPoly.gen(length(sys, m) - length(sys, z))
         acc[m] = acc.get(m, LaurentPoly.zero()) + scale * p
-    return SphericalElt.from_dict(sys, acc)
+    return {m: p for m, p in acc.items() if p}
 
 
-def spherical_act_kl_gen(sys: RootSystem, e: SphericalElt, i: int) -> SphericalElt:
+def spherical_act_kl_gen(
+    sys: RootSystem, e: Mapping[ExtWeylElt, LaurentPoly], i: int
+) -> dict[ExtWeylElt, LaurentPoly]:
     """Right action of Hb_s on the spherical module, by the action rule of
     the spherical label table."""
     if i not in gen_indices(sys):
         raise DomainError(f"no Coxeter generator with index {i}")
     comp = spherical_computer(sys)
-    acc = act_hb_s(((comp.number(x), p) for x, p in e.support), partial(comp.act, i))[0]
-    return SphericalElt.from_dict(sys, {comp.elts[k]: p for k, p in acc.items()})
+    acc = act_hb_s(((comp.number(x), p) for x, p in e.items()), partial(comp.act, i))[0]
+    return {comp.elts[k]: p for k, p in acc.items() if p}
 
 
-def ideal_basis_elt(sys: RootSystem, y: ExtWeylElt) -> HeckeElt:
+def ideal_basis_elt(sys: RootSystem, y: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
     """Hb_{w0} H_{y0} for y coset-maximal with minimal representative y0.
 
     y0 = w0 y, since y = w0 y0 with l(y) = l(w0) + l(y0).
@@ -503,7 +492,7 @@ def ideal_basis_elt(sys: RootSystem, y: ExtWeylElt) -> HeckeElt:
     if not is_coset_maximal(sys, y):
         raise DomainError("ideal basis vectors are indexed by coset-maximal elements")
     w0 = w0_elt(sys)
-    out = HeckeElt.from_dict(sys, kl_computer(sys).row(w0))
+    out = kl_computer(sys).row(w0)
     for i in reduced_word(sys, w0 * y):
         out = mul_gen(sys, out, i)
     return out
@@ -528,7 +517,7 @@ def spherical_from_kl_row(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, La
             )
         c = rest[y]
         out[y] = c
-        for z, p in ideal_basis_elt(sys, y).support:
+        for z, p in ideal_basis_elt(sys, y).items():
             q = rest.get(z, LaurentPoly.zero()) - c * p
             if q:
                 rest[z] = q

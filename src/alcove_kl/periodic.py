@@ -6,8 +6,9 @@ The module is the free Z[v,v^-1]-module on alcoves with generator action
     A . Hb_s = As + v^-1 A   (As below A),
 
 "above"/"below" referring to the generic height d.  The alcove x(A+) is
-keyed by its label x in W_aff, so that As is the label x s and the
-module shares the sparse vector ``HeckeElt`` with the Hecke algebra.
+keyed by its label x in W_aff, so that As is the label x s and an
+element of the module is a dict from labels to coefficients, like an
+element of the Hecke algebra.
 Canonical elements E_A are built inside a finite window (all alcoves
 x(A+) with l(x) <= R) by increasing height: alcoves whose lower
 neighbors all fall outside the window seed the recursion as pure
@@ -53,7 +54,7 @@ from operator import le, mul
 
 from .alcove import generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
-from .hecke import HeckeElt, LabelTable, act_hb_s, canonical_step, crossing_rule
+from .hecke import LabelTable, act_hb_s, canonical_step, crossing_rule
 from .laurent import LaurentPoly
 from .rootsys import ModularContext, RootSystem, Weight
 from .weylext import (
@@ -79,25 +80,17 @@ _V = LaurentPoly.gen()
 _VINV = LaurentPoly.gen(-1)
 
 
-@dataclass(frozen=True)
-class PeriodicElt(HeckeElt):
-    """A finitely supported element of the periodic module, kept inside a
-    window of the given radius; x(A+) is keyed by its label x."""
-
-    support: tuple[tuple[ExtWeylElt, LaurentPoly], ...]
-    radius: int
-    truncated: bool = False
-
-
-def periodic_act_gen(sys: RootSystem, e: PeriodicElt, i: int) -> PeriodicElt:
-    """Right action of Hb_s, truncated to the window of e."""
+def periodic_act_gen(
+    sys: RootSystem, row: dict[ExtWeylElt, LaurentPoly], i: int, radius: int
+) -> tuple[dict[ExtWeylElt, LaurentPoly], bool]:
+    """Right action of Hb_s on the element ``row`` (x(A+) keyed by x),
+    truncated to the window of the given radius: the new element and
+    whether a term left the window."""
     if i not in gen_indices(sys):
         raise DomainError(f"no Coxeter generator with index {i}")
     rule = crossing_rule(simple_reflection(sys, i), partial(generic_height, sys))
-    acc, truncated = act_hb_s(e.support, rule, lambda x: length(sys, x) <= e.radius)
-    return PeriodicElt.from_dict(
-        sys, acc, radius=e.radius, truncated=e.truncated or truncated
-    )
+    acc, truncated = act_hb_s(row.items(), rule, lambda x: length(sys, x) <= radius)
+    return {x: p for x, p in acc.items() if p}, truncated
 
 
 class PeriodicWindow:
@@ -165,7 +158,8 @@ class PeriodicWindow:
         self.rows = rows
         self.flags = flags
 
-    def element(self, w: ExtWeylElt) -> PeriodicElt:
+    def element(self, w: ExtWeylElt) -> tuple[dict[ExtWeylElt, LaurentPoly], bool]:
+        """The row of E_{w(A+)}, keyed by label, and whether it was truncated."""
         k = self.members.get(w)
         if k is None:
             lw = length(self.sys, w)
@@ -174,12 +168,7 @@ class PeriodicWindow:
                 f"window of radius {self.radius}; radius {lw} reaches it"
             )
         elts = self._elts
-        return PeriodicElt.from_dict(
-            self.sys,
-            {elts[y]: p for y, p in self.rows[k].items()},
-            radius=self.radius,
-            truncated=self.flags[k],
-        )
+        return {elts[y]: p for y, p in self.rows[k].items()}, self.flags[k]
 
     def coefficient(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
         kw, ky = self.members.get(w), self.members.get(y)

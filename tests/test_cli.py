@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 from alcove_kl.cache import cache_dir
 from alcove_kl.cli import main
 from alcove_kl.errors import IndeterminateError, SearchError
-from alcove_kl.weylext import ExtWeylElt
+from alcove_kl.laurent import LaurentPoly
+from alcove_kl.weylext import ExtWeylElt, identity_elt
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -130,6 +132,25 @@ def test_readme_examples_golden_stdout(tmp_path, capsys, command):
     code, out, _ = run(capsys, *command.split(), "--cache-dir", str(tmp_path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
+
+
+def test_readme_library_example():
+    """The python block under "Library example" in README.md runs and its
+    three expressions give the values its comments state."""
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    periodic, ext, head = values
+    assert periodic == LaurentPoly.gen(3)
+    assert ext.coeff(0) == 1
+    identity = identity_elt(namespace["sys"])
+    assert [(lab.kind, lab.index, m) for lab, m in head.items()] == [("L", identity, 1)]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -401,14 +422,14 @@ def test_kl_in_e7_numbers_only_the_elements_it_meets(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command,word,extra",
-    [("kl", "0,1,2,1,0,2,1,0", 0), ("spherical", "2,1,2,1,0,1,2,1,0", 2)],
+    "command,word",
+    [("kl", "0,1,2,1,0,2,1,0"), ("spherical", "2,1,2,1,0,1,2,1,0")],
     ids=["kl", "spherical"],
 )
-def test_printing_a_warm_row_forms_no_group_product(tmp_path, capsys, monkeypatch, command, word, extra):
+def test_printing_a_warm_row_forms_no_group_product(tmp_path, capsys, monkeypatch, command, word):
     """A cached row is printed from its records: the warm run forms only
-    the products of reading --w (and, for spherical, of the rank-2
-    coset-maximality test), not one per printed label."""
+    the products of reading --w (the spherical coset-maximality test reads
+    Shi coordinates and forms none), not one per printed label."""
     args = (command, "--type", "B", "--rank", "2", "--w", word, "--cache-dir", str(tmp_path))
     cold = run(capsys, *args)
     calls = []
@@ -417,7 +438,7 @@ def test_printing_a_warm_row_forms_no_group_product(tmp_path, capsys, monkeypatc
     warm = run(capsys, *args)
     assert warm == cold and cold[0] == 0
     assert len(cold[1].splitlines()) > 8
-    assert len(calls) == len(word.split(",")) + extra
+    assert len(calls) == len(word.split(","))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import pytest
 from alcove_kl.errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import (
-    PeriodicElt,
     PeriodicWindow,
     canonical_pair,
     in_support_band,
@@ -55,41 +54,37 @@ def a1_periodic_oracle(sys, y, w):
 def test_act_gen_fundamental_affine_wall(a1, a2):
     for sys in (a1, a2):
         aplus = identity_elt(sys)
-        e = PeriodicElt.from_dict(sys, {aplus: ONE}, radius=4)
-        out = periodic_act_gen(sys, e, 0)
+        out, _ = periodic_act_gen(sys, {aplus: ONE}, 0, 4)
         s0_alcove = from_word(sys, [0])
-        assert out.as_dict() == {s0_alcove: ONE, aplus: V}
+        assert out == {s0_alcove: ONE, aplus: V}
 
 
 def test_act_gen_fundamental_finite_wall(a1, a2):
     for sys in (a1, a2):
         aplus = identity_elt(sys)
-        e = PeriodicElt.from_dict(sys, {aplus: ONE}, radius=4)
-        out = periodic_act_gen(sys, e, 1)
+        out, _ = periodic_act_gen(sys, {aplus: ONE}, 1, 4)
         s1_alcove = from_word(sys, [1])
-        assert out.as_dict() == {s1_alcove: ONE, aplus: VINV}
+        assert out == {s1_alcove: ONE, aplus: VINV}
 
 
 def test_act_gen_squares_to_v_plus_vinv(a2):
     aplus = identity_elt(a2)
-    e = PeriodicElt.from_dict(a2, {aplus: ONE}, radius=6)
     for i in gen_indices(a2):
-        once = periodic_act_gen(a2, e, i)
-        twice = periodic_act_gen(a2, once, i)
-        expected = {a: (V + VINV) * p for a, p in once.as_dict().items()}
-        assert twice.as_dict() == expected
-        assert not twice.truncated
+        once, truncated_once = periodic_act_gen(a2, {aplus: ONE}, i, 6)
+        twice, truncated_twice = periodic_act_gen(a2, once, i, 6)
+        expected = {a: (V + VINV) * p for a, p in once.items()}
+        assert twice == expected
+        assert not (truncated_once or truncated_twice)
 
 
 def test_act_gen_records_truncation(a1):
     from alcove_kl.alcove import wall_cross
 
     far = dihedral_element(a1, 3)
-    e = PeriodicElt.from_dict(a1, {far: ONE}, radius=3)
     up = next(i for i in gen_indices(a1) if wall_cross(a1, far, i)[1] == "up")
-    out = periodic_act_gen(a1, e, up)
-    assert out.truncated
-    assert out.as_dict() == {far: V}
+    out, truncated = periodic_act_gen(a1, {far: ONE}, up, 3)
+    assert truncated
+    assert out == {far: V}
 
 
 # -- coefficients -------------------------------------------------------------

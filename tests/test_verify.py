@@ -1,7 +1,10 @@
+import pytest
+
 from alcove_kl import verify
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import PeriodicWindow, _window
-from alcove_kl.rootsys import ModularContext, build_root_system
+from alcove_kl.repcalc import verma_weight_dim
+from alcove_kl.rootsys import ModularContext, build_root_system, kostant_partition
 from alcove_kl.verify import (
     check_bijections,
     check_characters,
@@ -33,6 +36,21 @@ def test_individual_checks_a2(ctx_a2):
     assert check_galleries(ctx_a2, 3, 9, seed=2, targets=20).passed
     assert check_translation_invariance(ctx_a2, 2, 12, seed=3, triples=10).passed
     assert check_flipped_convention_fails(ctx_a2).passed
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda ctx, lam, mu: kostant_partition(ctx.system, lam - mu, bound=ctx.p - 2),
+        lambda ctx, lam, mu: verma_weight_dim(ctx, lam, mu) + 1,
+    ],
+    ids=["cap-too-low", "above-verma"],
+)
+def test_characters_check_fails_on_a_wrong_weight_table(ctx_a2, monkeypatch, wrong):
+    monkeypatch.setattr(verify, "baby_verma_weight_dim", wrong)
+    result = check_characters(ctx_a2, seed=1)
+    assert not result.passed
+    assert result.detail == "weight table mismatch"
 
 
 def test_bijections_other_rank_two_types():
