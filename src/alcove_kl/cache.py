@@ -1,13 +1,15 @@
 """Append-only on-disk cache with per-record checksums.
 
 One JSONL file per (kind, type, rank); every line carries the canonical
-key, the payload, and a sha256 checksum of both.  Corrupt or truncated
-records, undecodable bytes included, are skipped on load (forcing
-recomputation), and later records win over earlier ones for the same
-key, so appending is always safe.  The cache directory is created when
-the cache is opened, so a directory that cannot be made fails before
-anything is computed; that, and a cache file that cannot be read or
-appended to, raises ConfigError naming the path.
+key, the payload, and a sha256 checksum of both.  Every key begins with
+the engine version ``ENGINE_VERSION``, which the cache adds itself, so a
+record written by an engine that emitted other values is never read.
+Corrupt or truncated records, undecodable bytes included, are skipped on
+load (forcing recomputation), and later records win over earlier ones
+for the same key, so appending is always safe.  The cache directory is
+created when the cache is opened, so a directory that cannot be made
+fails before anything is computed; that, and a cache file that cannot
+be read or appended to, raises ConfigError naming the path.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from pathlib import Path
 from .errors import ConfigError
 
 ENV_VAR = "ALCOVE_KL_CACHE"
+
+# Bumped whenever an emitted value changes, so that every record written
+# before the change is recomputed instead of read.
+ENGINE_VERSION = 1
 
 
 def cache_dir(explicit: str | None = None) -> Path:
@@ -41,6 +47,7 @@ class RecordCache:
 
     def __init__(self, directory: Path, name: str):
         self.path = Path(directory) / f"{name}.jsonl"
+        self._version = f"engine {ENGINE_VERSION}:"
         self._records: dict[str, object] = {}
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -64,17 +71,18 @@ class RecordCache:
                 key, payload, sha = rec["key"], rec["payload"], rec["sha"]
             except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                 continue  # blank or corrupt record: recompute later
-            if _digest(key, payload) != sha:
-                continue
+            if not key.startswith(self._version) or _digest(key, payload) != sha:
+                continue  # another engine version, or a corrupt record
             self._records[key] = payload
 
     def get(self, key: str):
-        return self._records.get(key)
+        return self._records.get(self._version + key)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._records
+        return self._version + key in self._records
 
     def put(self, key: str, payload) -> None:
+        key = self._version + key
         self._records[key] = payload
         rec = {"key": key, "payload": payload, "sha": _digest(key, payload)}
         try:

@@ -117,28 +117,40 @@ def _record_str(d: dict) -> str:
     return f"{word}|{tra}"
 
 
-def _row_command(args, sys, w, kind: str, prefix: str, column: str, compute) -> int:
-    """Print the canonical row ``compute(sys, w)``, cached in ``<kind>_<sys>``."""
-    cache = RecordCache(cache_dir(args.cache_dir), f"{kind}_{sys}")
-    key = f"{prefix}:{json.dumps(elt_to_json(sys, w), sort_keys=True)}"
+def _cached_records(args, name: str, key: str, compute, header, render) -> int:
+    """Print the records ``compute()`` returns, cached under ``key`` in
+    ``<name>.jsonl``, one table row ``render(*record)`` per record.
+
+    The cache is opened first, so an unusable directory fails before
+    anything is computed, and a record is stored only once ``compute``
+    has returned: a warm run prints from the stored records alone.
+    """
+    cache = RecordCache(cache_dir(args.cache_dir), name)
     payload = cache.get(key)
     if payload is None:
-        row = compute(sys, w)
-        payload = sorted(
-            ([elt_to_json(sys, y), p.to_json()] for y, p in row.items()),
-            key=lambda item: json.dumps(item[0], sort_keys=True),
-        )
+        payload = compute()
         cache.put(key, payload)
-    rows = [(_record_str(yj), str(LaurentPoly.from_json(pj))) for yj, pj in payload]
-    rows.sort()
-    _emit_rows(rows, ("y", column), args.format)
+    _emit_rows(sorted(render(*record) for record in payload), header, args.format)
     return 0
+
+
+def _row_command(args, sys, w, kind: str, column: str, compute) -> int:
+    """Print the canonical row ``compute(sys, w)``, cached in ``<kind>_<sys>``."""
+
+    def records():
+        return [[elt_to_json(sys, y), p.to_json()] for y, p in compute(sys, w).items()]
+
+    def render(y, p):
+        return _record_str(y), str(LaurentPoly.from_json(p))
+
+    key = json.dumps(elt_to_json(sys, w), sort_keys=True)
+    return _cached_records(args, f"{kind}_{sys}", key, records, ("y", column), render)
 
 
 def cmd_kl(args) -> int:
     sys = _system(args)
     w = _elt_from_flag(sys, args.w)
-    return _row_command(args, sys, w, "kl", "kl", "h", kl_basis)
+    return _row_command(args, sys, w, "kl", "h", kl_basis)
 
 
 def cmd_spherical(args) -> int:
@@ -146,25 +158,33 @@ def cmd_spherical(args) -> int:
     w = _elt_from_flag(sys, args.w)
     if not is_coset_maximal(sys, w):
         raise DomainError("the element must be maximal in its finite coset")
-    return _row_command(args, sys, w, "spherical", "m", "m", spherical_kl)
+    return _row_command(args, sys, w, "spherical", "m", spherical_kl)
 
 
 def cmd_periodic(args) -> int:
     ctx = _context(args)
     sys = ctx.system
     radius = default_radius(sys) if args.window is None else args.window
-    table = pkl_table(ctx, args.lmax, radius)
-    rows = sorted(
-        (
-            _elt_str(sys, y),
-            _elt_str(sys, w),
-            str(entry.poly),
-            "yes" if entry.stabilized else "no",
+
+    def records():
+        table = pkl_table(ctx, args.lmax, radius)
+        return [
+            [elt_to_json(sys, y), elt_to_json(sys, w), entry.poly.to_json(), entry.stabilized]
+            for (y, w), entry in table.entries.items()
+        ]
+
+    def render(y, w, p, stabilized):
+        return (
+            _record_str(y),
+            _record_str(w),
+            str(LaurentPoly.from_json(p)),
+            "yes" if stabilized else "no",
         )
-        for (y, w), entry in table.entries.items()
+
+    key = f"p={ctx.p}:lmax={args.lmax}:radius={radius}"
+    return _cached_records(
+        args, f"periodic_{sys}", key, records, ("y", "w", "p", "stabilized"), render
     )
-    _emit_rows(rows, ("y", "w", "p", "stabilized"), args.format)
-    return 0
 
 
 def cmd_ext(args) -> int:

@@ -503,18 +503,28 @@ def spherical_from_kl_row(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, La
 
     The expansion coefficients provide an independent route to the
     spherical canonical coefficients m_{y,w}; a nonzero remainder means
-    the two computations disagree.
+    the two computations disagree.  Each ideal basis vector is H_y plus
+    shorter terms, so the leading term strictly decreases from one step
+    to the next; a leading term that is not coset-maximal or does not
+    decrease raises ConsistencyError.
     """
     if not is_coset_maximal(sys, w):
         raise DomainError("expansion applies to coset-maximal elements")
     rest = kl_computer(sys).row(w)
     out: dict[ExtWeylElt, LaurentPoly] = {}
+    order = partial(elt_key, sys)
+    last = None
     while rest:
-        y = max(rest, key=lambda x: (length(sys, x), elt_key(sys, x)))
+        y = max(rest, key=order)
         if not is_coset_maximal(sys, y):
             raise ConsistencyError(
                 "leading term of an ideal element is not coset-maximal"
             )
+        if last is not None and order(y) >= last:
+            raise ConsistencyError(
+                "an ideal basis vector did not cancel its leading term"
+            )
+        last = order(y)
         c = rest[y]
         out[y] = c
         for z, p in ideal_basis_elt(sys, y).items():

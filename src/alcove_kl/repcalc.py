@@ -109,7 +109,8 @@ class ExtTable:
 
 
 def default_radius(sys: RootSystem) -> int:
-    return 3 * length(sys, w0_elt(sys)) + 4
+    """3 l(w0) + 4, where l(w0) is the number of positive roots."""
+    return 3 * sys.num_positive_roots + 4
 
 
 # -- Ext series and Loewy layers ------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from alcove_kl.rootsys import ModularContext, build_root_system
@@ -35,3 +37,20 @@ def dihedral_element(sys, n):
         word.append(1 if len(word) % 2 == 0 else 0)
         k += 1
     return from_word(sys, word)
+
+
+def a2_root_partitions(nu):
+    """The number of ways the A2 weight nu (fundamental-weight coordinates)
+    is an N-combination n1 a1 + n2 a2 + n3 (a1 + a2) of the positive roots
+    a1 = (2, -1), a2 = (-1, 2) and a1 + a2 = (1, 1), found by search.
+
+    Each simple-root coordinate of nu is at most |nu_1| + |nu_2|, so no
+    root is used more often; the first coordinate fixes n2 given n1, n3.
+    """
+    reach = abs(nu[0]) + abs(nu[1])
+    count = 0
+    for n1, n3 in itertools.product(range(reach + 1), repeat=2):
+        n2 = 2 * n1 + n3 - nu[0]
+        if n2 >= 0 and -n1 + 2 * n2 + n3 == nu[1]:
+            count += 1
+    return count

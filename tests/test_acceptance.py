@@ -30,6 +30,7 @@ from alcove_kl.weylext import (
     waff_elements,
     weyl_group,
 )
+from conftest import a2_root_partitions
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -128,10 +129,15 @@ def test_criterion_6_character_totals():
         zero = Weight.zero(rank)
         assert baby_verma_total_dim(ctx, zero) == p ** sys.num_positive_roots
     rng = random.Random(2024)
+    counts = []
     for _ in range(200):
         lam = Weight((rng.randint(-3, 3), rng.randint(-3, 3)))
         mu = Weight((rng.randint(-8, 8), rng.randint(-8, 8)))
-        assert nabla_weight_dim(CTX2, lam, mu) == verma_weight_dim(CTX2, lam, mu)
+        count = a2_root_partitions((lam - mu).coords)
+        assert nabla_weight_dim(CTX2, lam, mu) == count
+        assert verma_weight_dim(CTX2, lam, mu) == count
+        counts.append(count)
+    assert sum(1 for c in counts if c > 1) >= 10  # the samples reach past a single path
     _report(6, "character totals", t0, 60)
 
 

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from alcove_kl import cache
 from alcove_kl.cache import cache_dir
-from alcove_kl.cli import main
+from alcove_kl.cli import FORMATS, main
 from alcove_kl.errors import IndeterminateError, SearchError
 from alcove_kl.laurent import LaurentPoly
+from alcove_kl.repcalc import default_radius
+from alcove_kl.rootsys import build_root_system
 from alcove_kl.weylext import ExtWeylElt, identity_elt
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -103,6 +106,8 @@ def test_length_bound_exit_code(tmp_path, capsys):
 
 # sha256 of stdout for the README command-line examples: output bytes are
 # part of the interface, so any change to them must update these digests.
+# A change to an emitted value must also bump alcove_kl.cache.ENGINE_VERSION,
+# so that no cache serves a record written before it.
 README_EXAMPLES = {
     "kl --type A --rank 2 --w 1,2,1":
         "cdbdca7b362bca0a58606313e6084eb7263eafafe71384a550e17d18743eb3c4",
@@ -297,13 +302,16 @@ def test_loewy_lmax_below_the_label_length_exits_3(tmp_path, capsys):
 
 
 def test_identity_gate_exit_code(tmp_path, capsys):
-    code, _, err = run(
-        capsys,
-        "periodic", "--type", "B", "--rank", "2", "--p", "5",
-        "--lmax", "2", "--cache-dir", str(tmp_path),
-    )
-    assert code == 4
-    assert json.loads(err)["error"] == "identity"
+    # a refused system writes no record, so it is refused again on every run
+    for _ in range(2):
+        code, _, err = run(
+            capsys,
+            "periodic", "--type", "B", "--rank", "2", "--p", "5",
+            "--lmax", "2", "--cache-dir", str(tmp_path),
+        )
+        assert code == 4
+        assert json.loads(err)["error"] == "identity"
+    assert not (tmp_path / "periodic_B2.jsonl").exists()
 
 
 def test_latex_and_csv_formats(tmp_path, capsys):
@@ -351,6 +359,101 @@ def test_unusable_cache_dir_fails_before_compute(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert json.loads(err)["error"] == "config"
     assert calls == []  # the row is never computed
+
+
+def test_unusable_cache_dir_fails_before_any_window_is_built(tmp_path, capsys, monkeypatch):
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    calls = []  # pkl_table builds the windows and runs the gate
+    monkeypatch.setattr("alcove_kl.cli.pkl_table", lambda *args: calls.append(args))
+    code, out, err = run(
+        capsys,
+        "periodic", "--type", "A", "--rank", "1", "--p", "5", "--cache-dir", str(not_a_dir),
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "config"
+    assert calls == []
+
+
+_PERIODIC_TABLES = {
+    "A1": ("--type", "A", "--rank", "1", "--p", "5", "--lmax", "6"),
+    "A2": ("--type", "A", "--rank", "2", "--p", "5", "--lmax", "4", "--window", "10"),
+}
+
+
+def _refuse_to_compute(*args):
+    raise AssertionError("a warm run computed the periodic table")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("system", _PERIODIC_TABLES)
+def test_warm_periodic_table_prints_the_cold_bytes(tmp_path, capsys, monkeypatch, system, fmt):
+    """A warm run prints the stored table: the same bytes, with no table
+    computed, no group product formed and nothing appended."""
+    args = ("periodic", *_PERIODIC_TABLES[system], "--format", fmt, "--cache-dir", str(tmp_path))
+    cold = run(capsys, *args)
+    assert cold[0] == 0 and len(cold[1].splitlines()) > 20
+    cache_file = tmp_path / f"periodic_{system}.jsonl"
+    stamp = cache_file.read_bytes()
+    assert len(stamp.splitlines()) == 1  # one record per table
+    monkeypatch.setattr("alcove_kl.cli.pkl_table", _refuse_to_compute)
+    calls = []
+    mul = ExtWeylElt.__mul__
+    monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    warm = run(capsys, *args)
+    assert warm == cold
+    assert calls == []
+    assert cache_file.read_bytes() == stamp
+
+
+def test_periodic_key_resolves_the_default_radius(tmp_path, capsys, monkeypatch):
+    """A missing --window and the default radius spelled out are one table."""
+    base = ("periodic", "--type", "A", "--rank", "1", "--p", "5", "--cache-dir", str(tmp_path))
+    cold = run(capsys, *base)
+    monkeypatch.setattr("alcove_kl.cli.pkl_table", _refuse_to_compute)
+    radius = str(default_radius(build_root_system("A", 1)))
+    assert run(capsys, *base, "--window", radius) == cold
+
+
+def test_corrupt_periodic_record_is_recomputed(tmp_path, capsys):
+    args = ("periodic", "--type", "A", "--rank", "1", "--p", "5", "--lmax", "3",
+            "--cache-dir", str(tmp_path))
+    _, out1, _ = run(capsys, *args)
+    cache_file = tmp_path / "periodic_A1.jsonl"
+    record = cache_file.read_text()
+    cache_file.write_text(record.replace('"0":1', '"0":2', 1))  # checksum now fails
+    code, out2, _ = run(capsys, *args)
+    assert (code, out2) == (0, out1)
+    lines = cache_file.read_text().splitlines()
+    assert len(lines) == 2 and lines[1] == record.strip()  # the fresh record
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("kl", "--type", "A", "--rank", "1", "--w", "1,0"), "kl_A1"),
+        (("spherical", "--type", "A", "--rank", "1", "--w", "1,0"), "spherical_A1"),
+        (("periodic", "--type", "A", "--rank", "1", "--p", "5", "--lmax", "3"), "periodic_A1"),
+    ],
+    ids=["kl", "spherical", "periodic"],
+)
+def test_record_of_another_engine_version_is_recomputed(tmp_path, capsys, monkeypatch, argv, name):
+    args = (*argv, "--cache-dir", str(tmp_path))
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "ENGINE_VERSION", cache.ENGINE_VERSION - 1)
+        old = run(capsys, *args)
+    cache_file = tmp_path / f"{name}.jsonl"
+    assert len(cache_file.read_text().splitlines()) == 1
+    new = run(capsys, *args)
+    assert new == old and new[0] == 0
+    keys = [json.loads(line)["key"] for line in cache_file.read_text().splitlines()]
+    assert [k.split(":", 1)[0] for k in keys] == [
+        f"engine {cache.ENGINE_VERSION - 1}",
+        f"engine {cache.ENGINE_VERSION}",
+    ]
+    assert keys[0].split(":", 1)[1] == keys[1].split(":", 1)[1]
+    assert run(capsys, *args) == new  # the current record now hits
+    assert len(cache_file.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize(

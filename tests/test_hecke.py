@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from alcove_kl.errors import DomainError
+from alcove_kl import hecke
+from alcove_kl.errors import ConsistencyError, DomainError
 from alcove_kl.hecke import (
     bruhat_interval_below,
     coset_maximal_rep,
@@ -208,6 +209,19 @@ def test_spherical_matches_ideal_expansion(sys, bound):
     for w in waff_elements(sys, bound):
         if is_coset_maximal(sys, w):
             assert spherical_from_kl_row(sys, w) == spherical_kl(sys, w)
+
+
+def test_spherical_expansion_refuses_a_leading_term_it_cannot_cancel(monkeypatch):
+    """A wrong ideal basis vector leaves its leading term in the remainder;
+    the expansion raises instead of picking that term again forever."""
+    ideal = hecke.ideal_basis_elt
+    monkeypatch.setattr(
+        hecke, "ideal_basis_elt", lambda sys, y: {z: 2 * p for z, p in ideal(sys, y).items()}
+    )
+    w = from_word(A2, [1, 2, 1, 0])
+    assert is_coset_maximal(A2, w)
+    with pytest.raises(ConsistencyError, match="did not cancel its leading term"):
+        spherical_from_kl_row(A2, w)
 
 
 def test_naive_projection_is_a_module_map():

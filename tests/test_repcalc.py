@@ -31,6 +31,7 @@ from alcove_kl.weylext import (
     translation_elt,
     waff_elements,
 )
+from conftest import a2_root_partitions
 
 V = LaurentPoly.gen()
 ONE = LaurentPoly.one()
@@ -179,10 +180,15 @@ def test_baby_verma_truncation(ctx_a1):
 
 def test_nabla_matches_verma_on_window(ctx_a2):
     rng = random.Random(19)
+    counts = []
     for _ in range(200):
         lam = Weight((rng.randint(-3, 3), rng.randint(-3, 3)))
         mu = Weight((rng.randint(-6, 6), rng.randint(-6, 6)))
-        assert nabla_weight_dim(ctx_a2, lam, mu) == verma_weight_dim(ctx_a2, lam, mu)
+        count = a2_root_partitions((lam - mu).coords)
+        assert nabla_weight_dim(ctx_a2, lam, mu) == count
+        assert verma_weight_dim(ctx_a2, lam, mu) == count
+        counts.append(count)
+    assert sum(1 for c in counts if c > 1) >= 10  # the samples reach past a single path
 
 
 def test_baby_verma_support_size(ctx_a1):
