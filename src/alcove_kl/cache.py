@@ -71,8 +71,12 @@ class RecordCache:
                 key, payload, sha = rec["key"], rec["payload"], rec["sha"]
             except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                 continue  # blank or corrupt record: recompute later
-            if not key.startswith(self._version) or _digest(key, payload) != sha:
-                continue  # another engine version, or a corrupt record
+            if (
+                not isinstance(key, str)
+                or not key.startswith(self._version)
+                or _digest(key, payload) != sha
+            ):
+                continue  # a corrupt record, or one of another engine version
             self._records[key] = payload
 
     def get(self, key: str):

@@ -32,12 +32,23 @@ row that fails either bound raises ResourceError; rows become
 
 An element of the Hecke algebra, of the spherical module or of the
 periodic module is a dict from basis labels in W_aff to nonzero
-``LaurentPoly`` coefficients, the shape every canonical row already has;
-``mul_gen``, ``mul_kl_gen`` and the spherical maps take and return such
-dicts.  The generic Hb_s action (``act_hb_s``) on ``LaurentPoly`` rows
-serves the spherical action and the periodic module in ``periodic``;
-the canonical step (``canonical_step``) serves only the periodic
-module, bottom-up by height inside a window.
+``LaurentPoly`` coefficients, the shape every canonical row already has.
+Every right action of a generator on such an element is one routine,
+``act_hb_s``, reading an action rule (see ``crossing_rule``).  In the
+Hecke algebra the rule is ranked by length, and the three generators
+differ only in how x stays when xs is longer (up) or shorter (down):
+
+    generator                      up          down
+    H_s                            0           v^-1 - v
+    Hb_s = H_s + v                 v           v^-1
+    bar(H_s) = H_s + v - v^-1      v - v^-1    0
+
+``mul_gen``, ``mul_kl_gen`` and ``mul_bar_gen`` act by these stays, and
+``bar_std`` expands bar(H_y) by the last along a reduced word.  The
+same routine serves the spherical action (by ``KLComputer.act``) and
+the periodic module (the stays of Hb_s, ranked by generic height); the
+canonical step (``canonical_step``) serves only the periodic module,
+bottom-up by height inside a window.
 
 ``KLComputer`` and the periodic windows number their labels in a
 ``LabelTable`` (F. du Cloux's encoding, Experiment. Math. 2002) and key
@@ -89,44 +100,32 @@ def std_elt(sys: RootSystem, x: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
     return {x: _ONE}
 
 
-def mul_gen(
-    sys: RootSystem, h: Mapping[ExtWeylElt, LaurentPoly], i: int
-) -> dict[ExtWeylElt, LaurentPoly]:
-    """Right multiplication by the standard generator H_s."""
-    s = simple_reflection(sys, i)
-    acc: dict[ExtWeylElt, LaurentPoly] = {}
-    for x, p in h.items():
-        xs = x * s
-        acc[xs] = acc.get(xs, LaurentPoly.zero()) + p
-        if length(sys, xs) < length(sys, x):
-            acc[x] = acc.get(x, LaurentPoly.zero()) + (_VINV - _V) * p
-    return {x: p for x, p in acc.items() if p}
-
-
-# -- the Hb_s action and the canonical step -------------------------------------
+# -- the generator action and the canonical step ---------------------------------
 #
 # An action rule maps a basis label x to (xs, stay): the label of the
 # crossed term (None when there is none) and the coefficient with which x
-# stays, so that  x . Hb_s = xs + stay x.  The crossing is upward exactly
-# when stay = v.
+# stays, so that  x . T = xs + stay x  for the generator T acted by.
 
 
-def crossing_rule(s: ExtWeylElt, rank):
-    """The rule x . Hb_s = xs + v^{+-1} x, with v exactly when rank(xs) >
-    rank(x) (in the periodic module rank is the generic height of x(A+))."""
+def crossing_rule(s: ExtWeylElt, rank, up=_V, down=_VINV):
+    """The rule x . T = xs + stay x, with the stay ``up`` exactly when
+    rank(xs) > rank(x) and ``down`` otherwise.  The defaults give Hb_s;
+    the module docstring lists the stays of H_s and bar(H_s).  (In the
+    periodic module rank is the generic height of x(A+).)"""
 
     def act(x):
         xs = x * s
-        return xs, (_V if rank(xs) > rank(x) else _VINV)
+        return xs, (up if rank(xs) > rank(x) else down)
 
     return act
 
 
 def act_hb_s(items, act, inside=None) -> tuple[dict, bool]:
-    """Right action of Hb_s on the (label, coefficient) pairs ``items``.
+    """Right action of a generator, by the rule ``act``, on the (label,
+    coefficient) pairs ``items``.
 
     Crossed terms for which ``inside`` is false are dropped; the flag
-    reports whether any was.
+    reports whether any was.  A stay of 0 adds no term.
     """
     acc: dict = {}
     truncated = False
@@ -142,7 +141,7 @@ def act_hb_s(items, act, inside=None) -> tuple[dict, bool]:
         if len(stay.terms) == 1:  # a monomial stay: one shifted merge
             ((e, c),) = stay.terms
             acc[x] = (_ZERO if q is None else q).add_scaled(p, c, e)
-        else:
+        elif stay:
             acc[x] = stay * p if q is None else q + stay * p
     return acc, truncated
 
@@ -168,14 +167,33 @@ def canonical_step(base: Mapping, act, row_of, inside=None) -> tuple[dict, bool,
     return {z: p for z, p in acc.items() if p}, truncated, subtracted
 
 
+def _act_gen(
+    sys: RootSystem, h: Mapping[ExtWeylElt, LaurentPoly], i: int, up, down
+) -> dict[ExtWeylElt, LaurentPoly]:
+    """Right action on h of the generator with the stays (up, down)."""
+    rule = crossing_rule(simple_reflection(sys, i), partial(length, sys), up, down)
+    return {x: p for x, p in act_hb_s(h.items(), rule)[0].items() if p}
+
+
+def mul_gen(
+    sys: RootSystem, h: Mapping[ExtWeylElt, LaurentPoly], i: int
+) -> dict[ExtWeylElt, LaurentPoly]:
+    """Right multiplication by the standard generator H_s."""
+    return _act_gen(sys, h, i, _ZERO, _VINV - _V)
+
+
 def mul_kl_gen(
     sys: RootSystem, h: Mapping[ExtWeylElt, LaurentPoly], i: int
 ) -> dict[ExtWeylElt, LaurentPoly]:
     """Right multiplication by Hb_s = H_s + v."""
-    acc = mul_gen(sys, h, i)
-    for x, p in h.items():
-        acc[x] = acc.get(x, _ZERO) + _V * p
-    return {x: p for x, p in acc.items() if p}
+    return _act_gen(sys, h, i, _V, _VINV)
+
+
+def mul_bar_gen(
+    sys: RootSystem, h: Mapping[ExtWeylElt, LaurentPoly], i: int
+) -> dict[ExtWeylElt, LaurentPoly]:
+    """Right multiplication by bar(H_s) = H_s + v - v^-1, the inverse of H_s."""
+    return _act_gen(sys, h, i, _V - _VINV, _ZERO)
 
 
 # -- canonical rows (the top-down mu-recursion) ----------------------------------
@@ -354,39 +372,15 @@ def kl_basis(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
 # -- the bar involution and the self-duality oracle -----------------------------
 
 
-class BarComputer:
-    """Expansion of bar(H_y) in the standard basis, built along reduced words."""
-
-    def __init__(self, sys: RootSystem):
-        self.sys = sys
-        self._bars: dict[ExtWeylElt, dict[ExtWeylElt, LaurentPoly]] = {
-            identity_elt(sys): {identity_elt(sys): _ONE}
-        }
-
-    def bar_std(self, y: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-        cached = self._bars.get(y)
-        if cached is not None:
-            return cached
-        sys = self.sys
-        i = min(right_descents(sys, y))
-        s = simple_reflection(sys, i)
-        prev = self.bar_std(y * s)
-        # bar(H_{y's}) = bar(H_{y'}) (H_s + (v - v^-1)); in the descending
-        # case the stay terms of H_s and of (v - v^-1) cancel.
-        acc: dict[ExtWeylElt, LaurentPoly] = {}
-        for z, p in prev.items():
-            zs = z * s
-            acc[zs] = acc.get(zs, LaurentPoly.zero()) + p
-            if length(sys, zs) > length(sys, z):
-                acc[z] = acc.get(z, LaurentPoly.zero()) + (_V - _VINV) * p
-        out = {z: p for z, p in acc.items() if p}
-        self._bars[y] = out
-        return out
-
-
 @lru_cache(maxsize=None)
-def bar_computer(sys: RootSystem) -> BarComputer:
-    return BarComputer(sys)
+def bar_std(sys: RootSystem, y: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
+    """Expansion of bar(H_y) in the standard basis, built along a reduced
+    word: bar(H_y) = bar(H_{ys}) bar(H_s) for a right descent s of y."""
+    descents = right_descents(sys, y)
+    if not descents:
+        return {y: _ONE}
+    i = min(descents)
+    return mul_bar_gen(sys, bar_std(sys, y * simple_reflection(sys, i)), i)
 
 
 def bruhat_interval_below(sys: RootSystem, w: ExtWeylElt) -> list[ExtWeylElt]:
@@ -406,7 +400,6 @@ def kl_basis_by_duality(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, Laur
     self-duality forces h_z - bar(h_z) = sum_{y > z} bar(h_y) r_{z,y},
     which determines h_z in v Z[v] by taking the positive part.
     """
-    bars = bar_computer(sys)
     below = bruhat_interval_below(sys, w)
     order = sorted(below, key=lambda x: -length(sys, x))
     h: dict[ExtWeylElt, LaurentPoly] = {w: _ONE}
@@ -415,7 +408,7 @@ def kl_basis_by_duality(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, Laur
             continue
         g = LaurentPoly.zero()
         for y, hy in h.items():
-            r = bars.bar_std(y).get(z)
+            r = bar_std(sys, y).get(z)
             if r is not None:
                 g = g + hy.bar() * r
         # g must be antisymmetric under bar with zero constant term

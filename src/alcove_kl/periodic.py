@@ -18,11 +18,12 @@ alcoves, and
 
 over previously built B in the support of E_A with Bs below B, where
 mu~(B, A) is the coefficient of v in p_{B,A}; this is the canonical
-step of ``hecke``, shared with the ordinary and spherical bases.  Terms
-leaving the window are truncated and the truncation is recorded.  Each
-window numbers its alcoves in the ``hecke.LabelTable`` of the canonical
-rows, forms each neighbour As once, reads whether the crossing goes up
-off the heights of the two numbers, and keys its rows by number.  A
+step of ``hecke``, which only the periodic module uses (the ordinary and
+spherical bases run a packed step of their own).  Terms leaving the
+window are truncated and the truncation is recorded.  Each window
+numbers its alcoves in a ``hecke.LabelTable`` of its own, forms each
+neighbour As once, reads whether the crossing goes up off the heights
+of the two numbers, and keys its rows by number.  A
 coefficient p_{y,w} (the coefficient of y(A+) in E_{w(A+)}) is only
 reported when the windows of radius R and R + 1 agree on it exactly;
 everything else raises StabilizationError.

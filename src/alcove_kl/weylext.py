@@ -71,15 +71,6 @@ def reflection_mat(sys: RootSystem, root: PosRoot) -> Mat:
     )
 
 
-@lru_cache(maxsize=None)
-def _simple_root_positions(sys: RootSystem) -> tuple[int, ...]:
-    """Position of alpha_i in ``sys.positive_roots``, for i = 1..rank."""
-    return tuple(
-        next(j for j, r in enumerate(sys.positive_roots) if r.height == 1 and r.root[i])
-        for i in range(sys.rank)
-    )
-
-
 class FiniteWeylGroup:
     """The finite Weyl group of one root system, numbered as it is met.
 
@@ -109,7 +100,11 @@ class FiniteWeylGroup:
         self._index: dict[tuple[int, ...], int] = {}
         self._products: dict[int, int] = {}  # i * stride + j -> product
         self._stride = sys.weyl_order
-        self._simple_pos = _simple_root_positions(sys)
+        # position of alpha_i in sys.positive_roots, for i = 1..rank
+        self._simple_pos = tuple(
+            next(j for j, r in enumerate(sys.positive_roots) if r.height == 1 and r.root[i])
+            for i in range(sys.rank)
+        )
         # entry b of the list is beta_b^vee and entry ~b is -beta_b^vee
         coroots = [r.coroot for r in sys.positive_roots]
         self._signed_coroots = coroots + [tuple([-c for c in r]) for r in reversed(coroots)]
@@ -520,7 +515,7 @@ def restricted_element_for(sys: RootSystem, m: int) -> ExtWeylElt:
     """
     g = finite_group(sys)
     roots = g.roots[m]
-    sigma = tuple(1 if roots[j] < 0 else 0 for j in _simple_root_positions(sys))
+    sigma = tuple(1 if roots[j] < 0 else 0 for j in g._simple_pos)
     return ExtWeylElt(m, Weight(_mat_vec(g.mats[g.inv[m]], sigma)), g)
 
 

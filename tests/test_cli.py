@@ -79,6 +79,19 @@ def test_cache_undecodable_line_is_skipped(tmp_path, capsys):
     assert cache_file.read_bytes() == stamp  # the valid record still hits
 
 
+@pytest.mark.parametrize(
+    "key", ["1", "null", '["engine 1:x"]', '{"k": 1}'], ids=["int", "null", "list", "object"]
+)
+def test_cache_line_with_a_non_string_key_is_skipped(tmp_path, capsys, key):
+    args = ("kl", "--type", "A", "--rank", "2", "--w", "1")
+    _, cold, _ = run(capsys, *args, "--cache-dir", str(tmp_path / "cold"))
+    (tmp_path / "bad").mkdir()
+    (tmp_path / "bad" / "kl_A2.jsonl").write_text(f'{{"key": {key}, "payload": 2, "sha": "x"}}\n')
+    code, out, err = run(capsys, *args, "--cache-dir", str(tmp_path / "bad"))
+    assert code == 0, err
+    assert out == cold
+
+
 def test_unusable_cache_dir_is_config_error(tmp_path, capsys):
     not_a_dir = tmp_path / "plain-file"
     not_a_dir.write_text("")
