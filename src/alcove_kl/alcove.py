@@ -28,7 +28,6 @@ from .rootsys import RootSystem
 from .weylext import (
     ExtWeylElt,
     gen_indices,
-    identity_elt,
     shi_coords,
     simple_reflection,
 )
@@ -74,22 +73,3 @@ def generic_leq(sys: RootSystem, x: ExtWeylElt, y: ExtWeylElt, radius: int) -> b
         )
     kx = shi_coords(sys, x.fin, x.translation)
     return all(a <= b for a, b in zip(kx, shi_coords(sys, y.fin, y.translation)))
-
-
-def up_neighbors(sys: RootSystem, x: ExtWeylElt) -> list[ExtWeylElt]:
-    out = []
-    for i in gen_indices(sys):
-        neighbor, direction = wall_cross(sys, x, i)
-        if direction == UP:
-            out.append(neighbor)
-    return out
-
-
-def gallery_heights(sys: RootSystem, word) -> list[int]:
-    """Heights along the gallery from A+ determined by a generator word."""
-    x = identity_elt(sys)
-    out = [generic_height(sys, x)]
-    for i in word:
-        x, _ = wall_cross(sys, x, i)
-        out.append(generic_height(sys, x))
-    return out

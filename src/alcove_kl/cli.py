@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 stabilization failure or
 exceeded bound (window radius, element length, an exhausted search or an
-order query undecided within its radius), 4 identity-suite failure.
-Errors, usage errors included, are emitted as a JSON object on stderr.
+order query undecided within its radius), 4 identity-suite failure,
+141 (``CLOSED_STDOUT``, quietly) stdout closed before the output was
+written, as by ``| head -1``.  Other errors, usage errors included,
+are emitted as a JSON object on stderr.
 Every command takes --type, --rank and --cache-dir, and of the other
 common flags (--p, --window, --lmax, --format, --seed) only those it
 reads; any other flag is a usage error.  A window radius out of reach
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 
 from .cache import RecordCache, cache_dir
@@ -328,7 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+CLOSED_STDOUT = 141  # 128 + SIGPIPE, as for a process a closed pipe ends
+
+
 def main(argv=None) -> int:
+    try:
+        status = _run(argv)
+        _sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # so that the interpreter's last flush is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return CLOSED_STDOUT
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_bounds(args)

@@ -18,17 +18,20 @@ generator action
     M_x Hb_s = M_{xs} + v^-1 M_x  (xs maximal, xs < x)
     M_x Hb_s = (v + v^-1) M_x     (xs not maximal).
 
-``KLComputer`` builds the canonical rows of the Hecke algebra and the
-spherical module top-down along descents, with each coefficient packed
-into one integer by ``laurent.PackedCodec`` (v -> 2^64, one signed digit
-per power of v).  In its step the stays v, v^-1 and v + v^-1 are
-shifts, mu is the digit of v, and a mu-correction is one integer
-multiply-add per entry.  Exactness is certified, not assumed: every row
-it stores has all digits in [-2^32, 2^32), which one biased mask-AND
-per entry checks, and the |mu| of the rows one step subtracts sum to
-less than 2^31 - 3, so the digits of a new row are its coefficients.  A
-row that fails either bound raises ResourceError; rows become
-``LaurentPoly`` values only in ``KLComputer.row``.
+One recursion, ``KLComputer``, builds the canonical rows of the Hecke
+algebra, of the spherical module and (``periodic.PeriodicWindow``) of
+the periodic module in a window, top-down along descents and only when
+a row is read.  Each coefficient is packed into one integer by
+``laurent.PackedCodec`` (v -> 2^64, one signed digit per power of v):
+the stays v, v^-1 and v + v^-1 are shifts, mu is the digit of v, and a
+mu-correction is one integer multiply-add per entry.  Every stored row
+is certified: its digits lie in [-2^32, 2^32), which one biased
+mask-AND per entry checks, and the |mu| one step subtracts sum to less
+than 2^31 - 3, so its digits are its coefficients (ResourceError
+otherwise); it is monic with every lower coefficient in vZ[v]
+(ConsistencyError otherwise).  Rows become ``LaurentPoly`` values only
+when returned.  ``canonical_step``, the same step on ``LaurentPoly``
+rows, is the reference the tests hold the packed step to.
 
 An element of the Hecke algebra, of the spherical module or of the
 periodic module is a dict from basis labels in W_aff to nonzero
@@ -46,20 +49,20 @@ differ only in how x stays when xs is longer (up) or shorter (down):
 ``mul_gen``, ``mul_kl_gen`` and ``mul_bar_gen`` act by these stays, and
 ``bar_std`` expands bar(H_y) by the last along a reduced word.  The
 same routine serves the spherical action (by ``KLComputer.act``) and
-the periodic module (the stays of Hb_s, ranked by generic height); the
-canonical step (``canonical_step``) serves only the periodic module,
-bottom-up by height inside a window.
+the periodic module (``periodic.periodic_act_gen``: the stays of Hb_s,
+ranked by generic height).
 
-``KLComputer`` and the periodic windows number their labels in a
-``LabelTable`` (F. du Cloux's encoding, Experiment. Math. 2002) and key
-their rows by number.  The table keeps, per number, the element and the
-numbers of its right neighbours x s_i, each product formed once.
-``KLComputer`` numbers labels as the recursion meets them and adds, per
-number, the length and one kept flag (every element in the Hecke
-algebra, the coset-maximal ones in the spherical module).  Both actions
-above are one rule read off the table: x . Hb_s = xs + v^{+-1} x (v when
-xs is longer) when xs is kept and (v + v^-1) x when it is not.  The
-descent of x is the first generator s with xs shorter and kept.
+``KLComputer`` numbers its labels as it meets them (F. du Cloux's
+encoding, Experiment. Math. 2002) and keys its rows by number.  Per
+number it keeps the element, the numbers of its neighbours x s_i (each
+product formed once), a rank and a kept flag: the length and every
+element in the Hecke algebra, the length and the coset-maximal ones in
+the spherical module, the signed generic height and the members in a
+window.  The action of Hb_s is one rule read off the table: x . Hb_s =
+xs + v^{+-1} x (v when xs ranks higher) when xs is kept; otherwise x
+stays with v + v^-1 in the spherical module, and a window drops xs as
+truncated and keeps the stay.  The descent of x is the first generator
+s with xs ranked lower and kept.
 """
 
 from __future__ import annotations
@@ -199,20 +202,36 @@ def mul_bar_gen(
 # -- canonical rows (the top-down mu-recursion) ----------------------------------
 
 
-class LabelTable:
-    """Group elements numbered on first sight (see the module docstring).
+class KLComputer:
+    """Memoized canonical rows of the Hecke algebra, its spherical module
+    or a periodic window, on the label table of the module docstring.
 
-    ``elts[k]`` is the element numbered k and ``nbrs[k][i]`` the number
-    of elts[k] s_i once formed, so each product is formed once.
-    Subclasses keep further per-number columns by extending ``_add``.
+    ``elts[k]``, ``nbrs[k][i]``, ``ranks[k]`` and ``kept[k]`` are the
+    element numbered k, the number of elts[k] s_i, its rank and its kept
+    flag (``kept(x)``).  ``rows[k]`` is its certified row of ``codec``
+    integers, seeded {k: 1} when k has no descent, and ``flags[k]``
+    whether that row, or one it was made from, lost a term ``act``
+    dropped as truncated.
     """
 
-    def __init__(self, sys: RootSystem):
+    LENGTH_BOUND = 64
+    """Longest element whose canonical row is computed; longer ones raise
+    ResourceError.  It also bounds the degree of every row coefficient."""
+
+    def __init__(self, sys: RootSystem, name: str, kept):
         self.sys = sys
+        self.name = name
+        self._is_kept = kept
         self._gens = [simple_reflection(sys, i) for i in gen_indices(sys)]
         self._number: dict[ExtWeylElt, int] = {}
         self.elts: list[ExtWeylElt] = []
         self.nbrs: list[list[int | None]] = []
+        self.ranks: list[int] = []
+        self.kept: list[bool] = []
+        self.codec = PackedCodec(self.LENGTH_BOUND)
+        self.rows: dict[int, dict[int, int]] = {}
+        self.flags: dict[int, bool] = {}
+        self._cut = False  # set when act drops a term as truncated (windows only)
 
     def number(self, x: ExtWeylElt) -> int:
         """The number of x in the label table, assigned on first sight."""
@@ -221,11 +240,12 @@ class LabelTable:
             k = self._number[x] = len(self.elts)
             self.elts.append(x)
             self.nbrs.append([None] * len(self._gens))
-            self._add(x)
+            self.ranks.append(self._rank(x))
+            self.kept.append(self._is_kept(x))
         return k
 
-    def _add(self, x: ExtWeylElt) -> None:
-        """Fill the per-number columns of the newly numbered x."""
+    def _rank(self, x: ExtWeylElt) -> int:
+        return length(self.sys, x)
 
     def nbr(self, k: int, i: int) -> int:
         """The number of x s_i for x the element numbered k."""
@@ -234,45 +254,21 @@ class LabelTable:
             n = self.nbrs[k][i] = self.number(self.elts[k] * self._gens[i])
         return n
 
-
-class KLComputer(LabelTable):
-    """Memoized canonical rows of the Hecke algebra or its spherical module.
-
-    The label table adds the columns ``lengths`` and ``kept``; ``kept(x)``
-    sets the kept flag.  A label with no descent seeds the row {k: 1};
-    any other row is the packed canonical step applied to the row of its
-    descent neighbour.  Rows map numbers to ``codec`` integers and are
-    certified as they are made (see the module docstring).
-    """
-
-    LENGTH_BOUND = 64
-    """Longest element whose canonical row is computed; longer ones raise
-    ResourceError.  It also bounds the degree of every row coefficient."""
-
-    def __init__(self, sys: RootSystem, name: str, kept):
-        super().__init__(sys)
-        self.name = name
-        self._is_kept = kept
-        self.lengths: list[int] = []
-        self.kept: list[bool] = []
-        self.codec = PackedCodec(self.LENGTH_BOUND)
-        self._rows: dict[int, dict[int, int]] = {}
-
-    def _add(self, x: ExtWeylElt) -> None:
-        self.lengths.append(length(self.sys, x))
-        self.kept.append(self._is_kept(x))
-
     def act(self, i: int, k: int) -> tuple[int | None, LaurentPoly]:
+        """The rule of Hb_s = Hb_{s_i} at elts[k] (see the module docstring)."""
         ks = self.nbr(k, i)
-        if not self.kept[ks]:
-            return None, _V_PLUS_VINV
-        return ks, (_V if self.lengths[ks] > self.lengths[k] else _VINV)
+        stay = _V if self.ranks[ks] > self.ranks[k] else _VINV
+        return (ks, stay) if self.kept[ks] else self._dropped(stay)
+
+    def _dropped(self, stay: LaurentPoly) -> tuple[None, LaurentPoly]:
+        return None, _V_PLUS_VINV  # the spherical rule, whatever the direction
 
     def descent(self, k: int) -> int | None:
-        lk = self.lengths[k]
+        """The first generator whose neighbour is lower and kept."""
+        rk = self.ranks[k]
         for i in range(len(self._gens)):
             ks = self.nbr(k, i)
-            if self.lengths[ks] < lk and self.kept[ks]:
+            if self.ranks[ks] < rk and self.kept[ks]:
                 return i
         return None
 
@@ -289,22 +285,53 @@ class KLComputer(LabelTable):
         unpack = self.codec.unpack
         return {self.elts[y]: unpack(p) for y, p in self._row(self.number(w)).items()}
 
-    def _row(self, k: int) -> dict[int, int]:
-        row = self._rows.get(k)
-        if row is not None:
-            return row
-        i = self.descent(k)
-        if i is None:
-            row = {k: self.codec.one}
-        else:
-            row = self._step(self._row(self.nbr(k, i)), i)
-            self._check(k, row)
-        self._rows[k] = row
-        return row
+    def _row(self, top: int) -> dict[int, int]:
+        """The row of ``top``, made with every row it rests on.
 
-    def _step(self, base: dict[int, int], i: int) -> dict[int, int]:
-        """``canonical_step`` on packed rows: E_{us} = E_u . Hb_s - sum_B
-        mu(B) E_B, for the certified row ``base`` of E_u.
+        Rows wait on an explicit stack, not on Python's, so a chain of
+        descents may be as long as the table: a row waits for its base,
+        and once spread (``_spread``) it waits, with its partial sum, for
+        the rows it subtracts.
+        """
+        rows, flags = self.rows, self.flags
+        if top in rows:
+            return rows[top]
+        todo, waiting = [top], {}
+        while todo:
+            k = todo[-1]
+            if k in rows:
+                todo.pop()
+                continue
+            if k not in waiting:
+                i = self.descent(k)
+                if i is None:
+                    rows[k], flags[k] = {k: self.codec.one}, False
+                    continue
+                a = self.nbr(k, i)
+                if a not in rows:
+                    todo.append(a)
+                    continue
+                self._cut = False
+                waiting[k] = (a, *self._spread(rows[a], i), self._cut)
+            a, acc, subtract, cut = waiting[k]
+            missing = [b for b, _ in subtract if b not in rows]
+            if missing:
+                todo += missing
+                continue
+            del waiting[k]
+            for b, mu in subtract:
+                for z, q in rows[b].items():
+                    acc[z] = acc.get(z, 0) - mu * q
+            row = {z: p for z, p in acc.items() if p}
+            self._check(k, row)
+            rows[k] = row
+            flags[k] = cut or flags[a] or any(flags[b] for b, _ in subtract)
+        return rows[top]
+
+    def _spread(self, base: dict[int, int], i: int) -> tuple[dict[int, int], list]:
+        """The packed ``canonical_step`` E_{us} = E_u . Hb_s - sum_B mu(B) E_B
+        up to the sum, for the certified row ``base`` of E_u: E_u . Hb_s and
+        the pairs (B, mu(B)).
 
         Every base value lies in Z[v], so the stay v^-1 is an exact right
         shift.  A new coefficient sums certified values with multipliers
@@ -335,21 +362,17 @@ class KLComputer(LabelTable):
             raise ResourceError(
                 f"{self.name} basis row needs more mu-corrections than the packed rows certify"
             )
-        for b, mu in subtract:
-            for z, q in self._row(b).items():
-                acc[z] = acc.get(z, 0) - mu * q
-        return {z: p for z, p in acc.items() if p}
+        return acc, subtract
 
     def _check(self, k: int, row: dict[int, int]) -> None:
         """Certify the new row of k, then check it is monic with every
         lower coefficient in vZ[v]."""
         codec = self.codec
-        for p in row.values():
-            if not codec.certified(p):
-                raise ResourceError(
-                    f"{self.name} basis row has a coefficient beyond the certified "
-                    f"bound 2^{codec.BOUND_BITS} of the packed rows"
-                )
+        if not all(map(codec.certified, row.values())):
+            raise ResourceError(
+                f"{self.name} basis row has a coefficient beyond the certified "
+                f"bound 2^{codec.BOUND_BITS} of the packed rows"
+            )
         if row.get(k) != codec.one:
             raise ConsistencyError(f"{self.name} basis row is not monic")
         for y, p in row.items():

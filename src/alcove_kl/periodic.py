@@ -9,22 +9,21 @@ The module is the free Z[v,v^-1]-module on alcoves with generator action
 keyed by its label x in W_aff, so that As is the label x s and an
 element of the module is a dict from labels to coefficients, like an
 element of the Hecke algebra.
-Canonical elements E_A are built inside a finite window (all alcoves
-x(A+) with l(x) <= R) by increasing height: alcoves whose lower
-neighbors all fall outside the window seed the recursion as pure
-alcoves, and
+Canonical elements E_A are the canonical rows of ``hecke.KLComputer``
+in a finite window (all alcoves x(A+) with l(x) <= R), ranked by height
+with the members kept: alcoves whose lower neighbours all fall outside
+the window seed the recursion as pure alcoves, and
 
     E_{As} = E_A . Hb_s  -  sum_B mu~(B, A) E_B
 
-over previously built B in the support of E_A with Bs below B, where
-mu~(B, A) is the coefficient of v in p_{B,A}; this is the canonical
-step of ``hecke``, which only the periodic module uses (the ordinary and
-spherical bases run a packed step of their own).  Terms leaving the
-window are truncated and the truncation is recorded.  Each window
-numbers its alcoves in a ``hecke.LabelTable`` of its own, forms each
-neighbour As once, reads whether the crossing goes up off the heights
-of the two numbers, and keys its rows by number.  A
-coefficient p_{y,w} (the coefficient of y(A+) in E_{w(A+)}) is only
+over the B in the support of E_A with Bs below B, where mu~(B, A) is
+the coefficient of v in p_{B,A}.  The packed step builds a row, and the
+rows it rests on, only when ``element`` or ``coefficient`` reads it, and
+certifies each: monic, lower coefficients in vZ[v], digits within the
+codec's bounds.  Terms leaving the window are truncated, and a row's
+truncation flag records whether it or a row it was built from lost one.
+A window with a gallery seed draws every member's descent when it is
+made.  A coefficient p_{y,w} (of y(A+) in E_{w(A+)}) is only
 reported when the windows of radius R and R + 1 agree on it exactly;
 everything else raises StabilizationError.
 
@@ -55,7 +54,7 @@ from operator import le, mul
 
 from .alcove import generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
-from .hecke import LabelTable, act_hb_s, canonical_step, crossing_rule
+from .hecke import KLComputer, act_hb_s, crossing_rule
 from .laurent import LaurentPoly
 from .rootsys import ModularContext, RootSystem, Weight
 from .weylext import (
@@ -76,9 +75,6 @@ from .weylext import (
 )
 
 _ZERO = LaurentPoly.zero()
-_ONE = LaurentPoly.one()
-_V = LaurentPoly.gen()
-_VINV = LaurentPoly.gen(-1)
 
 
 def periodic_act_gen(
@@ -94,70 +90,49 @@ def periodic_act_gen(
     return {x: p for x, p in acc.items() if p}, truncated
 
 
-class PeriodicWindow:
+class PeriodicWindow(KLComputer):
     """Canonical elements E_A for every alcove of length at most R.
 
-    ``gallery_seed`` randomizes the choice of descent used at each build
-    step; the default picks the first eligible generator, which fixes a
-    deterministic gallery.  ``sign=-1`` reverses the crossing orientation
+    The members are numbered first (``members`` maps each to its number),
+    ranked by signed generic height and kept, so the descent of a member
+    is its first lower member neighbour.  A crossing that leaves the
+    window is dropped with the stay of its direction, and recorded.
+    ``gallery_seed`` draws the descent of every member at construction,
+    by increasing height; ``sign=-1`` reverses the crossing orientation
     (heights are negated), which the negative control relies on.
-
-    The window numbers its alcove labels in a ``LabelTable``: the members
-    first, as 0..n-1, so that a number lies inside exactly when it is
-    below n, then the outside neighbours met.  ``members`` maps each
-    member to its number; ``rows`` and ``flags`` (whether a row was
-    truncated) are keyed by number.
     """
 
     def __init__(
-        self,
-        sys: RootSystem,
-        radius: int,
-        gallery_seed: int | None = None,
-        sign: int = 1,
+        self, sys: RootSystem, radius: int, gallery_seed: int | None = None, sign: int = 1
     ):
-        self.sys = sys
+        super().__init__(sys, "periodic", lambda x: length(sys, x) <= radius)
         self.radius = radius
-        rng = random.Random(gallery_seed) if gallery_seed is not None else None
-
+        self._sign = sign
         elements = waff_elements(sys, radius)
-        table = LabelTable(sys)
-        self.members = {x: table.number(x) for x in elements}
-        self._elts = table.elts
-        n = len(elements)
-        gens = gen_indices(sys)
-        cross = [[table.nbr(k, i) for i in gens] for k in range(n)]
-        h = [sign * generic_height(sys, x) for x in table.elts]
-        # acts[i][k] is the action rule of s_i at member k: the number of
-        # its neighbour and the stay v when the crossing goes up, else v^-1
-        acts = [
-            [(ks[i], _V if h[ks[i]] > h[k] else _VINV) for k, ks in enumerate(cross)]
-            for i in gens
-        ]
-        inside = range(n).__contains__
-
-        rows: dict[int, dict[int, LaurentPoly]] = {}
-        flags: dict[int, bool] = {}
-        order = sorted(range(n), key=lambda k: (h[k], elt_key(sys, elements[k])))
-        for c in order:
-            downs = [(i, a) for i, a in enumerate(cross[c]) if a < n and h[a] < h[c]]
-            if not downs:
-                rows[c] = {c: _ONE}
-                flags[c] = False
-                continue
-            i, a = rng.choice(downs) if rng is not None else downs[0]
-            row, truncated, subtracted = canonical_step(
-                rows[a], acts[i].__getitem__, rows.__getitem__, inside
+        self.members = {x: self.number(x) for x in elements}
+        self._drawn = None
+        if gallery_seed is not None:
+            rng = random.Random(gallery_seed)
+            ranks, kept = self.ranks, self.kept
+            self._drawn = {}
+            order = sorted(
+                range(len(elements)), key=lambda k: (ranks[k], elt_key(sys, elements[k]))
             )
-            if row.get(c) != _ONE:
-                raise ConsistencyError(
-                    "canonical element is not monic at its own alcove; "
-                    "up-direction or correction-sign convention is wrong"
-                )
-            rows[c] = row
-            flags[c] = truncated or flags[a] or any(flags[b] for b in subtracted)
-        self.rows = rows
-        self.flags = flags
+            for c in order:
+                nbrs = [self.nbr(c, i) for i in gen_indices(sys)]
+                downs = [(i, a) for i, a in enumerate(nbrs) if kept[a] and ranks[a] < ranks[c]]
+                if downs:
+                    self._drawn[c] = rng.choice(downs)[0]
+
+    def _rank(self, x: ExtWeylElt) -> int:
+        return self._sign * generic_height(self.sys, x)
+
+    def _dropped(self, stay: LaurentPoly) -> tuple[None, LaurentPoly]:
+        self._cut = True  # a crossing out of the window is truncated
+        return None, stay
+
+    def descent(self, k: int) -> int | None:
+        return super().descent(k) if self._drawn is None else self._drawn.get(k)
 
     def element(self, w: ExtWeylElt) -> tuple[dict[ExtWeylElt, LaurentPoly], bool]:
         """The row of E_{w(A+)}, keyed by label, and whether it was truncated."""
@@ -168,14 +143,15 @@ class PeriodicWindow:
                 f"element {_words(self.sys, w=w)} of length {lw} is outside the "
                 f"window of radius {self.radius}; radius {lw} reaches it"
             )
-        elts = self._elts
-        return {elts[y]: p for y, p in self.rows[k].items()}, self.flags[k]
+        elts, unpack = self.elts, self.codec.unpack
+        return {elts[y]: unpack(p) for y, p in self._row(k).items()}, self.flags[k]
 
     def coefficient(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
         kw, ky = self.members.get(w), self.members.get(y)
         if kw is None or ky is None:
             raise _out_of_reach(self.sys, y, w, f"window radius {self.radius}")
-        return self.rows[kw].get(ky, _ZERO)
+        p = self._row(kw).get(ky)
+        return _ZERO if p is None else self.codec.unpack(p)
 
 
 @lru_cache(maxsize=None)

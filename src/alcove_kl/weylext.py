@@ -83,12 +83,13 @@ class FiniteWeylGroup:
     looks the result up; products are memoized as they are asked for.
     The table also holds ``inv[k]``, the number of the inverse, and
     ``mats[k]``, the matrix on the fundamental-weight basis read off the
-    permutation: row i is the coroot of w^-1(alpha_i).  Nothing here
-    closes the whole group; only ``weyl_group`` does.
+    permutation: row i is the coroot of w^-1(alpha_i), and ``elts[k]``,
+    the ``ExtWeylElt`` with no translation.  Nothing here closes the
+    whole group; only ``weyl_group`` does.
     """
 
     __slots__ = (
-        "mats", "inv", "roots", "identity", "simples",
+        "mats", "inv", "roots", "elts", "identity", "simples",
         "_sys", "_index", "_products", "_stride", "_simple_pos", "_signed_coroots",
     )
 
@@ -97,6 +98,7 @@ class FiniteWeylGroup:
         self.mats: list[Mat] = []
         self.inv: list[int] = []
         self.roots: list[tuple[int, ...]] = []
+        self.elts: list[ExtWeylElt] = []
         self._index: dict[tuple[int, ...], int] = {}
         self._products: dict[int, int] = {}  # i * stride + j -> product
         self._stride = sys.weyl_order
@@ -129,6 +131,7 @@ class FiniteWeylGroup:
             self.roots.append(p)
             # row i is the coroot of w^-1(alpha_i), read at alpha_i's position
             self.mats.append(tuple([self._signed_coroots[p[j]] for j in self._simple_pos]))
+            self.elts.append(ExtWeylElt(len(self.elts), Weight.zero(self._sys.rank), self))
         self.inv += [k] if len(new) == 1 else [k + 1, k]
         return k
 
@@ -374,7 +377,7 @@ def finite_word(sys: RootSystem, m: int) -> tuple[int, ...]:
 
 
 def finite_elt(sys: RootSystem, m: int) -> ExtWeylElt:
-    return ExtWeylElt(m, Weight.zero(sys.rank), finite_group(sys))
+    return finite_group(sys).elts[m]
 
 
 @lru_cache(maxsize=None)

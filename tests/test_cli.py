@@ -10,7 +10,7 @@ import pytest
 
 from alcove_kl import cache
 from alcove_kl.cache import cache_dir
-from alcove_kl.cli import FORMATS, main
+from alcove_kl.cli import CLOSED_STDOUT, FORMATS, main
 from alcove_kl.errors import IndeterminateError, SearchError
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.repcalc import default_radius
@@ -613,3 +613,28 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, comman
     payload = json.loads(err)
     assert payload["error"] == "config"
     assert f"unrecognized arguments: {flag} {value}" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kl", "--type", "A", "--rank", "1", "--w", "0,1"),
+        ("verify", "--type", "A", "--rank", "1", "--p", "5", "--lmax", "2", "--window", "6"),
+    ],
+    ids=["kl", "verify"],
+)
+def test_a_closed_stdout_ends_quietly_and_never_with_0(tmp_path, argv):
+    # the read end is closed before the child starts, so its first write
+    # meets a closed pipe; a cut-off verify report must not read as a pass
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "alcove_kl.cli", *argv, "--cache-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == CLOSED_STDOUT != 0
+    assert done.stderr == ""

@@ -57,11 +57,11 @@ def test_spherical_rows_match_ideal_expansion(sys):
 def assert_table_laws(sys, comp, kept):
     gens = [simple_reflection(sys, i) for i in gen_indices(sys)]
     elts = comp.elts
-    assert len(set(elts)) == len(elts) == len(comp.lengths) == len(comp.nbrs)
+    assert len(set(elts)) == len(elts) == len(comp.ranks) == len(comp.nbrs)
     filled = 0
     for k, x in enumerate(elts):
         assert comp.number(x) == k
-        assert comp.lengths[k] == length(sys, x)
+        assert comp.ranks[k] == length(sys, x)
         assert comp.kept[k] == kept(x)
         for i, n in enumerate(comp.nbrs[k]):
             if n is not None:
@@ -165,7 +165,7 @@ def test_an_uncertified_row_is_refused():
     u = from_word(B2, [0, 1, 2])
     comp.row(u)
     k = comp.number(u)
-    comp._rows[k][k] += 1 << (PackedCodec.B + PackedCodec.BOUND_BITS)
+    comp.rows[k][k] += 1 << (PackedCodec.B + PackedCodec.BOUND_BITS)
     with pytest.raises(ResourceError, match="certified bound"):
         comp.row(u)
     with pytest.raises(ResourceError, match="certified bound"):

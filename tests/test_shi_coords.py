@@ -17,7 +17,6 @@ from alcove_kl.alcove import (
     UP,
     generic_height,
     generic_leq,
-    up_neighbors,
     wall_cross,
 )
 from alcove_kl.rootsys import build_root_system
@@ -27,6 +26,7 @@ from alcove_kl.weylext import (
     length,
     omega_group,
     shi_coords,
+    simple_reflection,
 )
 
 SYSTEMS = tuple(build_root_system(t, r) for t, r in (("A", 1), ("A", 2), ("B", 2), ("G", 2)))
@@ -40,6 +40,16 @@ def words(sys):
 
 def coords(sys, x):
     return shi_coords(sys, x.fin, x.translation)
+
+
+def up_neighbors(sys, x):
+    """The alcoves x s_i one up-crossing from x: each raises the generic
+    height by exactly one."""
+    d = generic_height(sys, x)
+    out = [x * simple_reflection(sys, i) for i in gen_indices(sys)]
+    up = [y for y in out if generic_height(sys, y) > d]
+    assert all(generic_height(sys, y) == d + 1 for y in up)
+    return up
 
 
 def reachable_by_up_crossings(sys, a, b):

@@ -72,11 +72,10 @@ def element_keyed_window(sys, radius, gallery_seed=None, sign=1):
 
 
 def by_element(win):
-    """The window's rows and flags with every number turned back into
-    its element."""
-    elts = {k: x for x, k in win.members.items()}
-    rows = {elts[w]: {elts[y]: p for y, p in row.items()} for w, row in win.rows.items()}
-    return rows, {elts[w]: f for w, f in win.flags.items()}
+    """The window's rows and flags, read through ``element`` for every
+    member."""
+    read = {w: win.element(w) for w in win.members}
+    return {w: row for w, (row, _) in read.items()}, {w: f for w, (_, f) in read.items()}
 
 
 def recorded_choices(monkeypatch, build):
