@@ -14,12 +14,10 @@ from .hecke import kl_basis, kl_basis_by_duality, mul_gen, spherical_kl
 from .laurent import LaurentPoly
 from .periodic import PKLTable, periodic_act_gen, periodic_kl, pkl_table
 from .repcalc import (
-    ExtTable,
     GradedMultTable,
     StdLabel,
     baby_verma_weight_dim,
     ext_dim,
-    ext_table,
     loewy_layers,
     nabla_weight_dim,
     socle_degree_check,
@@ -51,7 +49,6 @@ from .weylext import (
 )
 
 __all__ = [
-    "ExtTable",
     "ExtWeylElt",
     "GradedMultTable",
     "LaurentPoly",
@@ -69,7 +66,6 @@ __all__ = [
     "dot_action",
     "dot_stabilizer",
     "ext_dim",
-    "ext_table",
     "find_mu_s",
     "generic_height",
     "generic_leq",

@@ -6,10 +6,15 @@ the engine version ``ENGINE_VERSION``, which the cache adds itself, so a
 record written by an engine that emitted other values is never read.
 Corrupt or truncated records, undecodable bytes included, are skipped on
 load (forcing recomputation), and later records win over earlier ones
-for the same key, so appending is always safe.  The cache directory is
-created when the cache is opened, so a directory that cannot be made
-fails before anything is computed; that, and a cache file that cannot
-be read or appended to, raises ConfigError naming the path.
+for the same key, so appending is always safe.  When the dead lines
+(corrupt, superseded or of another engine version) outnumber the live
+records, and at least one record is live, loading rewrites the file
+with the live records alone, through a temporary file and an atomic
+rename; a file that cannot be rewritten is left as it was and served as
+loaded.  The cache directory is created when the cache is opened, so a
+directory that cannot be made fails before anything is computed; that,
+and a cache file that cannot be read or appended to, raises ConfigError
+naming the path.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ def _digest(key: str, payload) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
+def _line(key: str, payload) -> str:
+    rec = {"key": key, "payload": payload, "sha": _digest(key, payload)}
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class RecordCache:
     """A checksummed key -> JSON-payload store backed by one JSONL file."""
 
@@ -65,7 +75,8 @@ class RecordCache:
             data = self.path.read_bytes()
         except OSError as exc:
             raise self._unusable(exc) from exc
-        for line in data.splitlines():
+        lines = data.splitlines()
+        for line in lines:
             try:
                 rec = json.loads(line.decode("utf-8"))
                 key, payload, sha = rec["key"], rec["payload"], rec["sha"]
@@ -78,6 +89,29 @@ class RecordCache:
             ):
                 continue  # a corrupt record, or one of another engine version
             self._records[key] = payload
+        live = len(self._records)
+        if 0 < live < len(lines) - live:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rewrite the file with the live records only, or leave it be."""
+        import tempfile  # only a compacting load needs it
+
+        tmp = None
+        try:
+            fd, tmp = tempfile.mkstemp(
+                dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
+            )
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(_line(k, v) for k, v in self._records.items())
+            os.chmod(tmp, self.path.stat().st_mode & 0o7777)
+            os.replace(tmp, self.path)
+        except OSError:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def get(self, key: str):
         return self._records.get(self._version + key)
@@ -88,10 +122,9 @@ class RecordCache:
     def put(self, key: str, payload) -> None:
         key = self._version + key
         self._records[key] = payload
-        rec = {"key": key, "payload": payload, "sha": _digest(key, payload)}
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+                fh.write(_line(key, payload))
         except OSError as exc:
             raise self._unusable(exc) from exc
 

@@ -95,19 +95,6 @@ class GradedMultTable:
         return sum(self.entries.values())
 
 
-@dataclass
-class ExtTable:
-    """Coefficients of the Ext generating series, indexed (w, y, m)."""
-
-    system: RootSystem
-    p: int
-    series: dict[tuple[ExtWeylElt, ExtWeylElt], LaurentPoly]
-    note: str = CONJECTURE_NOTE
-
-    def entry(self, w: ExtWeylElt, y: ExtWeylElt, m: int) -> int:
-        return self.series[(w, y)].coeff(m)
-
-
 def default_radius(sys: RootSystem) -> int:
     """3 l(w0) + 4, where l(w0) is the number of positive roots."""
     return 3 * sys.num_positive_roots + 4
@@ -132,17 +119,6 @@ def ext_dim(
     return periodic_kl(ctx, y, w, default_radius(sys) if radius is None else radius)
 
 
-def ext_table(
-    ctx: ModularContext, length_bound: int, radius: int | None = None
-) -> ExtTable:
-    sys = ctx.system
-    elements = waff_elements(sys, length_bound)
-    series = {
-        (w, y): ext_dim(ctx, w, y, radius) for w in elements for y in elements
-    }
-    return ExtTable(sys, ctx.p, series)
-
-
 def loewy_layers(
     ctx: ModularContext,
     w: ExtWeylElt,
@@ -156,6 +132,12 @@ def loewy_layers(
     also the degree table of the graded baby Verma.  ``bound`` limits
     the length of the candidate labels y; it must reach w itself, whose
     simple is the head, and ResourceError is raised otherwise.
+
+    A table is built once per context and (w, bound, radius), with
+    ``radius=None`` meaning the default radius: once it has passed the
+    head check it is kept in the context's memo, and later calls return
+    a copy of it.  Every kept table was built through ``periodic_kl``
+    and so passed its identity gate; a call that raises keeps nothing.
     """
     sys = ctx.system
     if not in_waff(sys, w):
@@ -167,9 +149,20 @@ def loewy_layers(
             f"exceeds the length bound {bound} of the candidate labels; "
             f"bound {lw} reaches it"
         )
+    rad = default_radius(sys) if radius is None else radius
+    key = ("loewy_layers", w, bound, rad)
+    table = ctx._memo.get(key)
+    if table is None:
+        table = ctx._memo[key] = _build_loewy_layers(ctx, w, bound, rad)
+    return GradedMultTable(table.base, dict(table.entries), table.note)
+
+
+def _build_loewy_layers(
+    ctx: ModularContext, w: ExtWeylElt, bound: int, rad: int
+) -> GradedMultTable:
+    sys = ctx.system
     w0 = w0_elt(sys)
     w0w = w0 * w
-    rad = default_radius(sys) if radius is None else radius
     entries: dict[tuple[StdLabel, int], int] = {}
     for y in waff_elements(sys, bound):
         p = periodic_kl(ctx, w0w, w0 * y, rad)
@@ -199,7 +192,9 @@ def socle_degree_check(
     The Ext series of (x, y) must match the Loewy table of y read at
     layer (shift - m), where the correct shift is the length of the
     longest finite element (the socle degree constant); any other shift
-    is expected to fail and raises with a diagnostic.
+    is expected to fail and raises with a diagnostic.  The Loewy tables
+    do not depend on x: checking several x on one context builds each
+    table once, while the Ext series are computed on every call.
     """
     sys = ctx.system
     w0 = w0_elt(sys)

@@ -10,7 +10,7 @@ the pairing functional of the coroot on the weight lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -150,10 +150,18 @@ class RootSystem:
 
 @dataclass(frozen=True, slots=True)
 class ModularContext:
-    """A root system together with a prime p > h."""
+    """A root system together with a prime p > h.
+
+    One context serves a query session: it holds a private memo of the
+    tables the query layer has finished (``repcalc.loewy_layers``), so
+    reusing it spares their rebuilding.  The memo is not part of the
+    value: equal contexts compare and hash equal and print alike, and
+    no value returned through a context depends on its memo.
+    """
 
     system: RootSystem
     p: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):

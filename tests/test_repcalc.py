@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from alcove_kl import repcalc
 from alcove_kl.errors import ConsistencyError, DomainError, ResourceError
 from alcove_kl.laurent import LaurentPoly
+from alcove_kl.periodic import periodic_kl
 from alcove_kl.repcalc import (
     CONJECTURE_NOTE,
     SingularVermaLabel,
@@ -11,8 +13,8 @@ from alcove_kl.repcalc import (
     baby_verma_support,
     baby_verma_total_dim,
     baby_verma_weight_dim,
+    default_radius,
     ext_dim,
-    ext_table,
     loewy_layers,
     nabla_weight_dim,
     socle_degree_check,
@@ -78,11 +80,18 @@ def test_ext_dihedral_values(ctx_a1):
 
 
 def test_ext_table_entries(ctx_a1):
-    table = ext_table(ctx_a1, length_bound=3)
-    assert table.note == CONJECTURE_NOTE
-    for (w, y), series in table.series.items():
-        for m in range(-1, 3):
-            assert table.entry(w, y, m) == series.coeff(m)
+    # the entries of the Ext table over the labels of length <= 3: each
+    # series is p_{y,w}, its coefficients in degrees 0 and 1 only
+    sys = ctx_a1.system
+    elements = waff_elements(sys, 3)
+    for w in elements:
+        for y in elements:
+            series = ext_dim(ctx_a1, w, y)
+            assert series == periodic_kl(ctx_a1, y, w, default_radius(sys))
+            coeffs = {m: series.coeff(m) for m in range(-1, 3)}
+            assert coeffs[-1] == coeffs[2] == 0
+            assert series == coeffs[0] * ONE + coeffs[1] * V
+        assert ext_dim(ctx_a1, w, w) == ONE
 
 
 def test_loewy_layers_dihedral(ctx_a1):
@@ -139,10 +148,109 @@ def test_loewy_layers_forms_one_product_per_candidate(ctx_a2, monkeypatch):
     loewy_layers(ctx_a2, w, bound=9, radius=13)
     candidates = len(waff_elements(sys, 9))
     calls = []
+    fresh = ModularContext(sys, 5)  # the table is not yet in its memo
     mul = ExtWeylElt.__mul__
     monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    loewy_layers(ctx_a2, w, bound=9, radius=13)
+    loewy_layers(fresh, w, bound=9, radius=13)
     assert 0 < len(calls) <= candidates + 1
+
+
+def _count_work(monkeypatch):
+    """Count the group products and periodic_kl calls made from here on."""
+    calls = {"mul": 0, "periodic_kl": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ExtWeylElt, "__mul__", counting("mul", ExtWeylElt.__mul__))
+    monkeypatch.setattr(repcalc, "periodic_kl", counting("periodic_kl", repcalc.periodic_kl))
+    return calls
+
+
+def test_repeated_loewy_layers_reads_the_context_memo(a2, monkeypatch):
+    ctx = ModularContext(a2, 5)
+    w = from_word(a2, [1, 2])
+    first = loewy_layers(ctx, w, bound=7, radius=13)
+    calls = _count_work(monkeypatch)
+    again = loewy_layers(ctx, w, bound=7, radius=13)
+    assert calls == {"mul": 0, "periodic_kl": 0}
+    assert again == first and again is not first
+
+
+def test_loewy_layers_result_does_not_alias_the_memo(a1):
+    ctx = ModularContext(a1, 5)
+    w = from_word(a1, [0, 1])
+    first = loewy_layers(ctx, w, bound=4)
+    expected = dict(first.entries)
+    first.entries.clear()
+    first.entries[(first.base, 7)] = 3
+    again = loewy_layers(ctx, w, bound=4)
+    assert again.entries == expected and again.note == CONJECTURE_NOTE
+
+
+def test_loewy_layers_errors_store_nothing(a2, monkeypatch):
+    ctx = ModularContext(a2, 5)
+    outside = translation_elt(a2, Weight((1, 0)))  # not in W_aff
+    long_w = from_word(a2, [0, 1, 2, 0, 1])
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            loewy_layers(ctx, outside, bound=7)
+        with pytest.raises(ResourceError):
+            loewy_layers(ctx, long_w, bound=4)
+        assert ctx._memo == {}
+    w = from_word(a2, [1])
+    with monkeypatch.context() as patch:
+        patch.setattr(repcalc, "periodic_kl", lambda *args: LaurentPoly.zero())
+        for _ in range(2):
+            with pytest.raises(ConsistencyError, match="head"):
+                loewy_layers(ctx, w, bound=5)
+            assert ctx._memo == {}
+    assert loewy_layers(ctx, w, bound=5) == loewy_layers(ModularContext(a2, 5), w, bound=5)
+
+
+def test_loewy_layers_memo_keys_resolve_the_default_radius(a2, monkeypatch):
+    ctx = ModularContext(a2, 5)
+    w = identity_elt(a2)
+    table = loewy_layers(ctx, w, bound=7)
+    calls = _count_work(monkeypatch)
+    assert loewy_layers(ctx, w, bound=7, radius=default_radius(a2)) == table
+    assert calls["periodic_kl"] == 0 and len(ctx._memo) == 1
+    wider = loewy_layers(ctx, w, bound=8)
+    assert calls["periodic_kl"] == len(waff_elements(a2, 8))
+    assert len(ctx._memo) == 2
+    assert wider.entries.items() >= table.entries.items()
+
+
+def test_equal_contexts_do_not_share_a_memo(a2):
+    ctx, other = ModularContext(a2, 5), ModularContext(a2, 5)
+    loewy_layers(ctx, identity_elt(a2), bound=3)
+    assert ctx == other and hash(ctx) == hash(other)
+    assert repr(ctx) == repr(other) == f"ModularContext(system={a2!r}, p=5)"
+    assert len(ctx._memo) == 1 and other._memo == {}
+    assert ctx != ModularContext(a2, 7)
+
+
+def _outcome(ctx, x, **kwargs):
+    try:
+        return socle_degree_check(ctx, x, bound=3, radius=14, **kwargs)
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+def test_socle_degree_check_on_a_shared_context_matches_fresh_ones(a2):
+    shared = ModularContext(a2, 5)
+    elements = waff_elements(a2, 4)
+    assert len(elements) == 31
+    for x in elements:
+        assert _outcome(shared, x) is _outcome(ModularContext(a2, 5), x) is True
+    # a wrong shift fails the same way with the tables read from the memo
+    for x in elements[:4]:
+        failure = _outcome(shared, x, shift=2)
+        assert isinstance(failure, str) and failure == _outcome(ModularContext(a2, 5), x, shift=2)
 
 
 def test_socle_degree_check_negative_control(ctx_a1):
