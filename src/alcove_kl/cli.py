@@ -12,6 +12,13 @@ reads; any other flag is a usage error.  A window radius out of reach
 exits 3 from every command, verify included.  Output is canonically
 sorted, so identical configurations and cache states produce identical
 bytes.
+
+The layers a command may not reach (``hecke``, ``periodic``,
+``repcalc``, ``verify``, ``weylext``) are imported inside the command
+that reads them, or inside the closure that computes a value missing
+from the cache.  A warm ``periodic`` run executes only ``cache``,
+``errors``, ``laurent`` and ``rootsys``; a warm ``kl`` or ``spherical``
+run adds ``weylext``, which parses --w and keys the row.
 """
 
 from __future__ import annotations
@@ -31,21 +38,8 @@ from .errors import (
     SearchError,
     StabilizationError,
 )
-from .hecke import is_coset_maximal, kl_basis, spherical_kl
 from .laurent import LaurentPoly
-from .periodic import pkl_table
-from .repcalc import (
-    baby_verma_support,
-    baby_verma_weight_dim,
-    default_radius,
-    ext_dim,
-    loewy_layers,
-    nabla_weight_dim,
-    verma_weight_dim,
-)
-from .rootsys import ModularContext, Weight, build_root_system
-from .verify import run_suite
-from .weylext import elt_to_json, from_word, gen_indices
+from .rootsys import ModularContext, Weight, build_root_system, default_radius
 
 FORMATS = ("pretty", "json", "csv", "latex")
 
@@ -80,6 +74,8 @@ def _context(args) -> ModularContext:
 
 
 def _elt_from_flag(sys, text):
+    from .weylext import from_word, gen_indices
+
     word = _parse_word(text)
     for i in word:
         if i not in gen_indices(sys):
@@ -110,6 +106,8 @@ def _emit_rows(rows, header, fmt):
 
 
 def _elt_str(sys, x) -> str:
+    from .weylext import elt_to_json
+
     return _record_str(elt_to_json(sys, x))
 
 
@@ -137,11 +135,16 @@ def _cached_records(args, name: str, key: str, compute, header, render) -> int:
     return 0
 
 
-def _row_command(args, sys, w, kind: str, column: str, compute) -> int:
-    """Print the canonical row ``compute(sys, w)``, cached in ``<kind>_<sys>``."""
+def _row_command(args, sys, w, kind: str, column: str, compute: str) -> int:
+    """Print the canonical row ``hecke.<compute>(sys, w)``, cached in
+    ``<kind>_<sys>``; ``hecke`` is imported only to compute it."""
+    from .weylext import elt_to_json
 
     def records():
-        return [[elt_to_json(sys, y), p.to_json()] for y, p in compute(sys, w).items()]
+        from . import hecke
+
+        row = getattr(hecke, compute)(sys, w)
+        return [[elt_to_json(sys, y), p.to_json()] for y, p in row.items()]
 
     def render(y, p):
         return _record_str(y), str(LaurentPoly.from_json(p))
@@ -153,15 +156,17 @@ def _row_command(args, sys, w, kind: str, column: str, compute) -> int:
 def cmd_kl(args) -> int:
     sys = _system(args)
     w = _elt_from_flag(sys, args.w)
-    return _row_command(args, sys, w, "kl", "h", kl_basis)
+    return _row_command(args, sys, w, "kl", "h", "kl_basis")
 
 
 def cmd_spherical(args) -> int:
+    from .weylext import is_coset_maximal
+
     sys = _system(args)
     w = _elt_from_flag(sys, args.w)
     if not is_coset_maximal(sys, w):
         raise DomainError("the element must be maximal in its finite coset")
-    return _row_command(args, sys, w, "spherical", "m", spherical_kl)
+    return _row_command(args, sys, w, "spherical", "m", "spherical_kl")
 
 
 def cmd_periodic(args) -> int:
@@ -170,6 +175,9 @@ def cmd_periodic(args) -> int:
     radius = default_radius(sys) if args.window is None else args.window
 
     def records():
+        from .weylext import elt_to_json
+        from .periodic import pkl_table
+
         table = pkl_table(ctx, args.lmax, radius)
         return [
             [elt_to_json(sys, y), elt_to_json(sys, w), entry.poly.to_json(), entry.stabilized]
@@ -191,6 +199,8 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_ext(args) -> int:
+    from .repcalc import ext_dim
+
     ctx = _context(args)
     sys = ctx.system
     w = _elt_from_flag(sys, args.w)
@@ -203,6 +213,8 @@ def cmd_ext(args) -> int:
 
 
 def cmd_loewy(args) -> int:
+    from .repcalc import loewy_layers
+
     ctx = _context(args)
     sys = ctx.system
     w = _elt_from_flag(sys, args.w)
@@ -222,22 +234,21 @@ def cmd_loewy(args) -> int:
     return 0
 
 
-_CHAR_DIMS = {
-    "Z": baby_verma_weight_dim,
-    "Delta": verma_weight_dim,
-    "Nabla": nabla_weight_dim,
-}
-
-
 def cmd_char(args) -> int:
+    from . import repcalc
+
     ctx = _context(args)
     sys = ctx.system
     lam = _parse_weight(args.lam, sys.rank)
-    fn = _CHAR_DIMS.get(args.module)
+    fn = {
+        "Z": repcalc.baby_verma_weight_dim,
+        "Delta": repcalc.verma_weight_dim,
+        "Nabla": repcalc.nabla_weight_dim,
+    }.get(args.module)
     if fn is None:
         raise ConfigError(f"unknown module family {args.module!r}")
     # Delta and Nabla are read on the finite probe window of Z
-    dims = {mu: fn(ctx, lam, mu) for mu in baby_verma_support(ctx, lam)}
+    dims = {mu: fn(ctx, lam, mu) for mu in repcalc.baby_verma_support(ctx, lam)}
     rows = sorted((str(mu), str(d)) for mu, d in dims.items() if d)
     _emit_rows(rows, ("weight", "dim"), args.format)
     print(f"# total {sum(dims.values())}")
@@ -245,6 +256,8 @@ def cmd_char(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     ctx = _context(args)
     results = run_suite(ctx, bound=args.lmax, radius=args.window, seed=args.seed)
     failed = [r for r in results if not r.passed]

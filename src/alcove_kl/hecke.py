@@ -75,14 +75,15 @@ from .laurent import LaurentPoly, PackedCodec
 from .rootsys import RootSystem
 from .weylext import (
     ExtWeylElt,
+    _left_ascent,
     elt_key,
     gen_indices,
     identity_elt,
     in_waff,
+    is_coset_maximal,
     length,
     reduced_word,
     right_descents,
-    shi_coords,
     simple_reflection,
     w0_elt,
 )
@@ -442,26 +443,6 @@ def kl_basis_by_duality(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, Laur
 
 
 # -- the spherical module ---------------------------------------------------------
-
-
-def _left_ascent(sys: RootSystem, x: ExtWeylElt) -> int | None:
-    """A finite i with s_i x longer than x, or None when x is maximal in Wx.
-
-    s_i x(A+) is the mirror image of x(A+) in the wall of alpha_i, which
-    sends k_{alpha_i} to -1 - k_{alpha_i} and permutes the other Shi
-    coordinates, so s_i x is longer exactly when k_{alpha_i}(x) >= 0.  The
-    simple roots are the positive roots of height one, listed first.
-    """
-    k = shi_coords(sys, x.fin, x.translation)
-    for r, c in zip(sys.positive_roots[: sys.rank], k):
-        if c >= 0:
-            return r.root.index(1) + 1
-    return None
-
-
-def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
-    """Maximal in Wx: every finite simple reflection is a left descent."""
-    return _left_ascent(sys, x) is None
 
 
 def coset_maximal_rep(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:

@@ -18,8 +18,8 @@ from .laurent import LaurentPoly
 from .periodic import periodic_kl
 from .rootsys import (
     ModularContext,
-    RootSystem,
     Weight,
+    default_radius,
     dominance_leq,
     kostant_partition,
 )
@@ -93,11 +93,6 @@ class GradedMultTable:
 
     def total(self) -> int:
         return sum(self.entries.values())
-
-
-def default_radius(sys: RootSystem) -> int:
-    """3 l(w0) + 4, where l(w0) is the number of positive roots."""
-    return 3 * sys.num_positive_roots + 4
 
 
 # -- Ext series and Loewy layers ------------------------------------------------

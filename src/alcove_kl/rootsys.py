@@ -11,12 +11,15 @@ the pairing functional of the coroot on the weight lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _WEYL_ORDER = {
     "A": lambda n: factorial(n + 1),
@@ -169,6 +172,12 @@ class ModularContext:
         h = self.system.coxeter_number
         if self.p <= h:
             raise ConfigError(f"p = {self.p} must exceed the Coxeter number {h}")
+
+
+def default_radius(sys: RootSystem) -> int:
+    """The default window radius, 3 l(w0) + 4, where l(w0) is the number
+    of positive roots."""
+    return 3 * sys.num_positive_roots + 4
 
 
 def _is_prime(n: int) -> bool:
@@ -341,25 +350,24 @@ def _cartan_adjugate(sys: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]
     """The determinant d > 0 of the Cartan matrix and its integer adjugate
     d C^-1: the root coordinates of lam are adj.lam / d.
 
-    C is a positive diagonal matrix times a positive definite one, so
-    every pivot of the elimination is positive and d is their product.
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [C | I]: after
+    the step on column k each row but the pivot row holds minors of
+    order k + 1 of [C | I], so every division is exact, and the last
+    step leaves d I on the left and the adjugate on the right.  The
+    pivots are the leading principal minors of C, which are positive: C
+    is a positive diagonal matrix times a positive definite one.
     """
     n = sys.rank
-    a = [[Fraction(x) for x in row] for row in sys.cartan]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        scale = a[col][col]
-        det *= scale
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    d = int(det)
-    return d, tuple(tuple(int(x * d) for x in row) for row in inv)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(sys.cartan)]
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], m[k])]
+        prev = pivot
+    return prev, tuple(tuple(row[n:]) for row in m)
 
 
 def scaled_root_coords(sys: RootSystem, lam: Weight) -> tuple[int, tuple[int, ...]]:
@@ -370,6 +378,9 @@ def scaled_root_coords(sys: RootSystem, lam: Weight) -> tuple[int, tuple[int, ..
 
 def root_coords(sys: RootSystem, lam: Weight) -> tuple[Fraction, ...]:
     """Coordinates of ``lam`` in the simple roots (rational in general)."""
+    # imported here: fractions loads decimal, which no command needs
+    from fractions import Fraction
+
     d, c = scaled_root_coords(sys, lam)
     return tuple(Fraction(x, d) for x in c)
 

@@ -18,8 +18,8 @@ so a product costs two table lookups and one rank-sized matrix-vector
 product, and an element hashes as (number, translation).
 
 On top of the group structure this module provides Shi's alcove
-coordinates and the length function read off them, the p-dilated
-dot-action, the finite group Omega of length-zero elements, the
+coordinates, with the length function and the test for maximality in a
+finite coset read off them, the p-dilated dot-action, the finite group Omega of length-zero elements, the
 restricted elements and the check involution, the dot-stabilizers of
 weights in the closure of the fundamental box, and a breadth-first
 search conjugating an affine simple reflection into a finite one.
@@ -27,11 +27,9 @@ search conjugating an affine simple reflection into a finite one.
 The factorizations of an element that the engine needs are read off its
 coordinates rather than searched for with products: x = t_nu w_res, with
 w_res the restricted element sharing x's finite part
-(``restricted_shift``, used by the check involution); x = t_nu u with u
-finite (u is x's finite part and nu = u(lam)); and x = omega z with omega
-in Omega and z in W_aff (omega is picked by the class of the translation
-modulo the root lattice).  Omega itself holds plain elements, one per
-class, descended from t_0 and from t_omega for the minuscule
+(``restricted_shift``, used by the check involution); and x = t_nu u
+with u finite (u is x's finite part and nu = u(lam)).  Omega holds plain
+elements, one per class of X modulo the root lattice, descended from t_0 and from t_omega for the minuscule
 fundamental weights omega.
 """
 
@@ -308,6 +306,26 @@ def length(sys: RootSystem, x: ExtWeylElt) -> int:
     return sum(map(abs, shi_coords(sys, x.fin, x.translation)))
 
 
+def _left_ascent(sys: RootSystem, x: ExtWeylElt) -> int | None:
+    """A finite i with s_i x longer than x, or None when x is maximal in Wx.
+
+    s_i x(A+) is the mirror image of x(A+) in the wall of alpha_i, which
+    sends k_{alpha_i} to -1 - k_{alpha_i} and permutes the other Shi
+    coordinates, so s_i x is longer exactly when k_{alpha_i}(x) >= 0.  The
+    simple roots are the positive roots of height one, listed first.
+    """
+    k = shi_coords(sys, x.fin, x.translation)
+    for r, c in zip(sys.positive_roots[: sys.rank], k):
+        if c >= 0:
+            return r.root.index(1) + 1
+    return None
+
+
+def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
+    """Maximal in Wx: every finite simple reflection is a left descent."""
+    return _left_ascent(sys, x) is None
+
+
 def right_descents(sys: RootSystem, x: ExtWeylElt) -> list[int]:
     lx = length(sys, x)
     return [
@@ -444,23 +462,6 @@ def omega_group(sys: RootSystem) -> tuple[ExtWeylElt, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _omega_by_class(sys: RootSystem) -> dict[tuple[int, ...], ExtWeylElt]:
-    return {lattice_class(sys, o.translation): o for o in omega_group(sys)}
-
-
-def omega_class(sys: RootSystem, x: ExtWeylElt) -> tuple[int, ...]:
-    return lattice_class(sys, x.translation)
-
-
-def waff_part(sys: RootSystem, x: ExtWeylElt) -> tuple[ExtWeylElt, ExtWeylElt]:
-    """Factor x = omega * z with omega in Omega and z in W_aff."""
-    om = _omega_by_class(sys)[omega_class(sys, x)]
-    z = om.inverse() * x
-    assert in_waff(sys, z)
-    return om, z
-
-
 # -- enumeration ---------------------------------------------------------------
 
 
@@ -522,20 +523,6 @@ def restricted_element_for(sys: RootSystem, m: int) -> ExtWeylElt:
     return ExtWeylElt(m, Weight(_mat_vec(g.mats[g.inv[m]], sigma)), g)
 
 
-def restricted_elements(ctx: ModularContext, length_bound: int) -> list[ExtWeylElt]:
-    """All x in W_ex with l(x) <= bound and x . 0 restricted."""
-    sys = ctx.system
-    out = []
-    zero = Weight.zero(sys.rank)
-    for z in waff_elements(sys, length_bound):
-        for om in omega_group(sys):
-            x = om * z
-            if is_restricted(ctx, dot_action(ctx, x, zero)):
-                out.append(x)
-    out.sort(key=lambda x: elt_key(sys, x))
-    return out
-
-
 def is_restricted_elt(ctx: ModularContext, x: ExtWeylElt) -> bool:
     return is_restricted(ctx, dot_action(ctx, x, Weight.zero(ctx.system.rank)))
 
@@ -565,39 +552,6 @@ def rho_check_involution(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:
     if not is_restricted_elt(ctx, x):
         raise DomainError("argument must lie in W_ex^res")
     return translation_elt(sys, sys.rho) * check(ctx, x)
-
-
-# -- Bruhat order -----------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _bruhat_aff(sys: RootSystem, x: ExtWeylElt, y: ExtWeylElt) -> bool:
-    if length(sys, x) > length(sys, y):
-        return False
-    if length(sys, x) == 0:
-        return True
-    if x == y:
-        return True
-    i = min(right_descents(sys, y))
-    s = simple_reflection(sys, i)
-    ys = y * s
-    xs = x * s
-    if length(sys, xs) < length(sys, x):
-        return _bruhat_aff(sys, xs, ys)
-    return _bruhat_aff(sys, x, ys)
-
-
-def bruhat_leq(sys: RootSystem, x: ExtWeylElt, y: ExtWeylElt) -> bool:
-    """Bruhat order via the lifting property on the W_aff parts.
-
-    Elements in different W_aff-cosets are incomparable and compare as
-    False.
-    """
-    if omega_class(sys, x) != omega_class(sys, y):
-        return False
-    _, zx = waff_part(sys, x)
-    _, zy = waff_part(sys, y)
-    return _bruhat_aff(sys, zx, zy)
 
 
 # -- singular weights of the fundamental box ----------------------------------------

@@ -363,7 +363,7 @@ def test_unusable_cache_dir_fails_before_compute(tmp_path, capsys, monkeypatch):
     not_a_dir = tmp_path / "plain-file"
     not_a_dir.write_text("")
     calls = []
-    monkeypatch.setattr("alcove_kl.cli.kl_basis", lambda *args: calls.append(args) or {})
+    monkeypatch.setattr("alcove_kl.hecke.kl_basis", lambda *args: calls.append(args) or {})
     code, out, err = run(
         capsys,
         "kl", "--type", "A", "--rank", "2", "--w", "1,2,1", "--cache-dir", str(not_a_dir),
@@ -378,7 +378,7 @@ def test_unusable_cache_dir_fails_before_any_window_is_built(tmp_path, capsys, m
     not_a_dir = tmp_path / "plain-file"
     not_a_dir.write_text("")
     calls = []  # pkl_table builds the windows and runs the gate
-    monkeypatch.setattr("alcove_kl.cli.pkl_table", lambda *args: calls.append(args))
+    monkeypatch.setattr("alcove_kl.periodic.pkl_table", lambda *args: calls.append(args))
     code, out, err = run(
         capsys,
         "periodic", "--type", "A", "--rank", "1", "--p", "5", "--cache-dir", str(not_a_dir),
@@ -409,7 +409,7 @@ def test_warm_periodic_table_prints_the_cold_bytes(tmp_path, capsys, monkeypatch
     cache_file = tmp_path / f"periodic_{system}.jsonl"
     stamp = cache_file.read_bytes()
     assert len(stamp.splitlines()) == 1  # one record per table
-    monkeypatch.setattr("alcove_kl.cli.pkl_table", _refuse_to_compute)
+    monkeypatch.setattr("alcove_kl.periodic.pkl_table", _refuse_to_compute)
     calls = []
     mul = ExtWeylElt.__mul__
     monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
@@ -423,7 +423,7 @@ def test_periodic_key_resolves_the_default_radius(tmp_path, capsys, monkeypatch)
     """A missing --window and the default radius spelled out are one table."""
     base = ("periodic", "--type", "A", "--rank", "1", "--p", "5", "--cache-dir", str(tmp_path))
     cold = run(capsys, *base)
-    monkeypatch.setattr("alcove_kl.cli.pkl_table", _refuse_to_compute)
+    monkeypatch.setattr("alcove_kl.periodic.pkl_table", _refuse_to_compute)
     radius = str(default_radius(build_root_system("A", 1)))
     assert run(capsys, *base, "--window", radius) == cold
 
@@ -482,7 +482,7 @@ def test_search_and_indeterminate_errors_exit_3(tmp_path, capsys, monkeypatch, e
     def fail(*args, **kwargs):
         raise exc("bounded search exhausted")
 
-    monkeypatch.setattr("alcove_kl.cli.ext_dim", fail)
+    monkeypatch.setattr("alcove_kl.repcalc.ext_dim", fail)
     code, out, err = run(
         capsys,
         "ext", "--type", "A", "--rank", "1", "--p", "5", "--w", "1", "--y", "1",

@@ -9,6 +9,7 @@ from alcove_kl.errors import ConfigError
 from alcove_kl.rootsys import (
     ModularContext,
     Weight,
+    _cartan_adjugate,
     build_root_system,
     dominance_leq,
     is_restricted,
@@ -183,6 +184,21 @@ LATTICE_TYPES = [
         ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6),
     )
 ]
+
+
+@pytest.mark.parametrize(
+    "name,det",
+    [*((f"A{n}", n + 1) for n in range(1, 9)), ("B2", 2), ("B5", 2), ("C3", 2), ("C8", 2),
+     ("D4", 4), ("D7", 4), ("E6", 3), ("E7", 2), ("E8", 1), ("F4", 1), ("G2", 1)],
+)
+def test_cartan_adjugate_inverts_the_cartan_matrix(name, det):
+    sys = build_root_system(name[0], int(name[1:]))
+    d, adj = _cartan_adjugate(sys)
+    assert d == det
+    n = sys.rank
+    assert [
+        [sum(adj[i][k] * sys.cartan[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+    ] == [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 @st.composite

@@ -1,0 +1,116 @@
+"""Start-up cost: a command executes only the layers it reaches.
+
+Each check runs a fresh interpreter that records, through an audit hook,
+every module body it executes, then runs the command line as
+``python -m alcove_kl.cli`` does.  A warm run prints a stored record, so
+it must not compile the engine.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import alcove_kl
+from alcove_kl.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+ENGINE = {"alcove", "hecke", "periodic", "repcalc", "verify"}
+
+_PROBE = """
+import json, os, runpy, sys
+
+executed = set()
+
+def record(event, args):
+    if event == "exec":
+        path = getattr(args[0], "co_filename", "")
+        if os.path.basename(os.path.dirname(path)) == "alcove_kl":
+            executed.add(os.path.basename(path)[:-3])
+
+sys.addaudithook(record)
+code = 0
+if sys.argv[1:]:
+    try:
+        runpy.run_module("alcove_kl.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import alcove_kl
+    registered = sorted(n for n in sys.modules if n.startswith("alcove_kl."))
+sys.stdout.flush()
+print(json.dumps({
+    "code": code,
+    "executed": sorted(executed - {"__init__"}),
+    "fractions": "fractions" in sys.modules,
+    "registered": [] if sys.argv[1:] else registered,
+}), file=sys.stderr)
+"""
+
+
+def probe(*argv) -> dict:
+    """Run ``alcove-kl ARGV`` (or, without ARGV, ``import alcove_kl``) in a
+    fresh interpreter; returns the exit code, the package modules whose
+    bodies ran, and whether ``fractions`` was loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    report = json.loads(done.stderr.splitlines()[-1])
+    report["executed"] = set(report["executed"])
+    return report
+
+
+def warm(capsys, *argv) -> tuple:
+    """``argv`` with a cache directory the same command has filled."""
+    main(list(argv))
+    capsys.readouterr()
+    return argv
+
+
+def test_warm_periodic_executes_no_group_or_engine_layer(tmp_path, capsys):
+    args = warm(capsys, "periodic", "--type", "A", "--rank", "1", "--p", "5", "--lmax", "3",
+                "--cache-dir", str(tmp_path))
+    report = probe(*args)
+    assert report["code"] == 0
+    assert report["executed"] == {"cli", "cache", "errors", "laurent", "rootsys"}
+    assert not report["fractions"]
+
+
+def test_warm_rows_execute_no_engine_layer(tmp_path, capsys):
+    for command, word in (("kl", "1,2,1"), ("spherical", "1,2,1")):
+        args = warm(capsys, command, "--type", "A", "--rank", "2", "--w", word,
+                    "--cache-dir", str(tmp_path))
+        report = probe(*args)
+        assert report["code"] == 0, command
+        assert report["executed"] & ENGINE == set(), command
+        assert "weylext" in report["executed"], command
+
+
+def test_cold_kl_executes_no_periodic_layer(tmp_path):
+    report = probe("kl", "--type", "A", "--rank", "2", "--w", "1,2,1", "--cache-dir", str(tmp_path))
+    assert report["code"] == 0
+    assert "hecke" in report["executed"]
+    assert report["executed"] & {"alcove", "periodic", "repcalc", "verify"} == set()
+
+
+def test_importing_the_package_executes_no_layer():
+    report = probe()
+    assert report["executed"] == set()
+    # every layer is registered, to be executed on first use
+    assert {name.split(".")[1] for name in report["registered"]} == {
+        *ENGINE, "cache", "errors", "laurent", "rootsys", "weylext",
+    }
+
+
+def test_every_exported_name_resolves_in_its_layer():
+    for name in alcove_kl.__all__:
+        module = sys.modules[f"alcove_kl.{alcove_kl._HOME[name]}"]
+        assert getattr(alcove_kl, name) is getattr(module, name), name
+    namespace = {}
+    exec("from alcove_kl import *", namespace)
+    assert set(alcove_kl.__all__) <= set(namespace)
+    assert "kl_basis" in dir(alcove_kl)
