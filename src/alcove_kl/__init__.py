@@ -38,7 +38,6 @@ _EXPORTS = {
         "loewy_layers",
         "nabla_weight_dim",
         "socle_degree_check",
-        "translation_pattern",
         "verma_weight_dim",
     ),
     "rootsys": (
@@ -54,10 +53,7 @@ _EXPORTS = {
     "weylext": (
         "ExtWeylElt",
         "check",
-        "conjugate_affine_simple",
         "dot_action",
-        "dot_stabilizer",
-        "find_mu_s",
         "length",
         "omega_group",
         "rho_check_involution",

@@ -1,8 +1,8 @@
 """Command-line interface: compute, cache, export, verify.
 
 Exit codes: 0 success, 2 configuration error, 3 stabilization failure or
-exceeded bound (window radius, element length, an exhausted search or an
-order query undecided within its radius), 4 identity-suite failure,
+exceeded bound (window radius, element length, or an order query
+undecided within its radius), 4 identity-suite failure,
 141 (``CLOSED_STDOUT``, quietly) stdout closed before the output was
 written, as by ``| head -1``.  Other errors, usage errors included,
 are emitted as a JSON object on stderr.
@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     IndeterminateError,
     ResourceError,
-    SearchError,
     StabilizationError,
 )
 from .laurent import LaurentPoly
@@ -367,9 +366,6 @@ def _run(argv) -> int:
         return 2
     except (StabilizationError, ResourceError) as exc:
         _error("stabilization", exc)
-        return 3
-    except SearchError as exc:
-        _error("search", exc)
         return 3
     except IndeterminateError as exc:
         _error("indeterminate", exc)

@@ -3,9 +3,8 @@
 The CLI maps these to exit codes, each with a JSON error object on
 stderr whose "error" kind is given in brackets: ConfigError and
 DomainError -> 2 ("config"); StabilizationError and ResourceError (with
-its subclass WindowError) -> 3 ("stabilization"), SearchError -> 3
-("search"), IndeterminateError -> 3 ("indeterminate"); ConsistencyError
--> 4 ("identity").
+its subclass WindowError) -> 3 ("stabilization"), IndeterminateError
+-> 3 ("indeterminate"); ConsistencyError -> 4 ("identity").
 """
 
 
@@ -32,10 +31,6 @@ class StabilizationError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """An internal identity failed; carries a convention diagnostic."""
-
-
-class SearchError(RuntimeError):
-    """A bounded search was exhausted without finding a witness."""
 
 
 class IndeterminateError(RuntimeError):

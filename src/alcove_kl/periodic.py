@@ -206,7 +206,7 @@ def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
 
 
 def periodic_kl(
-    ctx: ModularContext | RootSystem,
+    ctx: ModularContext,
     y: ExtWeylElt,
     w: ExtWeylElt,
     radius: int,
@@ -222,7 +222,7 @@ def periodic_kl(
     otherwise (the two agree by translation equivariance, which the test
     suite checks separately).
     """
-    sys = ctx.system if isinstance(ctx, ModularContext) else ctx
+    sys = ctx.system
     if normalize:
         y, w = canonical_pair(sys, y, w)
     elif not (in_waff(sys, y) and in_waff(sys, w)):

@@ -16,26 +16,16 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, DomainError, ResourceError
 from .laurent import LaurentPoly
 from .periodic import periodic_kl
-from .rootsys import (
-    ModularContext,
-    Weight,
-    default_radius,
-    dominance_leq,
-    kostant_partition,
-)
+from .rootsys import ModularContext, Weight, default_radius, kostant_partition
 from .weylext import (
     ExtWeylElt,
     check,
     dot_action,
-    dot_stabilizer,
     elt_to_json,
-    find_mu_s,
-    gen_indices,
     in_waff,
     length,
     restricted_element_for,
     restricted_shift,
-    simple_reflection,
     w0_elt,
     waff_elements,
 )
@@ -68,14 +58,6 @@ class StdLabel:
         """The highest weight this label denotes."""
         zero = Weight.zero(ctx.system.rank)
         return dot_action(ctx, self.index, zero) + self.shift
-
-
-@dataclass(frozen=True, slots=True)
-class SingularVermaLabel:
-    """A Verma-family label pinned to an explicit (singular-block) weight."""
-
-    weight: Weight
-    kind: str = "Delta"
 
 
 @dataclass
@@ -257,38 +239,3 @@ def baby_verma_support(ctx: ModularContext, lam: Weight) -> list[Weight]:
 
 def baby_verma_total_dim(ctx: ModularContext, lam: Weight) -> int:
     return sum(baby_verma_weight_dim(ctx, lam, mu) for mu in baby_verma_support(ctx, lam))
-
-
-# -- translation patterns -------------------------------------------------------------
-
-
-def translation_pattern(
-    ctx: ModularContext,
-    w: ExtWeylElt,
-    i: int,
-    onto_wall: bool = False,
-):
-    """Verma-family pattern of the translation functors through the i-th wall.
-
-    Off the wall the wall-crossing composite has a two-step filtration
-    [sub, quotient]; onto the wall a single label survives.
-    """
-    sys = ctx.system
-    if not in_waff(sys, w):
-        raise DomainError("pattern is defined for Coxeter-subgroup labels")
-    if i not in gen_indices(sys):
-        raise DomainError(f"no Coxeter generator with index {i}")
-    zero = Weight.zero(sys.rank)
-    if dot_stabilizer(ctx, zero):
-        raise DomainError("the base weight must be regular")
-    s = simple_reflection(sys, i)
-    mu_s = find_mu_s(ctx, s)
-    if onto_wall:
-        return [SingularVermaLabel(dot_action(ctx, w, mu_s))]
-    below = dot_action(ctx, w, zero)
-    above = dot_action(ctx, w * s, zero)
-    first = StdLabel.make(ctx, "Delta", w * s)
-    second = StdLabel.make(ctx, "Delta", w)
-    if dominance_leq(sys, below, above) and below != above:
-        return [first, second]
-    return [second, first]

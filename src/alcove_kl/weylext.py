@@ -19,10 +19,9 @@ product, and an element hashes as (number, translation).
 
 On top of the group structure this module provides Shi's alcove
 coordinates, with the length function and the test for maximality in a
-finite coset read off them, the p-dilated dot-action, the finite group Omega of length-zero elements, the
-restricted elements and the check involution, the dot-stabilizers of
-weights in the closure of the fundamental box, and a breadth-first
-search conjugating an affine simple reflection into a finite one.
+finite coset read off them, the p-dilated dot-action, the finite group
+Omega of length-zero elements, and the restricted elements with the
+check involution.
 
 The factorizations of an element that the engine needs are read off its
 coordinates rather than searched for with products: x = t_nu w_res, with
@@ -35,12 +34,11 @@ fundamental weights omega.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-from .errors import DomainError, SearchError
+from .errors import DomainError
 from .rootsys import (
     ModularContext,
     PosRoot,
@@ -49,7 +47,6 @@ from .rootsys import (
     _root_index,
     in_root_lattice,
     is_restricted,
-    scaled_root_coords,
 )
 
 Mat = tuple[tuple[int, ...], ...]
@@ -248,11 +245,6 @@ def translation_elt(sys: RootSystem, lam: Weight) -> ExtWeylElt:
     return ExtWeylElt(g.identity, lam, g)
 
 
-def _reflection_elt(sys: RootSystem, root: PosRoot, lam: Weight) -> ExtWeylElt:
-    g = finite_group(sys)
-    return ExtWeylElt(g.reflection(root), lam, g)
-
-
 @lru_cache(maxsize=None)
 def simple_reflection(sys: RootSystem, i: int) -> ExtWeylElt:
     """Coxeter generator of W_aff: i = 1..rank finite, i = 0 affine.
@@ -261,12 +253,12 @@ def simple_reflection(sys: RootSystem, i: int) -> ExtWeylElt:
     coroot pairs to 1, i.e. s_0 = t_theta s_theta for the corresponding
     root theta.
     """
+    g = finite_group(sys)
     if i == 0:
         theta = sys.affine_root
-        return _reflection_elt(sys, theta, -theta.as_weight())
+        return ExtWeylElt(g.reflection(theta), -theta.as_weight(), g)
     if not 1 <= i <= sys.rank:
         raise DomainError(f"no simple reflection with index {i}")
-    g = finite_group(sys)
     return ExtWeylElt(g.simples[i - 1], Weight.zero(sys.rank), g)
 
 
@@ -416,18 +408,6 @@ def dot_action(ctx: ModularContext, x: ExtWeylElt, mu: Weight) -> Weight:
 # -- Omega: length-zero elements ------------------------------------------------
 
 
-def lattice_class(sys: RootSystem, lam: Weight) -> tuple[int, ...]:
-    """Canonical representative of lam modulo the root lattice."""
-    d, c = scaled_root_coords(sys, lam)
-    out = list(lam.coords)
-    for j, x in enumerate(c):
-        f = x // d
-        if f:
-            for k in range(sys.rank):
-                out[k] -= f * sys.cartan[k][j]
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def omega_group(sys: RootSystem) -> tuple[ExtWeylElt, ...]:
     """All length-zero elements, one per class of X modulo the root lattice.
@@ -552,83 +532,3 @@ def rho_check_involution(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:
     if not is_restricted_elt(ctx, x):
         raise DomainError("argument must lie in W_ex^res")
     return translation_elt(sys, sys.rho) * check(ctx, x)
-
-
-# -- singular weights of the fundamental box ----------------------------------------
-
-
-def in_box_closure(ctx: ModularContext, eta: Weight) -> bool:
-    """Whether 0 <= <eta + rho, a^vee> <= p for every positive root."""
-    sys = ctx.system
-    shifted = eta + sys.rho
-    return all(0 <= sys.pairing(shifted, r) <= ctx.p for r in sys.positive_roots)
-
-
-def dot_stabilizer(ctx: ModularContext, eta: Weight) -> list[ExtWeylElt]:
-    """The affine reflections generating the dot-stabilizer of eta.
-
-    For eta in the closed fundamental box these are the reflections
-    s_{a,n} with <eta + rho, a^vee> = n p for n in {0, 1}; the stabilizer
-    in the extended group coincides with the one in W_aff.
-    """
-    sys = ctx.system
-    if not in_box_closure(ctx, eta):
-        raise DomainError("weight outside the closed fundamental box")
-    shifted = eta + sys.rho
-    out = []
-    for r in sys.positive_roots:
-        pair = sys.pairing(shifted, r)
-        if pair == 0:
-            out.append(_reflection_elt(sys, r, Weight.zero(sys.rank)))
-        elif pair == ctx.p:
-            out.append(_reflection_elt(sys, r, -r.as_weight()))
-    return out
-
-
-def box_weights(ctx: ModularContext) -> list[Weight]:
-    """All weights in the closed fundamental box, in lexicographic order."""
-    sys = ctx.system
-    out = []
-    for coords in itertools.product(range(-1, ctx.p), repeat=sys.rank):
-        eta = Weight(coords)
-        if in_box_closure(ctx, eta):
-            out.append(eta)
-    return out
-
-
-def find_mu_s(ctx: ModularContext, s: ExtWeylElt) -> Weight:
-    """The lexicographically smallest box weight whose dot-stabilizer is {1, s}."""
-    for eta in box_weights(ctx):
-        stab = dot_stabilizer(ctx, eta)
-        if len(stab) == 1 and stab[0] == s:
-            return eta
-    raise SearchError("no weight with the prescribed stabilizer (is p > h?)")
-
-
-# -- conjugating an affine simple reflection into the finite group --------------------
-
-
-def conjugate_affine_simple(
-    sys: RootSystem, s: ExtWeylElt, radius: int
-) -> tuple[ExtWeylElt, ExtWeylElt]:
-    """First (u, t) in BFS order with u t u^{-1} = s and t finite simple.
-
-    Candidates u run over W_ex by increasing length with deterministic
-    tie-breaking; raises SearchError when the radius is exhausted.
-    """
-    finite_simples = {simple_reflection(sys, i) for i in range(1, sys.rank + 1)}
-    if s in finite_simples or s not in {
-        simple_reflection(sys, i) for i in gen_indices(sys)
-    }:
-        raise DomainError("argument must be an affine (non-finite) simple reflection")
-    candidates = []
-    for z in waff_elements(sys, radius):
-        for om in omega_group(sys):
-            u = om * z
-            candidates.append(u)
-    candidates.sort(key=lambda u: elt_key(sys, u))
-    for u in candidates:
-        t = u.inverse() * s * u
-        if t in finite_simples:
-            return u, t
-    raise SearchError(f"no conjugating element within radius {radius}")

@@ -2,16 +2,16 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from alcove_kl import cache
+from alcove_kl import cache, errors
 from alcove_kl.cache import cache_dir
 from alcove_kl.cli import CLOSED_STDOUT, FORMATS, main
-from alcove_kl.errors import IndeterminateError, SearchError
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.repcalc import default_radius
 from alcove_kl.rootsys import build_root_system
@@ -469,18 +469,42 @@ def test_record_of_another_engine_version_is_recomputed(tmp_path, capsys, monkey
     assert len(cache_file.read_text().splitlines()) == 2
 
 
-@pytest.mark.parametrize(
-    "exc,kind",
-    [(SearchError, "search"), (IndeterminateError, "indeterminate")],
-    ids=["search", "indeterminate"],
+def _documented_exit_codes() -> dict[str, tuple[int, str]]:
+    """Class name -> (exit code, error kind), read off the ``errors``
+    docstring, whose clauses read "A and B -> 2 ("config")"."""
+    doc = " ".join(errors.__doc__.split())
+    table = {}
+    start = 0
+    for m in re.finditer(r'-> (\d+) \("(\w+)"\)', doc):
+        for name in re.findall(r"\b[A-Z]\w*Error\b", doc[start : m.start()]):
+            table[name] = (int(m.group(1)), m.group(2))
+        start = m.end()
+    return table
+
+
+ERROR_CLASSES = sorted(
+    (
+        c
+        for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, Exception) and c.__module__ == errors.__name__
+    ),
+    key=lambda c: c.__name__,
 )
-def test_search_and_indeterminate_errors_exit_3(tmp_path, capsys, monkeypatch, exc, kind):
-    """A SearchError or IndeterminateError escaping a command exits 3 with a
-    JSON error.  No valid command-line input reaches either today, so the
-    command is made to raise it."""
+
+
+@pytest.mark.parametrize("exc", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_documented_code(tmp_path, capsys, monkeypatch, exc):
+    """Each exception class of ``alcove_kl.errors``, escaping a command,
+    exits with the code and JSON error kind that the module docstring
+    gives it.  The docstring maps exactly the classes the module defines,
+    so a class added without a mapping fails here, and so does a mapping
+    kept for a class that is gone.  The command is made to raise it."""
+    documented = _documented_exit_codes()
+    assert sorted(documented) == [c.__name__ for c in ERROR_CLASSES]
+    want_code, kind = documented[exc.__name__]
 
     def fail(*args, **kwargs):
-        raise exc("bounded search exhausted")
+        raise exc("raised by the command")
 
     monkeypatch.setattr("alcove_kl.repcalc.ext_dim", fail)
     code, out, err = run(
@@ -488,9 +512,9 @@ def test_search_and_indeterminate_errors_exit_3(tmp_path, capsys, monkeypatch, e
         "ext", "--type", "A", "--rank", "1", "--p", "5", "--w", "1", "--y", "1",
         "--cache-dir", str(tmp_path),
     )
-    assert code == 3
     assert out == ""
-    assert json.loads(err) == {"error": kind, "message": "bounded search exhausted"}
+    assert code == want_code
+    assert json.loads(err) == {"error": kind, "message": "raised by the command"}
 
 
 def test_kl_in_e7_numbers_only_the_elements_it_meets(tmp_path, capsys):

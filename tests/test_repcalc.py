@@ -8,7 +8,6 @@ from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import periodic_kl
 from alcove_kl.repcalc import (
     CONJECTURE_NOTE,
-    SingularVermaLabel,
     StdLabel,
     baby_verma_support,
     baby_verma_total_dim,
@@ -18,7 +17,6 @@ from alcove_kl.repcalc import (
     loewy_layers,
     nabla_weight_dim,
     socle_degree_check,
-    translation_pattern,
     verma_weight_dim,
 )
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
@@ -26,7 +24,6 @@ from alcove_kl.weylext import (
     ExtWeylElt,
     check,
     dot_action,
-    find_mu_s,
     from_word,
     identity_elt,
     simple_reflection,
@@ -304,51 +301,3 @@ def test_baby_verma_support_size(ctx_a1):
     support = baby_verma_support(ctx_a1, lam)
     assert len(support) == 5
     assert all(baby_verma_weight_dim(ctx_a1, lam, mu) == 1 for mu in support)
-
-
-# -- translation patterns ----------------------------------------------------------
-
-
-def test_translation_pattern_dihedral(ctx_a1):
-    sys = ctx_a1.system
-    e = identity_elt(sys)
-    # e . 0 = 0 is below s0 . 0, so the sub comes from the longer element
-    pattern = translation_pattern(ctx_a1, e, 0)
-    assert pattern == [
-        StdLabel.make(ctx_a1, "Delta", simple_reflection(sys, 0)),
-        StdLabel.make(ctx_a1, "Delta", e),
-    ]
-    # starting from s0 the roles of w and ws flip but the filtration is the
-    # same: the sub is always the dominance-higher weight
-    flipped = translation_pattern(ctx_a1, simple_reflection(sys, 0), 0)
-    assert flipped == pattern
-
-
-def test_translation_pattern_onto_wall(ctx_a1):
-    sys = ctx_a1.system
-    e = identity_elt(sys)
-    mu0 = find_mu_s(ctx_a1, simple_reflection(sys, 0))
-    (label,) = translation_pattern(ctx_a1, e, 0, onto_wall=True)
-    assert isinstance(label, SingularVermaLabel)
-    assert label.weight == mu0
-    s_lab, = translation_pattern(ctx_a1, simple_reflection(sys, 0), 0, onto_wall=True)
-    assert s_lab.weight == dot_action(ctx_a1, simple_reflection(sys, 0), mu0)
-
-
-def test_translation_pattern_alternates(ctx_a2):
-    sys = ctx_a2.system
-    rng = random.Random(3)
-    elts = waff_elements(sys, 3)
-    for _ in range(10):
-        w = rng.choice(elts)
-        for i in range(3):
-            a = translation_pattern(ctx_a2, w, i)
-            b = translation_pattern(ctx_a2, w * simple_reflection(sys, i), i)
-            # same filtration, roles of w and ws exchanged
-            assert a == b
-            assert a[0] != a[1]
-            ws = w * simple_reflection(sys, i)
-            assert {a[0], a[1]} == {
-                StdLabel.make(ctx_a2, "Delta", w),
-                StdLabel.make(ctx_a2, "Delta", ws),
-            }

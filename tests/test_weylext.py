@@ -3,20 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from alcove_kl.errors import DomainError, SearchError
+from alcove_kl.errors import DomainError
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system, is_restricted
 from alcove_kl.weylext import (
     check,
-    conjugate_affine_simple,
     dot_action,
-    dot_stabilizer,
     elt_from_json,
     elt_to_json,
-    find_mu_s,
     from_word,
     gen_indices,
     identity_elt,
-    in_box_closure,
     in_waff,
     is_restricted_elt,
     length,
@@ -274,87 +270,6 @@ def test_rho_check_involution_and_length_reversal(ctx):
         assert is_restricted_elt(ctx, y)
         assert rho_check_involution(ctx, y) == x
         assert length(sys, y) == top - length(sys, x)
-
-
-# -- stabilizers and singular weights -------------------------------------------------
-
-
-def test_dot_stabilizer_regular_zero():
-    for ctx in (CTX_A1, CTX_A2, CTX_G2):
-        assert dot_stabilizer(ctx, Weight.zero(ctx.system.rank)) == []
-
-
-def test_dot_stabilizer_a1_walls():
-    assert dot_stabilizer(CTX_A1, Weight((-1,))) == [simple_reflection(A1, 1)]
-    assert dot_stabilizer(CTX_A1, Weight((4,))) == [simple_reflection(A1, 0)]
-    with pytest.raises(DomainError):
-        dot_stabilizer(CTX_A1, Weight((7,)))
-
-
-def test_dot_stabilizer_fixes_eta():
-    for ctx in (CTX_A1, CTX_A2, CTX_B2):
-        sys = ctx.system
-        import itertools
-
-        for coords in itertools.product(range(-1, ctx.p), repeat=sys.rank):
-            eta = Weight(coords)
-            if not in_box_closure(ctx, eta):
-                continue
-            for s in dot_stabilizer(ctx, eta):
-                assert dot_action(ctx, s, eta) == eta
-                assert s * s == identity_elt(sys)
-
-
-def test_find_mu_s_a1():
-    assert find_mu_s(CTX_A1, simple_reflection(A1, 1)) == Weight((-1,))
-    assert find_mu_s(CTX_A1, simple_reflection(A1, 0)) == Weight((4,))
-
-
-def test_find_mu_s_all_generators():
-    for ctx in (CTX_A1, CTX_A2, CTX_B2, CTX_G2):
-        sys = ctx.system
-        for i in gen_indices(sys):
-            s = simple_reflection(sys, i)
-            eta = find_mu_s(ctx, s)
-            assert in_box_closure(ctx, eta)
-            assert dot_stabilizer(ctx, eta) == [s]
-
-
-def test_stabilizer_omega_equivariance():
-    for ctx in (CTX_A1, CTX_A2):
-        sys = ctx.system
-        for om in omega_group(sys):
-            for eta in (Weight.zero(sys.rank), find_mu_s(ctx, simple_reflection(sys, 0))):
-                lhs = set(dot_stabilizer(ctx, dot_action(ctx, om, eta)))
-                rhs = {
-                    om * s * om.inverse() for s in dot_stabilizer(ctx, eta)
-                }
-                assert lhs == rhs
-
-
-# -- conjugation of the affine reflection ------------------------------------------------
-
-
-def test_conjugate_affine_simple_a1():
-    u, t = conjugate_affine_simple(A1, simple_reflection(A1, 0), radius=2)
-    expected_u = translation_elt(A1, Weight((1,))) * simple_reflection(A1, 1)
-    assert (u, t) == (expected_u, simple_reflection(A1, 1))
-    s0 = simple_reflection(A1, 0)
-    assert u * t * u.inverse() == s0
-    assert s0 * s0 == identity_elt(A1)
-
-
-def test_conjugate_affine_simple_a2():
-    s0 = simple_reflection(A2, 0)
-    u, t = conjugate_affine_simple(A2, s0, radius=4)
-    assert u * t * u.inverse() == s0
-
-
-def test_conjugate_affine_simple_errors():
-    with pytest.raises(DomainError):
-        conjugate_affine_simple(A1, simple_reflection(A1, 1), radius=2)
-    with pytest.raises(SearchError):
-        conjugate_affine_simple(G2, simple_reflection(G2, 0), radius=0)
 
 
 # -- serialization and theta pairs ------------------------------------------------------
