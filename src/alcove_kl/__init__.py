@@ -26,10 +26,10 @@ import sys
 
 # the layer each exported name is defined in
 _EXPORTS = {
-    "alcove": ("generic_height", "generic_leq", "wall_cross"),
+    "alcove": ("generic_height", "generic_leq"),
     "hecke": ("kl_basis", "kl_basis_by_duality", "mul_gen", "spherical_kl"),
     "laurent": ("LaurentPoly",),
-    "periodic": ("PKLTable", "periodic_act_gen", "periodic_kl", "pkl_table"),
+    "periodic": ("PKLTable", "periodic_kl", "pkl_table"),
     "repcalc": (
         "GradedMultTable",
         "StdLabel",

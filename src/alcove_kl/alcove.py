@@ -4,12 +4,12 @@ An alcove is a connected component of the complement of the affine
 hyperplanes where a positive coroot pairs to an integer; alcoves
 correspond bijectively to W_aff elements via A = x(A+) with A+ the
 fundamental alcove, so every function here takes and returns the label
-x in place of the alcove x(A+).  This module provides the wall-crossing
-moves, the generic height d (the signed count of up-crossings from A+,
-normalized by d(A+) = 0) and the partial order generated by
-up-crossings.
+x in place of the alcove x(A+), and crossing the wall of type s of
+x(A+) gives (xs)(A+).  This module provides the generic height d (the
+signed count of up-crossings from A+, normalized by d(A+) = 0) and the
+partial order generated by up-crossings.
 
-All three are read off Shi's integer alcove coordinates k_alpha(A), the
+Both are read off Shi's integer alcove coordinates k_alpha(A), the
 floor of the pairing with the coroot alpha^vee on A
 (``weylext.shi_coords``): d(A) is their sum, a crossing changes exactly
 one of them by one, and A <= B in the generic order exactly when
@@ -23,26 +23,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, IndeterminateError
+from .errors import IndeterminateError
 from .rootsys import RootSystem
-from .weylext import (
-    ExtWeylElt,
-    gen_indices,
-    shi_coords,
-    simple_reflection,
-)
-
-UP = "up"
-DOWN = "down"
-
-
-def wall_cross(sys: RootSystem, x: ExtWeylElt, i: int) -> tuple[ExtWeylElt, str]:
-    """Cross the wall of type i of x(A+): returns (x s_i, direction)."""
-    if i not in gen_indices(sys):
-        raise DomainError(f"no Coxeter generator with index {i}")
-    xs = x * simple_reflection(sys, i)
-    direction = UP if generic_height(sys, xs) > generic_height(sys, x) else DOWN
-    return xs, direction
+from .weylext import ExtWeylElt, shi_coords
 
 
 @lru_cache(maxsize=None)

@@ -48,9 +48,9 @@ differ only in how x stays when xs is longer (up) or shorter (down):
 
 ``mul_gen``, ``mul_kl_gen`` and ``mul_bar_gen`` act by these stays, and
 ``bar_std`` expands bar(H_y) by the last along a reduced word.  The
-same routine serves the spherical action (by ``KLComputer.act``) and
-the periodic module (``periodic.periodic_act_gen``: the stays of Hb_s,
-ranked by generic height).
+same routine serves the spherical module and the periodic windows
+(``periodic.PeriodicWindow``) by the rule ``KLComputer.act`` of their
+label tables: the stays of Hb_s, ranked by length or by generic height.
 
 ``KLComputer`` numbers its labels as it meets them (F. du Cloux's
 encoding, Experiment. Math. 2002) and keys its rows by number.  Per
@@ -114,8 +114,7 @@ def std_elt(sys: RootSystem, x: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
 def crossing_rule(s: ExtWeylElt, rank, up=_V, down=_VINV):
     """The rule x . T = xs + stay x, with the stay ``up`` exactly when
     rank(xs) > rank(x) and ``down`` otherwise.  The defaults give Hb_s;
-    the module docstring lists the stays of H_s and bar(H_s).  (In the
-    periodic module rank is the generic height of x(A+).)"""
+    the module docstring lists the stays of H_s and bar(H_s)."""
 
     def act(x):
         xs = x * s

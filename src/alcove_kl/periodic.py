@@ -23,9 +23,11 @@ certifies each: monic, lower coefficients in vZ[v], digits within the
 codec's bounds.  Terms leaving the window are truncated, and a row's
 truncation flag records whether it or a row it was built from lost one.
 A window with a gallery seed draws every member's descent when it is
-made.  A coefficient p_{y,w} (of y(A+) in E_{w(A+)}) is only
-reported when the windows of radius R and R + 1 agree on it exactly;
-everything else raises StabilizationError.
+made.  One reader, ``_read``, decides every value that ``periodic_kl``,
+the identity gate and ``pkl_table`` report: a coefficient p_{y,w} (of
+y(A+) in E_{w(A+)}) is read in the windows of radius R and R + 1, and
+reported only when the two agree on it exactly; otherwise the query
+raises StabilizationError and the table marks the entry unstabilized.
 
 Entries are stored once per translation orbit, keyed by the canonical
 pair obtained by writing w = t_nu u with u in the finite Weyl group and
@@ -49,12 +51,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import le, mul
 
 from .alcove import generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
-from .hecke import KLComputer, act_hb_s, crossing_rule
+from .hecke import KLComputer
 from .laurent import LaurentPoly
 from .rootsys import ModularContext, RootSystem, Weight
 from .weylext import (
@@ -68,26 +70,12 @@ from .weylext import (
     length,
     restricted_element_for,
     shi_coords,
-    simple_reflection,
     w0_elt,
     waff_elements,
     weyl_group,
 )
 
 _ZERO = LaurentPoly.zero()
-
-
-def periodic_act_gen(
-    sys: RootSystem, row: dict[ExtWeylElt, LaurentPoly], i: int, radius: int
-) -> tuple[dict[ExtWeylElt, LaurentPoly], bool]:
-    """Right action of Hb_s on the element ``row`` (x(A+) keyed by x),
-    truncated to the window of the given radius: the new element and
-    whether a term left the window."""
-    if i not in gen_indices(sys):
-        raise DomainError(f"no Coxeter generator with index {i}")
-    rule = crossing_rule(simple_reflection(sys, i), partial(generic_height, sys))
-    acc, truncated = act_hb_s(row.items(), rule, lambda x: length(sys, x) <= radius)
-    return {x: p for x, p in acc.items() if p}, truncated
 
 
 class PeriodicWindow(KLComputer):
@@ -138,6 +126,8 @@ class PeriodicWindow(KLComputer):
         """The row of E_{w(A+)}, keyed by label, and whether it was truncated."""
         k = self.members.get(w)
         if k is None:
+            if not in_waff(self.sys, w):
+                raise DomainError("periodic basis elements are indexed by W_aff")
             lw = length(self.sys, w)
             raise WindowError(
                 f"element {_words(self.sys, w=w)} of length {lw} is outside the "
@@ -146,10 +136,18 @@ class PeriodicWindow(KLComputer):
         elts, unpack = self.elts, self.codec.unpack
         return {elts[y]: unpack(p) for y, p in self._row(k).items()}, self.flags[k]
 
+    def row(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
+        """The row of E_{w(A+)}, keyed by label; WindowError for a non-member."""
+        return self.element(w)[0]
+
     def coefficient(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
         kw, ky = self.members.get(w), self.members.get(y)
         if kw is None or ky is None:
-            raise _out_of_reach(self.sys, y, w, f"window radius {self.radius}")
+            ly, lw = length(self.sys, y), length(self.sys, w)
+            raise WindowError(
+                f"pair {_words(self.sys, y=y, w=w)} of lengths ({ly}, {lw}) is out "
+                f"of reach of window radius {self.radius}; radius {max(ly, lw)} reaches it"
+            )
         p = self._row(kw).get(ky)
         return _ZERO if p is None else self.codec.unpack(p)
 
@@ -168,11 +166,9 @@ def canonical_pair(
 
     For w = u t_lam (so nu = u(lam)) and y = v t_mu the first label is
     v t_{mu - (v^-1 u)(lam)}: one table lookup and one matrix-vector
-    product, with no group product formed.
+    product, with no group product formed.  Both labels must lie in
+    W_aff, which ``periodic_kl`` checks.
     """
-    for x in (y, w):
-        if not in_waff(sys, x):
-            raise DomainError("periodic polynomials are indexed by W_aff pairs")
     g = y.group
     m = g.mats[g.product(g.inv[y.fin], w.fin)]
     lam = w.translation.coords
@@ -223,23 +219,29 @@ def periodic_kl(
     suite checks separately).
     """
     sys = ctx.system
+    if not (in_waff(sys, y) and in_waff(sys, w)):
+        raise DomainError("periodic polynomials are indexed by W_aff pairs")
     if normalize:
         y, w = canonical_pair(sys, y, w)
-    elif not (in_waff(sys, y) and in_waff(sys, w)):
-        raise DomainError("periodic polynomials are indexed by W_aff pairs")
     _validate_conventions(sys)
     return _coefficient_stabilized(sys, y, w, radius)
+
+
+def _read(
+    sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt, radius: int
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """p_{y,w} in the windows of radius R and R + 1: zero in both outside
+    the support band, with no window work, and WindowError when a label
+    is longer than R."""
+    if not in_support_band(sys, y, w):
+        return _ZERO, _ZERO
+    return _window(sys, radius).coefficient(y, w), _window(sys, radius + 1).coefficient(y, w)
 
 
 def _coefficient_stabilized(
     sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt, radius: int
 ) -> LaurentPoly:
-    if not in_support_band(sys, y, w):
-        return LaurentPoly.zero()
-    if length(sys, y) > radius or length(sys, w) > radius:
-        raise _out_of_reach(sys, y, w, f"window radius {radius}")
-    first = _window(sys, radius).coefficient(y, w)
-    second = _window(sys, radius + 1).coefficient(y, w)
+    first, second = _read(sys, y, w, radius)
     if first != second:
         raise StabilizationError(
             f"coefficient at {_words(sys, y=y, w=w)} did not stabilize "
@@ -251,18 +253,6 @@ def _coefficient_stabilized(
 
 def _words(sys: RootSystem, **labels: ExtWeylElt) -> str:
     return ", ".join(f"{k} = {json.dumps(elt_to_json(sys, x))}" for k, x in labels.items())
-
-
-def _out_of_reach(
-    sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt, what: str, knob: str = "radius"
-) -> WindowError:
-    """The WindowError for a pair beyond ``what``, naming the smallest
-    ``knob`` that reaches it."""
-    ly, lw = length(sys, y), length(sys, w)
-    return WindowError(
-        f"pair {_words(sys, y=y, w=w)} of lengths ({ly}, {lw}) is out of "
-        f"reach of {what}; {knob} {max(ly, lw)} reaches it"
-    )
 
 
 def _validate_conventions(sys: RootSystem) -> None:
@@ -327,44 +317,6 @@ class PKLTable:
     length_bound: int
     entries: dict[tuple[ExtWeylElt, ExtWeylElt], PKLEntry]
 
-    def poly(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
-        key = canonical_pair(self.system, y, w)
-        entry = self.entries.get(key)
-        if entry is None:
-            if not in_support_band(self.system, *key):
-                return LaurentPoly.zero()
-            table = f"the table of length bound {self.length_bound}"
-            raise _out_of_reach(self.system, y, w, table, "length bound and radius")
-        if not entry.stabilized:
-            r = self.radius
-            raise StabilizationError(
-                f"entry at {_words(self.system, y=y, w=w)} did not stabilize "
-                f"between radius {r} and {r + 1}; try radius {r + 1}"
-            )
-        return entry.poly
-
-    def to_json(self) -> dict:
-        sys = self.system
-        items = sorted(
-            self.entries.items(),
-            key=lambda kv: (elt_key(sys, kv[0][1]), elt_key(sys, kv[0][0])),
-        )
-        return {
-            "type": sys.cartan_type,
-            "rank": sys.rank,
-            "p": self.p,
-            "R": self.radius,
-            "entries": [
-                {
-                    "y": elt_to_json(sys, y),
-                    "w": elt_to_json(sys, w),
-                    "poly": e.poly.to_json(),
-                    "stabilized": e.stabilized,
-                }
-                for (y, w), e in items
-            ],
-        }
-
 
 def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:
     """All stabilized p_{y,w} with both labels of length at most the bound.
@@ -380,18 +332,12 @@ def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:
             f"radius {length_bound} reaches it"
         )
     _validate_conventions(sys)
-    win = _window(sys, radius)
-    win_next = _window(sys, radius + 1)
     elements = waff_elements(sys, length_bound)
     entries: dict[tuple[ExtWeylElt, ExtWeylElt], PKLEntry] = {}
     for w in elements:
         for y in elements:
-            if not in_support_band(sys, y, w):
-                found = PKLEntry(LaurentPoly.zero(), True)
-            else:
-                first = win.coefficient(y, w)
-                second = win_next.coefficient(y, w)
-                found = PKLEntry(second, first == second)
+            first, second = _read(sys, y, w, radius)
+            found = PKLEntry(second, first == second)
             key = canonical_pair(sys, y, w)
             cur = entries.get(key)
             if cur is None:

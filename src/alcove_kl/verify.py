@@ -287,7 +287,7 @@ def check_flipped_convention_fails(ctx: ModularContext) -> CheckResult:
         ev = check(ctx, e)
         support_ok = all(
             x == e or generic_height(sys, x) < 0
-            for x in win_lo.element(e)[0]
+            for x in win_lo.row(e)
         )
         monomial_ok = flipped(w0 * e, w0 * ev) == top
         inversion_ok = top * flipped(w0 * e, w0 * ev).bar() == flipped(e, e)

@@ -2,8 +2,8 @@
 
 Each message names the labels as ``elt_to_json`` words.  A
 StabilizationError names both radii and the next radius to try; a
-WindowError names the smallest radius (or table bound) that reaches the
-pair.  Exit codes and JSON error kinds are those of ``errors``.
+WindowError names the smallest radius that reaches the pair, or the
+table's length bound.  Exit codes and JSON error kinds are those of ``errors``.
 """
 
 import json
@@ -11,10 +11,10 @@ import json
 import pytest
 
 from alcove_kl.cli import main
-from alcove_kl.errors import StabilizationError, WindowError
+from alcove_kl.errors import DomainError, StabilizationError, WindowError
 from alcove_kl.periodic import PeriodicWindow, periodic_kl, pkl_table
-from alcove_kl.rootsys import ModularContext, build_root_system
-from alcove_kl.weylext import elt_to_json, from_word, length, waff_elements
+from alcove_kl.rootsys import ModularContext, Weight, build_root_system
+from alcove_kl.weylext import elt_to_json, from_word, length, translation_elt, waff_elements
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -63,36 +63,26 @@ def test_window_lookups_name_the_smallest_radius():
     )
 
 
-def test_table_errors_name_the_pair_and_what_reaches_it():
-    table = pkl_table(CTX_A2, length_bound=2, radius=2)
-    unstable = [key for key, e in table.entries.items() if not e.stabilized]
-    assert unstable
-    y, w = unstable[0]
-    with pytest.raises(StabilizationError) as info:
-        table.poly(y, w)
+def test_window_row_reads_only_members():
+    # a label one step beyond the radius, which the window must not number
+    win = PeriodicWindow(A2, 4)
+    far = from_word(A2, [1, 2, 1, 0, 1])
+    assert length(A2, far) == 5
+    with pytest.raises(WindowError) as info:
+        win.row(far)
     assert str(info.value) == (
-        f"entry at {words(A2, y=y, w=w)} did not stabilize between radius 2 "
-        "and 3; try radius 3"
+        f"element {words(A2, w=far)} of length 5 is outside the window "
+        "of radius 4; radius 5 reaches it"
     )
+    assert far not in win.members
+    for w in waff_elements(A2, 2):
+        assert win.row(w) == win.element(w)[0]
+    # no radius reaches a label outside W_aff
+    with pytest.raises(DomainError, match="indexed by W_aff"):
+        win.row(translation_elt(A2, Weight((1, 0))))
 
-    far = None
-    for w in waff_elements(A2, 4):
-        for y in waff_elements(A2, 4):
-            try:
-                table.poly(y, w)
-            except WindowError as exc:
-                far = far or (y, w, str(exc))
-            except StabilizationError:
-                pass
-    assert far is not None
-    y, w, message = far
-    top = max(length(A2, y), length(A2, w))
-    assert message == (
-        f"pair {words(A2, y=y, w=w)} of lengths ({length(A2, y)}, {length(A2, w)}) "
-        f"is out of reach of the table of length bound 2; length bound and "
-        f"radius {top} reaches it"
-    )
 
+def test_table_bound_beyond_the_radius_names_the_radius_that_reaches_it():
     with pytest.raises(WindowError) as info:
         pkl_table(CTX_A2, length_bound=4, radius=3)
     assert str(info.value) == (

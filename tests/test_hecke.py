@@ -201,6 +201,24 @@ def test_spherical_dihedral_monomials():
             assert p == LaurentPoly.gen(length(A1, w) - length(A1, y))
 
 
+@pytest.mark.parametrize(
+    "cartan,rank,bound",
+    [("A", 1, 12), ("A", 2, 10), ("B", 2, 12), ("G", 2, 12), ("A", 3, 8)],
+    ids=["A1", "A2", "B2", "G2", "A3"],
+)
+def test_spherical_rows_are_the_coset_maximal_part_of_the_hecke_rows(cartan, rank, bound):
+    """m_{y,w} = h_{y,w} for y and w maximal in their finite cosets, and
+    the spherical row holds no other label (Soergel, Represent. Theory 1,
+    1997, Prop. 3.4)."""
+    sys = build_root_system(cartan, rank)
+    for w in waff_elements(sys, bound):
+        if is_coset_maximal(sys, w):
+            hecke_row = kl_basis(sys, w)
+            assert spherical_kl(sys, w) == {
+                y: p for y, p in hecke_row.items() if is_coset_maximal(sys, y)
+            }
+
+
 @pytest.mark.parametrize("sys,bound", [(A1, 6), (A2, 6)], ids=["dihedral", "rank2"])
 def test_spherical_matches_ideal_expansion(sys, bound):
     """Expanding Hb_w in the ideal basis Hb_{w0} H_{y0} recovers the

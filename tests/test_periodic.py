@@ -1,27 +1,29 @@
-import json
 import random
+from functools import partial
 
 import pytest
 
+from alcove_kl.alcove import generic_height
 from alcove_kl.errors import ConsistencyError, DomainError, StabilizationError, WindowError
+from alcove_kl.hecke import act_hb_s
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import (
     PeriodicWindow,
     canonical_pair,
     in_support_band,
-    periodic_act_gen,
     periodic_kl,
     pkl_table,
 )
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
 from alcove_kl.weylext import (
     check,
-    elt_from_json,
     from_word,
     gen_indices,
     identity_elt,
     in_waff,
     length,
+    omega_group,
+    simple_reflection,
     translation_elt,
     w0_elt,
     waff_elements,
@@ -35,12 +37,7 @@ ONE = LaurentPoly.one()
 
 def a1_periodic_oracle(sys, y, w):
     """Closed form on the alcove line: 1 on the diagonal, v one step down."""
-    def position(x):
-        from alcove_kl.alcove import generic_height
-
-        return generic_height(sys, x)
-
-    m, n = position(y), position(w)
+    m, n = generic_height(sys, y), generic_height(sys, w)
     if (m, y) == (n, w):
         return ONE
     if m == n - 1:
@@ -51,10 +48,20 @@ def a1_periodic_oracle(sys, y, w):
 # -- the generator action -----------------------------------------------------
 
 
+def act_gen(win, element, i):
+    """Right action of Hb_{s_i} on ``element`` (x(A+) keyed by x) by the
+    window's own rule, which cuts crossings out of the window: the new
+    element and whether the window recorded a cut."""
+    win._cut = False
+    numbered = ((win.number(x), p) for x, p in element.items())
+    acc, _ = act_hb_s(numbered, partial(win.act, i))
+    return {win.elts[k]: p for k, p in acc.items() if p}, win._cut
+
+
 def test_act_gen_fundamental_affine_wall(a1, a2):
     for sys in (a1, a2):
         aplus = identity_elt(sys)
-        out, _ = periodic_act_gen(sys, {aplus: ONE}, 0, 4)
+        out, _ = act_gen(PeriodicWindow(sys, 4), {aplus: ONE}, 0)
         s0_alcove = from_word(sys, [0])
         assert out == {s0_alcove: ONE, aplus: V}
 
@@ -62,27 +69,29 @@ def test_act_gen_fundamental_affine_wall(a1, a2):
 def test_act_gen_fundamental_finite_wall(a1, a2):
     for sys in (a1, a2):
         aplus = identity_elt(sys)
-        out, _ = periodic_act_gen(sys, {aplus: ONE}, 1, 4)
+        out, _ = act_gen(PeriodicWindow(sys, 4), {aplus: ONE}, 1)
         s1_alcove = from_word(sys, [1])
         assert out == {s1_alcove: ONE, aplus: VINV}
 
 
 def test_act_gen_squares_to_v_plus_vinv(a2):
     aplus = identity_elt(a2)
+    win = PeriodicWindow(a2, 6)
     for i in gen_indices(a2):
-        once, truncated_once = periodic_act_gen(a2, {aplus: ONE}, i, 6)
-        twice, truncated_twice = periodic_act_gen(a2, once, i, 6)
+        once, truncated_once = act_gen(win, {aplus: ONE}, i)
+        twice, truncated_twice = act_gen(win, once, i)
         expected = {a: (V + VINV) * p for a, p in once.items()}
         assert twice == expected
         assert not (truncated_once or truncated_twice)
 
 
 def test_act_gen_records_truncation(a1):
-    from alcove_kl.alcove import wall_cross
-
     far = dihedral_element(a1, 3)
-    up = next(i for i in gen_indices(a1) if wall_cross(a1, far, i)[1] == "up")
-    out, truncated = periodic_act_gen(a1, {far: ONE}, up, 3)
+    up = next(
+        i for i in gen_indices(a1)
+        if generic_height(a1, far * simple_reflection(a1, i)) > generic_height(a1, far)
+    )
+    out, truncated = act_gen(PeriodicWindow(a1, 3), {far: ONE}, up)
     assert truncated
     assert out == {far: V}
 
@@ -222,7 +231,9 @@ def test_pkl_table_contents(ctx_a1):
     sys = ctx_a1.system
     for w in waff_elements(sys, 5):
         for y in waff_elements(sys, 5):
-            assert table.poly(y, w) == a1_periodic_oracle(sys, y, w)
+            entry = table.entries[canonical_pair(sys, y, w)]
+            assert entry.stabilized
+            assert entry.poly == a1_periodic_oracle(sys, y, w)
 
 
 def test_pkl_table_radius_agreement(ctx_a2):
@@ -232,21 +243,6 @@ def test_pkl_table_radius_agreement(ctx_a2):
         other = t2.entries.get(key)
         if entry.stabilized and other is not None and other.stabilized:
             assert entry.poly == other.poly
-
-
-def test_pkl_table_json(ctx_a1):
-    table = pkl_table(ctx_a1, length_bound=3, radius=6)
-    blob = table.to_json()
-    assert blob["type"] == "A" and blob["rank"] == 1 and blob["R"] == 6
-    sys = ctx_a1.system
-    for item in blob["entries"]:
-        y = elt_from_json(sys, item["y"])
-        w = elt_from_json(sys, item["w"])
-        assert in_waff(sys, y) and in_waff(sys, w)
-        assert LaurentPoly.from_json(item["poly"]) == table.entries[
-            canonical_pair(sys, y, w)
-        ].poly
-    json.dumps(blob)  # serializable
 
 
 def test_gallery_independence_seeded(a2):
@@ -286,11 +282,19 @@ def test_out_of_reach_raises(ctx_a1):
 
 
 def test_periodic_kl_rejects_labels_outside_waff(ctx_a1):
-    # t_{omega_1} lies in the extended group but labels no alcove
-    sys = ctx_a1.system
-    t = translation_elt(sys, Weight((1,)))
-    e = identity_elt(sys)
-    for y, w in ((t, e), (e, t)):
-        for normalize in (True, False):
-            with pytest.raises(DomainError):
-                periodic_kl(ctx_a1, y, w, radius=8, normalize=normalize)
+    # t_{omega_1} lies in the extended group but labels no alcove, and so
+    # does every length-zero element but the identity; the refusal comes
+    # before the gate, which B2 and G2 fail
+    a1 = ctx_a1.system
+    cases = [(ctx_a1, translation_elt(a1, Weight((1,))))]
+    for cartan_type, rank, p in (("A", 1, 5), ("A", 2, 5), ("B", 2, 5), ("G", 2, 7)):
+        sys = build_root_system(cartan_type, rank)
+        outside = [o for o in omega_group(sys) if not in_waff(sys, o)]
+        assert outside or str(sys) == "G2"  # G2's Omega is trivial
+        cases += [(ModularContext(sys, p), o) for o in outside]
+    for ctx, o in cases:
+        e = identity_elt(ctx.system)
+        for y, w in ((o, e), (e, o), (o, o)):
+            for normalize in (True, False):
+                with pytest.raises(DomainError):
+                    periodic_kl(ctx, y, w, radius=8, normalize=normalize)
