@@ -282,19 +282,27 @@ def test_out_of_reach_raises(ctx_a1):
 
 
 def test_periodic_kl_rejects_labels_outside_waff(ctx_a1):
-    # t_{omega_1} lies in the extended group but labels no alcove, and so
-    # does every length-zero element but the identity; the refusal comes
-    # before the gate, which B2 and G2 fail
-    a1 = ctx_a1.system
-    cases = [(ctx_a1, translation_elt(a1, Weight((1,))))]
+    # t_{omega_1} lies in the extended group but labels no alcove
+    sys = ctx_a1.system
+    t = translation_elt(sys, Weight((1,)))
+    e = identity_elt(sys)
+    for y, w in ((t, e), (e, t)):
+        for normalize in (True, False):
+            with pytest.raises(DomainError):
+                periodic_kl(ctx_a1, y, w, radius=8, normalize=normalize)
+
+
+def test_periodic_kl_refuses_omega_labels_outside_waff():
+    # every length-zero element but the identity labels no alcove; the
+    # refusal comes before the gate, which B2 and G2 fail
     for cartan_type, rank, p in (("A", 1, 5), ("A", 2, 5), ("B", 2, 5), ("G", 2, 7)):
         sys = build_root_system(cartan_type, rank)
+        ctx = ModularContext(sys, p)
+        e = identity_elt(sys)
         outside = [o for o in omega_group(sys) if not in_waff(sys, o)]
         assert outside or str(sys) == "G2"  # G2's Omega is trivial
-        cases += [(ModularContext(sys, p), o) for o in outside]
-    for ctx, o in cases:
-        e = identity_elt(ctx.system)
-        for y, w in ((o, e), (e, o), (o, o)):
-            for normalize in (True, False):
-                with pytest.raises(DomainError):
-                    periodic_kl(ctx, y, w, radius=8, normalize=normalize)
+        for o in outside:
+            for y, w in ((o, e), (e, o), (o, o)):
+                for normalize in (True, False):
+                    with pytest.raises(DomainError):
+                        periodic_kl(ctx, y, w, radius=8, normalize=normalize)
