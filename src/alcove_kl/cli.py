@@ -38,7 +38,7 @@ from .errors import (
     StabilizationError,
 )
 from .laurent import LaurentPoly
-from .rootsys import ModularContext, Weight, build_root_system, default_radius
+from .rootsys import PRIME_BOUND, ModularContext, Weight, build_root_system, default_radius
 
 FORMATS = ("pretty", "json", "csv", "latex")
 
@@ -198,7 +198,7 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_ext(args) -> int:
-    from .repcalc import ext_dim
+    from .repcalc import CONJECTURE_NOTE, ext_dim
 
     ctx = _context(args)
     sys = ctx.system
@@ -206,7 +206,7 @@ def cmd_ext(args) -> int:
     y = _elt_from_flag(sys, args.y)
     series = ext_dim(ctx, w, y, args.window)
     rows = [(m, c) for m, c in series.terms]
-    print(f"# conditional on Lusztig's conjecture; series = {series}")
+    print(f"# {CONJECTURE_NOTE}; series = {series}")
     _emit_rows([(str(m), str(c)) for m, c in rows], ("degree", "dim"), args.format)
     return 0
 
@@ -243,9 +243,7 @@ def cmd_char(args) -> int:
         "Z": repcalc.baby_verma_weight_dim,
         "Delta": repcalc.verma_weight_dim,
         "Nabla": repcalc.nabla_weight_dim,
-    }.get(args.module)
-    if fn is None:
-        raise ConfigError(f"unknown module family {args.module!r}")
+    }[args.module]
     # Delta and Nabla are read on the finite probe window of Z
     dims = {mu: fn(ctx, lam, mu) for mu in repcalc.baby_verma_support(ctx, lam)}
     rows = sorted((str(mu), str(d)) for mu, d in dims.items() if d)
@@ -300,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", help="Cartan type letter (A..G)")
         p.add_argument("--rank", type=int)
         if "p" in flags:
-            p.add_argument("--p", type=int, help="prime, must exceed the Coxeter number")
+            p_help = f"prime above the Coxeter number and below {PRIME_BOUND}"
+            p.add_argument("--p", type=int, help=p_help)
         if "window" in flags:
             p.add_argument("--window", type=int, help="window radius for periodic data")
         if "lmax" in flags:

@@ -37,7 +37,9 @@ An element of the Hecke algebra, of the spherical module or of the
 periodic module is a dict from basis labels in W_aff to nonzero
 ``LaurentPoly`` coefficients, the shape every canonical row already has.
 Every right action of a generator on such an element is one routine,
-``act_hb_s``, reading an action rule (see ``crossing_rule``).  In the
+``act_hb_s(items, act)``, reading an action rule (see ``crossing_rule``)
+and returning the element with its zero coefficients dropped; it cuts
+nothing, and a window records its own cut (``KLComputer._dropped``).  In the
 Hecke algebra the rule is ranked by length, and the three generators
 differ only in how x stays when xs is longer (up) or shorter (down):
 
@@ -123,51 +125,46 @@ def crossing_rule(s: ExtWeylElt, rank, up=_V, down=_VINV):
     return act
 
 
-def act_hb_s(items, act, inside=None) -> tuple[dict, bool]:
+def act_hb_s(items, act) -> dict:
     """Right action of a generator, by the rule ``act``, on the (label,
-    coefficient) pairs ``items``.
-
-    Crossed terms for which ``inside`` is false are dropped; the flag
-    reports whether any was.  A stay of 0 adds no term.
-    """
+    coefficient) pairs ``items``: the resulting element, with its zero
+    coefficients dropped.  A stay of 0 adds no term."""
     acc: dict = {}
-    truncated = False
     for x, p in items:
         xs, stay = act(x)
         if xs is not None:
-            if inside is None or inside(xs):
-                q = acc.get(xs)
-                acc[xs] = p if q is None else q + p
-            else:
-                truncated = True
+            q = acc.get(xs)
+            acc[xs] = p if q is None else q + p
         q = acc.get(x)
         if len(stay.terms) == 1:  # a monomial stay: one shifted merge
             ((e, c),) = stay.terms
             acc[x] = (_ZERO if q is None else q).add_scaled(p, c, e)
         elif stay:
             acc[x] = stay * p if q is None else q + stay * p
-    return acc, truncated
+    return {x: p for x, p in acc.items() if p}
 
 
-def canonical_step(base: Mapping, act, row_of, inside=None) -> tuple[dict, bool, list]:
+def canonical_step(base: Mapping, act, row_of) -> tuple[dict, list]:
     """E_{us} = E_u . Hb_s - sum_B mu(B) E_B from the row ``base`` of E_u.
 
     mu(B) is the coefficient of v in base[B] and E_B = row_of(B).  The
     sum runs over the support elements B whose stay is not v: those whose
     crossing goes down (stay v^-1) and, in the spherical module, those
     whose Bs is not kept (stay v + v^-1), which must be subtracted too.
-    Returns the new row, whether the action truncated, and the B
-    subtracted.  (The diagonal entry of a monic row has no v-term.)
+    Returns the new row and the B subtracted.  (The diagonal entry of a
+    monic row has no v-term.)
     """
-    acc, truncated = act_hb_s(base.items(), act, inside)
+    row = act_hb_s(base.items(), act)
     subtracted = []
     for b, p in base.items():
         mu = p.coeff(1)
         if mu and act(b)[1] != _V:
             subtracted.append(b)
             for z, q in row_of(b).items():
-                acc[z] = acc.get(z, _ZERO).add_scaled(q, -mu)
-    return {z: p for z, p in acc.items() if p}, truncated, subtracted
+                r = row.pop(z, _ZERO).add_scaled(q, -mu)
+                if r:
+                    row[z] = r
+    return row, subtracted
 
 
 def _act_gen(
@@ -175,7 +172,7 @@ def _act_gen(
 ) -> dict[ExtWeylElt, LaurentPoly]:
     """Right action on h of the generator with the stays (up, down)."""
     rule = crossing_rule(simple_reflection(sys, i), partial(length, sys), up, down)
-    return {x: p for x, p in act_hb_s(h.items(), rule)[0].items() if p}
+    return act_hb_s(h.items(), rule)
 
 
 def mul_gen(
@@ -472,8 +469,8 @@ def spherical_act_kl_gen(
     if i not in gen_indices(sys):
         raise DomainError(f"no Coxeter generator with index {i}")
     comp = spherical_computer(sys)
-    acc = act_hb_s(((comp.number(x), p) for x, p in e.items()), partial(comp.act, i))[0]
-    return {comp.elts[k]: p for k, p in acc.items() if p}
+    acc = act_hb_s(((comp.number(x), p) for x, p in e.items()), partial(comp.act, i))
+    return {comp.elts[k]: p for k, p in acc.items()}
 
 
 def ideal_basis_elt(sys: RootSystem, y: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:

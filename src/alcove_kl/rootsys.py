@@ -167,6 +167,8 @@ class ModularContext:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.p >= PRIME_BOUND:
+            raise ConfigError(f"p = {self.p} is not below the primality bound {PRIME_BOUND}")
         if not _is_prime(self.p):
             raise ConfigError(f"p = {self.p} is not prime")
         h = self.system.coxeter_number
@@ -180,14 +182,23 @@ def default_radius(sys: RootSystem) -> int:
     return 3 * sys.num_positive_roots + 4
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+PRIME_BOUND = 3317044064679887385961981
+"""psi_13: Miller-Rabin on the first 13 primes as bases decides every
+n below it exactly (J. Sorenson and J. Webster, Math. Comp. 86, 2017)."""
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin on the bases ``_MR_BASES``: exact for n < PRIME_BOUND."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r d with d odd
+    d = (n - 1) >> r
+    for a in _MR_BASES:
+        powers = [pow(a, d << k, n) for k in range(r)]
+        if powers[0] != 1 and n - 1 not in powers:
             return False
-        d += 1
     return True
 
 
@@ -331,15 +342,6 @@ def _longest_word(c: list[list[int]], n: int) -> tuple[int, ...]:
             lam[k] -= pair * c[k][i]
     # lam was hit by s_{i_k} ... s_{i_1}, so the product reads right to left
     return tuple(i + 1 for i in reversed(picks))
-
-
-@lru_cache(maxsize=None)
-def _root_index(sys: RootSystem) -> dict[tuple[int, ...], tuple[PosRoot, int]]:
-    idx: dict[tuple[int, ...], tuple[PosRoot, int]] = {}
-    for r in sys.positive_roots:
-        idx[r.fund] = (r, 1)
-        idx[tuple(-x for x in r.fund)] = (r, -1)
-    return idx
 
 
 # -- lattice arithmetic ----------------------------------------------------

@@ -44,7 +44,6 @@ from .rootsys import (
     PosRoot,
     RootSystem,
     Weight,
-    _root_index,
     in_root_lattice,
     is_restricted,
 )
@@ -79,8 +78,9 @@ class FiniteWeylGroup:
     The table also holds ``inv[k]``, the number of the inverse, and
     ``mats[k]``, the matrix on the fundamental-weight basis read off the
     permutation: row i is the coroot of w^-1(alpha_i), and ``elts[k]``,
-    the ``ExtWeylElt`` with no translation.  Nothing here closes the
-    whole group; only ``weyl_group`` does.
+    the ``ExtWeylElt`` with no translation.  A reflection is read off
+    root coordinates: s(beta) = beta - <beta, alpha^vee> alpha.  Nothing
+    here closes the whole group; only ``weyl_group`` does.
     """
 
     __slots__ = (
@@ -132,16 +132,18 @@ class FiniteWeylGroup:
 
     def reflection(self, root: PosRoot) -> int:
         """The number of the reflection in a positive root."""
-        # perm[c] = b when s(beta_c) = +-beta_b; s is an involution, so
-        # s(beta_b) = +-beta_c and b is also the entry at c
-        m = reflection_mat(self._sys, root)
+        # perm[c] = b when s(beta_c) = +-beta_b, where s(beta) = beta -
+        # <beta, alpha^vee> alpha; s is an involution, so s(beta_b) =
+        # +-beta_c and b is also the entry at c
         roots = self._sys.positive_roots
-        images = _root_index(self._sys)
-        position = {r: j for j, r in enumerate(roots)}
+        position = {}
+        for j, r in enumerate(roots):
+            position[r.root] = j
+            position[tuple([-c for c in r.root])] = ~j
         perm = []
         for beta in roots:
-            alpha, sign = images[_mat_vec(m, beta.fund)]
-            perm.append(position[alpha] if sign > 0 else ~position[alpha])
+            pair = sum(map(mul, beta.fund, root.coroot))
+            perm.append(position[tuple([b - pair * a for b, a in zip(beta.root, root.root)])])
         perm = tuple(perm)
         k = self._index.get(perm)
         return self._add(perm) if k is None else k
@@ -234,10 +236,8 @@ class ExtWeylElt:
 # -- constructors -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def identity_elt(sys: RootSystem) -> ExtWeylElt:
-    g = finite_group(sys)
-    return ExtWeylElt(g.identity, Weight.zero(sys.rank), g)
+    return finite_group(sys).elts[0]
 
 
 def translation_elt(sys: RootSystem, lam: Weight) -> ExtWeylElt:

@@ -14,7 +14,7 @@ from alcove_kl.cache import cache_dir
 from alcove_kl.cli import CLOSED_STDOUT, FORMATS, main
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.repcalc import default_radius
-from alcove_kl.rootsys import build_root_system
+from alcove_kl.rootsys import PRIME_BOUND, build_root_system
 from alcove_kl.weylext import ExtWeylElt, identity_elt
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -213,6 +213,20 @@ def test_ext_constant_term(tmp_path, capsys):
     assert code == 0
     assert "conditional on Lusztig's conjecture" in out
     assert "0       1" in out or "0  1" in out
+
+
+def test_ext_at_a_large_prime_prints_the_rows_of_a_small_one(tmp_path, capsys):
+    def ext(p):
+        return run(
+            capsys,
+            "ext", "--type", "A", "--rank", "1", "--p", str(p),
+            "--w", "1", "--y", "1", "--cache-dir", str(tmp_path),
+        )
+
+    assert ext(2**61 - 1) == ext(5)
+    code, out, err = ext(PRIME_BOUND)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "config" and str(PRIME_BOUND) in err
 
 
 def test_loewy_two_layers(tmp_path, capsys):

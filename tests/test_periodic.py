@@ -54,8 +54,8 @@ def act_gen(win, element, i):
     element and whether the window recorded a cut."""
     win._cut = False
     numbered = ((win.number(x), p) for x, p in element.items())
-    acc, _ = act_hb_s(numbered, partial(win.act, i))
-    return {win.elts[k]: p for k, p in acc.items() if p}, win._cut
+    acc = act_hb_s(numbered, partial(win.act, i))
+    return {win.elts[k]: p for k, p in acc.items()}, win._cut
 
 
 def test_act_gen_fundamental_affine_wall(a1, a2):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from alcove_kl.errors import ConfigError
 from alcove_kl.rootsys import (
+    PRIME_BOUND,
     ModularContext,
     Weight,
     _cartan_adjugate,
+    _is_prime,
     build_root_system,
     dominance_leq,
     is_restricted,
@@ -123,6 +125,35 @@ def test_invalid_configurations():
         ModularContext(A2, 4)  # not prime
     with pytest.raises(ConfigError):
         ModularContext(G2, 5)  # not > h = 6
+
+
+def test_primality_agrees_with_a_sieve_below_1e5():
+    n = 10**5
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(n**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, n, d)))
+    assert [m for m in range(n) if _is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
+def test_primality_of_large_numbers():
+    # Mersenne primes, answered at once where trial division would hang
+    assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1)
+    assert _is_prime(10**14 + 31)
+    # a Carmichael number, the least strong pseudoprime to bases 2, 3, 5
+    # and 7, and one that passes Miller-Rabin on the first 9 prime bases
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+
+
+def test_large_primes_make_a_context_and_the_bound_is_refused():
+    assert ModularContext(A2, 2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ConfigError, match="not prime"):
+        ModularContext(A2, 2**61 + 1)
+    for p in (PRIME_BOUND, PRIME_BOUND + 2, 2**127 - 1):
+        with pytest.raises(ConfigError, match=str(PRIME_BOUND)):
+            ModularContext(A2, p)
 
 
 def test_dominance():

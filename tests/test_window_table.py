@@ -48,6 +48,22 @@ def element_keyed_window(sys, radius, gallery_seed=None, sign=1):
             d = h[x] = sign * generic_height(sys, x)
         return d
 
+    cut = False
+
+    def inside(rule):
+        """``rule`` with every crossing out of the members dropped and
+        recorded as a cut; x stays as the rule says."""
+
+        def act(x):
+            nonlocal cut
+            xs, stay = rule(x)
+            if xs in members:
+                return xs, stay
+            cut = True
+            return None, stay
+
+        return act
+
     rows, flags = {}, {}
     for c in sorted(elements, key=lambda x: (height(x), elt_key(sys, x))):
         downs = [
@@ -58,8 +74,9 @@ def element_keyed_window(sys, radius, gallery_seed=None, sign=1):
             flags[c] = False
             continue
         i, a = rng.choice(downs) if rng is not None else downs[0]
-        row, truncated, subtracted = canonical_step(
-            rows[a], crossing_rule(gens[i], height), rows.__getitem__, members.__contains__
+        cut = False
+        row, subtracted = canonical_step(
+            rows[a], inside(crossing_rule(gens[i], height)), rows.__getitem__
         )
         if row.get(c) != _ONE:
             raise ConsistencyError(
@@ -67,7 +84,7 @@ def element_keyed_window(sys, radius, gallery_seed=None, sign=1):
                 "up-direction or correction-sign convention is wrong"
             )
         rows[c] = row
-        flags[c] = truncated or flags[a] or any(flags[b] for b in subtracted)
+        flags[c] = cut or flags[a] or any(flags[b] for b in subtracted)
     return rows, flags
 
 
