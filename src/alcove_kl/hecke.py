@@ -18,10 +18,8 @@ generator action
     M_x Hb_s = M_{xs} + v^-1 M_x  (xs maximal, xs < x)
     M_x Hb_s = (v + v^-1) M_x     (xs not maximal).
 
-One recursion, ``KLComputer``, builds the canonical rows of the Hecke
-algebra, of the spherical module and (``periodic.PeriodicWindow``) of
-the periodic module in a window, top-down along descents and only when
-a row is read.  Each coefficient is packed into one integer by
+One recursion, ``KLComputer``, builds the canonical rows of each module
+in the table below, top-down along descents and only when a row is read.  Each coefficient is packed into one integer by
 ``laurent.PackedCodec`` (v -> 2^64, one signed digit per power of v):
 the stays v, v^-1 and v + v^-1 are shifts, mu is the digit of v, and a
 mu-correction is one integer multiply-add per entry.  Every stored row
@@ -38,10 +36,10 @@ periodic module is a dict from basis labels in W_aff to nonzero
 ``LaurentPoly`` coefficients, the shape every canonical row already has.
 Every right action of a generator on such an element is one routine,
 ``act_hb_s(items, act)``, reading an action rule (see ``crossing_rule``)
-and returning the element with its zero coefficients dropped; it cuts
-nothing, and a window records its own cut (``KLComputer._dropped``).  In the
-Hecke algebra the rule is ranked by length, and the three generators
-differ only in how x stays when xs is longer (up) or shorter (down):
+and returning the element with its zero coefficients dropped; a term
+the rule drops is not added.  In the Hecke algebra the rule is ranked by
+length, and the three generators differ only in how x stays when xs is
+longer (up) or shorter (down):
 
     generator                      up          down
     H_s                            0           v^-1 - v
@@ -49,22 +47,25 @@ differ only in how x stays when xs is longer (up) or shorter (down):
     bar(H_s) = H_s + v - v^-1      v - v^-1    0
 
 ``mul_gen``, ``mul_kl_gen`` and ``mul_bar_gen`` act by these stays, and
-``bar_std`` expands bar(H_y) by the last along a reduced word.  The
-same routine serves the spherical module and the periodic windows
-(``periodic.PeriodicWindow``) by the rule ``KLComputer.act`` of their
-label tables: the stays of Hb_s, ranked by length or by generic height.
+``bar_std`` expands bar(H_y) by the last along a reduced word.
 
 ``KLComputer`` numbers its labels as it meets them (F. du Cloux's
-encoding, Experiment. Math. 2002) and keys its rows by number.  Per
+encoding, Experiment. Math. 2002) and keys its rows by number; per
 number it keeps the element, the numbers of its neighbours x s_i (each
-product formed once), a rank and a kept flag: the length and every
-element in the Hecke algebra, the length and the coset-maximal ones in
-the spherical module, the signed generic height and the members in a
-window.  The action of Hb_s is one rule read off the table: x . Hb_s =
-xs + v^{+-1} x (v when xs ranks higher) when xs is kept; otherwise x
-stays with v + v^-1 in the spherical module, and a window drops xs as
-truncated and keeps the stay.  The descent of x is the first generator
-s with xs ranked lower and kept.
+product formed once), a rank and a kept flag.  It reads its module as
+data, given when it is made:
+
+    module            kept            rank            dropped stays  bound
+    Hecke algebra     every element   length          (none)         64
+    spherical         coset-maximal   length          v+v^-1, v+v^-1 64
+    periodic window   length <= R     generic height  v, v^-1        64
+
+The action of Hb_s is one rule read off the table: x . Hb_s = xs +
+v^{+-1} x (v when xs ranks higher) when xs is kept; otherwise xs is
+dropped and x stays with the dropped stay of the direction (up, down).
+The descent of x is the first generator s with xs ranked lower and
+kept, and the bound is the longest label whose row ``row`` computes and
+the degree bound of the codec.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ _V = LaurentPoly.gen()
 _VINV = LaurentPoly.gen(-1)
 _ONE = LaurentPoly.one()
 _V_PLUS_VINV = _V + _VINV
+# the packed step tells stays apart by identity, so every stay a
+# KLComputer holds is one of these objects
+_STAYS = {stay: stay for stay in (_ZERO, _V, _VINV, _V_PLUS_VINV)}
+_KEPT = (_V, _VINV)  # the stays of a kept crossing, up and down
 
 def unit(sys: RootSystem) -> dict[ExtWeylElt, LaurentPoly]:
     return {identity_elt(sys): _ONE}
@@ -148,9 +153,9 @@ def canonical_step(base: Mapping, act, row_of) -> tuple[dict, list]:
     """E_{us} = E_u . Hb_s - sum_B mu(B) E_B from the row ``base`` of E_u.
 
     mu(B) is the coefficient of v in base[B] and E_B = row_of(B).  The
-    sum runs over the support elements B whose stay is not v: those whose
-    crossing goes down (stay v^-1) and, in the spherical module, those
-    whose Bs is not kept (stay v + v^-1), which must be subtracted too.
+    sum runs over the support elements B whose stay is neither v nor 0:
+    those whose crossing goes down (stay v^-1) and, in the spherical
+    module, those whose Bs is not kept (stay v + v^-1).
     Returns the new row and the B subtracted.  (The diagonal entry of a
     monic row has no v-term.)
     """
@@ -158,7 +163,7 @@ def canonical_step(base: Mapping, act, row_of) -> tuple[dict, list]:
     subtracted = []
     for b, p in base.items():
         mu = p.coeff(1)
-        if mu and act(b)[1] != _V:
+        if mu and act(b)[1] not in (_V, _ZERO):
             subtracted.append(b)
             for z, q in row_of(b).items():
                 r = row.pop(z, _ZERO).add_scaled(q, -mu)
@@ -200,35 +205,36 @@ def mul_bar_gen(
 
 
 class KLComputer:
-    """Memoized canonical rows of the Hecke algebra, its spherical module
-    or a periodic window, on the label table of the module docstring.
+    """Memoized canonical rows of the module given by ``kept``, ``rank``
+    (of sys and x), ``dropped`` and ``length_bound``, on the label table of
+    the module docstring.
 
     ``elts[k]``, ``nbrs[k][i]``, ``ranks[k]`` and ``kept[k]`` are the
     element numbered k, the number of elts[k] s_i, its rank and its kept
-    flag (``kept(x)``).  ``rows[k]`` is its certified row of ``codec``
-    integers, seeded {k: 1} when k has no descent, and ``flags[k]``
-    whether that row, or one it was made from, lost a term ``act``
-    dropped as truncated.
+    flag.  ``rows[k]`` is its certified row of ``codec`` integers, seeded
+    {k: 1} when k has no descent, and ``flags[k]`` whether that row, or
+    one it was made from, met a crossing ``act`` dropped: in a window,
+    the rows that lost a term to truncation.
     """
 
-    LENGTH_BOUND = 64
-    """Longest element whose canonical row is computed; longer ones raise
-    ResourceError.  It also bounds the degree of every row coefficient."""
-
-    def __init__(self, sys: RootSystem, name: str, kept):
+    def __init__(
+        self, sys: RootSystem, name: str, kept, rank=length,
+        dropped=(_V_PLUS_VINV, _V_PLUS_VINV), length_bound: int = 64,
+    ):
         self.sys = sys
         self.name = name
         self._is_kept = kept
+        self._rank_of = rank
+        self._dropped_stays = tuple(_STAYS[stay] for stay in dropped)
         self._gens = [simple_reflection(sys, i) for i in gen_indices(sys)]
         self._number: dict[ExtWeylElt, int] = {}
         self.elts: list[ExtWeylElt] = []
         self.nbrs: list[list[int | None]] = []
         self.ranks: list[int] = []
         self.kept: list[bool] = []
-        self.codec = PackedCodec(self.LENGTH_BOUND)
+        self.codec = PackedCodec(length_bound)
         self.rows: dict[int, dict[int, int]] = {}
         self.flags: dict[int, bool] = {}
-        self._cut = False  # set when act drops a term as truncated (windows only)
 
     def number(self, x: ExtWeylElt) -> int:
         """The number of x in the label table, assigned on first sight."""
@@ -237,12 +243,9 @@ class KLComputer:
             k = self._number[x] = len(self.elts)
             self.elts.append(x)
             self.nbrs.append([None] * len(self._gens))
-            self.ranks.append(self._rank(x))
+            self.ranks.append(self._rank_of(self.sys, x))
             self.kept.append(self._is_kept(x))
         return k
-
-    def _rank(self, x: ExtWeylElt) -> int:
-        return length(self.sys, x)
 
     def nbr(self, k: int, i: int) -> int:
         """The number of x s_i for x the element numbered k."""
@@ -254,11 +257,8 @@ class KLComputer:
     def act(self, i: int, k: int) -> tuple[int | None, LaurentPoly]:
         """The rule of Hb_s = Hb_{s_i} at elts[k] (see the module docstring)."""
         ks = self.nbr(k, i)
-        stay = _V if self.ranks[ks] > self.ranks[k] else _VINV
-        return (ks, stay) if self.kept[ks] else self._dropped(stay)
-
-    def _dropped(self, stay: LaurentPoly) -> tuple[None, LaurentPoly]:
-        return None, _V_PLUS_VINV  # the spherical rule, whatever the direction
+        down = self.ranks[ks] <= self.ranks[k]
+        return (ks, _KEPT[down]) if self.kept[ks] else (None, self._dropped_stays[down])
 
     def descent(self, k: int) -> int | None:
         """The first generator whose neighbour is lower and kept."""
@@ -274,11 +274,9 @@ class KLComputer:
         sys = self.sys
         if not in_waff(sys, w):
             raise DomainError(f"{self.name} basis elements are indexed by W_aff")
-        if length(sys, w) > self.LENGTH_BOUND:
-            raise ResourceError(
-                f"length {length(sys, w)} exceeds the configured bound "
-                f"{self.LENGTH_BOUND}"
-            )
+        bound = self.codec.max_degree
+        if length(sys, w) > bound:
+            raise ResourceError(f"length {length(sys, w)} exceeds the configured bound {bound}")
         unpack = self.codec.unpack
         return {self.elts[y]: unpack(p) for y, p in self._row(self.number(w)).items()}
 
@@ -308,8 +306,7 @@ class KLComputer:
                 if a not in rows:
                     todo.append(a)
                     continue
-                self._cut = False
-                waiting[k] = (a, *self._spread(rows[a], i), self._cut)
+                waiting[k] = (a, *self._spread(rows[a], i))
             a, acc, subtract, cut = waiting[k]
             missing = [b for b, _ in subtract if b not in rows]
             if missing:
@@ -325,29 +322,35 @@ class KLComputer:
             flags[k] = cut or flags[a] or any(flags[b] for b, _ in subtract)
         return rows[top]
 
-    def _spread(self, base: dict[int, int], i: int) -> tuple[dict[int, int], list]:
+    def _spread(self, base: dict[int, int], i: int) -> tuple[dict[int, int], list, bool]:
         """The packed ``canonical_step`` E_{us} = E_u . Hb_s - sum_B mu(B) E_B
-        up to the sum, for the certified row ``base`` of E_u: E_u . Hb_s and
-        the pairs (B, mu(B)).
+        up to the sum, for the certified row ``base`` of E_u: E_u . Hb_s,
+        the pairs (B, mu(B)) and whether ``act`` dropped a crossing.
 
         Every base value lies in Z[v], so the stay v^-1 is an exact right
-        shift.  A new coefficient sums certified values with multipliers
-        of total absolute value at most 3 + sum |mu(B)|: one crossed term,
-        a stay of at most two terms, and mu(B) times a coefficient of each
-        E_B.  The step refuses the row unless that total is below
-        codec.sum_bound, which keeps its digits equal to its coefficients.
+        shift, and a stay of 0 adds no own term and needs no mu-correction.
+        A new coefficient sums certified values with multipliers of total
+        absolute value at most 3 + sum |mu(B)|: one crossed term, a stay of
+        at most two terms, and mu(B) times a coefficient of each E_B.  The
+        step refuses the row unless that total is below codec.sum_bound,
+        which keeps its digits equal to its coefficients.
         """
         B = PackedCodec.B
         act, mu_of = self.act, self.codec.mu
         acc: dict[int, int] = {}
         subtract = []
+        cut = False
         for x, p in base.items():
             xs, stay = act(i, x)
-            if xs is not None:
+            if xs is None:
+                cut = True
+            else:
                 q = acc.get(xs)
                 acc[xs] = p if q is None else q + p
             if stay is _V:
                 p <<= B
+            elif stay is _ZERO:
+                continue
             else:
                 mu = mu_of(p)
                 if mu:
@@ -359,7 +362,7 @@ class KLComputer:
             raise ResourceError(
                 f"{self.name} basis row needs more mu-corrections than the packed rows certify"
             )
-        return acc, subtract
+        return acc, subtract, cut
 
     def _check(self, k: int, row: dict[int, int]) -> None:
         """Certify the new row of k, then check it is monic with every

@@ -93,9 +93,12 @@ class PeriodicWindow(KLComputer):
     def __init__(
         self, sys: RootSystem, radius: int, gallery_seed: int | None = None, sign: int = 1
     ):
-        super().__init__(sys, "periodic", lambda x: length(sys, x) <= radius)
+        super().__init__(
+            sys, "periodic", lambda x: length(sys, x) <= radius,
+            rank=lambda sys, x: sign * generic_height(sys, x),
+            dropped=(LaurentPoly.gen(), LaurentPoly.gen(-1)),
+        )
         self.radius = radius
-        self._sign = sign
         elements = waff_elements(sys, radius)
         self.members = {x: self.number(x) for x in elements}
         self._drawn = None
@@ -111,13 +114,6 @@ class PeriodicWindow(KLComputer):
                 downs = [(i, a) for i, a in enumerate(nbrs) if kept[a] and ranks[a] < ranks[c]]
                 if downs:
                     self._drawn[c] = rng.choice(downs)[0]
-
-    def _rank(self, x: ExtWeylElt) -> int:
-        return self._sign * generic_height(self.sys, x)
-
-    def _dropped(self, stay: LaurentPoly) -> tuple[None, LaurentPoly]:
-        self._cut = True  # a crossing out of the window is truncated
-        return None, stay
 
     def descent(self, k: int) -> int | None:
         return super().descent(k) if self._drawn is None else self._drawn.get(k)

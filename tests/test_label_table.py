@@ -147,11 +147,8 @@ def test_packed_rows_match_the_laurent_route(sys):
 
 
 def test_length_bound_is_read_through_the_computer():
-    class Short(KLComputer):
-        LENGTH_BOUND = 5
-
-    comp = Short(B2, "canonical", lambda x: True)
-    assert comp.codec.max_degree == 5 and KLComputer.LENGTH_BOUND == 64
+    comp = KLComputer(B2, "canonical", lambda x: True, length_bound=5)
+    assert comp.codec.max_degree == 5 and kl_computer(B2).codec.max_degree == 64
     w = from_word(B2, [0, 1, 2, 1, 0])
     assert comp.row(w) == kl_basis(B2, w)
     with pytest.raises(ResourceError, match="length 6 exceeds the configured bound 5"):

@@ -16,7 +16,7 @@ import pytest
 
 from alcove_kl.cli import main
 from alcove_kl.errors import ResourceError
-from alcove_kl.laurent import LaurentPoly
+from alcove_kl.laurent import LaurentPoly, PackedCodec
 from alcove_kl.periodic import PeriodicWindow
 from alcove_kl.rootsys import build_root_system
 from alcove_kl.weylext import identity_elt, w0_elt
@@ -35,24 +35,27 @@ def test_a_read_builds_only_the_rows_it_needs():
 
 
 def test_a_coefficient_beyond_the_codec_bound_is_refused_on_read():
-    class Short(PeriodicWindow):
-        LENGTH_BOUND = 2
-
-    win = Short(A2, 8)
-    assert win.codec.max_degree == 2
+    win = PeriodicWindow(A2, 8)
+    win.codec = PackedCodec(2)
     # p_{w0, e} = v^3 has a digit above the codec's degree bound
     with pytest.raises(ResourceError, match="certified bound"):
         win.coefficient(w0_elt(A2), identity_elt(A2))
 
 
 def test_the_cli_refuses_an_uncertified_window_row_with_exit_3(tmp_path):
-    # the windows are process-wide, so the bound is shrunk in a fresh
-    # interpreter; the identity gate then reads p = v^3 and meets it
+    # the windows are process-wide, so they are made with a short codec
+    # in a fresh interpreter; the identity gate then reads p = v^3 and meets it
     script = (
-        "import sys\n"
+        "import functools, sys\n"
+        "from alcove_kl import periodic\n"
         "from alcove_kl.cli import main\n"
-        "from alcove_kl.periodic import PeriodicWindow\n"
-        "PeriodicWindow.LENGTH_BOUND = 2\n"
+        "from alcove_kl.laurent import PackedCodec\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def short(sys, radius):\n"
+        "    win = periodic.PeriodicWindow(sys, radius)\n"
+        "    win.codec = PackedCodec(2)\n"
+        "    return win\n"
+        "periodic._window = short\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     done = subprocess.run(

@@ -51,11 +51,11 @@ def a1_periodic_oracle(sys, y, w):
 def act_gen(win, element, i):
     """Right action of Hb_{s_i} on ``element`` (x(A+) keyed by x) by the
     window's own rule, which cuts crossings out of the window: the new
-    element and whether the window recorded a cut."""
-    win._cut = False
-    numbered = ((win.number(x), p) for x, p in element.items())
+    element and whether the rule dropped a crossing."""
+    numbered = [(win.number(x), p) for x, p in element.items()]
     acc = act_hb_s(numbered, partial(win.act, i))
-    return {win.elts[k]: p for k, p in acc.items()}, win._cut
+    cut = any(win.act(i, k)[0] is None for k, _ in numbered)
+    return {win.elts[k]: p for k, p in acc.items()}, cut
 
 
 def test_act_gen_fundamental_affine_wall(a1, a2):
