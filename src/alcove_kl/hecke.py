@@ -55,10 +55,11 @@ number it keeps the element, the numbers of its neighbours x s_i (each
 product formed once), a rank and a kept flag.  It reads its module as
 data, given when it is made:
 
-    module            kept            rank            dropped stays  bound
-    Hecke algebra     every element   length          (none)         64
-    spherical         coset-maximal   length          v+v^-1, v+v^-1 64
-    periodic window   length <= R     generic height  v, v^-1        64
+    module            kept            rank            dropped stays     bound
+    Hecke algebra     every element   length          (none)            64
+    spherical         coset-maximal   length          v+v^-1, v+v^-1    64
+    periodic window   length <= R     generic height  v, v^-1           64
+    antispherical     coset-minimal   length          0, 0              200
 
 The action of Hb_s is one rule read off the table: x . Hb_s = xs +
 v^{+-1} x (v when xs ranks higher) when xs is kept; otherwise xs is
@@ -84,6 +85,7 @@ from .weylext import (
     identity_elt,
     in_waff,
     is_coset_maximal,
+    is_coset_minimal,
     length,
     reduced_word,
     right_descents,
@@ -542,3 +544,24 @@ def spherical_kl(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly
     if not is_coset_maximal(sys, w):
         raise DomainError("spherical basis elements are indexed by coset-maximal elements")
     return spherical_computer(sys).row(w)
+
+
+# -- the antispherical module -----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def antispherical_computer(sys: RootSystem) -> KLComputer:
+    """Canonical rows of the antispherical module (Soergel, Represent.
+    Theory 1, 1997): the induction of the sign module of the finite Hecke
+    algebra, with a basis N_x for x minimal in Wx and
+
+        N_x Hb_s = N_{xs} + v^{+-1} N_x   (xs minimal)
+        N_x Hb_s = 0                      (xs not minimal).
+
+    Periodic coefficients are read off translates deep in the dominant
+    chamber, and t_{2 rho} alone has length 32 in G2, hence the bound 200.
+    """
+    return KLComputer(
+        sys, "antispherical", partial(is_coset_minimal, sys),
+        dropped=(_ZERO, _ZERO), length_bound=200,
+    )

@@ -29,6 +29,9 @@ y(A+) in E_{w(A+)}) is read in the windows of radius R and R + 1, and
 reported only when the two agree on it exactly; otherwise the query
 raises StabilizationError and the table marks the entry unstabilized.
 
+A second route, ``antispherical_kl``, reads p_{y,w} off the
+antispherical module instead (see there); no command reads it yet.
+
 Entries are stored once per translation orbit, keyed by the canonical
 pair obtained by writing w = t_nu u with u in the finite Weyl group and
 translating both labels by -nu.
@@ -56,7 +59,7 @@ from operator import le, mul
 
 from .alcove import generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
-from .hecke import KLComputer
+from .hecke import KLComputer, antispherical_computer
 from .laurent import LaurentPoly
 from .rootsys import ModularContext, RootSystem, Weight
 from .weylext import (
@@ -67,9 +70,11 @@ from .weylext import (
     finite_elt,
     gen_indices,
     in_waff,
+    is_coset_minimal,
     length,
     restricted_element_for,
     shi_coords,
+    translation_elt,
     w0_elt,
     waff_elements,
     weyl_group,
@@ -232,6 +237,34 @@ def _read(
     if not in_support_band(sys, y, w):
         return _ZERO, _ZERO
     return _window(sys, radius).coefficient(y, w), _window(sys, radius + 1).coefficient(y, w)
+
+
+def antispherical_kl(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
+    """p_{y,w} as the antispherical coefficient n_{ty,tw}, t = t_{2n rho}.
+
+    Deep in the dominant chamber p_{y,w} = n_{ty,tw} (Lusztig, Adv. Math.
+    37, 1980; Soergel, Represent. Theory 1, 1997), where n is the
+    antispherical canonical basis (``hecke.antispherical_computer``).  The
+    depth n starts at the first one at which ty and tw are both
+    coset-minimal and grows until two successive depths agree; the
+    computer's length bound raises ResourceError when it runs out.  No
+    command reads this route yet.
+    """
+    if not (in_waff(sys, y) and in_waff(sys, w)):
+        raise DomainError("periodic polynomials are indexed by W_aff pairs")
+    comp = antispherical_computer(sys)
+    step = translation_elt(sys, Weight((2,) * sys.rank))  # t_{2 rho}
+    t = step
+    while not (is_coset_minimal(sys, t * y) and is_coset_minimal(sys, t * w)):
+        t = step * t
+    last = None
+    while True:
+        # the row of tw numbers labels as it is built, so ty is looked up
+        # in the finished row
+        value = comp.row(t * w).get(t * y, _ZERO)
+        if value == last:
+            return value
+        last, t = value, step * t
 
 
 def _coefficient_stabilized(

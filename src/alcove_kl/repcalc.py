@@ -11,6 +11,7 @@ corresponding annotation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, ResourceError
@@ -216,12 +217,24 @@ def nabla_weight_dim(ctx: ModularContext, lam: Weight, mu: Weight) -> int:
     return verma_weight_dim(ctx, lam, mu)
 
 
+_BOX_BOUND = 1_000_000
+"""Most weights ``baby_verma_support`` enumerates: the box grows like
+p^rank, and each weight costs one capped Kostant partition."""
+
+
 def baby_verma_support(ctx: ModularContext, lam: Weight) -> list[Weight]:
     """All weights with a nonzero baby-Verma multiplicity, by enumerating
-    the truncated positive-root cone below lam."""
+    the truncated positive-root cone below lam; ResourceError when that
+    box holds more than _BOX_BOUND weights."""
     sys = ctx.system
     cap = ctx.p - 1
     maxima = [cap * sum(r.root[i] for r in sys.positive_roots) for i in range(sys.rank)]
+    points = math.prod(m + 1 for m in maxima)
+    if points > _BOX_BOUND:
+        raise ResourceError(
+            f"the baby Verma weight box at p = {ctx.p} holds {points} weights, "
+            f"more than the bound {_BOX_BOUND}"
+        )
     out = []
     import itertools
 

@@ -318,6 +318,13 @@ def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
     return _left_ascent(sys, x) is None
 
 
+def is_coset_minimal(sys: RootSystem, x: ExtWeylElt) -> bool:
+    """Minimal in Wx: every finite simple reflection is a left ascent, so
+    every simple Shi coordinate is >= 0 (the sign ``_left_ascent`` reads)."""
+    k = shi_coords(sys, x.fin, x.translation)
+    return all(c >= 0 for c in k[: sys.rank])
+
+
 def right_descents(sys: RootSystem, x: ExtWeylElt) -> list[int]:
     lx = length(sys, x)
     return [

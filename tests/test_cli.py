@@ -229,6 +229,27 @@ def test_ext_at_a_large_prime_prints_the_rows_of_a_small_one(tmp_path, capsys):
     assert json.loads(err)["error"] == "config" and str(PRIME_BOUND) in err
 
 
+@pytest.mark.parametrize("command", [["char", "--lam", "0"], ["verify"]], ids=["char", "verify"])
+def test_a_weight_box_that_grows_with_p_is_refused_before_it_is_enumerated(tmp_path, command):
+    # enumerating the box of p = 2^61 - 1 ran out of memory; the address
+    # space is capped so that a regression fails here, not on the host
+    def cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "alcove_kl.cli", command[0], "--type", "A", "--rank", "1",
+         "--p", str(2**61 - 1), *command[1:], "--cache-dir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    payload = json.loads(done.stderr)
+    assert payload["error"] == "stabilization"
+    assert f"holds {2**61 - 1} weights, more than the bound 1000000" in payload["message"]
+
+
 def test_loewy_two_layers(tmp_path, capsys):
     code, out, _ = run(
         capsys,

@@ -14,6 +14,7 @@ import pytest
 from alcove_kl.errors import ResourceError
 from alcove_kl.hecke import (
     KLComputer,
+    antispherical_computer,
     canonical_step,
     coset_maximal_rep,
     is_coset_maximal,
@@ -30,6 +31,7 @@ from alcove_kl.weylext import (
     ExtWeylElt,
     from_word,
     gen_indices,
+    is_coset_minimal,
     length,
     simple_reflection,
     waff_elements,
@@ -139,6 +141,7 @@ def test_packed_rows_match_the_laurent_route(sys):
     for comp, labels in (
         (kl_computer(sys), [w for w in elts if length(sys, w) <= 12]),
         (spherical_computer(sys), [w for w in elts if is_coset_maximal(sys, w)]),
+        (antispherical_computer(sys), [w for w in elts if is_coset_minimal(sys, w)]),
     ):
         reference = laurent_rows(comp)
         assert len(labels) > 10
