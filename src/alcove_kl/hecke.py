@@ -19,16 +19,17 @@ generator action
     M_x Hb_s = (v + v^-1) M_x     (xs not maximal).
 
 One recursion, ``KLComputer``, builds the canonical rows of each module
-in the table below, top-down along descents and only when a row is read.  Each coefficient is packed into one integer by
+in the table below, top-down along descents and only when a row is
+read.  Each coefficient is packed into one integer by
 ``laurent.PackedCodec`` (v -> 2^64, one signed digit per power of v):
-the stays v, v^-1 and v + v^-1 are shifts, mu is the digit of v, and a
-mu-correction is one integer multiply-add per entry.  Every stored row
-is certified: its digits lie in [-2^32, 2^32), which one biased
-mask-AND per entry checks, and the |mu| one step subtracts sum to less
-than 2^31 - 3, so its digits are its coefficients (ResourceError
-otherwise); it is monic with every lower coefficient in vZ[v]
-(ConsistencyError otherwise).  Rows become ``LaurentPoly`` values only
-when returned.  ``canonical_step``, the same step on ``LaurentPoly``
+the stays v, v^-1 and v + v^-1 are shifts, a stay of 0 adds nothing, mu
+is the digit of v, and a mu-correction is one integer multiply-add per
+entry.  Every stored row is certified: its digits lie in [-2^32, 2^32),
+which one biased mask-AND per entry checks, and the |mu| one step
+subtracts sum to less than 2^31 - 3, so its digits are its coefficients
+(ResourceError otherwise); it is monic with every lower coefficient in
+vZ[v] (ConsistencyError otherwise).  Rows become ``LaurentPoly`` values
+only when returned.  ``canonical_step``, the same step on ``LaurentPoly``
 rows, is the reference the tests hold the packed step to.
 
 An element of the Hecke algebra, of the spherical module or of the
