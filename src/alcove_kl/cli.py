@@ -1,11 +1,11 @@
 """Command-line interface: compute, cache, export, verify.
 
-Exit codes: 0 success, 2 configuration error, 3 stabilization failure or
-exceeded bound (window radius, element length, or an order query
-undecided within its radius), 4 identity-suite failure,
+Exit codes: 0 success, 2 configuration error, 3 stabilization failure,
+exceeded bound (window radius, element length, weight box) or an order
+query undecided within its radius, 4 identity-suite failure,
 141 (``CLOSED_STDOUT``, quietly) stdout closed before the output was
 written, as by ``| head -1``.  Other errors, usage errors included,
-are emitted as a JSON object on stderr.
+are emitted as a JSON object on stderr, of the kind ``_EXITS`` gives.
 Every command takes --type, --rank and --cache-dir, and of the other
 common flags (--p, --window, --lmax, --format, --seed) only those it
 reads; any other flag is a usage error.  A window radius out of reach
@@ -234,19 +234,16 @@ def cmd_loewy(args) -> int:
 
 
 def cmd_char(args) -> int:
-    from . import repcalc
+    from .repcalc import weight_table
 
     ctx = _context(args)
-    sys = ctx.system
-    lam = _parse_weight(args.lam, sys.rank)
-    fn = {
-        "Z": repcalc.baby_verma_weight_dim,
-        "Delta": repcalc.verma_weight_dim,
-        "Nabla": repcalc.nabla_weight_dim,
-    }[args.module]
-    # Delta and Nabla are read on the finite probe window of Z
-    dims = {mu: fn(ctx, lam, mu) for mu in repcalc.baby_verma_support(ctx, lam)}
-    rows = sorted((str(mu), str(d)) for mu, d in dims.items() if d)
+    lam = _parse_weight(args.lam, ctx.system.rank)
+    dims = weight_table(ctx, lam, ctx.p - 1)
+    if args.module != "Z":
+        # Delta and Nabla are read on the finite probe window of Z
+        full = weight_table(ctx, lam, None)
+        dims = {mu: full[mu] for mu in dims}
+    rows = sorted((str(mu), str(d)) for mu, d in dims.items())
     _emit_rows(rows, ("weight", "dim"), args.format)
     print(f"# total {sum(dims.values())}")
     return 0
@@ -355,30 +352,25 @@ def main(argv=None) -> int:
         return CLOSED_STDOUT
 
 
+_EXITS = (
+    (ConfigError, 2, "config"),
+    (DomainError, 2, "config"),
+    (StabilizationError, 3, "stabilization"),
+    (ResourceError, 3, "bound"),
+    (IndeterminateError, 3, "indeterminate"),
+    (ConsistencyError, 4, "identity"),
+)
+
+
 def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_bounds(args)
         return args.fn(args)
-    except ConfigError as exc:
-        _error("config", exc)
-        return 2
-    except (StabilizationError, ResourceError) as exc:
-        _error("stabilization", exc)
-        return 3
-    except IndeterminateError as exc:
-        _error("indeterminate", exc)
-        return 3
-    except ConsistencyError as exc:
-        _error("identity", exc)
-        return 4
-    except DomainError as exc:
-        _error("config", exc)
-        return 2
-
-
-def _error(kind: str, exc: Exception) -> None:
-    print(json.dumps({"error": kind, "message": str(exc)}), file=_sys.stderr)
+    except tuple(cls for cls, _, _ in _EXITS) as exc:
+        code, kind = next((code, kind) for cls, code, kind in _EXITS if isinstance(exc, cls))
+        print(json.dumps({"error": kind, "message": str(exc)}), file=_sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 The CLI maps these to exit codes, each with a JSON error object on
 stderr whose "error" kind is given in brackets: ConfigError and
-DomainError -> 2 ("config"); StabilizationError and ResourceError (with
-its subclass WindowError) -> 3 ("stabilization"), IndeterminateError
--> 3 ("indeterminate"); ConsistencyError -> 4 ("identity").
+DomainError -> 2 ("config"); StabilizationError -> 3 ("stabilization"),
+ResourceError and its subclass WindowError -> 3 ("bound"),
+IndeterminateError -> 3 ("indeterminate"); ConsistencyError -> 4 ("identity").
 """
 
 

@@ -6,18 +6,27 @@ the combinatorial values that the underlying theory equates with
 Ext-dimensions, radical filtrations and weight multiplicities.  Tables
 whose validity depends on Lusztig's character formula carry the
 corresponding annotation.
+
+The weight multiplicities of the baby Verma of highest weight lam lie
+on the box lam - c, 0 <= c <= (p - 1) 2rho in simple-root coordinates,
+and ``weight_table`` reads all of them off one Kostant partition table
+(Jantzen, Representations of Algebraic Groups, II.9), capped at p - 1
+or, for the Verma and costandard modules on the same box, uncapped.
+A box of more than ``_BOX_BOUND`` weights is refused with ResourceError.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ConsistencyError, DomainError, ResourceError
 from .laurent import LaurentPoly
 from .periodic import periodic_kl
-from .rootsys import ModularContext, Weight, default_radius, kostant_partition
+from .rootsys import ModularContext, Weight, default_radius, kostant_partition, partition_table
 from .weylext import (
     ExtWeylElt,
     check,
@@ -212,43 +221,39 @@ def baby_verma_weight_dim(ctx: ModularContext, lam: Weight, mu: Weight) -> int:
     return kostant_partition(ctx.system, lam - mu, bound=ctx.p - 1)
 
 
-def nabla_weight_dim(ctx: ModularContext, lam: Weight, mu: Weight) -> int:
-    """Costandard weight spaces match the Verma ones dimension-wise."""
-    return verma_weight_dim(ctx, lam, mu)
+# costandard weight spaces match the Verma ones dimension-wise
+nabla_weight_dim = verma_weight_dim
 
 
 _BOX_BOUND = 1_000_000
-"""Most weights ``baby_verma_support`` enumerates: the box grows like
-p^rank, and each weight costs one capped Kostant partition."""
+"""Most weights ``weight_table`` reads: the box grows like p^rank."""
 
 
-def baby_verma_support(ctx: ModularContext, lam: Weight) -> list[Weight]:
-    """All weights with a nonzero baby-Verma multiplicity, by enumerating
-    the truncated positive-root cone below lam; ResourceError when that
-    box holds more than _BOX_BOUND weights."""
+def weight_table(ctx: ModularContext, lam: Weight, bound: int | None) -> dict[Weight, int]:
+    """The nonzero multiplicities mu -> dim on the weight box of lam (see
+    the module docstring), in product order, with partition parts capped
+    at ``bound``: p - 1 for the baby Verma, None for the Verma and
+    costandard modules."""
     sys = ctx.system
-    cap = ctx.p - 1
-    maxima = [cap * sum(r.root[i] for r in sys.positive_roots) for i in range(sys.rank)]
+    maxima = tuple((ctx.p - 1) * sum(col) for col in zip(*(r.root for r in sys.positive_roots)))
     points = math.prod(m + 1 for m in maxima)
     if points > _BOX_BOUND:
         raise ResourceError(
             f"the baby Verma weight box at p = {ctx.p} holds {points} weights, "
             f"more than the bound {_BOX_BOUND}"
         )
-    out = []
-    import itertools
+    dims = partition_table(sys, maxima, bound)
+    cells = itertools.product(*(range(m + 1) for m in maxima))
+    return {
+        Weight(tuple(x - sum(map(mul, row, c)) for x, row in zip(lam.coords, sys.cartan))): d
+        for c, d in zip(cells, dims) if d
+    }
 
-    for coords in itertools.product(*(range(m + 1) for m in maxima)):
-        nu = Weight(
-            tuple(
-                sum(sys.cartan[k][j] * coords[j] for j in range(sys.rank))
-                for k in range(sys.rank)
-            )
-        )
-        if baby_verma_weight_dim(ctx, lam, lam - nu):
-            out.append(lam - nu)
-    return out
+
+def baby_verma_support(ctx: ModularContext, lam: Weight) -> list[Weight]:
+    """All weights with a nonzero baby-Verma multiplicity."""
+    return list(weight_table(ctx, lam, ctx.p - 1))
 
 
 def baby_verma_total_dim(ctx: ModularContext, lam: Weight) -> int:
-    return sum(baby_verma_weight_dim(ctx, lam, mu) for mu in baby_verma_support(ctx, lam))
+    return sum(weight_table(ctx, lam, ctx.p - 1).values())

@@ -6,13 +6,15 @@ simple coroot is just its i-th coordinate.  Every positive root is stored
 with three exact integer coordinate vectors: in fundamental weights, in
 simple roots, and (for its coroot) in simple coroots; the last doubles as
 the pairing functional of the coroot on the weight lattice.
+Kostant partition counts are read off ``partition_table``, which fills a
+box of simple-root coordinates and keeps nothing between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -401,47 +403,45 @@ def dominance_leq(sys: RootSystem, lam: Weight, mu: Weight) -> bool:
 # -- Kostant partition function --------------------------------------------
 
 
+def partition_table(sys: RootSystem, top: tuple[int, ...], bound: int | None = None) -> list[int]:
+    """The Kostant partition count of every point 0 <= c <= top, in
+    simple-root coordinates and ``itertools.product`` order: the ways to
+    write c as a sum of positive roots, each used at most ``bound``
+    times when given.
+
+    The table is prod_alpha (1 - x^((bound+1) alpha)) / (1 - x^alpha)
+    on the box: for each root an ascending pass adds the value alpha
+    below, and a descending pass subtracts the value (bound+1) alpha
+    below.  The passes commute, and each is exact because the box is
+    closed downwards.
+    """
+    strides = [prod(t + 1 for t in top[i + 1 :]) for i in range(len(top))]
+    table = [1] + [0] * (strides[0] * (top[0] + 1) - 1)
+    steps = [(r.root, 1) for r in sys.positive_roots]
+    if bound is not None:
+        steps += [([(bound + 1) * a for a in r.root], -1) for r in sys.positive_roots]
+    for step, sign in steps:
+        cells = [0]  # flat indices of the c with c - step in the box, ascending
+        for lo, hi, stride in zip(step, top, strides):
+            cells = [base + c * stride for base in cells for c in range(lo, hi + 1)]
+        off = sum(map(mul, step, strides))
+        for i in cells if sign > 0 else reversed(cells):
+            table[i] += sign * table[i - off]
+    return table
+
+
 def kostant_partition(sys: RootSystem, nu: Weight, bound: int | None = None) -> int:
     """Number of ways to write nu as a sum of positive roots.
 
     Each positive root may be used any number of times, capped at
-    ``bound`` when given (bound = p - 1 realizes the truncation relevant
-    for small quantum/restricted enveloping dimensions).
+    ``bound`` when given (bound = p - 1 gives the baby Verma weight
+    multiplicities).  This is the last entry of ``partition_table`` up
+    to the root coordinates of nu.
     """
     d, target = scaled_root_coords(sys, nu)
     if any(x < 0 or x % d for x in target):
         return 0
-    coords = tuple(x // d for x in target)
-    # recurse over roots in decreasing height for aggressive pruning
-    roots = tuple(r.root for r in reversed(sys.positive_roots))
-    memo = _kostant_memo(sys)
-
-    def rec(k: int, rest: tuple[int, ...]) -> int:
-        if not any(rest):
-            return 1
-        if k >= len(roots):
-            return 0
-        key = (k, rest, bound)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        root = roots[k]
-        cmax = min(rest[i] // root[i] for i in range(len(root)) if root[i])
-        if bound is not None:
-            cmax = min(cmax, bound)
-        total = 0
-        for c in range(cmax + 1):
-            nxt = tuple(rest[i] - c * root[i] for i in range(len(root)))
-            total += rec(k + 1, nxt)
-        memo[key] = total
-        return total
-
-    return rec(0, coords)
-
-
-@lru_cache(maxsize=None)
-def _kostant_memo(sys: RootSystem) -> dict:
-    return {}
+    return partition_table(sys, tuple(x // d for x in target), bound)[-1]
 
 
 def is_restricted(ctx: ModularContext, lam: Weight) -> bool:

@@ -152,6 +152,50 @@ def test_readme_examples_golden_stdout(tmp_path, capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
 
 
+# sha256 of char stdout outside type A, for the three modules
+CHAR_EXAMPLES = {
+    "char --type B --rank 2 --p 7 --lam 2,-1 --module Z":
+        "36c12bdfbd04ca6134320cdcd853051b41e258a0ea19d59b90397e01bcadbb8b",
+    "char --type B --rank 2 --p 7 --lam 2,-1 --module Delta":
+        "19bc3632d887196d0b967101e3c48fac34a09b14b461bcad3eedb1e8184f2d67",
+    "char --type B --rank 2 --p 7 --lam 2,-1 --module Nabla":
+        "19bc3632d887196d0b967101e3c48fac34a09b14b461bcad3eedb1e8184f2d67",
+    "char --type G --rank 2 --p 7 --lam 0,0 --module Z":
+        "151cc4e0c68f835cda3328e38d791b54b385e743ea3ea7835fdfe0d7f2e1930e",
+    "char --type G --rank 2 --p 7 --lam 0,0 --module Delta":
+        "f49ad2ea8504a0eb98ce6e14103c04b45d652c65a734b517cead8fdcd8a7dfec",
+    "char --type G --rank 2 --p 7 --lam 0,0 --module Nabla":
+        "f49ad2ea8504a0eb98ce6e14103c04b45d652c65a734b517cead8fdcd8a7dfec",
+}
+
+
+@pytest.mark.parametrize("command", CHAR_EXAMPLES, ids=lambda c: "{2}{4}-{10}".format(*c.split()))
+def test_char_golden_stdout(tmp_path, capsys, command):
+    code, out, _ = run(capsys, *command.split(), "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAR_EXAMPLES[command]
+
+
+@pytest.mark.parametrize("module,tables", [("Z", [4]), ("Delta", [4, None]), ("Nabla", [4, None])])
+def test_char_builds_each_partition_table_once(tmp_path, capsys, monkeypatch, module, tables):
+    from alcove_kl import repcalc
+
+    bounds = []
+    build = repcalc.partition_table
+
+    def counted(sys, top, bound):
+        bounds.append(bound)
+        return build(sys, top, bound)
+
+    monkeypatch.setattr(repcalc, "partition_table", counted)
+    code, _, _ = run(
+        capsys,
+        "char", "--type", "A", "--rank", "2", "--p", "5", "--module", module, "--lam", "0,0",
+        "--cache-dir", str(tmp_path),
+    )
+    assert (code, bounds) == (0, tables)
+
+
 def test_readme_library_example():
     """The python block under "Library example" in README.md runs and its
     three expressions give the values its comments state."""
@@ -246,7 +290,7 @@ def test_a_weight_box_that_grows_with_p_is_refused_before_it_is_enumerated(tmp_p
     )
     assert (done.returncode, done.stdout) == (3, "")
     payload = json.loads(done.stderr)
-    assert payload["error"] == "stabilization"
+    assert payload["error"] == "bound"
     assert f"holds {2**61 - 1} weights, more than the bound 1000000" in payload["message"]
 
 
@@ -344,7 +388,7 @@ def test_loewy_lmax_below_the_label_length_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     payload = json.loads(err)
-    assert payload["error"] == "stabilization"
+    assert payload["error"] == "bound"
     assert "of length 5" in payload["message"]
     assert "bound 4" in payload["message"]
 
@@ -632,7 +676,7 @@ def test_verify_radius_out_of_reach_exits_3(tmp_path, capsys, argv, reach):
     )
     assert (code, out) == (3, "")
     payload = json.loads(err)
-    assert payload["error"] == "stabilization"
+    assert payload["error"] == "bound"
     assert payload["message"].startswith("pair y = ")
     assert reach in payload["message"]
 

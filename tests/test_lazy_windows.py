@@ -67,7 +67,7 @@ def test_the_cli_refuses_an_uncertified_window_row_with_exit_3(tmp_path):
     )
     assert (done.returncode, done.stdout) == (3, "")
     payload = json.loads(done.stderr)
-    assert payload["error"] == "stabilization"
+    assert payload["error"] == "bound"
     assert "certified bound" in payload["message"]
 
 

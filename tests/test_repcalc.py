@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alcove_kl import repcalc
 from alcove_kl.errors import ConsistencyError, DomainError, ResourceError
@@ -18,8 +21,9 @@ from alcove_kl.repcalc import (
     nabla_weight_dim,
     socle_degree_check,
     verma_weight_dim,
+    weight_table,
 )
-from alcove_kl.rootsys import ModularContext, Weight, build_root_system
+from alcove_kl.rootsys import ModularContext, Weight, build_root_system, scaled_root_coords
 from alcove_kl.weylext import (
     ExtWeylElt,
     check,
@@ -31,6 +35,7 @@ from alcove_kl.weylext import (
     waff_elements,
 )
 from conftest import a2_root_partitions
+from test_rootsys import kostant_by_enumeration
 
 V = LaurentPoly.gen()
 ONE = LaurentPoly.one()
@@ -301,3 +306,66 @@ def test_baby_verma_support_size(ctx_a1):
     support = baby_verma_support(ctx_a1, lam)
     assert len(support) == 5
     assert all(baby_verma_weight_dim(ctx_a1, lam, mu) == 1 for mu in support)
+
+
+def test_nabla_is_the_verma_rule():
+    assert nabla_weight_dim is verma_weight_dim
+
+
+def box(ctx, lam):
+    """Every weight lam - c, 0 <= c <= (p - 1) 2rho in root coordinates."""
+    sys = ctx.system
+    top = [(ctx.p - 1) * sum(r.root[i] for r in sys.positive_roots) for i in range(sys.rank)]
+    for c in itertools.product(*(range(m + 1) for m in top)):
+        yield lam - sum((k * a for k, a in zip(c, sys.simple_roots)), Weight.zero(sys.rank))
+
+
+@pytest.mark.parametrize("cartan", ["A", "B"])
+def test_weight_table_matches_enumeration_on_the_whole_box(cartan):
+    ctx = ModularContext(build_root_system(cartan, 2), 5)
+    lam = Weight((2, -1))
+    capped = weight_table(ctx, lam, ctx.p - 1)
+    full = weight_table(ctx, lam, None)
+    weights = list(box(ctx, lam))
+    assert [mu for mu in weights if mu in capped] == list(capped)  # product order
+    for mu in weights:
+        nu = lam - mu
+        assert capped.get(mu, 0) == kostant_by_enumeration(ctx.system, nu, bound=ctx.p - 1)
+        assert full.get(mu, 0) == kostant_by_enumeration(ctx.system, nu)
+    assert set(full) <= set(weights)
+
+
+LAW_CONTEXTS = [
+    ModularContext(build_root_system(cartan, rank), p)
+    for cartan, rank, p in (("A", 1, 3), ("A", 2, 5), ("B", 2, 5), ("G", 2, 7))
+]
+
+
+@st.composite
+def context_and_weight(draw):
+    ctx = draw(st.sampled_from(LAW_CONTEXTS))
+    rank = ctx.system.rank
+    coords = draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank))
+    return ctx, Weight(tuple(coords))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(context_and_weight())
+def test_weight_table_laws(case):
+    """The baby Verma has dimension p^{|positive roots|}, its character is
+    symmetric about lam - (p - 1) rho, and capping the parts at p - 1
+    never adds to a multiplicity and changes none whose root coordinates
+    of lam - mu are all below p."""
+    ctx, lam = case
+    sys, p = ctx.system, ctx.p
+    capped = weight_table(ctx, lam, p - 1)
+    full = weight_table(ctx, lam, None)
+    assert sum(capped.values()) == p**sys.num_positive_roots
+    centre = 2 * lam - 2 * (p - 1) * sys.rho
+    assert all(capped.get(centre - mu) == dim for mu, dim in capped.items())
+    assert set(capped) <= set(full)
+    for mu, dim in full.items():
+        assert capped.get(mu, 0) <= dim
+        d, coords = scaled_root_coords(sys, lam - mu)
+        if all(c < p * d for c in coords):
+            assert capped.get(mu) == dim
