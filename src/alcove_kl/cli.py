@@ -242,7 +242,9 @@ def cmd_char(args) -> int:
     if args.module != "Z":
         # Delta and Nabla are read on the finite probe window of Z
         full = weight_table(ctx, lam, None)
-        dims = {mu: full[mu] for mu in dims}
+        for mu in dims:
+            dims[mu] = full[mu]
+        del full
     rows = sorted((str(mu), str(d)) for mu, d in dims.items())
     _emit_rows(rows, ("weight", "dim"), args.format)
     print(f"# total {sum(dims.values())}")

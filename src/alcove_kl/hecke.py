@@ -18,6 +18,12 @@ generator action
     M_x Hb_s = M_{xs} + v^-1 M_x  (xs maximal, xs < x)
     M_x Hb_s = (v + v^-1) M_x     (xs not maximal).
 
+The antispherical module (``antispherical_computer``) induces the sign
+module instead.  Soergel (Represent. Theory 1, 1997, Prop. 3.4) reads
+both canonical bases off the Hecke rows: m_{y,w} = h_{y,w} for y and w
+coset-maximal, and n_{x,y} = sum_{z in W_f} (-v)^{l(z)} h_{zx,y} for x
+and y coset-minimal.  The tests hold the rows of both modules to these.
+
 One recursion, ``KLComputer``, builds the canonical rows of each module
 in the table below, top-down along descents and only when a row is
 read.  Each coefficient is packed into one integer by
@@ -80,7 +86,6 @@ from .laurent import LaurentPoly, PackedCodec
 from .rootsys import RootSystem
 from .weylext import (
     ExtWeylElt,
-    _left_ascent,
     elt_key,
     gen_indices,
     identity_elt,
@@ -91,7 +96,6 @@ from .weylext import (
     reduced_word,
     right_descents,
     simple_reflection,
-    w0_elt,
 )
 
 _ZERO = LaurentPoly.zero()
@@ -445,94 +449,6 @@ def kl_basis_by_duality(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, Laur
 
 
 # -- the spherical module ---------------------------------------------------------
-
-
-def coset_maximal_rep(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
-    """The maximal element of Wx."""
-    while (i := _left_ascent(sys, x)) is not None:
-        x = simple_reflection(sys, i) * x
-    return x
-
-
-def spherical_project(
-    sys: RootSystem, h: Mapping[ExtWeylElt, LaurentPoly]
-) -> dict[ExtWeylElt, LaurentPoly]:
-    """Quotient map H -> spherical module: H_z maps to
-    v^{l(max) - l(z)} M_{max(Wz)}."""
-    acc: dict[ExtWeylElt, LaurentPoly] = {}
-    for z, p in h.items():
-        m = coset_maximal_rep(sys, z)
-        scale = LaurentPoly.gen(length(sys, m) - length(sys, z))
-        acc[m] = acc.get(m, LaurentPoly.zero()) + scale * p
-    return {m: p for m, p in acc.items() if p}
-
-
-def spherical_act_kl_gen(
-    sys: RootSystem, e: Mapping[ExtWeylElt, LaurentPoly], i: int
-) -> dict[ExtWeylElt, LaurentPoly]:
-    """Right action of Hb_s on the spherical module, by the action rule of
-    the spherical label table."""
-    if i not in gen_indices(sys):
-        raise DomainError(f"no Coxeter generator with index {i}")
-    comp = spherical_computer(sys)
-    acc = act_hb_s(((comp.number(x), p) for x, p in e.items()), partial(comp.act, i))
-    return {comp.elts[k]: p for k, p in acc.items()}
-
-
-def ideal_basis_elt(sys: RootSystem, y: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-    """Hb_{w0} H_{y0} for y coset-maximal with minimal representative y0.
-
-    y0 = w0 y, since y = w0 y0 with l(y) = l(w0) + l(y0).
-
-    These span the right ideal Hb_{w0} H, which realizes the spherical
-    module inside the Hecke algebra; the basis vector has unitriangular
-    leading term H_y.
-    """
-    if not is_coset_maximal(sys, y):
-        raise DomainError("ideal basis vectors are indexed by coset-maximal elements")
-    w0 = w0_elt(sys)
-    out = kl_computer(sys).row(w0)
-    for i in reduced_word(sys, w0 * y):
-        out = mul_gen(sys, out, i)
-    return out
-
-
-def spherical_from_kl_row(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-    """Expand Hb_w (w coset-maximal) in the ideal basis Hb_{w0} H_{y0}.
-
-    The expansion coefficients provide an independent route to the
-    spherical canonical coefficients m_{y,w}; a nonzero remainder means
-    the two computations disagree.  Each ideal basis vector is H_y plus
-    shorter terms, so the leading term strictly decreases from one step
-    to the next; a leading term that is not coset-maximal or does not
-    decrease raises ConsistencyError.
-    """
-    if not is_coset_maximal(sys, w):
-        raise DomainError("expansion applies to coset-maximal elements")
-    rest = kl_computer(sys).row(w)
-    out: dict[ExtWeylElt, LaurentPoly] = {}
-    order = partial(elt_key, sys)
-    last = None
-    while rest:
-        y = max(rest, key=order)
-        if not is_coset_maximal(sys, y):
-            raise ConsistencyError(
-                "leading term of an ideal element is not coset-maximal"
-            )
-        if last is not None and order(y) >= last:
-            raise ConsistencyError(
-                "an ideal basis vector did not cancel its leading term"
-            )
-        last = order(y)
-        c = rest[y]
-        out[y] = c
-        for z, p in ideal_basis_elt(sys, y).items():
-            q = rest.get(z, LaurentPoly.zero()) - c * p
-            if q:
-                rest[z] = q
-            else:
-                rest.pop(z, None)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from alcove_kl.rootsys import ModularContext, build_root_system
-from alcove_kl.weylext import from_word
+from alcove_kl.weylext import from_word, length, simple_reflection
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +37,20 @@ def dihedral_element(sys, n):
         word.append(1 if len(word) % 2 == 0 else 0)
         k += 1
     return from_word(sys, word)
+
+
+def product_coset_rep(sys, x, longer):
+    """The maximal (``longer``) or minimal element of W_f x by the product
+    probe: step to s_i x for any finite s_i that makes it longer (or
+    shorter) until none does."""
+    while True:
+        for i in range(1, sys.rank + 1):
+            y = simple_reflection(sys, i) * x
+            if (length(sys, y) > length(sys, x)) == longer:
+                x = y
+                break
+        else:
+            return x
 
 
 def a2_root_partitions(nu):

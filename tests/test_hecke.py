@@ -1,22 +1,22 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
-from alcove_kl import hecke
-from alcove_kl.errors import ConsistencyError, DomainError
+from alcove_kl.errors import DomainError
 from alcove_kl.hecke import (
+    KLComputer,
+    act_hb_s,
+    antispherical_computer,
     bruhat_interval_below,
-    coset_maximal_rep,
     is_coset_maximal,
     kl_basis,
     kl_basis_by_duality,
     mul_gen,
     mul_kl_gen,
-    spherical_act_kl_gen,
-    spherical_from_kl_row,
+    spherical_computer,
     spherical_kl,
-    spherical_project,
     std_elt,
     unit,
 )
@@ -26,12 +26,15 @@ from alcove_kl.weylext import (
     from_word,
     gen_indices,
     identity_elt,
+    is_coset_minimal,
     length,
     omega_group,
     simple_reflection,
     w0_elt,
     waff_elements,
 )
+
+from conftest import product_coset_rep
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -141,19 +144,6 @@ def product_is_coset_maximal(sys, x):
     )
 
 
-def product_coset_maximal_rep(sys, x):
-    """The product probe: climb by any finite s_i that lengthens s_i x."""
-    while True:
-        up = [
-            y
-            for y in (simple_reflection(sys, i) * x for i in range(1, sys.rank + 1))
-            if length(sys, y) > length(sys, x)
-        ]
-        if not up:
-            return x
-        x = up[0]
-
-
 @pytest.mark.parametrize(
     "cartan,rank,bound",
     [("A", 1, 8), ("A", 2, 8), ("B", 2, 8), ("G", 2, 8), ("A", 3, 8), ("B", 3, 10), ("C", 3, 10)],
@@ -166,22 +156,13 @@ def test_coset_maximality_matches_the_product_probe(cartan, rank, bound):
         for z in waff_elements(sys, bound):
             x = om * z
             assert is_coset_maximal(sys, x) == product_is_coset_maximal(sys, x)
-            assert coset_maximal_rep(sys, x) == product_coset_maximal_rep(sys, x)
-
-
-def test_coset_maximal_rep_idempotent():
-    for x in waff_elements(A2, 4):
-        m = coset_maximal_rep(A2, x)
-        assert is_coset_maximal(A2, m)
-        assert coset_maximal_rep(A2, m) == m
 
 
 def test_spherical_action_stabilizing_case():
-    w0 = w0_elt(A2)
-    e = {w0: ONE}
+    comp = spherical_computer(A2)
+    w0 = comp.number(w0_elt(A2))
     for i in (1, 2):
-        out = spherical_act_kl_gen(A2, e, i)
-        assert out == {w0: V + VINV}
+        assert comp.act(i, w0) == (None, V + VINV)
 
 
 def test_spherical_diagonal_and_domain():
@@ -201,44 +182,106 @@ def test_spherical_dihedral_monomials():
             assert p == LaurentPoly.gen(length(A1, w) - length(A1, y))
 
 
+# -- Soergel's Prop. 3.4: both parabolic modules against the Hecke rows --------
+#
+# Each identity is the only reference its module's rows have, so each
+# comes with a negative control: a computer with the other module's
+# dropped stays, which the identity must refuse.
+
+
+def restriction_misses(sys, comp, bound):
+    """(rows that break, rows checked) of m_{y,w} = h_{y,w} for y and w
+    coset-maximal, with no other label in the spherical row, over the
+    coset-maximal w of length <= bound and the rows of ``comp``."""
+    ws = [w for w in waff_elements(sys, bound) if is_coset_maximal(sys, w)]
+    broken = sum(
+        comp.row(w) != {y: p for y, p in kl_basis(sys, w).items() if is_coset_maximal(sys, y)}
+        for w in ws
+    )
+    return broken, len(ws)
+
+
+def signed_fold(sys, y):
+    """x -> sum_{z in W_f} (-v)^{l(z)} h_{zx,y} over the coset-minimal x:
+    each u in the Hecke row of y is z x with x the minimal element of
+    W_f u, found by products alone, and l(z) = l(u) - l(x)."""
+    out = {}
+    for u, p in kl_basis(sys, y).items():
+        x = product_coset_rep(sys, u, longer=False)
+        lz = length(sys, u) - length(sys, x)
+        out[x] = out.get(x, LaurentPoly.zero()) + LaurentPoly.gen(lz, (-1) ** lz) * p
+    return {x: p for x, p in out.items() if p}
+
+
+def fold_misses(sys, comp, bound):
+    """(rows that break, rows checked) of n_{x,y} = sum_{z in W_f}
+    (-v)^{l(z)} h_{zx,y}, over the coset-minimal y of length <= bound
+    and the rows of ``comp``."""
+    ys = [y for y in waff_elements(sys, bound) if is_coset_minimal(sys, y)]
+    return sum(comp.row(y) != signed_fold(sys, y) for y in ys), len(ys)
+
+
 @pytest.mark.parametrize(
-    "cartan,rank,bound",
-    [("A", 1, 12), ("A", 2, 10), ("B", 2, 12), ("G", 2, 12), ("A", 3, 8)],
-    ids=["A1", "A2", "B2", "G2", "A3"],
+    "cartan,rank,bound,rows",
+    [
+        ("A", 1, 12, 12), ("A", 2, 10, 20), ("B", 2, 12, 18), ("G", 2, 12, 9),
+        ("A", 3, 8, 4), ("B", 3, 13, 7), ("C", 3, 13, 7),
+    ],
+    ids=["A1", "A2", "B2", "G2", "A3", "B3", "C3"],
 )
-def test_spherical_rows_are_the_coset_maximal_part_of_the_hecke_rows(cartan, rank, bound):
+def test_spherical_rows_are_the_coset_maximal_part_of_the_hecke_rows(cartan, rank, bound, rows):
     """m_{y,w} = h_{y,w} for y and w maximal in their finite cosets, and
     the spherical row holds no other label (Soergel, Represent. Theory 1,
     1997, Prop. 3.4)."""
     sys = build_root_system(cartan, rank)
-    for w in waff_elements(sys, bound):
-        if is_coset_maximal(sys, w):
-            hecke_row = kl_basis(sys, w)
-            assert spherical_kl(sys, w) == {
-                y: p for y, p in hecke_row.items() if is_coset_maximal(sys, y)
-            }
+    assert restriction_misses(sys, spherical_computer(sys), bound) == (0, rows)
 
 
-@pytest.mark.parametrize("sys,bound", [(A1, 6), (A2, 6)], ids=["dihedral", "rank2"])
-def test_spherical_matches_ideal_expansion(sys, bound):
-    """Expanding Hb_w in the ideal basis Hb_{w0} H_{y0} recovers the
-    spherical canonical coefficients, for every coset-maximal w."""
-    for w in waff_elements(sys, bound):
-        if is_coset_maximal(sys, w):
-            assert spherical_from_kl_row(sys, w) == spherical_kl(sys, w)
+@pytest.mark.parametrize(
+    "cartan,rank,bound,rows",
+    [
+        ("A", 1, 10, 11), ("A", 2, 6, 16), ("B", 2, 6, 12), ("G", 2, 6, 9),
+        ("A", 3, 5, 16), ("B", 3, 4, 7), ("C", 3, 4, 7),
+    ],
+    ids=["A1", "A2", "B2", "G2", "A3", "B3", "C3"],
+)
+def test_antispherical_rows_are_the_signed_fold_of_the_hecke_rows(cartan, rank, bound, rows):
+    """n_{x,y} = sum_{z in W_f} (-v)^{l(z)} h_{zx,y} for x and y minimal
+    in their finite cosets (Soergel, Represent. Theory 1, 1997, Prop. 3.4)."""
+    sys = build_root_system(cartan, rank)
+    assert fold_misses(sys, antispherical_computer(sys), bound) == (0, rows)
 
 
-def test_spherical_expansion_refuses_a_leading_term_it_cannot_cancel(monkeypatch):
-    """A wrong ideal basis vector leaves its leading term in the remainder;
-    the expansion raises instead of picking that term again forever."""
-    ideal = hecke.ideal_basis_elt
-    monkeypatch.setattr(
-        hecke, "ideal_basis_elt", lambda sys, y: {z: 2 * p for z, p in ideal(sys, y).items()}
+def test_the_antispherical_stay_in_the_spherical_module_breaks_the_restriction():
+    zero = LaurentPoly.zero()
+    comp = KLComputer(A2, "spherical", partial(is_coset_maximal, A2), dropped=(zero, zero))
+    assert restriction_misses(A2, comp, 8) == (10, 12)
+
+
+def test_the_spherical_stay_in_the_antispherical_module_breaks_the_fold():
+    comp = KLComputer(
+        A2, "antispherical", partial(is_coset_minimal, A2),
+        dropped=(V + VINV, V + VINV), length_bound=200,
     )
-    w = from_word(A2, [1, 2, 1, 0])
-    assert is_coset_maximal(A2, w)
-    with pytest.raises(ConsistencyError, match="did not cancel its leading term"):
-        spherical_from_kl_row(A2, w)
+    assert fold_misses(A2, comp, 6) == (14, 16)
+
+
+def spherical_project(sys, h):
+    """The quotient map H -> spherical module: H_z goes to
+    v^{l(m) - l(z)} M_m, with m the maximal element of W_f z."""
+    acc = {}
+    for z, p in h.items():
+        m = product_coset_rep(sys, z, longer=True)
+        acc[m] = acc.get(m, LaurentPoly.zero()) + LaurentPoly.gen(length(sys, m) - length(sys, z)) * p
+    return {m: p for m, p in acc.items() if p}
+
+
+def spherical_act(sys, e, i):
+    """Right action of Hb_{s_i} on the spherical module, by the action
+    rule of the spherical label table."""
+    comp = spherical_computer(sys)
+    acc = act_hb_s(((comp.number(x), p) for x, p in e.items()), partial(comp.act, i))
+    return {comp.elts[k]: p for k, p in acc.items()}
 
 
 def test_naive_projection_is_a_module_map():
@@ -254,7 +297,7 @@ def test_naive_projection_is_a_module_map():
             }
             for i in gen_indices(sys):
                 lhs = spherical_project(sys, mul_kl_gen(sys, h, i))
-                rhs = spherical_act_kl_gen(sys, spherical_project(sys, h), i)
+                rhs = spherical_act(sys, spherical_project(sys, h), i)
                 assert lhs == rhs
 
 

@@ -16,13 +16,11 @@ from alcove_kl.hecke import (
     KLComputer,
     antispherical_computer,
     canonical_step,
-    coset_maximal_rep,
     is_coset_maximal,
     kl_basis,
     kl_basis_by_duality,
     kl_computer,
     spherical_computer,
-    spherical_from_kl_row,
     spherical_kl,
 )
 from alcove_kl.laurent import LaurentPoly, PackedCodec
@@ -37,6 +35,8 @@ from alcove_kl.weylext import (
     waff_elements,
 )
 
+from conftest import product_coset_rep
+
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
 G2 = build_root_system("G", 2)
@@ -46,14 +46,6 @@ G2 = build_root_system("G", 2)
 def test_kl_rows_match_duality_oracle(sys):
     for w in waff_elements(sys, 6):
         assert kl_basis(sys, w) == kl_basis_by_duality(sys, w)
-
-
-@pytest.mark.parametrize("sys", [B2, G2], ids=["B2", "G2"])
-def test_spherical_rows_match_ideal_expansion(sys):
-    maximal = [w for w in waff_elements(sys, 10) if is_coset_maximal(sys, w)]
-    assert len(maximal) > 3
-    for w in maximal:
-        assert spherical_kl(sys, w) == spherical_from_kl_row(sys, w)
 
 
 def assert_table_laws(sys, comp, kept):
@@ -85,7 +77,7 @@ def test_label_table_laws(sys, word):
     assert_table_laws(sys, comp, lambda x: True)
 
     sph = spherical_computer(sys)
-    top = coset_maximal_rep(sys, w)
+    top = product_coset_rep(sys, w, longer=True)
     assert set(spherical_kl(sys, top)) <= set(sph.elts)
     assert_table_laws(sys, sph, lambda x: is_coset_maximal(sys, x))
 
