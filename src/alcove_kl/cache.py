@@ -7,14 +7,15 @@ record written by an engine that emitted other values is never read.
 Corrupt or truncated records, undecodable bytes included, are skipped on
 load (forcing recomputation), and later records win over earlier ones
 for the same key, so appending is always safe.  When the dead lines
-(corrupt, superseded or of another engine version) outnumber the live
-records, and at least one record is live, loading rewrites the file
-with the live records alone, through a temporary file and an atomic
-rename; a file that cannot be rewritten is left as it was and served as
-loaded.  The cache directory is created when the cache is opened, so a
-directory that cannot be made fails before anything is computed; that,
-and a cache file that cannot be read or appended to, raises ConfigError
-naming the path.
+(corrupt, superseded or of another engine version) are at least as many
+as the live records, and at least one record is live, loading rewrites
+the file with the live records alone, through a temporary file and an
+atomic rename, so each rewrite writes no more lines than the dead ones
+appended since the last; a file that cannot be rewritten is left as it
+was and served as loaded.  The cache directory is created when the
+cache is opened, so a directory that cannot be made fails before
+anything is computed; that, and a cache file that cannot be read or
+appended to, raises ConfigError naming the path.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class RecordCache:
                 continue  # a corrupt record, or one of another engine version
             self._records[key] = payload
         live = len(self._records)
-        if 0 < live < len(lines) - live:
+        if 0 < live <= len(lines) - live:
             self._compact()
 
     def _compact(self) -> None:

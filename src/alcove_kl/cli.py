@@ -16,9 +16,9 @@ bytes.
 The layers a command may not reach (``hecke``, ``periodic``,
 ``repcalc``, ``verify``, ``weylext``) are imported inside the command
 that reads them, or inside the closure that computes a value missing
-from the cache.  A warm ``periodic`` run executes only ``cache``,
-``errors``, ``laurent`` and ``rootsys``; a warm ``kl`` or ``spherical``
-run adds ``weylext``, which parses --w and keys the row.
+from the cache.  A warm ``periodic`` run and every ``char`` run execute
+only ``cache``, ``errors``, ``laurent`` and ``rootsys``; a warm ``kl`` or
+``spherical`` run adds ``weylext``, which parses --w and keys the row.
 """
 
 from __future__ import annotations
@@ -38,7 +38,14 @@ from .errors import (
     StabilizationError,
 )
 from .laurent import LaurentPoly
-from .rootsys import PRIME_BOUND, ModularContext, Weight, build_root_system, default_radius
+from .rootsys import (
+    PRIME_BOUND,
+    ModularContext,
+    Weight,
+    build_root_system,
+    default_radius,
+    weight_table,
+)
 
 FORMATS = ("pretty", "json", "csv", "latex")
 
@@ -234,17 +241,9 @@ def cmd_loewy(args) -> int:
 
 
 def cmd_char(args) -> int:
-    from .repcalc import weight_table
-
     ctx = _context(args)
     lam = _parse_weight(args.lam, ctx.system.rank)
-    dims = weight_table(ctx, lam, ctx.p - 1)
-    if args.module != "Z":
-        # Delta and Nabla are read on the finite probe window of Z
-        full = weight_table(ctx, lam, None)
-        for mu in dims:
-            dims[mu] = full[mu]
-        del full
+    dims = weight_table(ctx, lam, ctx.p - 1 if args.module == "Z" else None)
     rows = sorted((str(mu), str(d)) for mu, d in dims.items())
     _emit_rows(rows, ("weight", "dim"), args.format)
     print(f"# total {sum(dims.values())}")

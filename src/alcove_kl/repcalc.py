@@ -6,27 +6,17 @@ the combinatorial values that the underlying theory equates with
 Ext-dimensions, radical filtrations and weight multiplicities.  Tables
 whose validity depends on Lusztig's character formula carry the
 corresponding annotation.
-
-The weight multiplicities of the baby Verma of highest weight lam lie
-on the box lam - c, 0 <= c <= (p - 1) 2rho in simple-root coordinates,
-and ``weight_table`` reads all of them off one Kostant partition table
-(Jantzen, Representations of Algebraic Groups, II.9), capped at p - 1
-or, for the Verma and costandard modules on the same box, uncapped.
-A box of more than ``_BOX_BOUND`` weights is refused with ResourceError.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import ConsistencyError, DomainError, ResourceError
 from .laurent import LaurentPoly
 from .periodic import periodic_kl
-from .rootsys import ModularContext, Weight, default_radius, kostant_partition, partition_table
+from .rootsys import ModularContext, Weight, default_radius, kostant_partition, weight_table
 from .weylext import (
     ExtWeylElt,
     check,
@@ -223,36 +213,6 @@ def baby_verma_weight_dim(ctx: ModularContext, lam: Weight, mu: Weight) -> int:
 
 # costandard weight spaces match the Verma ones dimension-wise
 nabla_weight_dim = verma_weight_dim
-
-
-_BOX_BOUND = 1_000_000
-"""Most weights ``weight_table`` reads: the box grows like p^rank."""
-
-
-def weight_table(ctx: ModularContext, lam: Weight, bound: int | None) -> dict[Weight, int]:
-    """The nonzero multiplicities mu -> dim on the weight box of lam (see
-    the module docstring), in product order, with partition parts capped
-    at ``bound``: p - 1 for the baby Verma, None for the Verma and
-    costandard modules."""
-    sys = ctx.system
-    maxima = tuple((ctx.p - 1) * sum(col) for col in zip(*(r.root for r in sys.positive_roots)))
-    points = math.prod(m + 1 for m in maxima)
-    if points > _BOX_BOUND:
-        raise ResourceError(
-            f"the baby Verma weight box at p = {ctx.p} holds {points} weights, "
-            f"more than the bound {_BOX_BOUND}"
-        )
-    dims = partition_table(sys, maxima, bound)
-    cells = itertools.product(*(range(m + 1) for m in maxima))
-    return {
-        Weight(tuple(x - sum(map(mul, row, c)) for x, row in zip(lam.coords, sys.cartan))): d
-        for c, d in zip(cells, dims) if d
-    }
-
-
-def baby_verma_support(ctx: ModularContext, lam: Weight) -> list[Weight]:
-    """All weights with a nonzero baby-Verma multiplicity."""
-    return list(weight_table(ctx, lam, ctx.p - 1))
 
 
 def baby_verma_total_dim(ctx: ModularContext, lam: Weight) -> int:

@@ -8,17 +8,26 @@ simple roots, and (for its coroot) in simple coroots; the last doubles as
 the pairing functional of the coroot on the weight lattice.
 Kostant partition counts are read off ``partition_table``, which fills a
 box of simple-root coordinates and keeps nothing between calls.
+
+The weight multiplicities of the baby Verma of highest weight lam lie
+on the box lam - c, 0 <= c <= (p - 1) 2rho in simple-root coordinates,
+and ``weight_table`` reads them off Kostant partition tables of that box
+(Jantzen, Representations of Algebraic Groups, II.9): capped at p - 1
+for the baby Verma and, for the Verma and costandard modules on the
+baby Verma's weights, uncapped.  A box of more than ``_BOX_BOUND``
+weights is refused with ResourceError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from math import factorial, prod
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -442,6 +451,34 @@ def kostant_partition(sys: RootSystem, nu: Weight, bound: int | None = None) -> 
     if any(x < 0 or x % d for x in target):
         return 0
     return partition_table(sys, tuple(x // d for x in target), bound)[-1]
+
+
+_BOX_BOUND = 1_000_000
+"""Most weights ``weight_table`` reads: the box grows like p^rank."""
+
+
+def weight_table(ctx: ModularContext, lam: Weight, bound: int | None) -> dict[Weight, int]:
+    """The multiplicities mu -> dim on the baby Verma support of lam (see
+    the module docstring), in product order, with partition parts capped
+    at ``bound``: p - 1 for the baby Verma, None for the Verma and
+    costandard modules.  The support is read off the table capped at
+    p - 1, and the values off the table of ``bound``, which is the same
+    list when ``bound`` is p - 1."""
+    sys = ctx.system
+    maxima = tuple((ctx.p - 1) * sum(col) for col in zip(*(r.root for r in sys.positive_roots)))
+    points = prod(m + 1 for m in maxima)
+    if points > _BOX_BOUND:
+        raise ResourceError(
+            f"the baby Verma weight box at p = {ctx.p} holds {points} weights, "
+            f"more than the bound {_BOX_BOUND}"
+        )
+    support = partition_table(sys, maxima, ctx.p - 1)
+    dims = support if bound == ctx.p - 1 else partition_table(sys, maxima, bound)
+    cells = product(*(range(m + 1) for m in maxima))
+    return {
+        Weight(tuple(x - sum(map(mul, row, c)) for x, row in zip(lam.coords, sys.cartan))): d
+        for c, baby, d in zip(cells, support, dims) if baby
+    }
 
 
 def is_restricted(ctx: ModularContext, lam: Weight) -> bool:

@@ -298,29 +298,21 @@ def length(sys: RootSystem, x: ExtWeylElt) -> int:
     return sum(map(abs, shi_coords(sys, x.fin, x.translation)))
 
 
-def _left_ascent(sys: RootSystem, x: ExtWeylElt) -> int | None:
-    """A finite i with s_i x longer than x, or None when x is maximal in Wx.
+def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
+    """Maximal in Wx: every finite simple reflection is a left descent.
 
     s_i x(A+) is the mirror image of x(A+) in the wall of alpha_i, which
     sends k_{alpha_i} to -1 - k_{alpha_i} and permutes the other Shi
-    coordinates, so s_i x is longer exactly when k_{alpha_i}(x) >= 0.  The
+    coordinates, so s_i x is shorter exactly when k_{alpha_i}(x) < 0.  The
     simple roots are the positive roots of height one, listed first.
     """
     k = shi_coords(sys, x.fin, x.translation)
-    for r, c in zip(sys.positive_roots[: sys.rank], k):
-        if c >= 0:
-            return r.root.index(1) + 1
-    return None
-
-
-def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
-    """Maximal in Wx: every finite simple reflection is a left descent."""
-    return _left_ascent(sys, x) is None
+    return all(c < 0 for c in k[: sys.rank])
 
 
 def is_coset_minimal(sys: RootSystem, x: ExtWeylElt) -> bool:
     """Minimal in Wx: every finite simple reflection is a left ascent, so
-    every simple Shi coordinate is >= 0 (the sign ``_left_ascent`` reads)."""
+    every simple Shi coordinate is >= 0."""
     k = shi_coords(sys, x.fin, x.translation)
     return all(c >= 0 for c in k[: sys.rank])
 

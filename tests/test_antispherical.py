@@ -3,10 +3,10 @@
 Deep in the dominant chamber p_{y,w} = n_{ty,tw} with t = t_lambda
 (Lusztig, Adv. Math. 37, 1980; Soergel, Represent. Theory 1, 1997).
 ``periodic.antispherical_kl`` reads it with t = t_{2n rho}.  These tests
-hold it to the gate identities, to a negative control whose dropped
-stay is the spherical v + v^-1 in place of 0, and to the raw window
-values in A2, and pin the A2 pairs where both agree on a nonzero value
-that the support band certifies as zero.
+hold it to the gate identities and the inversion identity, each against
+a negative control whose dropped stay is the spherical v + v^-1 in place
+of 0, and to the raw window values in A2, and pin the A2 pairs where
+both agree on a nonzero value that the support band certifies as zero.
 """
 
 from functools import lru_cache, partial
@@ -54,6 +54,30 @@ def gate_identities(sys):
     return passed, len(xs)
 
 
+def inversion_failures(sys, bound):
+    """(failing, total) over the pairs (y, w) of length <= bound of the
+    inversion identity v^{l(w0)} p_{w0 y, w0 check(w)}(v^-1) = p_{y,w}."""
+    w0 = w0_elt(sys)
+    top = LaurentPoly.gen(length(sys, w0))
+    elements = waff_elements(sys, bound)
+    failing = sum(
+        top * antispherical_kl(sys, w0 * y, w0 * check_for_system(sys, w)).bar()
+        != antispherical_kl(sys, y, w)
+        for w in elements
+        for y in elements
+    )
+    return failing, len(elements) ** 2
+
+
+@lru_cache(maxsize=None)
+def spherical_stays(sys):
+    """The antispherical computer with the spherical stay v + v^-1 in place of 0."""
+    return KLComputer(
+        sys, "antispherical", partial(is_coset_minimal, sys),
+        dropped=(V + VINV, V + VINV), length_bound=200,
+    )
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_coset_minimal_means_every_finite_reflection_lengthens(name):
     sys = SYSTEMS[name]
@@ -75,15 +99,23 @@ def test_the_gate_identities_hold_on_every_restricted_element(name, expected):
     "name, expected", [("A2", (1, 2)), ("B2", (1, 4)), ("A3", (1, 6))]
 )
 def test_the_spherical_stay_in_place_of_0_fails_the_gate(monkeypatch, name, expected):
-    @lru_cache(maxsize=None)
-    def spherical_stays(sys):
-        return KLComputer(
-            sys, "antispherical", partial(is_coset_minimal, sys),
-            dropped=(V + VINV, V + VINV), length_bound=200,
-        )
-
     monkeypatch.setattr(periodic, "antispherical_computer", spherical_stays)
     assert gate_identities(SYSTEMS[name]) == expected
+
+
+@pytest.mark.parametrize(
+    "name, bound, pairs", [("A2", 3, 361), ("B2", 3, 289), ("G2", 2, 81), ("A3", 2, 225)]
+)
+def test_the_inversion_identity_holds_on_every_pair(name, bound, pairs):
+    assert inversion_failures(SYSTEMS[name], bound) == (0, pairs)
+
+
+@pytest.mark.parametrize("name, expected", [("A2", (325, 361)), ("B2", (266, 289))])
+def test_the_spherical_stay_in_place_of_0_fails_the_inversion_identity(
+    monkeypatch, name, expected
+):
+    monkeypatch.setattr(periodic, "antispherical_computer", spherical_stays)
+    assert inversion_failures(SYSTEMS[name], 3) == expected
 
 
 # The A2 pairs (y, w) of length <= 4, as reduced words, where the engine

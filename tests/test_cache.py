@@ -35,11 +35,10 @@ def test_old_version_and_superseded_records_are_compacted(tmp_path):
     assert (reread.get("a"), reread.get("b")) == (4, 3)
 
 
-def test_a_tie_is_not_rewritten(tmp_path):
-    stamp = _line("a", 1, version=cache.ENGINE_VERSION - 1) + _line("a", 2)
-    path = _write(tmp_path, stamp)
+def test_a_tie_is_compacted_to_its_live_line(tmp_path):
+    path = _write(tmp_path, _line("a", 1, version=cache.ENGINE_VERSION - 1), _line("a", 2))
     assert RecordCache(tmp_path, "kl_A1").get("a") == 2
-    assert path.read_text() == stamp
+    assert path.read_text() == _line("a", 2)
 
 
 def test_corrupt_lines_are_compacted(tmp_path):

@@ -12,7 +12,6 @@ from alcove_kl.periodic import periodic_kl
 from alcove_kl.repcalc import (
     CONJECTURE_NOTE,
     StdLabel,
-    baby_verma_support,
     baby_verma_total_dim,
     baby_verma_weight_dim,
     default_radius,
@@ -21,9 +20,15 @@ from alcove_kl.repcalc import (
     nabla_weight_dim,
     socle_degree_check,
     verma_weight_dim,
+)
+from alcove_kl.rootsys import (
+    ModularContext,
+    Weight,
+    build_root_system,
+    partition_table,
+    scaled_root_coords,
     weight_table,
 )
-from alcove_kl.rootsys import ModularContext, Weight, build_root_system, scaled_root_coords
 from alcove_kl.weylext import (
     ExtWeylElt,
     check,
@@ -303,7 +308,7 @@ def test_nabla_matches_verma_on_window(ctx_a2):
 
 def test_baby_verma_support_size(ctx_a1):
     lam = Weight((1,))
-    support = baby_verma_support(ctx_a1, lam)
+    support = list(weight_table(ctx_a1, lam, ctx_a1.p - 1))
     assert len(support) == 5
     assert all(baby_verma_weight_dim(ctx_a1, lam, mu) == 1 for mu in support)
 
@@ -312,27 +317,35 @@ def test_nabla_is_the_verma_rule():
     assert nabla_weight_dim is verma_weight_dim
 
 
-def box(ctx, lam):
-    """Every weight lam - c, 0 <= c <= (p - 1) 2rho in root coordinates."""
+def box_top(ctx):
+    """(p - 1) 2rho in root coordinates, the top corner of the weight box."""
     sys = ctx.system
-    top = [(ctx.p - 1) * sum(r.root[i] for r in sys.positive_roots) for i in range(sys.rank)]
-    for c in itertools.product(*(range(m + 1) for m in top)):
+    return tuple((ctx.p - 1) * sum(r.root[i] for r in sys.positive_roots) for i in range(sys.rank))
+
+
+def box(ctx, lam):
+    """Every weight lam - c, 0 <= c <= (p - 1) 2rho in root coordinates,
+    in the order of ``partition_table``."""
+    sys = ctx.system
+    for c in itertools.product(*(range(m + 1) for m in box_top(ctx))):
         yield lam - sum((k * a for k, a in zip(c, sys.simple_roots)), Weight.zero(sys.rank))
 
 
 @pytest.mark.parametrize("cartan", ["A", "B"])
 def test_weight_table_matches_enumeration_on_the_whole_box(cartan):
     ctx = ModularContext(build_root_system(cartan, 2), 5)
-    lam = Weight((2, -1))
+    sys, lam = ctx.system, Weight((2, -1))
     capped = weight_table(ctx, lam, ctx.p - 1)
     full = weight_table(ctx, lam, None)
     weights = list(box(ctx, lam))
     assert [mu for mu in weights if mu in capped] == list(capped)  # product order
-    for mu in weights:
+    assert list(full) == list(capped)  # read on the baby Verma support
+    for mu, count in zip(weights, partition_table(sys, box_top(ctx)), strict=True):
         nu = lam - mu
-        assert capped.get(mu, 0) == kostant_by_enumeration(ctx.system, nu, bound=ctx.p - 1)
-        assert full.get(mu, 0) == kostant_by_enumeration(ctx.system, nu)
-    assert set(full) <= set(weights)
+        assert capped.get(mu, 0) == kostant_by_enumeration(sys, nu, bound=ctx.p - 1)
+        assert count == kostant_by_enumeration(sys, nu)
+        if mu in full:
+            assert full[mu] == count
 
 
 LAW_CONTEXTS = [
@@ -355,7 +368,8 @@ def test_weight_table_laws(case):
     """The baby Verma has dimension p^{|positive roots|}, its character is
     symmetric about lam - (p - 1) rho, and capping the parts at p - 1
     never adds to a multiplicity and changes none whose root coordinates
-    of lam - mu are all below p."""
+    of lam - mu are all below p.  The uncapped counts are read on the
+    whole box, and the uncapped table on the baby Verma support."""
     ctx, lam = case
     sys, p = ctx.system, ctx.p
     capped = weight_table(ctx, lam, p - 1)
@@ -363,9 +377,11 @@ def test_weight_table_laws(case):
     assert sum(capped.values()) == p**sys.num_positive_roots
     centre = 2 * lam - 2 * (p - 1) * sys.rho
     assert all(capped.get(centre - mu) == dim for mu, dim in capped.items())
-    assert set(capped) <= set(full)
-    for mu, dim in full.items():
+    assert list(full) == list(capped)
+    for mu, dim in zip(box(ctx, lam), partition_table(sys, box_top(ctx)), strict=True):
         assert capped.get(mu, 0) <= dim
+        if mu in full:
+            assert full[mu] == dim
         d, coords = scaled_root_coords(sys, lam - mu)
         if all(c < p * d for c in coords):
-            assert capped.get(mu) == dim
+            assert capped.get(mu, 0) == dim

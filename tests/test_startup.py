@@ -97,6 +97,14 @@ def test_cold_kl_executes_no_periodic_layer(tmp_path):
     assert report["executed"] & {"alcove", "periodic", "repcalc", "verify"} == set()
 
 
+def test_cold_char_executes_no_group_or_engine_layer(tmp_path):
+    report = probe("char", "--type", "A", "--rank", "2", "--p", "5", "--lam", "0,0",
+                   "--cache-dir", str(tmp_path))
+    assert report["code"] == 0
+    assert report["executed"] == {"cli", "cache", "errors", "laurent", "rootsys"}
+    assert not report["fractions"]
+
+
 def test_importing_the_package_executes_no_layer():
     report = probe()
     assert report["executed"] == set()
