@@ -3,7 +3,9 @@
 One JSONL file per (kind, type, rank); every line carries the canonical
 key, the payload, and a sha256 checksum of both.  Every key begins with
 the engine version ``ENGINE_VERSION``, which the cache adds itself, so a
-record written by an engine that emitted other values is never read.
+record written by an engine that emitted other values, or laid its
+records out otherwise, is never read.  The cache stores any JSON
+payload; the command line stores the printed cells of a table.
 Corrupt or truncated records, undecodable bytes included, are skipped on
 load (forcing recomputation), and later records win over earlier ones
 for the same key, so appending is always safe.  When the dead lines
@@ -29,9 +31,10 @@ from .errors import ConfigError
 
 ENV_VAR = "ALCOVE_KL_CACHE"
 
-# Bumped whenever an emitted value changes, so that every record written
-# before the change is recomputed instead of read.
-ENGINE_VERSION = 1
+# Bumped whenever an emitted value or the layout of a record changes, so
+# that every record written before the change is recomputed instead of
+# read.  2: a record holds the printed cells of its table.
+ENGINE_VERSION = 2
 
 
 def cache_dir(explicit: str | None = None) -> Path:

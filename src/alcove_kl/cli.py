@@ -13,12 +13,15 @@ exits 3 from every command, verify included.  Output is canonically
 sorted, so identical configurations and cache states produce identical
 bytes.
 
-The layers a command may not reach (``hecke``, ``periodic``,
-``repcalc``, ``verify``, ``weylext``) are imported inside the command
-that reads them, or inside the closure that computes a value missing
-from the cache.  A warm ``periodic`` run and every ``char`` run execute
-only ``cache``, ``errors``, ``laurent`` and ``rootsys``; a warm ``kl`` or
-``spherical`` run adds ``weylext``, which parses --w and keys the row.
+The layers a command may not reach (``hecke``, ``laurent``,
+``periodic``, ``repcalc``, ``verify``, ``weylext``) are imported inside
+the command that reads them, or inside the closure that computes a table
+missing from the cache.  A cached table is stored as the string cells it
+prints, so a warm run builds no value to print it.  A warm ``periodic``
+run and every ``char`` run execute only ``cache``, ``errors`` and
+``rootsys``; a warm ``kl`` or ``spherical`` run adds ``weylext``, which
+parses --w and keys the row.  No command imports ``dataclasses``: the
+value classes are plain ``__slots__`` classes.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .errors import (
     ResourceError,
     StabilizationError,
 )
-from .laurent import LaurentPoly
 from .rootsys import (
     PRIME_BOUND,
     ModularContext,
@@ -112,32 +114,31 @@ def _emit_rows(rows, header, fmt):
 
 
 def _elt_str(sys, x) -> str:
+    """The printed form ``word|translation`` of an element, read off its
+    ``elt_to_json`` record."""
     from .weylext import elt_to_json
 
-    return _record_str(elt_to_json(sys, x))
-
-
-def _record_str(d: dict) -> str:
-    """Print an element from its ``{"w", "t"}`` record (``elt_to_json``)."""
+    d = elt_to_json(sys, x)
     word = ".".join(str(i) for i in d["w"]) or "e"
     tra = ",".join(str(c) for c in d["t"])
     return f"{word}|{tra}"
 
 
-def _cached_records(args, name: str, key: str, compute, header, render) -> int:
-    """Print the records ``compute()`` returns, cached under ``key`` in
-    ``<name>.jsonl``, one table row ``render(*record)`` per record.
+def _cached_rows(args, name: str, key: str, compute, header) -> int:
+    """Print the table rows ``compute()`` returns, cached under ``key`` in
+    ``<name>.jsonl``: a record is the sorted rows, the string cells that
+    ``_emit_rows`` prints in every format.
 
     The cache is opened first, so an unusable directory fails before
     anything is computed, and a record is stored only once ``compute``
-    has returned: a warm run prints from the stored records alone.
+    has returned: a warm run prints the stored cells as they are.
     """
     cache = RecordCache(cache_dir(args.cache_dir), name)
-    payload = cache.get(key)
-    if payload is None:
-        payload = compute()
-        cache.put(key, payload)
-    _emit_rows(sorted(render(*record) for record in payload), header, args.format)
+    rows = cache.get(key)
+    if rows is None:
+        rows = sorted(compute())
+        cache.put(key, rows)
+    _emit_rows(rows, header, args.format)
     return 0
 
 
@@ -146,17 +147,14 @@ def _row_command(args, sys, w, kind: str, column: str, compute: str) -> int:
     ``<kind>_<sys>``; ``hecke`` is imported only to compute it."""
     from .weylext import elt_to_json
 
-    def records():
+    def render():
         from . import hecke
 
         row = getattr(hecke, compute)(sys, w)
-        return [[elt_to_json(sys, y), p.to_json()] for y, p in row.items()]
-
-    def render(y, p):
-        return _record_str(y), str(LaurentPoly.from_json(p))
+        return [(_elt_str(sys, y), str(p)) for y, p in row.items()]
 
     key = json.dumps(elt_to_json(sys, w), sort_keys=True)
-    return _cached_records(args, f"{kind}_{sys}", key, records, ("y", column), render)
+    return _cached_rows(args, f"{kind}_{sys}", key, render, ("y", column))
 
 
 def cmd_kl(args) -> int:
@@ -180,28 +178,22 @@ def cmd_periodic(args) -> int:
     sys = ctx.system
     radius = default_radius(sys) if args.window is None else args.window
 
-    def records():
-        from .weylext import elt_to_json
+    def render():
         from .periodic import pkl_table
 
         table = pkl_table(ctx, args.lmax, radius)
         return [
-            [elt_to_json(sys, y), elt_to_json(sys, w), entry.poly.to_json(), entry.stabilized]
+            (
+                _elt_str(sys, y),
+                _elt_str(sys, w),
+                str(entry.poly),
+                "yes" if entry.stabilized else "no",
+            )
             for (y, w), entry in table.entries.items()
         ]
 
-    def render(y, w, p, stabilized):
-        return (
-            _record_str(y),
-            _record_str(w),
-            str(LaurentPoly.from_json(p)),
-            "yes" if stabilized else "no",
-        )
-
     key = f"p={ctx.p}:lmax={args.lmax}:radius={radius}"
-    return _cached_records(
-        args, f"periodic_{sys}", key, records, ("y", "w", "p", "stabilized"), render
-    )
+    return _cached_rows(args, f"periodic_{sys}", key, render, ("y", "w", "p", "stabilized"))
 
 
 def cmd_ext(args) -> int:

@@ -7,7 +7,10 @@ differences and ``add_scaled`` (f + c v^e g) merge the two term tuples
 in one pass; a product with an integer or a monomial scales and shifts
 the terms; neither sorts.
 Values are immutable and hashable, so they can be used as dictionary
-entries everywhere else in the package.
+entries everywhere else in the package: ``LaurentPoly`` is a plain
+``__slots__`` class whose attributes cannot be assigned or deleted.
+This module imports no other layer but ``errors``; a warm command-line
+run prints stored cells and does not execute it.
 
 ``PackedCodec`` packs a polynomial of v^-1 Z[v] into one integer, for
 the canonical-row kernel of ``hecke.KLComputer``.
@@ -15,18 +18,18 @@ the canonical-row kernel of ``hecke.KLComputer``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import DomainError, ResourceError
 
 
-@dataclass(frozen=True, slots=True)
 class LaurentPoly:
     """An element of Z[v, v^-1].
 
     ``terms`` is a tuple of (exponent, coefficient) pairs, sorted by
-    exponent, with no zero coefficients stored.
+    exponent, with no zero coefficients stored.  Two values are equal,
+    and hash alike, when their terms are; assigning or deleting an
+    attribute raises AttributeError.
 
     >>> v = LaurentPoly.gen()
     >>> (v + v.bar()) ** 2
@@ -37,7 +40,27 @@ class LaurentPoly:
     LaurentPoly('1 + v - 2*v^2')
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return LaurentPoly, (self.terms,)
 
     # -- constructors ---------------------------------------------------
 
@@ -247,11 +270,14 @@ class PackedCodec:
 
     A value is *certified* when its digits for v^-1 .. v^max_degree lie
     in [-2^b, 2^b), b = BOUND_BITS, and no higher digit is set: one
-    biased mask-AND.  A sum of certified values, each times an integer,
-    with multipliers of total absolute value m has coefficients of
-    absolute value at most m 2^b, so its digits are its coefficients
-    while m < 2^(B-1-b) = ``sum_bound``.  Only certified values are
-    decoded.
+    biased mask-AND over the lowest n digits, n = min(bit length // B + 1,
+    max_degree + 2).  That is exact both ways: passing at any such n
+    forces every digit into [-2^b, 2^b), and a certified value whose top
+    digit is the k-th (from 0) exceeds 2^(Bk-1) in absolute value, so
+    n > k.  A sum of certified values, each times an integer, with
+    multipliers of total absolute value m has coefficients of absolute
+    value at most m 2^b, so its digits are its coefficients while
+    m < 2^(B-1-b) = ``sum_bound``.  Only certified values are decoded.
 
     >>> codec = PackedCodec(4)
     >>> p = LaurentPoly.from_dict({1: 3, 2: -1})
@@ -267,10 +293,13 @@ class PackedCodec:
     def __init__(self, max_degree: int):
         B, b = self.B, self.BOUND_BITS
         self.max_degree = max_degree
-        digits = range(max_degree + 2)
         self.one = 1 << B
-        self._bias = sum(1 << (B * j + b) for j in digits)
-        self._outside = ~sum(((1 << (b + 1)) - 1) << (B * j) for j in digits)
+        # the bias and the mask of the lowest n digits, at index n
+        self._digits = max_degree + 2
+        self._bias, self._outside = [0], [-1]
+        for j in range(self._digits):
+            self._bias.append(self._bias[-1] + (1 << (B * j + b)))
+            self._outside.append(self._outside[-1] & ~(((1 << (b + 1)) - 1) << (B * j)))
         self._low = (1 << 2 * B) - 1
         self.sum_bound = 1 << (B - 1 - b)
         half = 1 << (B - 1)
@@ -291,7 +320,10 @@ class PackedCodec:
     def certified(self, x: int) -> bool:
         """True if the digits of x lie in [-2^b, 2^b) up to v^max_degree and
         none is set above."""
-        return not (x + self._bias) & self._outside
+        n = x.bit_length() // self.B + 1
+        if n > self._digits:
+            n = self._digits
+        return not (x + self._bias[n]) & self._outside[n]
 
     def unpack(self, x: int) -> LaurentPoly:
         """The polynomial of a certified x; ResourceError for any other."""

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, mul
 
@@ -61,7 +60,7 @@ from .alcove import generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from .hecke import KLComputer, antispherical_computer
 from .laurent import LaurentPoly
-from .rootsys import ModularContext, RootSystem, Weight
+from .rootsys import ModularContext, RootSystem, Weight, _Record, _Value
 from .weylext import (
     ExtWeylElt,
     check_for_system,
@@ -330,21 +329,38 @@ _DIAGNOSTIC = (
 )
 
 
-@dataclass(frozen=True)
-class PKLEntry:
-    poly: LaurentPoly
-    stabilized: bool
+class PKLEntry(_Value):
+    __slots__ = _fields = ("poly", "stabilized")
+
+    def __init__(self, poly: LaurentPoly, stabilized: bool):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "stabilized", stabilized)
+
+    def _key(self) -> tuple:
+        return (self.poly, self.stabilized)
 
 
-@dataclass
-class PKLTable:
+class PKLTable(_Record):
     """Stabilized periodic coefficients, stored once per translation orbit."""
 
-    system: RootSystem
-    p: int
-    radius: int
-    length_bound: int
-    entries: dict[tuple[ExtWeylElt, ExtWeylElt], PKLEntry]
+    __slots__ = _fields = ("system", "p", "radius", "length_bound", "entries")
+
+    def __init__(
+        self,
+        system: RootSystem,
+        p: int,
+        radius: int,
+        length_bound: int,
+        entries: dict[tuple[ExtWeylElt, ExtWeylElt], PKLEntry],
+    ):
+        self.system = system
+        self.p = p
+        self.radius = radius
+        self.length_bound = length_bound
+        self.entries = entries
+
+    def _key(self) -> tuple:
+        return (self.system, self.p, self.radius, self.length_bound, self.entries)
 
 
 def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:

@@ -11,12 +11,19 @@ corresponding annotation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, ResourceError
 from .laurent import LaurentPoly
 from .periodic import periodic_kl
-from .rootsys import ModularContext, Weight, default_radius, kostant_partition, weight_table
+from .rootsys import (
+    ModularContext,
+    Weight,
+    _Record,
+    _Value,
+    default_radius,
+    kostant_partition,
+    weight_table,
+)
 from .weylext import (
     ExtWeylElt,
     check,
@@ -35,15 +42,20 @@ CONJECTURE_NOTE = "conditional on Lusztig's conjecture"
 KINDS = ("L", "Z", "Delta", "Nabla", "P")
 
 
-@dataclass(frozen=True, slots=True)
-class StdLabel:
+class StdLabel(_Value):
     """A label of a standard-family object, normalized so that the index
     is a restricted element and lattice translations live in the shift:
     the object indexed by t_lam x is the object of x twisted by p*lam."""
 
-    kind: str
-    index: ExtWeylElt
-    shift: Weight
+    __slots__ = _fields = ("kind", "index", "shift")
+
+    def __init__(self, kind: str, index: ExtWeylElt, shift: Weight):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "shift", shift)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.index, self.shift)
 
     @staticmethod
     def make(ctx: ModularContext, kind: str, x: ExtWeylElt) -> "StdLabel":
@@ -60,13 +72,20 @@ class StdLabel:
         return dot_action(ctx, self.index, zero) + self.shift
 
 
-@dataclass
-class GradedMultTable:
+class GradedMultTable(_Record):
     """Graded multiplicities (label, degree) -> nonnegative integer."""
 
-    base: StdLabel
-    entries: dict[tuple[StdLabel, int], int]
-    note: str = CONJECTURE_NOTE
+    __slots__ = _fields = ("base", "entries", "note")
+
+    def __init__(
+        self, base: StdLabel, entries: dict[tuple[StdLabel, int], int], note: str = CONJECTURE_NOTE
+    ):
+        self.base = base
+        self.entries = entries
+        self.note = note
+
+    def _key(self) -> tuple:
+        return (self.base, self.entries, self.note)
 
     def at_degree(self, degree: int) -> dict[StdLabel, int]:
         return {

@@ -16,11 +16,19 @@ and ``weight_table`` reads them off Kostant partition tables of that box
 for the baby Verma and, for the Verma and costandard modules on the
 baby Verma's weights, uncapped.  A box of more than ``_BOX_BOUND``
 weights is refused with ResourceError.
+
+The package's value classes are plain ``__slots__`` classes on the two
+bases defined here: ``_Value`` (frozen and hashable: weights, roots,
+root systems, contexts, elements, labels, table entries) and ``_Record``
+(mutable tables and check results).  Both compare by ``_key()``, the
+tuple of the fields that ``_fields`` names, and print those fields.
+``laurent``, which reads no other layer, writes ``LaurentPoly`` out the
+same way.  No module imports ``dataclasses``, whose import of
+``inspect`` every command-line child would pay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
@@ -53,11 +61,57 @@ _NUM_POS_ROOTS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class _Record:
+    """A plain value class: ``_key()`` returns its value, the tuple of
+    the attributes that ``_fields`` names, in order.  Two instances of one
+    class are equal when their values are, and an instance prints as
+    ``Name(field=value, ...)``.  A record is mutable, so it has no hash."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class _Value(_Record):
+    """A frozen record: it hashes by its value, and assigning or deleting
+    an attribute raises AttributeError, so ``__init__`` sets the slots
+    with ``object.__setattr__``.  Its constructor takes the value's
+    fields in order, which is how it is copied and pickled."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+class Weight(_Value):
     """An integral weight, as coordinates in the fundamental weights."""
 
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def _key(self) -> tuple:
+        return (self.coords,)
 
     @staticmethod
     def zero(rank: int) -> "Weight":
@@ -81,8 +135,7 @@ class Weight:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class PosRoot:
+class PosRoot(_Value):
     """A positive root with exact coordinates in three bases.
 
     fund:   coordinates in fundamental weights (pairings with simple coroots)
@@ -92,9 +145,15 @@ class PosRoot:
             is also the pairing functional lam -> <lam, alpha^vee>.
     """
 
-    fund: tuple[int, ...]
-    root: tuple[int, ...]
-    coroot: tuple[int, ...]
+    __slots__ = _fields = ("fund", "root", "coroot")
+
+    def __init__(self, fund: tuple[int, ...], root: tuple[int, ...], coroot: tuple[int, ...]):
+        object.__setattr__(self, "fund", fund)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "coroot", coroot)
+
+    def _key(self) -> tuple:
+        return (self.fund, self.root, self.coroot)
 
     @property
     def height(self) -> int:
@@ -108,16 +167,39 @@ class PosRoot:
         return Weight(self.fund)
 
 
-@dataclass(frozen=True, slots=True)
-class RootSystem:
-    """A finite root datum of simply-connected type."""
+class RootSystem(_Value):
+    """A finite root datum of simply-connected type.
 
-    cartan_type: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]  # cartan[i][j] = <alpha_j, alpha_i^vee>
-    positive_roots: tuple[PosRoot, ...]
-    w0_word: tuple[int, ...]  # 1-based indices of simple reflections
-    weyl_order: int
+    ``cartan[i][j]`` is <alpha_j, alpha_i^vee>, and ``w0_word`` holds the
+    1-based indices of the simple reflections of a reduced word for w0.
+    """
+
+    __slots__ = _fields = (
+        "cartan_type", "rank", "cartan", "positive_roots", "w0_word", "weyl_order",
+    )
+
+    def __init__(
+        self,
+        cartan_type: str,
+        rank: int,
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[PosRoot, ...],
+        w0_word: tuple[int, ...],
+        weyl_order: int,
+    ):
+        values = (cartan_type, rank, cartan, positive_roots, w0_word, weyl_order)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (
+            self.cartan_type,
+            self.rank,
+            self.cartan,
+            self.positive_roots,
+            self.w0_word,
+            self.weyl_order,
+        )
 
     @property
     def rho(self) -> Weight:
@@ -162,8 +244,7 @@ class RootSystem:
         return f"{self.cartan_type}{self.rank}"
 
 
-@dataclass(frozen=True, slots=True)
-class ModularContext:
+class ModularContext(_Value):
     """A root system together with a prime p > h.
 
     One context serves a query session: it holds a private memo of the
@@ -173,18 +254,23 @@ class ModularContext:
     no value returned through a context depends on its memo.
     """
 
-    system: RootSystem
-    p: int
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("system", "p", "_memo")
+    _fields = ("system", "p")
 
-    def __post_init__(self) -> None:
-        if self.p >= PRIME_BOUND:
-            raise ConfigError(f"p = {self.p} is not below the primality bound {PRIME_BOUND}")
-        if not _is_prime(self.p):
-            raise ConfigError(f"p = {self.p} is not prime")
-        h = self.system.coxeter_number
-        if self.p <= h:
-            raise ConfigError(f"p = {self.p} must exceed the Coxeter number {h}")
+    def __init__(self, system: RootSystem, p: int):
+        if p >= PRIME_BOUND:
+            raise ConfigError(f"p = {p} is not below the primality bound {PRIME_BOUND}")
+        if not _is_prime(p):
+            raise ConfigError(f"p = {p} is not prime")
+        h = system.coxeter_number
+        if p <= h:
+            raise ConfigError(f"p = {p} must exceed the Coxeter number {h}")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_memo", {})
+
+    def _key(self) -> tuple:
+        return (self.system, self.p)
 
 
 def default_radius(sys: RootSystem) -> int:

@@ -12,7 +12,6 @@ Details name elements by their ``elt_to_json`` words.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .alcove import generic_height
 from .errors import ConsistencyError, StabilizationError
@@ -26,7 +25,7 @@ from .repcalc import (
     loewy_layers,
     verma_weight_dim,
 )
-from .rootsys import ModularContext, Weight, scaled_root_coords
+from .rootsys import ModularContext, Weight, _Record, scaled_root_coords
 from .weylext import (
     check,
     in_waff,
@@ -41,11 +40,16 @@ from .weylext import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+
+    def _key(self) -> tuple:
+        return (self.name, self.passed, self.detail)
 
 
 def _result(name: str, passed: bool, detail: str = "") -> CheckResult:

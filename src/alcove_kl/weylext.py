@@ -34,7 +34,6 @@ fundamental weights omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -44,6 +43,7 @@ from .rootsys import (
     PosRoot,
     RootSystem,
     Weight,
+    _Value,
     in_root_lattice,
     is_restricted,
 )
@@ -170,23 +170,26 @@ def finite_group(sys: RootSystem) -> FiniteWeylGroup:
     return FiniteWeylGroup(sys)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ExtWeylElt:
+class ExtWeylElt(_Value):
     """An element w * t_lam of the extended affine Weyl group.
 
     ``fin`` is the number of w in the table ``group`` of its root system.
     Numbers mean nothing across tables, so equal elements share the table
     as well as ``fin`` and the translation; the hash reads ``fin`` and the
-    translation only.
+    translation only, and it and the printed form leave out the table.
     """
 
-    fin: int
-    translation: Weight
-    group: FiniteWeylGroup = field(repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("fin", "translation", "group", "_hash")
+    _fields = ("fin", "translation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.fin, self.translation.coords)))
+    def __init__(self, fin: int, translation: Weight, group: FiniteWeylGroup):
+        object.__setattr__(self, "fin", fin)
+        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "_hash", hash((fin, translation.coords)))
+
+    def __reduce__(self):
+        return ExtWeylElt, (self.fin, self.translation, self.group)
 
     def __eq__(self, other: object) -> bool:
         try:

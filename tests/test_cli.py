@@ -514,11 +514,45 @@ def test_corrupt_periodic_record_is_recomputed(tmp_path, capsys):
     _, out1, _ = run(capsys, *args)
     cache_file = tmp_path / "periodic_A1.jsonl"
     record = cache_file.read_text()
-    cache_file.write_text(record.replace('"0":1', '"0":2', 1))  # checksum now fails
+    # change one alphanumeric character of the payload, whatever its layout:
+    # the line still parses, but its checksum fails
+    start = record.index('"payload":')
+    at = next(i for i in range(start + len('"payload":'), len(record)) if record[i].isalnum())
+    corrupt = record[:at] + ("1" if record[at] == "0" else "0") + record[at + 1 :]
+    cache_file.write_text(corrupt)
+    assert cache_file.read_text() != record
+    json.loads(corrupt)
     code, out2, _ = run(capsys, *args)
     assert (code, out2) == (0, out1)
     lines = cache_file.read_text().splitlines()
     assert len(lines) == 2 and lines[1] == record.strip()  # the fresh record
+
+
+@pytest.mark.parametrize(
+    "argv,name,compute",
+    [
+        (("kl", "--type", "B", "--rank", "2", "--w", "2,1,2,0,1"), "kl_B2", "hecke.kl_basis"),
+        (("periodic", *_PERIODIC_TABLES["A2"]), "periodic_A2", "periodic.pkl_table"),
+    ],
+    ids=["kl", "periodic"],
+)
+def test_a_pretty_record_serves_every_format(tmp_path, capsys, monkeypatch, argv, name, compute):
+    """A record holds the printed cells, not one format's text: the record
+    a cold pretty run stores prints, in each other format, the bytes a
+    cold run in that format prints."""
+    warm = ("--cache-dir", str(tmp_path / "warm"))
+    assert run(capsys, *argv, *warm)[0] == 0
+    cache_file = tmp_path / "warm" / f"{name}.jsonl"
+    stamp = cache_file.read_bytes()
+    colds = {
+        fmt: run(capsys, *argv, "--format", fmt, "--cache-dir", str(tmp_path / fmt))
+        for fmt in ("json", "csv", "latex")
+    }
+    monkeypatch.setattr(f"alcove_kl.{compute}", _refuse_to_compute)
+    for fmt, cold in colds.items():
+        assert cold[0] == 0 and len(cold[1].splitlines()) > 5, fmt
+        assert run(capsys, *argv, "--format", fmt, *warm) == cold, fmt
+    assert cache_file.read_bytes() == stamp
 
 
 @pytest.mark.parametrize(

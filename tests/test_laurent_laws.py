@@ -171,3 +171,55 @@ def test_packed_codec_refuses_a_degree_beyond_its_bound():
         CODEC.pack(top * LaurentPoly.gen())
     with pytest.raises(ResourceError):
         CODEC.unpack(CODEC.pack(top) << B)
+
+
+CODECS = {n: PackedCodec(n) for n in (0, 1, 4, 64, 200)}
+# digits at the certified bound, just past it, and anywhere in a balanced digit
+EDGE_DIGIT = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from([BOUND - 1, -BOUND, BOUND, -BOUND - 1, HALF - 1, -HALF]),
+    st.integers(-HALF, HALF - 1),
+)
+
+
+def full_width_certified(codec, x):
+    """The certificate over all max_degree + 2 digits, written out here."""
+    b, digits = PackedCodec.BOUND_BITS, codec.max_degree + 2
+    bias = sum(1 << (B * j + b) for j in range(digits))
+    outside = ~sum(((1 << (b + 1)) - 1) << (B * j) for j in range(digits))
+    return not (x + bias) & outside
+
+
+@st.composite
+def packed_values(draw):
+    """(max_degree, x): x from sparse digits at positions up to two past
+    the codec's top digit, its top digit of either sign, or any integer
+    of up to 210 digits."""
+    n = draw(st.sampled_from(sorted(CODECS)))
+    top = n + 3
+    if draw(st.booleans()):
+        return n, draw(st.integers(-(1 << (B * 210)), 1 << (B * 210)))
+    digits = draw(st.dictionaries(st.integers(0, top), EDGE_DIGIT, max_size=8))
+    k = draw(st.integers(0, top))
+    digits[k] = draw(st.sampled_from([-1, 1, -BOUND, BOUND - 1, BOUND, -HALF])) * draw(
+        st.sampled_from([1, -1])
+    )
+    return n, sum(d << (B * j) for j, d in digits.items())
+
+
+@PROPERTY
+@given(packed_values())
+def test_packed_codec_certifies_on_the_digits_the_value_spans(value):
+    """Testing only the lowest min(bit length // B + 1, max_degree + 2)
+    digits decides the same as testing all max_degree + 2 of them."""
+    n, x = value
+    assert CODECS[n].certified(x) == full_width_certified(CODECS[n], x)
+
+
+def test_the_certificate_holds_at_the_edges_of_each_width():
+    for n, codec in CODECS.items():
+        for k in range(n + 3):
+            for top in (1, -1, BOUND - 1, -BOUND, BOUND, -BOUND - 1):
+                for low in (0, BOUND - 1, -BOUND, -BOUND - 1):
+                    x = (top << (B * k)) + low
+                    assert codec.certified(x) == full_width_certified(codec, x), (n, k, top, low)

@@ -45,6 +45,8 @@ print(json.dumps({
     "code": code,
     "executed": sorted(executed - {"__init__"}),
     "fractions": "fractions" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "inspect": "inspect" in sys.modules,
     "registered": [] if sys.argv[1:] else registered,
 }), file=sys.stderr)
 """
@@ -53,7 +55,8 @@ print(json.dumps({
 def probe(*argv) -> dict:
     """Run ``alcove-kl ARGV`` (or, without ARGV, ``import alcove_kl``) in a
     fresh interpreter; returns the exit code, the package modules whose
-    bodies ran, and whether ``fractions`` was loaded."""
+    bodies ran, and whether ``fractions``, ``dataclasses`` and
+    ``inspect`` were loaded."""
     done = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -76,7 +79,7 @@ def test_warm_periodic_executes_no_group_or_engine_layer(tmp_path, capsys):
                 "--cache-dir", str(tmp_path))
     report = probe(*args)
     assert report["code"] == 0
-    assert report["executed"] == {"cli", "cache", "errors", "laurent", "rootsys"}
+    assert report["executed"] == {"cli", "cache", "errors", "rootsys"}
     assert not report["fractions"]
 
 
@@ -101,8 +104,32 @@ def test_cold_char_executes_no_group_or_engine_layer(tmp_path):
     report = probe("char", "--type", "A", "--rank", "2", "--p", "5", "--lam", "0,0",
                    "--cache-dir", str(tmp_path))
     assert report["code"] == 0
-    assert report["executed"] == {"cli", "cache", "errors", "laurent", "rootsys"}
+    assert report["executed"] == {"cli", "cache", "errors", "rootsys"}
     assert not report["fractions"]
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, capsys):
+    """The value classes are plain classes, so no child pays for
+    ``dataclasses`` and the ``inspect`` it imports, cold or warm."""
+    a1 = ("--type", "A", "--rank", "1")
+    cache = ("--cache-dir", str(tmp_path / "warm"))
+    warm_runs = [
+        warm(capsys, "kl", *a1, "--w", "1,0", *cache),
+        warm(capsys, "spherical", *a1, "--w", "1,0", *cache),
+        warm(capsys, "periodic", *a1, "--p", "5", "--lmax", "3", *cache),
+    ]
+    cold_runs = [
+        ("kl", *a1, "--w", "1,0"),
+        ("char", *a1, "--p", "5", "--lam", "0"),
+        ("ext", *a1, "--p", "5", "--w", "0", "--y", "1,0"),
+        ("loewy", *a1, "--p", "5", "--w", "0,1"),
+        ("verify", *a1, "--p", "5"),
+    ]
+    cold_runs = [(*argv, "--cache-dir", str(tmp_path / "cold")) for argv in cold_runs]
+    for argv in warm_runs + cold_runs:
+        report = probe(*argv)
+        assert report["code"] == 0, argv
+        assert not report["dataclasses"] and not report["inspect"], argv
 
 
 def test_importing_the_package_executes_no_layer():
