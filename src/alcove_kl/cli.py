@@ -147,14 +147,14 @@ def _row_command(args, sys, w, kind: str, column: str, compute: str) -> int:
     ``<kind>_<sys>``; ``hecke`` is imported only to compute it."""
     from .weylext import elt_to_json
 
-    def render():
+    def rows():
         from . import hecke
 
         row = getattr(hecke, compute)(sys, w)
         return [(_elt_str(sys, y), str(p)) for y, p in row.items()]
 
     key = json.dumps(elt_to_json(sys, w), sort_keys=True)
-    return _cached_rows(args, f"{kind}_{sys}", key, render, ("y", column))
+    return _cached_rows(args, f"{kind}_{sys}", key, rows, ("y", column))
 
 
 def cmd_kl(args) -> int:
@@ -178,7 +178,7 @@ def cmd_periodic(args) -> int:
     sys = ctx.system
     radius = default_radius(sys) if args.window is None else args.window
 
-    def render():
+    def rows():
         from .periodic import pkl_table
 
         table = pkl_table(ctx, args.lmax, radius)
@@ -193,7 +193,7 @@ def cmd_periodic(args) -> int:
         ]
 
     key = f"p={ctx.p}:lmax={args.lmax}:radius={radius}"
-    return _cached_rows(args, f"periodic_{sys}", key, render, ("y", "w", "p", "stabilized"))
+    return _cached_rows(args, f"periodic_{sys}", key, rows, ("y", "w", "p", "stabilized"))
 
 
 def cmd_ext(args) -> int:

@@ -336,9 +336,6 @@ class PKLEntry(_Value):
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "stabilized", stabilized)
 
-    def _key(self) -> tuple:
-        return (self.poly, self.stabilized)
-
 
 class PKLTable(_Record):
     """Stabilized periodic coefficients, stored once per translation orbit."""
@@ -358,9 +355,6 @@ class PKLTable(_Record):
         self.radius = radius
         self.length_bound = length_bound
         self.entries = entries
-
-    def _key(self) -> tuple:
-        return (self.system, self.p, self.radius, self.length_bound, self.entries)
 
 
 def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:

@@ -54,9 +54,6 @@ class StdLabel(_Value):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "shift", shift)
 
-    def _key(self) -> tuple:
-        return (self.kind, self.index, self.shift)
-
     @staticmethod
     def make(ctx: ModularContext, kind: str, x: ExtWeylElt) -> "StdLabel":
         if kind not in KINDS:
@@ -83,9 +80,6 @@ class GradedMultTable(_Record):
         self.base = base
         self.entries = entries
         self.note = note
-
-    def _key(self) -> tuple:
-        return (self.base, self.entries, self.note)
 
     def at_degree(self, degree: int) -> dict[StdLabel, int]:
         return {

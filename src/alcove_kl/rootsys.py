@@ -20,7 +20,7 @@ weights is refused with ResourceError.
 The package's value classes are plain ``__slots__`` classes on the two
 bases defined here: ``_Value`` (frozen and hashable: weights, roots,
 root systems, contexts, elements, labels, table entries) and ``_Record``
-(mutable tables and check results).  Both compare by ``_key()``, the
+(mutable tables and check results).  Both compare by ``_key``, the
 tuple of the fields that ``_fields`` names, and print those fields.
 ``laurent``, which reads no other layer, writes ``LaurentPoly`` out the
 same way.  No module imports ``dataclasses``, whose import of
@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
-from operator import mul
+from operator import attrgetter, mul
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, ResourceError
@@ -62,7 +62,7 @@ _NUM_POS_ROOTS = {
 
 
 class _Record:
-    """A plain value class: ``_key()`` returns its value, the tuple of
+    """A plain value class: ``x._key(x)`` returns its value, the tuple of
     the attributes that ``_fields`` names, in order.  Two instances of one
     class are equal when their values are, and an instance prints as
     ``Name(field=value, ...)``.  A record is mutable, so it has no hash."""
@@ -71,10 +71,21 @@ class _Record:
     _fields: tuple[str, ...] = ()
     __hash__ = None
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # an attrgetter reads the fields in C; it binds to no instance,
+        # so it is called with the instance as its argument
+        if len(cls._fields) > 1:
+            cls._key = attrgetter(*cls._fields)
+        elif cls._fields:
+            get = attrgetter(cls._fields[0])
+            cls._key = staticmethod(lambda x: (get(x),))
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        key = self._key
+        return key(self) == key(other)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -90,7 +101,7 @@ class _Value(_Record):
     __slots__ = ()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -99,7 +110,7 @@ class _Value(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._key()
+        return self.__class__, self._key(self)
 
 
 class Weight(_Value):
@@ -109,9 +120,6 @@ class Weight(_Value):
 
     def __init__(self, coords: tuple[int, ...]):
         object.__setattr__(self, "coords", coords)
-
-    def _key(self) -> tuple:
-        return (self.coords,)
 
     @staticmethod
     def zero(rank: int) -> "Weight":
@@ -152,9 +160,6 @@ class PosRoot(_Value):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "coroot", coroot)
 
-    def _key(self) -> tuple:
-        return (self.fund, self.root, self.coroot)
-
     @property
     def height(self) -> int:
         return sum(self.root)
@@ -187,19 +192,12 @@ class RootSystem(_Value):
         w0_word: tuple[int, ...],
         weyl_order: int,
     ):
-        values = (cartan_type, rank, cartan, positive_roots, w0_word, weyl_order)
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return (
-            self.cartan_type,
-            self.rank,
-            self.cartan,
-            self.positive_roots,
-            self.w0_word,
-            self.weyl_order,
-        )
+        object.__setattr__(self, "cartan_type", cartan_type)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "positive_roots", positive_roots)
+        object.__setattr__(self, "w0_word", w0_word)
+        object.__setattr__(self, "weyl_order", weyl_order)
 
     @property
     def rho(self) -> Weight:
@@ -268,9 +266,6 @@ class ModularContext(_Value):
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_memo", {})
-
-    def _key(self) -> tuple:
-        return (self.system, self.p)
 
 
 def default_radius(sys: RootSystem) -> int:

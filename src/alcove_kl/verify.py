@@ -48,9 +48,6 @@ class CheckResult(_Record):
         self.passed = passed
         self.detail = detail
 
-    def _key(self) -> tuple:
-        return (self.name, self.passed, self.detail)
-
 
 def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, passed, detail)
