@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from pathlib import Path
 
 from .errors import ConfigError
 
@@ -33,17 +32,18 @@ ENV_VAR = "ALCOVE_KL_CACHE"
 
 # Bumped whenever an emitted value or the layout of a record changes, so
 # that every record written before the change is recomputed instead of
-# read.  2: a record holds the printed cells of its table.
-ENGINE_VERSION = 2
+# read.  2: a record holds the printed cells of its table.  3: a row is
+# keyed by the generator word as given, not by the element it spells.
+ENGINE_VERSION = 3
 
 
-def cache_dir(explicit: str | None = None) -> Path:
+def cache_dir(explicit: str | None = None) -> str:
     if explicit:
-        return Path(explicit)
+        return explicit
     env = os.environ.get(ENV_VAR)
     if env:
-        return Path(env)
-    return Path.home() / ".cache" / "alcove-kl"
+        return env
+    return os.path.join(os.path.expanduser("~"), ".cache", "alcove-kl")
 
 
 def _digest(key: str, payload) -> str:
@@ -59,24 +59,25 @@ def _line(key: str, payload) -> str:
 class RecordCache:
     """A checksummed key -> JSON-payload store backed by one JSONL file."""
 
-    def __init__(self, directory: Path, name: str):
-        self.path = Path(directory) / f"{name}.jsonl"
+    def __init__(self, directory: str | os.PathLike, name: str):
+        self.path = os.path.join(directory, f"{name}.jsonl")
         self._version = f"engine {ENGINE_VERSION}:"
         self._records: dict[str, object] = {}
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(directory, exist_ok=True)
         except OSError as exc:
             raise self._unusable(exc) from exc
         self._load()
 
     def _unusable(self, exc: OSError) -> ConfigError:
-        return ConfigError(f"cache file {str(self.path)!r} is unusable: {exc}")
+        return ConfigError(f"cache file {self.path!r} is unusable: {exc}")
 
     def _load(self) -> None:
-        if not self.path.exists():
-            return
         try:
-            data = self.path.read_bytes()
+            with open(self.path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return
         except OSError as exc:
             raise self._unusable(exc) from exc
         lines = data.splitlines()
@@ -103,12 +104,11 @@ class RecordCache:
 
         tmp = None
         try:
-            fd, tmp = tempfile.mkstemp(
-                dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-            )
+            directory, name = os.path.split(self.path)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=name, suffix=".tmp")
             with open(fd, "w", encoding="utf-8") as fh:
                 fh.writelines(_line(k, v) for k, v in self._records.items())
-            os.chmod(tmp, self.path.stat().st_mode & 0o7777)
+            os.chmod(tmp, os.stat(self.path).st_mode & 0o7777)
             os.replace(tmp, self.path)
         except OSError:
             if tmp is not None:

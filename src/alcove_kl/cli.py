@@ -6,22 +6,28 @@ query undecided within its radius, 4 identity-suite failure,
 141 (``CLOSED_STDOUT``, quietly) stdout closed before the output was
 written, as by ``| head -1``.  Other errors, usage errors included,
 are emitted as a JSON object on stderr, of the kind ``_EXITS`` gives.
-Every command takes --type, --rank and --cache-dir, and of the other
-common flags (--p, --window, --lmax, --format, --seed) only those it
-reads; any other flag is a usage error.  A window radius out of reach
-exits 3 from every command, verify included.  Output is canonically
-sorted, so identical configurations and cache states produce identical
-bytes.
+Every command takes --type (a letter A..G, in either case), --rank and
+--cache-dir, and of the other common flags (--p, --window, --lmax,
+--format, --seed) only those it reads; any other flag is a usage error,
+and so is a missing --type, --rank or --p.  A window radius out of
+reach exits 3 from every command, verify included.  Output is
+canonically sorted, so identical configurations and cache states
+produce identical bytes.
 
-The layers a command may not reach (``hecke``, ``laurent``,
-``periodic``, ``repcalc``, ``verify``, ``weylext``) are imported inside
-the command that reads them, or inside the closure that computes a table
-missing from the cache.  A cached table is stored as the string cells it
-prints, so a warm run builds no value to print it.  A warm ``periodic``
-run and every ``char`` run execute only ``cache``, ``errors`` and
-``rootsys``; a warm ``kl`` or ``spherical`` run adds ``weylext``, which
-parses --w and keys the row.  No command imports ``dataclasses``: the
-value classes are plain ``__slots__`` classes.
+The layers a command may not reach (every one but ``cache`` and
+``errors``) are imported inside the command that reads them, or inside
+the closure that computes a table missing from the cache.  A cached
+table is stored as the string cells it prints, in
+``<command>_<TYPE><rank>.jsonl``, a name formed from the flags, so a
+warm run builds no value to print it.  A ``kl`` or ``spherical`` row is
+keyed by the generator word as given (``w=1,2,1``), and a ``periodic``
+table by p, --lmax and the radius, so a warm ``kl``, ``spherical`` or
+``periodic --window`` run executes only ``cli``, ``cache`` and
+``errors``; without --window, ``periodic`` adds ``rootsys`` to resolve
+the default radius, as every ``char`` run reads it.  Every check of a
+request runs before its record is stored, so a record exists only for a
+valid request.  No command imports ``dataclasses``: the value classes
+are plain ``__slots__`` classes.
 """
 
 from __future__ import annotations
@@ -40,16 +46,13 @@ from .errors import (
     ResourceError,
     StabilizationError,
 )
-from .rootsys import (
-    PRIME_BOUND,
-    ModularContext,
-    Weight,
-    build_root_system,
-    default_radius,
-    weight_table,
-)
 
 FORMATS = ("pretty", "json", "csv", "latex")
+
+# the Cartan types ``rootsys.build_root_system`` accepts, in either case;
+# --type is upper-cased and held to them before a cache file name is
+# formed from it
+CARTAN_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 def _parse_word(text: str) -> list[int]:
@@ -62,7 +65,9 @@ def _parse_word(text: str) -> list[int]:
         raise ConfigError(f"cannot parse generator word {text!r}") from exc
 
 
-def _parse_weight(text: str, rank: int) -> Weight:
+def _parse_weight(text: str, rank: int):
+    from .rootsys import Weight
+
     coords = _parse_word(text)
     if len(coords) != rank:
         raise ConfigError(f"weight needs {rank} coordinates, got {len(coords)}")
@@ -70,14 +75,14 @@ def _parse_weight(text: str, rank: int) -> Weight:
 
 
 def _system(args):
-    if args.type is None or args.rank is None:
-        raise ConfigError("--type and --rank are required")
+    from .rootsys import build_root_system
+
     return build_root_system(args.type, args.rank)
 
 
-def _context(args) -> ModularContext:
-    if args.p is None:
-        raise ConfigError("--p is required for this command")
+def _context(args):
+    from .rootsys import ModularContext
+
     return ModularContext(_system(args), args.p)
 
 
@@ -92,13 +97,16 @@ def _elt_from_flag(sys, text):
 
 
 def _emit_rows(rows, header, fmt):
-    """Render a list of string tuples in the requested format."""
+    """Render a list of string tuples in the requested format; a CSV
+    cell holding a comma or a quote is quoted as RFC 4180 says."""
     if fmt == "json":
         print(json.dumps([dict(zip(header, r)) for r in rows], indent=2, sort_keys=True))
     elif fmt == "csv":
-        print(",".join(header))
-        for r in rows:
-            print(",".join(str(x) for x in r))
+        import csv
+
+        writer = csv.writer(_sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     elif fmt == "latex":
         cols = "l" * len(header)
         print(r"\begin{tabular}{" + cols + "}")
@@ -124,15 +132,18 @@ def _elt_str(sys, x) -> str:
     return f"{word}|{tra}"
 
 
-def _cached_rows(args, name: str, key: str, compute, header) -> int:
+def _cached_rows(args, command: str, key: str, compute, header) -> int:
     """Print the table rows ``compute()`` returns, cached under ``key`` in
-    ``<name>.jsonl``: a record is the sorted rows, the string cells that
-    ``_emit_rows`` prints in every format.
+    ``<command>_<TYPE><rank>.jsonl``: a record is the sorted rows, the
+    string cells that ``_emit_rows`` prints in every format.
 
     The cache is opened first, so an unusable directory fails before
     anything is computed, and a record is stored only once ``compute``
-    has returned: a warm run prints the stored cells as they are.
+    has returned, every check of the request passed: a warm run prints
+    the stored cells as they are.
     """
+    # the name str(RootSystem) gives the system, formed without building it
+    name = f"{command}_{args.type}{args.rank}"
     cache = RecordCache(cache_dir(args.cache_dir), name)
     rows = cache.get(key)
     if rows is None:
@@ -142,45 +153,44 @@ def _cached_rows(args, name: str, key: str, compute, header) -> int:
     return 0
 
 
-def _row_command(args, sys, w, kind: str, column: str, compute: str) -> int:
-    """Print the canonical row ``hecke.<compute>(sys, w)``, cached in
-    ``<kind>_<sys>``; ``hecke`` is imported only to compute it."""
-    from .weylext import elt_to_json
+def _row_command(args, command: str, column: str, compute: str) -> int:
+    """Print the canonical row ``hecke.<compute>(sys, w)`` of the element
+    w that --w spells, keyed by the word as given (``w=1,2,1``).  Only a
+    miss builds the system and the element; its generator indices are
+    checked here, and its length bound and, for a spherical row, its
+    coset-maximality by ``hecke``, all before the row is stored."""
 
     def rows():
         from . import hecke
 
-        row = getattr(hecke, compute)(sys, w)
+        sys = _system(args)
+        row = getattr(hecke, compute)(sys, _elt_from_flag(sys, args.w))
         return [(_elt_str(sys, y), str(p)) for y, p in row.items()]
 
-    key = json.dumps(elt_to_json(sys, w), sort_keys=True)
-    return _cached_rows(args, f"{kind}_{sys}", key, rows, ("y", column))
+    key = "w=" + ",".join(map(str, _parse_word(args.w)))
+    return _cached_rows(args, command, key, rows, ("y", column))
 
 
 def cmd_kl(args) -> int:
-    sys = _system(args)
-    w = _elt_from_flag(sys, args.w)
-    return _row_command(args, sys, w, "kl", "h", "kl_basis")
+    return _row_command(args, "kl", "h", "kl_basis")
 
 
 def cmd_spherical(args) -> int:
-    from .weylext import is_coset_maximal
-
-    sys = _system(args)
-    w = _elt_from_flag(sys, args.w)
-    if not is_coset_maximal(sys, w):
-        raise DomainError("the element must be maximal in its finite coset")
-    return _row_command(args, sys, w, "spherical", "m", "spherical_kl")
+    return _row_command(args, "spherical", "m", "spherical_kl")
 
 
 def cmd_periodic(args) -> int:
-    ctx = _context(args)
-    sys = ctx.system
-    radius = default_radius(sys) if args.window is None else args.window
+    radius = args.window
+    if radius is None:  # read off the system only when --window is omitted
+        from .rootsys import default_radius
+
+        radius = default_radius(_system(args))
 
     def rows():
         from .periodic import pkl_table
 
+        ctx = _context(args)
+        sys = ctx.system
         table = pkl_table(ctx, args.lmax, radius)
         return [
             (
@@ -192,8 +202,8 @@ def cmd_periodic(args) -> int:
             for (y, w), entry in table.entries.items()
         ]
 
-    key = f"p={ctx.p}:lmax={args.lmax}:radius={radius}"
-    return _cached_rows(args, f"periodic_{sys}", key, rows, ("y", "w", "p", "stabilized"))
+    key = f"p={args.p}:lmax={args.lmax}:radius={radius}"
+    return _cached_rows(args, "periodic", key, rows, ("y", "w", "p", "stabilized"))
 
 
 def cmd_ext(args) -> int:
@@ -233,6 +243,8 @@ def cmd_loewy(args) -> int:
 
 
 def cmd_char(args) -> int:
+    from .rootsys import weight_table
+
     ctx = _context(args)
     lam = _parse_weight(args.lam, ctx.system.rank)
     dims = weight_table(ctx, lam, ctx.p - 1 if args.module == "Z" else None)
@@ -266,6 +278,16 @@ def _check_bounds(args) -> None:
         raise ConfigError(f"--lmax must be at least 0, got {lmax}")
 
 
+class _PrimeBound:
+    """Prints as ``rootsys.PRIME_BOUND`` in the --p help, so ``rootsys``
+    is imported only when that help is printed."""
+
+    def __str__(self) -> str:
+        from .rootsys import PRIME_BOUND
+
+        return str(PRIME_BOUND)
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise ConfigError (exit 2, JSON on
     stderr) instead of printing the usage text; ``--help`` still exits 0."""
@@ -285,11 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand taking --type, --rank and --cache-dir, and of the
         other common flags only those it reads, named in ``flags``."""
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--type", help="Cartan type letter (A..G)")
-        p.add_argument("--rank", type=int)
+        p.add_argument(
+            "--type", type=str.upper, choices=CARTAN_TYPES, required=True, help="Cartan type letter"
+        )
+        p.add_argument("--rank", type=int, required=True)
         if "p" in flags:
-            p_help = f"prime above the Coxeter number and below {PRIME_BOUND}"
-            p.add_argument("--p", type=int, help=p_help)
+            p_help = "prime above the Coxeter number and below %(bound)s"
+            p.add_argument("--p", type=int, required=True, help=p_help).bound = _PrimeBound()
         if "window" in flags:
             p.add_argument("--window", type=int, help="window radius for periodic data")
         if "lmax" in flags:

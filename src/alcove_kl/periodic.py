@@ -167,7 +167,7 @@ def canonical_pair(
     For w = u t_lam (so nu = u(lam)) and y = v t_mu the first label is
     v t_{mu - (v^-1 u)(lam)}: one table lookup and one matrix-vector
     product, with no group product formed.  Both labels must lie in
-    W_aff, which ``periodic_kl`` checks.
+    W_aff, which ``periodic_kl`` checks and its other callers know.
     """
     g = y.group
     m = g.mats[g.product(g.inv[y.fin], w.fin)]
@@ -222,7 +222,16 @@ def periodic_kl(
     if not (in_waff(sys, y) and in_waff(sys, w)):
         raise DomainError("periodic polynomials are indexed by W_aff pairs")
     if normalize:
-        y, w = canonical_pair(sys, y, w)
+        return _waff_kl(ctx, y, w, radius)
+    _validate_conventions(sys)
+    return _coefficient_stabilized(sys, y, w, radius)
+
+
+def _waff_kl(ctx: ModularContext, y: ExtWeylElt, w: ExtWeylElt, radius: int) -> LaurentPoly:
+    """``periodic_kl`` of a pair whose labels the caller knows lie in
+    W_aff, read at its translation-canonical representative."""
+    sys = ctx.system
+    y, w = canonical_pair(sys, y, w)
     _validate_conventions(sys)
     return _coefficient_stabilized(sys, y, w, radius)
 

@@ -14,7 +14,7 @@ import json
 
 from .errors import ConsistencyError, DomainError, ResourceError
 from .laurent import LaurentPoly
-from .periodic import periodic_kl
+from .periodic import _waff_kl
 from .rootsys import (
     ModularContext,
     Weight,
@@ -106,7 +106,7 @@ def ext_dim(
     for x in (w, y):
         if not in_waff(sys, x):
             raise DomainError("Ext series are indexed by Coxeter-group elements")
-    return periodic_kl(ctx, y, w, default_radius(sys) if radius is None else radius)
+    return _waff_kl(ctx, y, w, default_radius(sys) if radius is None else radius)
 
 
 def loewy_layers(
@@ -126,8 +126,8 @@ def loewy_layers(
     A table is built once per context and (w, bound, radius), with
     ``radius=None`` meaning the default radius: once it has passed the
     head check it is kept in the context's memo, and later calls return
-    a copy of it.  Every kept table was built through ``periodic_kl``
-    and so passed its identity gate; a call that raises keeps nothing.
+    a copy of it.  Every kept table was read through ``periodic_kl``'s
+    reader, past its identity gate; a call that raises keeps nothing.
     """
     sys = ctx.system
     if not in_waff(sys, w):
@@ -155,7 +155,7 @@ def _build_loewy_layers(
     w0w = w0 * w
     entries: dict[tuple[StdLabel, int], int] = {}
     for y in waff_elements(sys, bound):
-        p = periodic_kl(ctx, w0w, w0 * y, rad)
+        p = _waff_kl(ctx, w0w, w0 * y, rad)  # w, w0 and y lie in W_aff
         if p.is_zero:
             continue
         label = StdLabel.make(ctx, "L", y)

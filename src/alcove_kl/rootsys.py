@@ -33,12 +33,8 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 from operator import attrgetter, mul
-from typing import TYPE_CHECKING
 
 from .errors import ConfigError, ResourceError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 _WEYL_ORDER = {
     "A": lambda n: factorial(n + 1),
@@ -470,8 +466,9 @@ def scaled_root_coords(sys: RootSystem, lam: Weight) -> tuple[int, tuple[int, ..
     return d, tuple([sum(map(mul, row, lam.coords)) for row in adj])
 
 
-def root_coords(sys: RootSystem, lam: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of ``lam`` in the simple roots (rational in general)."""
+def root_coords(sys: RootSystem, lam: Weight) -> tuple:
+    """Coordinates of ``lam`` in the simple roots, a tuple of ``Fraction``
+    (rational in general)."""
     # imported here: fractions loads decimal, which no command needs
     from fractions import Fraction
 

@@ -218,7 +218,7 @@ def test_readme_library_example():
 
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("ALCOVE_KL_CACHE", str(tmp_path / "envcache"))
-    assert cache_dir() == tmp_path / "envcache"
+    assert cache_dir() == str(tmp_path / "envcache")
     monkeypatch.delenv("ALCOVE_KL_CACHE")
     assert "alcove-kl" in str(cache_dir())
 
@@ -332,6 +332,84 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_type_choices_are_the_supported_cartan_types(tmp_path, capsys):
+    from alcove_kl import rootsys
+    from alcove_kl.cli import CARTAN_TYPES
+
+    assert CARTAN_TYPES == tuple(sorted(rootsys._RANK_RANGE))
+    # either case names one system, and so one record file
+    upper, lower = (
+        run(capsys, "kl", "--type", cartan, "--rank", "2", "--w", "1,2", "--cache-dir", str(tmp_path))
+        for cartan in ("A", "a")
+    )
+    assert upper == lower and upper[0] == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["kl_A2.jsonl"]
+    assert len((tmp_path / "kl_A2.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cartan", ["../x", "Q", "AB", "b/../a"])
+def test_a_type_outside_the_cartan_letters_touches_no_cache_path(tmp_path, capsys, cartan):
+    """The record file is named from --type, so --type is checked before
+    any path is formed: nothing is created, not even the directory."""
+    for command, *rest in (("kl", "--w", "1"), ("spherical", "--w", "1"),
+                           ("periodic", "--p", "5", "--window", "4")):
+        code, out, err = run(capsys, command, "--type", cartan, "--rank", "2", *rest,
+                             "--cache-dir", str(tmp_path / "cache"))
+        assert (code, out) == (2, ""), command
+        assert json.loads(err)["error"] == "config", command
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,code,kind",
+    [
+        (("kl", "--type", "A", "--rank", "2", "--w", "1,3"), 2, "config"),
+        (("kl", "--type", "A", "--rank", "0", "--w", "1"), 2, "config"),
+        (("kl", "--type", "A", "--rank", "1", "--w", ",".join("01" * 35)), 3, "bound"),
+        (("spherical", "--type", "A", "--rank", "2", "--w", "1"), 2, "config"),
+        (("periodic", "--type", "A", "--rank", "2", "--p", "4", "--window", "8"), 2, "config"),
+        (("periodic", "--type", "A", "--rank", "2", "--p", "3", "--window", "8"), 2, "config"),
+    ],
+    ids=["index", "rank", "length", "coset", "composite", "p-below-h"],
+)
+def test_a_refused_request_stores_no_record(tmp_path, capsys, argv, code, kind):
+    """A record is keyed by the request, and stored only once every check
+    of it has passed, so a refused request is refused again on every run."""
+    for _ in range(2):
+        got, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (got, out) == (code, "")
+        assert json.loads(err)["error"] == kind
+    assert [f.read_text() for f in tmp_path.iterdir()] in ([], [""])
+
+
+@pytest.mark.parametrize("command", ["kl", "spherical"])
+def test_two_words_for_one_element_print_identical_bytes(tmp_path, capsys, command):
+    """A row is keyed by the word as given: two spellings of one element
+    each compute once under their own key and print the same bytes, cold
+    and warm, and the separators of a word do not enter its key."""
+    words = ("1,2,1,0", "2,1,2,0", " 1 2, 1,0")
+    runs = [
+        run(capsys, command, "--type", "A", "--rank", "2", "--w", word,
+            "--cache-dir", str(tmp_path))
+        for _ in range(2)
+        for word in words
+    ]
+    assert runs[0][0] == 0 and len(runs[0][1].splitlines()) > 2
+    assert set(runs) == {runs[0]}
+    lines = (tmp_path / f"{command}_A2.jsonl").read_text().splitlines()
+    assert [json.loads(line)["key"] for line in lines] == [
+        f"engine {cache.ENGINE_VERSION}:w=1,2,1,0",
+        f"engine {cache.ENGINE_VERSION}:w=2,1,2,0",
+    ]
+
+
+def test_p_help_names_the_primality_bound(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["periodic", "--help"])
+    assert info.value.code == 0
+    assert str(PRIME_BOUND) in capsys.readouterr().out.split()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -340,8 +418,11 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("frob", "--type", "A"),
         (),
         ("kl", "--type", "A", "--rank", "2", "--w", "1", "--format", "xml"),
+        ("kl", "--type", "A", "--w", "1"),
+        ("periodic", "--type", "A", "--rank", "1", "--window", "4"),
     ],
-    ids=["malformed-int", "missing-w", "unknown-command", "no-command", "bad-choice"],
+    ids=["malformed-int", "missing-w", "unknown-command", "no-command", "bad-choice",
+         "missing-rank", "missing-p"],
 )
 def test_usage_errors_are_json_config_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -556,6 +637,27 @@ def test_a_pretty_record_serves_every_format(tmp_path, capsys, monkeypatch, argv
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("kl", "--type", "A", "--rank", "2", "--w", "1,2,0"),
+        ("periodic", "--type", "A", "--rank", "2", "--p", "5", "--lmax", "1", "--window", "8"),
+    ],
+    ids=["kl", "periodic"],
+)
+def test_csv_rows_read_back_with_the_header_width(tmp_path, capsys, argv):
+    """Labels such as ``1.2.1|-1,-1`` hold commas, so their cells are
+    quoted and ``csv.reader`` reads each row back with the header's width."""
+    import csv
+
+    for cache_state in ("cold", "warm"):
+        code, out, _ = run(capsys, *argv, "--format", "csv", "--cache-dir", str(tmp_path))
+        rows = list(csv.reader(out.splitlines()))
+        assert code == 0 and len(rows) > 5, cache_state
+        assert {len(row) for row in rows} == {len(rows[0])}, cache_state
+        assert any("," in cell for row in rows for cell in row), cache_state
+
+
+@pytest.mark.parametrize(
     "argv,name",
     [
         (("kl", "--type", "A", "--rank", "1", "--w", "1,0"), "kl_A1"),
@@ -643,14 +745,14 @@ def test_kl_in_e7_numbers_only_the_elements_it_meets(tmp_path, capsys):
     w0 = "1.3.4.2.5.4.3.1.6.5.4.2.3.4.5.6.7.6.5.4.2.3.1.4.3.5.4.2.6.5.4"
     assert out.splitlines() == [
         "y,h",
-        f"1.3.1.{w0[4:]}.3.1|-1,0,0,0,0,0,0,v",
-        f"{w0}.3.1|-1,0,0,0,0,0,0,v^2",
-        f"{w0}.3|1,0,-1,0,0,0,0,v",
-        f"{w0}|0,0,1,-1,0,0,0,1",
-        "1.3|0,0,0,0,0,0,0,v",
-        "1|0,0,0,0,0,0,0,v^2",
-        "3|0,0,0,0,0,0,0,v^2",
-        "e|0,0,0,0,0,0,0,v^3",
+        f'"1.3.1.{w0[4:]}.3.1|-1,0,0,0,0,0,0",v',
+        f'"{w0}.3.1|-1,0,0,0,0,0,0",v^2',
+        f'"{w0}.3|1,0,-1,0,0,0,0",v',
+        f'"{w0}|0,0,1,-1,0,0,0",1',
+        '"1.3|0,0,0,0,0,0,0",v',
+        '"1|0,0,0,0,0,0,0",v^2',
+        '"3|0,0,0,0,0,0,0",v^2',
+        '"e|0,0,0,0,0,0,0",v^3',
     ]
     # the process-wide table also holds what earlier tests numbered, so the
     # count is taken in a fresh interpreter that runs only this command
@@ -681,9 +783,9 @@ def test_kl_in_e7_numbers_only_the_elements_it_meets(tmp_path, capsys):
     ids=["kl", "spherical"],
 )
 def test_printing_a_warm_row_forms_no_group_product(tmp_path, capsys, monkeypatch, command, word):
-    """A cached row is printed from its records: the warm run forms only
-    the products of reading --w (the spherical coset-maximality test reads
-    Shi coordinates and forms none), not one per printed label."""
+    """A cached row is printed from its record, found by the word as
+    given: the warm run forms no product, neither one per printed label
+    nor the products of reading --w into an element."""
     args = (command, "--type", "B", "--rank", "2", "--w", word, "--cache-dir", str(tmp_path))
     cold = run(capsys, *args)
     calls = []
@@ -692,7 +794,7 @@ def test_printing_a_warm_row_forms_no_group_product(tmp_path, capsys, monkeypatc
     warm = run(capsys, *args)
     assert warm == cold and cold[0] == 0
     assert len(cold[1].splitlines()) > 8
-    assert len(calls) == len(word.split(","))
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -162,9 +162,26 @@ def test_loewy_layers_forms_one_product_per_candidate(ctx_a2, monkeypatch):
     assert 0 < len(calls) <= candidates + 1
 
 
+def test_loewy_layers_checks_w_aff_once_per_table(ctx_a2, monkeypatch):
+    """A table tests its own label for W_aff, and then reads every pair
+    through ``periodic_kl``'s reader, which tests neither label again: the
+    pairs (w0 w, w0 y) lie in W_aff because w, w0 and each y do."""
+    from alcove_kl import periodic, weylext
+
+    sys = ctx_a2.system
+    w = from_word(sys, [1, 2])
+    warm = loewy_layers(ctx_a2, w, bound=7, radius=13)  # the gate, windows and band too
+    calls, in_waff = [], weylext.in_waff
+    for module in (periodic, repcalc, weylext):
+        monkeypatch.setattr(module, "in_waff", lambda s, x: calls.append(x) or in_waff(s, x))
+    assert loewy_layers(ModularContext(sys, 5), w, bound=7, radius=13) == warm
+    assert calls == [w]
+
+
 def _count_work(monkeypatch):
-    """Count the group products and periodic_kl calls made from here on."""
-    calls = {"mul": 0, "periodic_kl": 0}
+    """Count the group products and the periodic coefficients read (through
+    ``periodic_kl``'s reader ``_waff_kl``) from here on."""
+    calls = {"mul": 0, "_waff_kl": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -174,7 +191,7 @@ def _count_work(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(ExtWeylElt, "__mul__", counting("mul", ExtWeylElt.__mul__))
-    monkeypatch.setattr(repcalc, "periodic_kl", counting("periodic_kl", repcalc.periodic_kl))
+    monkeypatch.setattr(repcalc, "_waff_kl", counting("_waff_kl", repcalc._waff_kl))
     return calls
 
 
@@ -184,7 +201,7 @@ def test_repeated_loewy_layers_reads_the_context_memo(a2, monkeypatch):
     first = loewy_layers(ctx, w, bound=7, radius=13)
     calls = _count_work(monkeypatch)
     again = loewy_layers(ctx, w, bound=7, radius=13)
-    assert calls == {"mul": 0, "periodic_kl": 0}
+    assert calls == {"mul": 0, "_waff_kl": 0}
     assert again == first and again is not first
 
 
@@ -211,7 +228,7 @@ def test_loewy_layers_errors_store_nothing(a2, monkeypatch):
         assert ctx._memo == {}
     w = from_word(a2, [1])
     with monkeypatch.context() as patch:
-        patch.setattr(repcalc, "periodic_kl", lambda *args: LaurentPoly.zero())
+        patch.setattr(repcalc, "_waff_kl", lambda *args: LaurentPoly.zero())
         for _ in range(2):
             with pytest.raises(ConsistencyError, match="head"):
                 loewy_layers(ctx, w, bound=5)
@@ -225,9 +242,9 @@ def test_loewy_layers_memo_keys_resolve_the_default_radius(a2, monkeypatch):
     table = loewy_layers(ctx, w, bound=7)
     calls = _count_work(monkeypatch)
     assert loewy_layers(ctx, w, bound=7, radius=default_radius(a2)) == table
-    assert calls["periodic_kl"] == 0 and len(ctx._memo) == 1
+    assert calls["_waff_kl"] == 0 and len(ctx._memo) == 1
     wider = loewy_layers(ctx, w, bound=8)
-    assert calls["periodic_kl"] == len(waff_elements(a2, 8))
+    assert calls["_waff_kl"] == len(waff_elements(a2, 8))
     assert len(ctx._memo) == 2
     assert wider.entries.items() >= table.entries.items()
 

@@ -44,26 +44,28 @@ sys.stdout.flush()
 print(json.dumps({
     "code": code,
     "executed": sorted(executed - {"__init__"}),
-    "fractions": "fractions" in sys.modules,
-    "dataclasses": "dataclasses" in sys.modules,
-    "inspect": "inspect" in sys.modules,
+    "loaded": sorted(
+        n for n in ("fractions", "dataclasses", "inspect", "typing", "pathlib") if n in sys.modules
+    ),
     "registered": [] if sys.argv[1:] else registered,
 }), file=sys.stderr)
 """
 
 
-def probe(*argv) -> dict:
+def probe(*argv, flags=()) -> dict:
     """Run ``alcove-kl ARGV`` (or, without ARGV, ``import alcove_kl``) in a
-    fresh interpreter; returns the exit code, the package modules whose
-    bodies ran, and whether ``fractions``, ``dataclasses`` and
-    ``inspect`` were loaded."""
+    fresh interpreter started with the interpreter ``flags``; returns the
+    exit code, the package modules whose bodies ran, and which of
+    ``fractions``, ``dataclasses``, ``inspect``, ``typing`` and
+    ``pathlib`` were loaded."""
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, *flags, "-c", _PROBE, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=120,
     )
     report = json.loads(done.stderr.splitlines()[-1])
     report["executed"] = set(report["executed"])
+    report["loaded"] = set(report["loaded"])
     return report
 
 
@@ -74,23 +76,43 @@ def warm(capsys, *argv) -> tuple:
     return argv
 
 
+# what a warm run that reads its record by the flags alone executes
+CACHE_READ = {"cli", "cache", "errors"}
+
+
 def test_warm_periodic_executes_no_group_or_engine_layer(tmp_path, capsys):
-    args = warm(capsys, "periodic", "--type", "A", "--rank", "1", "--p", "5", "--lmax", "3",
-                "--cache-dir", str(tmp_path))
-    report = probe(*args)
-    assert report["code"] == 0
-    assert report["executed"] == {"cli", "cache", "errors", "rootsys"}
-    assert not report["fractions"]
+    """A table is keyed by p, --lmax and the radius: given --window, a
+    warm run reads it without the root system, which it builds only to
+    resolve the default radius when --window is omitted."""
+    table = ("periodic", "--type", "A", "--rank", "1", "--p", "5", "--lmax", "3")
+    for window, executed in (((), CACHE_READ | {"rootsys"}), (("--window", "7"), CACHE_READ)):
+        args = warm(capsys, *table, *window, "--cache-dir", str(tmp_path))
+        report = probe(*args)
+        assert report["code"] == 0, window
+        assert report["executed"] == executed, window
+        assert "fractions" not in report["loaded"], window
 
 
 def test_warm_rows_execute_no_engine_layer(tmp_path, capsys):
+    """A row is keyed by the word as given, so a warm run builds neither
+    the root system nor the element."""
     for command, word in (("kl", "1,2,1"), ("spherical", "1,2,1")):
         args = warm(capsys, command, "--type", "A", "--rank", "2", "--w", word,
                     "--cache-dir", str(tmp_path))
         report = probe(*args)
         assert report["code"] == 0, command
-        assert report["executed"] & ENGINE == set(), command
-        assert "weylext" in report["executed"], command
+        assert report["executed"] == CACHE_READ, command
+
+
+def test_warm_kl_under_a_bare_site_loads_no_typing_or_pathlib(tmp_path, capsys):
+    """Under ``-S`` no ``.pth`` hook imports ``typing`` or ``pathlib`` on
+    the program's behalf, so a warm child shows what it imports itself."""
+    args = warm(capsys, "kl", "--type", "B", "--rank", "2", "--w", "2,1,2,0",
+                "--cache-dir", str(tmp_path))
+    report = probe(*args, flags=("-S",))
+    assert report["code"] == 0
+    assert report["executed"] == CACHE_READ  # neither rootsys nor weylext
+    assert report["loaded"] == set()
 
 
 def test_cold_kl_executes_no_periodic_layer(tmp_path):
@@ -104,8 +126,8 @@ def test_cold_char_executes_no_group_or_engine_layer(tmp_path):
     report = probe("char", "--type", "A", "--rank", "2", "--p", "5", "--lam", "0,0",
                    "--cache-dir", str(tmp_path))
     assert report["code"] == 0
-    assert report["executed"] == {"cli", "cache", "errors", "rootsys"}
-    assert not report["fractions"]
+    assert report["executed"] == CACHE_READ | {"rootsys"}
+    assert "fractions" not in report["loaded"]
 
 
 def test_no_command_loads_dataclasses_or_inspect(tmp_path, capsys):
@@ -129,7 +151,7 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path, capsys):
     for argv in warm_runs + cold_runs:
         report = probe(*argv)
         assert report["code"] == 0, argv
-        assert not report["dataclasses"] and not report["inspect"], argv
+        assert not report["loaded"] & {"dataclasses", "inspect"}, argv
 
 
 def test_importing_the_package_executes_no_layer():
