@@ -298,6 +298,11 @@ def _validate_conventions(sys: RootSystem) -> None:
         raise ConsistencyError(_DIAGNOSTIC.format(sys=sys))
 
 
+def _gate_radius(sys: RootSystem) -> int:
+    """The radius of the gate's validation window, 2 l(w0) + 2."""
+    return 2 * length(sys, w0_elt(sys)) + 2
+
+
 @lru_cache(maxsize=None)
 def _gate_passes(sys: RootSystem) -> bool:
     """The built-in identity gate, run once per root system.
@@ -305,12 +310,12 @@ def _gate_passes(sys: RootSystem) -> bool:
     The gate checks the diagonal normalization and the monomial identity
     p_{w0 x, w0 check(x)} = v^{l(w0)} on every restricted element of the
     Coxeter subgroup whose pair fits in a validation window of radius
-    2 l(w0) + 2; on failure the module refuses to hand out values,
+    ``_gate_radius``; on failure the module refuses to hand out values,
     reporting the conventions in force.
     """
     w0 = w0_elt(sys)
     lw0 = length(sys, w0)
-    rad = 2 * lw0 + 2
+    rad = _gate_radius(sys)
     try:
         for m in weyl_group(sys):
             x = restricted_element_for(sys, m)
@@ -341,29 +346,11 @@ _DIAGNOSTIC = (
 class PKLEntry(_Value):
     __slots__ = _fields = ("poly", "stabilized")
 
-    def __init__(self, poly: LaurentPoly, stabilized: bool):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "stabilized", stabilized)
-
 
 class PKLTable(_Record):
     """Stabilized periodic coefficients, stored once per translation orbit."""
 
     __slots__ = _fields = ("system", "p", "radius", "length_bound", "entries")
-
-    def __init__(
-        self,
-        system: RootSystem,
-        p: int,
-        radius: int,
-        length_bound: int,
-        entries: dict[tuple[ExtWeylElt, ExtWeylElt], PKLEntry],
-    ):
-        self.system = system
-        self.p = p
-        self.radius = radius
-        self.length_bound = length_bound
-        self.entries = entries
 
 
 def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:

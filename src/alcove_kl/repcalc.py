@@ -49,11 +49,6 @@ class StdLabel(_Value):
 
     __slots__ = _fields = ("kind", "index", "shift")
 
-    def __init__(self, kind: str, index: ExtWeylElt, shift: Weight):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "shift", shift)
-
     @staticmethod
     def make(ctx: ModularContext, kind: str, x: ExtWeylElt) -> "StdLabel":
         if kind not in KINDS:
@@ -72,14 +67,8 @@ class StdLabel(_Value):
 class GradedMultTable(_Record):
     """Graded multiplicities (label, degree) -> nonnegative integer."""
 
-    __slots__ = _fields = ("base", "entries", "note")
-
-    def __init__(
-        self, base: StdLabel, entries: dict[tuple[StdLabel, int], int], note: str = CONJECTURE_NOTE
-    ):
-        self.base = base
-        self.entries = entries
-        self.note = note
+    __slots__ = _fields = ("base", "entries")
+    note = CONJECTURE_NOTE
 
     def at_degree(self, degree: int) -> dict[StdLabel, int]:
         return {
@@ -144,7 +133,7 @@ def loewy_layers(
     table = ctx._memo.get(key)
     if table is None:
         table = ctx._memo[key] = _build_loewy_layers(ctx, w, bound, rad)
-    return GradedMultTable(table.base, dict(table.entries), table.note)
+    return GradedMultTable(table.base, dict(table.entries))
 
 
 def _build_loewy_layers(

@@ -20,11 +20,11 @@ weights is refused with ResourceError.
 The package's value classes are plain ``__slots__`` classes on the two
 bases defined here: ``_Value`` (frozen and hashable: weights, roots,
 root systems, contexts, elements, labels, table entries) and ``_Record``
-(mutable tables and check results).  Both compare by ``_key``, the
-tuple of the fields that ``_fields`` names, and print those fields.
-``laurent``, which reads no other layer, writes ``LaurentPoly`` out the
-same way.  No module imports ``dataclasses``, whose import of
-``inspect`` every command-line child would pay.
+(mutable tables and check results).  A value class declares ``_fields``,
+from which the base builds its ``_key`` and, unless the class writes its
+own, its constructor.  ``laurent``, which reads no other layer, writes
+``LaurentPoly`` out the same way.  No module imports ``dataclasses``,
+whose import of ``inspect`` every command-line child would pay.
 """
 
 from __future__ import annotations
@@ -61,7 +61,9 @@ class _Record:
     """A plain value class: ``x._key(x)`` returns its value, the tuple of
     the attributes that ``_fields`` names, in order.  Two instances of one
     class are equal when their values are, and an instance prints as
-    ``Name(field=value, ...)``.  A record is mutable, so it has no hash."""
+    ``Name(field=value, ...)``.  A record is mutable, so it has no hash.
+    Unless the class defines ``__init__``, its constructor takes the
+    fields in order, by position or by keyword, and sets each one."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -76,6 +78,14 @@ class _Record:
         elif cls._fields:
             get = attrgetter(cls._fields[0])
             cls._key = staticmethod(lambda x: (get(x),))
+        if cls._fields and "__init__" not in vars(cls):
+            # compiled, as namedtuple's is: a loop over _fields is several
+            # times slower, and every group product builds a Weight
+            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+            namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(cls._fields)}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -90,8 +100,8 @@ class _Record:
 
 class _Value(_Record):
     """A frozen record: it hashes by its value, and assigning or deleting
-    an attribute raises AttributeError, so ``__init__`` sets the slots
-    with ``object.__setattr__``.  Its constructor takes the value's
+    an attribute raises AttributeError, so a constructor sets the slots
+    with ``object.__setattr__``.  The constructor takes the value's
     fields in order, which is how it is copied and pickled."""
 
     __slots__ = ()
@@ -113,9 +123,6 @@ class Weight(_Value):
     """An integral weight, as coordinates in the fundamental weights."""
 
     __slots__ = _fields = ("coords",)
-
-    def __init__(self, coords: tuple[int, ...]):
-        object.__setattr__(self, "coords", coords)
 
     @staticmethod
     def zero(rank: int) -> "Weight":
@@ -151,11 +158,6 @@ class PosRoot(_Value):
 
     __slots__ = _fields = ("fund", "root", "coroot")
 
-    def __init__(self, fund: tuple[int, ...], root: tuple[int, ...], coroot: tuple[int, ...]):
-        object.__setattr__(self, "fund", fund)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "coroot", coroot)
-
     @property
     def height(self) -> int:
         return sum(self.root)
@@ -178,22 +180,6 @@ class RootSystem(_Value):
     __slots__ = _fields = (
         "cartan_type", "rank", "cartan", "positive_roots", "w0_word", "weyl_order",
     )
-
-    def __init__(
-        self,
-        cartan_type: str,
-        rank: int,
-        cartan: tuple[tuple[int, ...], ...],
-        positive_roots: tuple[PosRoot, ...],
-        w0_word: tuple[int, ...],
-        weyl_order: int,
-    ):
-        object.__setattr__(self, "cartan_type", cartan_type)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "positive_roots", positive_roots)
-        object.__setattr__(self, "w0_word", w0_word)
-        object.__setattr__(self, "weyl_order", weyl_order)
 
     @property
     def rho(self) -> Weight:

@@ -17,7 +17,7 @@ from .alcove import generic_height
 from .errors import ConsistencyError, StabilizationError
 from .hecke import kl_basis, kl_basis_by_duality
 from .laurent import LaurentPoly
-from .periodic import PeriodicWindow, _window, _words, in_support_band, periodic_kl, pkl_table
+from .periodic import PeriodicWindow, _gate_radius, _window, _words, in_support_band, periodic_kl, pkl_table
 from .repcalc import (
     StdLabel,
     baby_verma_total_dim,
@@ -43,15 +43,6 @@ from .weylext import (
 class CheckResult(_Record):
     __slots__ = _fields = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-
-
-def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, passed, detail)
-
 
 def check_monomial_identity(ctx: ModularContext, bound: int, radius: int) -> CheckResult:
     """p_{w0 x, w0 check(x)} = v^{l(w0)} on restricted Coxeter elements."""
@@ -67,14 +58,14 @@ def check_monomial_identity(ctx: ModularContext, bound: int, radius: int) -> Che
             tested += 1
             got = periodic_kl(ctx, w0 * x, w0 * check(ctx, x), radius)
             if got != expected:
-                return _result(
+                return CheckResult(
                     "monomial identity",
                     False,
                     f"value {got} at length {length(sys, x)}, expected {expected}",
                 )
     except (ConsistencyError, StabilizationError) as exc:
-        return _result("monomial identity", False, str(exc))
-    return _result("monomial identity", True, f"{tested} restricted elements")
+        return CheckResult("monomial identity", False, str(exc))
+    return CheckResult("monomial identity", True, f"{tested} restricted elements")
 
 
 def check_inversion_identity(ctx: ModularContext, bound: int, radius: int) -> CheckResult:
@@ -93,8 +84,8 @@ def check_inversion_identity(ctx: ModularContext, bound: int, radius: int) -> Ch
                 if lhs != periodic_kl(ctx, y, w, radius):
                     fails += 1
     except (ConsistencyError, StabilizationError) as exc:
-        return _result("inversion identity", False, str(exc))
-    return _result(
+        return CheckResult("inversion identity", False, str(exc))
+    return CheckResult(
         "inversion identity", fails == 0, f"{pairs} pairs, {fails} failures"
     )
 
@@ -104,14 +95,14 @@ def check_rank_one_oracle(ctx: ModularContext, bound: int, radius: int) -> Check
     every baby Verma has exactly a head and a one-step socle."""
     sys = ctx.system
     if sys.rank != 1:
-        return _result("rank-one oracle", True, "skipped (rank > 1)")
+        return CheckResult("rank-one oracle", True, "skipped (rank > 1)")
     allowed = {LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.gen()}
     elements = waff_elements(sys, bound)
     for w in elements:
         for y in elements:
             value = periodic_kl(ctx, y, w, radius)
             if value not in allowed:
-                return _result(
+                return CheckResult(
                     "rank-one oracle",
                     False,
                     f"value {value} outside {{0,1,v}} at {_words(sys, y=y, w=w)}",
@@ -122,8 +113,8 @@ def check_rank_one_oracle(ctx: ModularContext, bound: int, radius: int) -> Check
             (StdLabel.make(ctx, "L", check(ctx, w)), 1): 1,
         }
         if table.entries != expected:
-            return _result("rank-one oracle", False, f"unexpected layers for {_words(sys, w=w)}")
-    return _result("rank-one oracle", True, f"{len(elements)} columns")
+            return CheckResult("rank-one oracle", False, f"unexpected layers for {_words(sys, w=w)}")
+    return CheckResult("rank-one oracle", True, f"{len(elements)} columns")
 
 
 def check_kl_oracle(ctx: ModularContext, bound: int) -> CheckResult:
@@ -133,8 +124,8 @@ def check_kl_oracle(ctx: ModularContext, bound: int) -> CheckResult:
     for w in waff_elements(sys, bound):
         n += 1
         if kl_basis(sys, w) != kl_basis_by_duality(sys, w):
-            return _result("canonical basis oracle", False, f"mismatch at {_words(sys, w=w)}")
-    return _result("canonical basis oracle", True, f"{n} elements")
+            return CheckResult("canonical basis oracle", False, f"mismatch at {_words(sys, w=w)}")
+    return CheckResult("canonical basis oracle", True, f"{n} elements")
 
 
 def check_bijections(ctx: ModularContext) -> CheckResult:
@@ -143,17 +134,17 @@ def check_bijections(ctx: ModularContext) -> CheckResult:
     sys = ctx.system
     res = [restricted_element_for(sys, m) for m in weyl_group(sys)]
     if len(set(res)) != sys.weyl_order:
-        return _result("restricted bijection", False, "wrong count")
+        return CheckResult("restricted bijection", False, "wrong count")
     top = length(sys, translation_elt(sys, sys.rho) * w0_elt(sys))
     for x in res:
         if not is_restricted_elt(ctx, x):
-            return _result("restricted bijection", False, "non-restricted image")
+            return CheckResult("restricted bijection", False, "non-restricted image")
         y = rho_check_involution(ctx, x)
         if rho_check_involution(ctx, y) != x:
-            return _result("restricted bijection", False, "not an involution")
+            return CheckResult("restricted bijection", False, "not an involution")
         if length(sys, y) != top - length(sys, x):
-            return _result("restricted bijection", False, "length reversal fails")
-    return _result("restricted bijection", True, f"{len(res)} elements")
+            return CheckResult("restricted bijection", False, "length reversal fails")
+    return CheckResult("restricted bijection", True, f"{len(res)} elements")
 
 
 WEIGHT_SAMPLES = 200
@@ -169,7 +160,7 @@ def check_characters(ctx: ModularContext, seed: int) -> CheckResult:
     total = baby_verma_total_dim(ctx, Weight.zero(sys.rank))
     expected = ctx.p ** sys.num_positive_roots
     if total != expected:
-        return _result("character totals", False, f"{total} != {expected}")
+        return CheckResult("character totals", False, f"{total} != {expected}")
     rng = random.Random(seed)
     for _ in range(WEIGHT_SAMPLES):
         lam = Weight(tuple(rng.randint(-3, 3) for _ in range(sys.rank)))
@@ -178,8 +169,8 @@ def check_characters(ctx: ModularContext, seed: int) -> CheckResult:
         full = verma_weight_dim(ctx, lam, mu)
         d, coords = scaled_root_coords(sys, lam - mu)
         if baby > full or (baby != full and all(c < ctx.p * d for c in coords)):
-            return _result("character totals", False, "weight table mismatch")
-    return _result("character totals", True, f"total {total}")
+            return CheckResult("character totals", False, "weight table mismatch")
+    return CheckResult("character totals", True, f"total {total}")
 
 
 def check_stabilization(ctx: ModularContext, bound: int, radius: int) -> CheckResult:
@@ -188,7 +179,7 @@ def check_stabilization(ctx: ModularContext, bound: int, radius: int) -> CheckRe
         t1 = pkl_table(ctx, bound, radius)
         t2 = pkl_table(ctx, bound, radius + 2)
     except (ConsistencyError, StabilizationError) as exc:
-        return _result("stabilization", False, str(exc))
+        return CheckResult("stabilization", False, str(exc))
     compared = 0
     for (y, w), entry in t1.entries.items():
         other = t2.entries.get((y, w))
@@ -196,8 +187,8 @@ def check_stabilization(ctx: ModularContext, bound: int, radius: int) -> CheckRe
             continue
         compared += 1
         if entry.poly != other.poly:
-            return _result("stabilization", False, f"disagreement at {_words(ctx.system, y=y, w=w)}")
-    return _result("stabilization", True, f"{compared} entries compared")
+            return CheckResult("stabilization", False, f"disagreement at {_words(ctx.system, y=y, w=w)}")
+    return CheckResult("stabilization", True, f"{compared} entries compared")
 
 
 def check_galleries(
@@ -234,9 +225,9 @@ def check_galleries(
             if first == hi.coefficient(y, w):
                 vals.add(first)
         if len(vals) > 1:
-            return _result("gallery independence", False, f"values {vals}")
+            return CheckResult("gallery independence", False, f"values {vals}")
         checked += 1
-    return _result("gallery independence", True, f"{checked} in-band targets")
+    return CheckResult("gallery independence", True, f"{checked} in-band targets")
 
 
 def check_translation_invariance(
@@ -256,11 +247,11 @@ def check_translation_invariance(
             base = periodic_kl(ctx, y, w, radius, normalize=False)
             moved = periodic_kl(ctx, t * y, t * w, radius, normalize=False)
             if base != moved:
-                return _result("translation invariance", False, f"at {nu}")
+                return CheckResult("translation invariance", False, f"at {nu}")
             done += 1
     except (ConsistencyError, StabilizationError) as exc:
-        return _result("translation invariance", False, str(exc))
-    return _result("translation invariance", True, f"{done} triples")
+        return CheckResult("translation invariance", False, str(exc))
+    return CheckResult("translation invariance", True, f"{done} triples")
 
 
 def check_flipped_convention_fails(ctx: ModularContext) -> CheckResult:
@@ -269,15 +260,17 @@ def check_flipped_convention_fails(ctx: ModularContext) -> CheckResult:
     The probes are the support convention (nothing may sit strictly above
     the column label), the monomial normalization, and the inversion
     identity at the identity pair; a correctly oriented engine passes all
-    three and the mirrored one cannot.
+    three and the mirrored one cannot.  The mirrored windows have the
+    gate's validation radius and one more, which reach w0 in every type.
     """
     sys = ctx.system
     w0 = w0_elt(sys)
     top = LaurentPoly.gen(length(sys, w0))
     e = waff_elements(sys, 0)[0]
+    rad = _gate_radius(sys)
     try:
-        win_lo = PeriodicWindow(sys, 8, sign=-1)
-        win_hi = PeriodicWindow(sys, 9, sign=-1)
+        win_lo = PeriodicWindow(sys, rad, sign=-1)
+        win_hi = PeriodicWindow(sys, rad + 1, sign=-1)
 
         def flipped(y, w):
             first = win_lo.coefficient(y, w)
@@ -295,7 +288,7 @@ def check_flipped_convention_fails(ctx: ModularContext) -> CheckResult:
         good = support_ok and monomial_ok and inversion_ok
     except (ConsistencyError, StabilizationError):
         good = False
-    return _result(
+    return CheckResult(
         "negative control",
         not good,
         "flipped up-direction breaks the identity suite as expected"

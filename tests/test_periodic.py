@@ -3,6 +3,7 @@ from functools import partial
 
 import pytest
 
+from alcove_kl import periodic
 from alcove_kl.alcove import generic_height
 from alcove_kl.errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from alcove_kl.hecke import act_hb_s
@@ -33,6 +34,7 @@ from conftest import dihedral_element
 V = LaurentPoly.gen()
 VINV = LaurentPoly.gen(-1)
 ONE = LaurentPoly.one()
+ZERO = LaurentPoly.zero()
 
 
 def a1_periodic_oracle(sys, y, w):
@@ -269,6 +271,26 @@ def test_unsupported_system_aborts():
         periodic_kl(ctx, identity_elt(b2), identity_elt(b2), radius=10)
     with pytest.raises(ConsistencyError):
         pkl_table(ctx, length_bound=2, radius=10)
+
+
+@pytest.mark.parametrize("wrong", ["socle", "diagonal"])
+def test_the_gate_refuses_a_wrong_value(a2, monkeypatch, wrong):
+    # the reader returns zero at one kind of pair: the socle monomial is
+    # read off the diagonal, the normalization on it
+    read = periodic._read
+    diagonals = []
+
+    def reader(sys, y, w, radius):
+        diagonals.append(y == w)
+        if (y == w) == (wrong == "diagonal"):
+            return ZERO, ZERO
+        return read(sys, y, w, radius)
+
+    monkeypatch.setattr(periodic, "_read", reader)
+    assert periodic._gate_passes.__wrapped__(a2) is False
+    # the gate refused at the first wrong value, after one right socle
+    # value when the diagonal is wrong
+    assert diagonals == {"socle": [False], "diagonal": [False, True]}[wrong]
 
 
 def test_out_of_reach_raises(ctx_a1):

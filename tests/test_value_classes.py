@@ -2,10 +2,14 @@
 print as the frozen dataclasses they replaced did.
 
 Each case builds one instance twice, and an instance that differs in
-one field.  The printed forms are the ones those dataclasses printed.
+one field.  The printed forms are the ones those dataclasses printed,
+except that a graded table's note is a class constant and is not
+printed.  A class that declares only ``_fields`` gets its constructor
+from the base.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -13,7 +17,14 @@ import pytest
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import PKLEntry, PKLTable
 from alcove_kl.repcalc import CONJECTURE_NOTE, GradedMultTable, StdLabel
-from alcove_kl.rootsys import ModularContext, PosRoot, RootSystem, Weight, build_root_system
+from alcove_kl.rootsys import (
+    ModularContext,
+    PosRoot,
+    RootSystem,
+    Weight,
+    _Record,
+    build_root_system,
+)
 from alcove_kl.verify import CheckResult
 from alcove_kl.weylext import from_word
 
@@ -99,7 +110,7 @@ MUTABLE = {
         "GradedMultTable(base=StdLabel(kind='L', index=ExtWeylElt(fin=0, translation="
         "Weight(coords=(0,))), shift=Weight(coords=(10,))), entries={(StdLabel(kind='L', "
         "index=ExtWeylElt(fin=0, translation=Weight(coords=(0,))), shift=Weight(coords=(10,))), "
-        f"0): 1}}, note={CONJECTURE_NOTE!r})",
+        "0): 1})",
     ),
     "PKLTable": (
         lambda: PKLTable(A1, 5, 7, 2, {}),
@@ -173,5 +184,50 @@ def test_a_mutable_record_compares_and_prints_as_before(name):
 
 def test_a_graded_table_takes_the_conjecture_note_by_default():
     table = GradedMultTable(_label(), {})
-    assert table.note == CONJECTURE_NOTE
-    assert GradedMultTable(_label(), {}, "other").note == "other"
+    assert table.note == GradedMultTable.note == CONJECTURE_NOTE
+    assert "note" not in GradedMultTable._fields and "note" not in repr(table)
+    with pytest.raises(TypeError):
+        GradedMultTable(_label(), {}, "other")
+
+
+# the classes whose constructor the base builds from ``_fields``, and
+# ModularContext, whose own constructor takes its fields too
+CONSTRUCTED = {
+    name: cases[name][0]
+    for cases in (FROZEN, MUTABLE)
+    for name in cases
+    if name not in ("LaurentPoly", "ExtWeylElt")  # these take other arguments
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_positional_and_keyword_construction_agree(name):
+    a = CONSTRUCTED[name]()
+    cls, values = type(a), a._key(a)
+    assert list(inspect.signature(cls).parameters) == list(cls._fields)
+    assert cls(*values) == a == cls(**dict(zip(cls._fields, values)))
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_only_the_context_and_the_element_write_their_own_constructor():
+    # verify imports every layer that defines a value class
+    records = [c for c in _subclasses(_Record) if c.__module__.startswith("alcove_kl.")]
+    assert {c.__name__ for c in records} >= {
+        "Weight", "PosRoot", "RootSystem", "StdLabel", "GradedMultTable",
+        "PKLEntry", "PKLTable", "CheckResult",
+    }
+    # a constructor the base compiled has no source file
+    own = {
+        c.__name__ for c in records
+        if c._fields and vars(c)["__init__"].__code__.co_filename != "<string>"
+    }
+    assert own == {"ModularContext", "ExtWeylElt"}

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from alcove_kl import verify
+from alcove_kl.errors import ConsistencyError, StabilizationError
 from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import PeriodicWindow, _window
-from alcove_kl.repcalc import verma_weight_dim
+from alcove_kl.repcalc import GradedMultTable, StdLabel, verma_weight_dim
 from alcove_kl.rootsys import ModularContext, build_root_system, kostant_partition
 from alcove_kl.verify import (
     check_bijections,
@@ -18,6 +21,7 @@ from alcove_kl.verify import (
     check_translation_invariance,
     run_suite,
 )
+from alcove_kl.weylext import translation_elt, waff_elements
 
 
 def test_suite_passes_dihedral(ctx_a1):
@@ -107,3 +111,110 @@ def test_rank_one_oracle_detail_names_the_pair_and_the_value(ctx_a1, monkeypatch
     assert result.detail == (
         'value v^2 outside {0,1,v} at y = {"w": [], "t": [0]}, w = {"w": [], "t": [0]}'
     )
+
+
+def test_negative_control_reaches_w0_in_rank_three():
+    # its windows have the gate's validation radius, 2 l(w0) + 2 = 20,
+    # and one more; a fixed radius 8 left w0, of length 9, out of reach
+    for cartan_type in ("B", "C"):
+        ctx = ModularContext(build_root_system(cartan_type, 3), 7)
+        assert check_flipped_convention_fails(ctx).passed
+
+
+A2 = build_root_system("A", 2)
+
+
+def _raising(exc):
+    def fake(*args, **kwargs):
+        raise exc
+    return fake
+
+
+class _ConstantWindow:
+    """A window that reads v^5 at every pair, whatever its gallery."""
+
+    def __init__(self, sys, radius, gallery_seed=None):
+        pass
+
+    def coefficient(self, y, w):
+        return LaurentPoly.gen(5)
+
+
+# One case per failure return of the checks, each given a wrong value
+# through a name the check reads in verify's namespace: (the context,
+# the check, that name, the wrong value, the detail the check reports).
+FAILURES = {
+    "monomial-value": (
+        "ctx_a2", lambda ctx: check_monomial_identity(ctx, 6, 12),
+        "periodic_kl", lambda *args: LaurentPoly.gen(), "value v at length 1, expected v^3",
+    ),
+    "inversion-count": (
+        "ctx_a1", lambda ctx: check_inversion_identity(ctx, 2, 8),
+        "periodic_kl", lambda *args: LaurentPoly.one(), "25 pairs, 25 failures",
+    ),
+    "inversion-unstable": (
+        "ctx_a1", lambda ctx: check_inversion_identity(ctx, 2, 8),
+        "periodic_kl", _raising(StabilizationError("no agreement")), "no agreement",
+    ),
+    "rank-one-layers": (
+        "ctx_a1", lambda ctx: check_rank_one_oracle(ctx, 2, 8),
+        "loewy_layers", lambda ctx, w, **kw: GradedMultTable(StdLabel.make(ctx, "Z", w), {}),
+        'unexpected layers for w = {"w": [], "t": [0]}',
+    ),
+    "kl-oracle": (
+        "ctx_a2", lambda ctx: check_kl_oracle(ctx, 2),
+        "kl_basis_by_duality", lambda sys, w: {}, 'mismatch at w = {"w": [], "t": [0, 0]}',
+    ),
+    "bijection-count": (
+        "ctx_a2", check_bijections,
+        "restricted_element_for", lambda sys, m: waff_elements(sys, 0)[0], "wrong count",
+    ),
+    "bijection-image": (
+        "ctx_a2", check_bijections,
+        "is_restricted_elt", lambda ctx, x: False, "non-restricted image",
+    ),
+    "bijection-involution": (
+        "ctx_a2", check_bijections,
+        "rho_check_involution", lambda ctx, x: x * translation_elt(A2, A2.rho),
+        "not an involution",
+    ),
+    "bijection-length": (
+        "ctx_a2", check_bijections,
+        "rho_check_involution", lambda ctx, x: x, "length reversal fails",
+    ),
+    "character-total": (
+        "ctx_a2", lambda ctx: check_characters(ctx, seed=1),
+        "baby_verma_total_dim", lambda ctx, lam: 124, "124 != 125",
+    ),
+    "stabilization-refused": (
+        "ctx_a2", lambda ctx: check_stabilization(ctx, 3, 10),
+        "pkl_table", _raising(ConsistencyError("refused")), "refused",
+    ),
+    "galleries": (
+        "ctx_a2", lambda ctx: check_galleries(ctx, 3, 9, seed=2, targets=20),
+        "PeriodicWindow", _ConstantWindow, "values {LaurentPoly('1'), LaurentPoly('v^5')}",
+    ),
+    "translation-value": (
+        "ctx_a2", lambda ctx: check_translation_invariance(ctx, 2, 12, seed=3, triples=10),
+        "periodic_kl", lambda *args, calls=itertools.count(), **kw: LaurentPoly.gen(next(calls)),
+        "at (1, 1)",
+    ),
+    "translation-refused": (
+        "ctx_a2", lambda ctx: check_translation_invariance(ctx, 2, 12, seed=3, triples=10),
+        "periodic_kl", _raising(ConsistencyError("refused")), "refused",
+    ),
+    "negative-control": (
+        "ctx_a2", check_flipped_convention_fails,
+        "PeriodicWindow", lambda sys, radius, sign: _window(sys, radius),
+        "flipped convention unexpectedly satisfied the identity suite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_a_wrong_value_fails_the_check_with_its_detail(case, request, monkeypatch):
+    ctx_name, run, name, wrong, detail = FAILURES[case]
+    monkeypatch.setattr(verify, name, wrong)
+    result = run(request.getfixturevalue(ctx_name))
+    assert result.passed is False
+    assert result.detail == detail
