@@ -34,9 +34,10 @@ entry.  Every stored row is certified: its digits lie in [-2^32, 2^32),
 which one biased mask-AND per entry checks, and the |mu| one step
 subtracts sum to less than 2^31 - 3, so its digits are its coefficients
 (ResourceError otherwise); it is monic with every lower coefficient in
-vZ[v] (ConsistencyError otherwise).  Rows become ``LaurentPoly`` values
-only when returned.  ``canonical_step``, the same step on ``LaurentPoly``
-rows, is the reference the tests hold the packed step to.
+vZ[v] (ConsistencyError otherwise).  Entries become ``LaurentPoly``
+values only when read, by ``row`` (a row) or ``coefficient`` (one entry).
+``canonical_step``, the same step on ``LaurentPoly`` rows, is the
+reference the tests hold the packed step to.
 
 An element of the Hecke algebra, of the spherical module or of the
 periodic module is a dict from basis labels in W_aff to nonzero
@@ -276,16 +277,28 @@ class KLComputer:
                 return i
         return None
 
-    def row(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-        """The map y -> coefficient of y in the canonical element of w."""
+    def _top(self, w: ExtWeylElt, y: ExtWeylElt | None = None) -> int:
+        """The number of w, whose row is read (at y, which needs no check
+        here): the one label check of ``row`` and ``coefficient``."""
         sys = self.sys
         if not in_waff(sys, w):
             raise DomainError(f"{self.name} basis elements are indexed by W_aff")
         bound = self.codec.max_degree
         if length(sys, w) > bound:
             raise ResourceError(f"length {length(sys, w)} exceeds the configured bound {bound}")
-        unpack = self.codec.unpack
-        return {self.elts[y]: unpack(p) for y, p in self._row(self.number(w)).items()}
+        return self.number(w)
+
+    def row(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
+        """The map y -> coefficient of y in the canonical element of w."""
+        elts, unpack = self.elts, self.codec.unpack
+        return {elts[y]: unpack(p) for y, p in self._row(self._top(w)).items()}
+
+    def coefficient(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
+        """The entry of y in ``row(w)``, decoded alone.  y is never numbered:
+        the row of w numbers every label it holds, so no number reads 0."""
+        row = self._row(self._top(w, y))
+        p = row.get(self._number.get(y))
+        return _ZERO if p is None else self.codec.unpack(p)
 
     def _row(self, top: int) -> dict[int, int]:
         """The row of ``top``, made with every row it rests on.

@@ -7,10 +7,10 @@ differences and ``add_scaled`` (f + c v^e g) merge the two term tuples
 in one pass; a product with an integer or a monomial scales and shifts
 the terms; neither sorts.
 Values are immutable and hashable, so they can be used as dictionary
-entries everywhere else in the package: ``LaurentPoly`` is a plain
-``__slots__`` class whose attributes cannot be assigned or deleted.
-This module imports no other layer but ``errors``; a warm command-line
-run prints stored cells and does not execute it.
+entries everywhere else in the package: ``LaurentPoly`` is a
+``rootsys._Value`` on the one field ``terms``.  This module imports no
+other layer but ``errors`` and ``rootsys``; a warm command-line run
+prints stored cells and executes neither.
 
 ``PackedCodec`` packs a polynomial of v^-1 Z[v] into one integer, for
 the canonical-row kernel of ``hecke.KLComputer``.
@@ -21,9 +21,10 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import DomainError, ResourceError
+from .rootsys import _Value
 
 
-class LaurentPoly:
+class LaurentPoly(_Value):
     """An element of Z[v, v^-1].
 
     ``terms`` is a tuple of (exponent, coefficient) pairs, sorted by
@@ -40,27 +41,7 @@ class LaurentPoly:
     LaurentPoly('1 + v - 2*v^2')
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return LaurentPoly, (self.terms,)
+    __slots__ = _fields = ("terms",)
 
     # -- constructors ---------------------------------------------------
 
@@ -208,7 +189,7 @@ class LaurentPoly:
         return f"LaurentPoly('{self}')"
 
 
-_ZERO = LaurentPoly()
+_ZERO = LaurentPoly(())
 _ONE = LaurentPoly(((0, 1),))
 
 

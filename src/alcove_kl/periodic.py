@@ -18,7 +18,7 @@ the window seed the recursion as pure alcoves, and
 
 over the B in the support of E_A with Bs below B, where mu~(B, A) is
 the coefficient of v in p_{B,A}.  The packed step builds a row, and the
-rows it rests on, only when ``element`` or ``coefficient`` reads it, and
+rows it rests on, only when ``row`` or ``coefficient`` reads it, and
 certifies each: monic, lower coefficients in vZ[v], digits within the
 codec's bounds.  Terms leaving the window are truncated, and a row's
 truncation flag records whether it or a row it was built from lost one.
@@ -122,9 +122,18 @@ class PeriodicWindow(KLComputer):
     def descent(self, k: int) -> int | None:
         return super().descent(k) if self._drawn is None else self._drawn.get(k)
 
-    def element(self, w: ExtWeylElt) -> tuple[dict[ExtWeylElt, LaurentPoly], bool]:
-        """The row of E_{w(A+)}, keyed by label, and whether it was truncated."""
-        k = self.members.get(w)
+    def _top(self, w: ExtWeylElt, y: ExtWeylElt | None = None) -> int:
+        """The number of the member w, whose row is read (at the member y):
+        WindowError naming the radius that reaches a non-member, and
+        DomainError for a row outside W_aff, which no radius reaches."""
+        members = self.members
+        k = members.get(w)
+        if y is not None and (k is None or y not in members):
+            ly, lw = length(self.sys, y), length(self.sys, w)
+            raise WindowError(
+                f"pair {_words(self.sys, y=y, w=w)} of lengths ({ly}, {lw}) is out "
+                f"of reach of window radius {self.radius}; radius {max(ly, lw)} reaches it"
+            )
         if k is None:
             if not in_waff(self.sys, w):
                 raise DomainError("periodic basis elements are indexed by W_aff")
@@ -133,23 +142,7 @@ class PeriodicWindow(KLComputer):
                 f"element {_words(self.sys, w=w)} of length {lw} is outside the "
                 f"window of radius {self.radius}; radius {lw} reaches it"
             )
-        elts, unpack = self.elts, self.codec.unpack
-        return {elts[y]: unpack(p) for y, p in self._row(k).items()}, self.flags[k]
-
-    def row(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-        """The row of E_{w(A+)}, keyed by label; WindowError for a non-member."""
-        return self.element(w)[0]
-
-    def coefficient(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
-        kw, ky = self.members.get(w), self.members.get(y)
-        if kw is None or ky is None:
-            ly, lw = length(self.sys, y), length(self.sys, w)
-            raise WindowError(
-                f"pair {_words(self.sys, y=y, w=w)} of lengths ({ly}, {lw}) is out "
-                f"of reach of window radius {self.radius}; radius {max(ly, lw)} reaches it"
-            )
-        p = self._row(kw).get(ky)
-        return _ZERO if p is None else self.codec.unpack(p)
+        return k
 
 
 @lru_cache(maxsize=None)
@@ -267,9 +260,7 @@ def antispherical_kl(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPo
         t = step * t
     last = None
     while True:
-        # the row of tw numbers labels as it is built, so ty is looked up
-        # in the finished row
-        value = comp.row(t * w).get(t * y, _ZERO)
+        value = comp.coefficient(t * y, t * w)
         if value == last:
             return value
         last, t = value, step * t

@@ -18,13 +18,13 @@ baby Verma's weights, uncapped.  A box of more than ``_BOX_BOUND``
 weights is refused with ResourceError.
 
 The package's value classes are plain ``__slots__`` classes on the two
-bases defined here: ``_Value`` (frozen and hashable: weights, roots,
-root systems, contexts, elements, labels, table entries) and ``_Record``
-(mutable tables and check results).  A value class declares ``_fields``,
-from which the base builds its ``_key`` and, unless the class writes its
-own, its constructor.  ``laurent``, which reads no other layer, writes
-``LaurentPoly`` out the same way.  No module imports ``dataclasses``,
-whose import of ``inspect`` every command-line child would pay.
+bases defined here: ``_Value`` (frozen and hashable: polynomials,
+weights, roots, root systems, contexts, elements, labels, table entries)
+and ``_Record`` (mutable tables and check results).  A value class
+declares ``_fields``, from which the base builds its ``_key`` and, unless
+the class writes its own, its constructor.  This module imports no
+``laurent``, whose ``LaurentPoly`` is a ``_Value``.  No module imports
+``dataclasses``, whose import of ``inspect`` every child would pay.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ def test_window_lookups_name_the_smallest_radius():
     win = PeriodicWindow(A1, 2)
     inside, outside = from_word(A1, [0]), from_word(A1, [0, 1, 0])
     with pytest.raises(WindowError) as info:
-        win.element(outside)
+        win.row(outside)
     assert str(info.value) == (
         f"element {words(A1, w=outside)} of length 3 is outside the window "
         "of radius 2; radius 3 reaches it"
@@ -76,7 +76,9 @@ def test_window_row_reads_only_members():
     )
     assert far not in win.members
     for w in waff_elements(A2, 2):
-        assert win.row(w) == win.element(w)[0]
+        row = win.row(w)
+        stored = win.rows[win.members[w]]
+        assert row == {win.elts[y]: win.codec.unpack(p) for y, p in stored.items()}
     # no radius reaches a label outside W_aff
     with pytest.raises(DomainError, match="indexed by W_aff"):
         win.row(translation_elt(A2, Weight((1, 0))))

@@ -1,7 +1,7 @@
 """Periodic windows build their rows when a read asks for them.
 
 A ``PeriodicWindow`` is a ``KLComputer``: construction numbers the
-members, and ``element`` and ``coefficient`` make the rows they read, each
+members, and ``row`` and ``coefficient`` make the rows they read, each
 certified by the packed codec, with a driver that keeps its work on an
 explicit stack.
 """

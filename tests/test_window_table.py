@@ -89,10 +89,10 @@ def element_keyed_window(sys, radius, gallery_seed=None, sign=1):
 
 
 def by_element(win):
-    """The window's rows and flags, read through ``element`` for every
-    member."""
-    read = {w: win.element(w) for w in win.members}
-    return {w: row for w, (row, _) in read.items()}, {w: f for w, (_, f) in read.items()}
+    """The window's rows and flags, keyed by element: ``row`` read for
+    every member, then the flag of each member's number."""
+    rows = {w: win.row(w) for w in win.members}
+    return rows, {w: win.flags[k] for w, k in win.members.items()}
 
 
 def recorded_choices(monkeypatch, build):
@@ -138,8 +138,8 @@ def test_window_lookups_read_the_numbered_rows():
     win = PeriodicWindow(A2, 6)
     rows, flags = by_element(win)
     for w in waff_elements(A2, 3):
-        row, truncated = win.element(w)
-        assert truncated == flags[w]
+        row = win.row(w)
+        assert win.flags[win.members[w]] == flags[w]
         assert row == rows[w]
         for y in waff_elements(A2, 6):
             assert win.coefficient(y, w) == rows[w].get(y, LaurentPoly.zero())
