@@ -370,8 +370,10 @@ def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:
                 entries[key] = found
             elif cur.stabilized and found.stabilized and cur.poly != found.poly:
                 raise ConsistencyError(
-                    "translation invariance failed between two members of "
-                    "the same orbit"
+                    f"translation invariance failed at {_words(sys, y=y, w=w)}: it "
+                    f"reads {found.poly}, but its orbit, of representative "
+                    f"{_words(sys, y=key[0], w=key[1])}, holds {cur.poly}; both are "
+                    f"stable between radius {radius} and {radius + 1}"
                 )
             elif found.stabilized and not cur.stabilized:
                 entries[key] = found

@@ -6,12 +6,14 @@ combinatorics together; together they are the package's acceptance gate.
 All randomized checks take an explicit seed.  A failed identity is
 reported as a failed check; a pair out of reach of the radius is not a
 failure of the identity, and its WindowError propagates from every check.
-Details name elements by their ``elt_to_json`` words.
+Details name elements by their ``elt_to_json`` words, weights by their
+coordinates and values by ``str``.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .alcove import generic_height
 from .errors import ConsistencyError, StabilizationError
@@ -132,18 +134,20 @@ def check_bijections(ctx: ModularContext) -> CheckResult:
     """Restricted elements biject with the finite Weyl group; the rho-check
     map is a length-reversing involution on them."""
     sys = ctx.system
+    fail = partial(CheckResult, "restricted bijection", False)
     res = [restricted_element_for(sys, m) for m in weyl_group(sys)]
     if len(set(res)) != sys.weyl_order:
-        return CheckResult("restricted bijection", False, "wrong count")
+        x = max(res, key=res.count)
+        return fail(f"wrong count {len(set(res))}: {_words(sys, x=x)} is the image of {res.count(x)}")
     top = length(sys, translation_elt(sys, sys.rho) * w0_elt(sys))
     for x in res:
         if not is_restricted_elt(ctx, x):
-            return CheckResult("restricted bijection", False, "non-restricted image")
+            return fail(f"non-restricted image {_words(sys, x=x)}")
         y = rho_check_involution(ctx, x)
         if rho_check_involution(ctx, y) != x:
-            return CheckResult("restricted bijection", False, "not an involution")
+            return fail(f"not an involution at {_words(sys, x=x, y=y)}")
         if length(sys, y) != top - length(sys, x):
-            return CheckResult("restricted bijection", False, "length reversal fails")
+            return fail(f"length reversal fails at {_words(sys, x=x, y=y)}")
     return CheckResult("restricted bijection", True, f"{len(res)} elements")
 
 
@@ -169,7 +173,8 @@ def check_characters(ctx: ModularContext, seed: int) -> CheckResult:
         full = verma_weight_dim(ctx, lam, mu)
         d, coords = scaled_root_coords(sys, lam - mu)
         if baby > full or (baby != full and all(c < ctx.p * d for c in coords)):
-            return CheckResult("character totals", False, "weight table mismatch")
+            detail = f"weight table mismatch at lam = {lam}, mu = {mu}: {baby} vs Verma {full}"
+            return CheckResult("character totals", False, detail)
     return CheckResult("character totals", True, f"total {total}")
 
 
@@ -219,13 +224,14 @@ def check_galleries(
     rng.shuffle(pairs)
     checked = 0
     for y, w in pairs[:targets]:
-        vals = set()
+        vals = []
         for lo, hi in windows:
             first = lo.coefficient(y, w)
             if first == hi.coefficient(y, w):
-                vals.add(first)
-        if len(vals) > 1:
-            return CheckResult("gallery independence", False, f"values {vals}")
+                vals.append(first)
+        if len(set(vals)) > 1:
+            detail = f"default {vals[0]}, seeded gallery {vals[1]} at {_words(sys, y=y, w=w)}"
+            return CheckResult("gallery independence", False, detail)
         checked += 1
     return CheckResult("gallery independence", True, f"{checked} in-band targets")
 
@@ -247,7 +253,8 @@ def check_translation_invariance(
             base = periodic_kl(ctx, y, w, radius, normalize=False)
             moved = periodic_kl(ctx, t * y, t * w, radius, normalize=False)
             if base != moved:
-                return CheckResult("translation invariance", False, f"at {nu}")
+                detail = f"{base} at {_words(sys, y=y, w=w)}, but {moved} translated by {nu}"
+                return CheckResult("translation invariance", False, detail)
             done += 1
     except (ConsistencyError, StabilizationError) as exc:
         return CheckResult("translation invariance", False, str(exc))

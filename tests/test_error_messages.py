@@ -11,7 +11,7 @@ import json
 import pytest
 
 from alcove_kl.cli import main
-from alcove_kl.errors import DomainError, StabilizationError, WindowError
+from alcove_kl.errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from alcove_kl.periodic import PeriodicWindow, periodic_kl, pkl_table
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
 from alcove_kl.weylext import elt_to_json, from_word, length, translation_elt, waff_elements
@@ -90,6 +90,26 @@ def test_table_bound_beyond_the_radius_names_the_radius_that_reaches_it():
     assert str(info.value) == (
         "length bound 4 exceeds the window radius 3; radius 4 reaches it"
     )
+
+
+def test_orbit_disagreement_names_the_pair_its_representative_and_the_radius(tmp_path, capsys):
+    # at small radii two members of one orbit each stabilize, on different values
+    y, w = from_word(A2, [1, 2, 0, 1]), from_word(A2, [1, 0, 2, 0])
+    rep_y, rep_w = from_word(A2, [2, 1]), from_word(A2, [])
+    message = (
+        f"translation invariance failed at {words(A2, y=y, w=w)}: it reads 0, but "
+        f"its orbit, of representative {words(A2, y=rep_y, w=rep_w)}, holds v^2; "
+        "both are stable between radius 4 and 5"
+    )
+    with pytest.raises(ConsistencyError) as info:
+        pkl_table(CTX_A2, 4, 4)
+    assert str(info.value) == message
+    code = main([
+        "periodic", "--type", "A", "--rank", "2", "--p", "5", "--lmax", "4",
+        "--window", "4", "--cache-dir", str(tmp_path),
+    ])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err) == {"error": "identity", "message": message}
 
 
 def test_cli_keeps_exit_code_and_kind(tmp_path, capsys):

@@ -43,18 +43,24 @@ def test_individual_checks_a2(ctx_a2):
 
 
 @pytest.mark.parametrize(
-    "wrong",
+    "wrong,detail",
     [
-        lambda ctx, lam, mu: kostant_partition(ctx.system, lam - mu, bound=ctx.p - 2),
-        lambda ctx, lam, mu: verma_weight_dim(ctx, lam, mu) + 1,
+        (
+            lambda ctx, lam, mu: kostant_partition(ctx.system, lam - mu, bound=ctx.p - 2),
+            "weight table mismatch at lam = (-2, 1), mu = (0, -6): 1 vs Verma 2",
+        ),
+        (
+            lambda ctx, lam, mu: verma_weight_dim(ctx, lam, mu) + 1,
+            "weight table mismatch at lam = (-2, 1), mu = (6, 6): 1 vs Verma 0",
+        ),
     ],
     ids=["cap-too-low", "above-verma"],
 )
-def test_characters_check_fails_on_a_wrong_weight_table(ctx_a2, monkeypatch, wrong):
+def test_characters_check_fails_on_a_wrong_weight_table(ctx_a2, monkeypatch, wrong, detail):
     monkeypatch.setattr(verify, "baby_verma_weight_dim", wrong)
     result = check_characters(ctx_a2, seed=1)
     assert not result.passed
-    assert result.detail == "weight table mismatch"
+    assert result.detail == detail
 
 
 def test_bijections_other_rank_two_types():
@@ -167,20 +173,23 @@ FAILURES = {
     ),
     "bijection-count": (
         "ctx_a2", check_bijections,
-        "restricted_element_for", lambda sys, m: waff_elements(sys, 0)[0], "wrong count",
+        "restricted_element_for", lambda sys, m: waff_elements(sys, 0)[0],
+        'wrong count 1: x = {"w": [], "t": [0, 0]} is the image of 6',
     ),
     "bijection-image": (
         "ctx_a2", check_bijections,
-        "is_restricted_elt", lambda ctx, x: False, "non-restricted image",
+        "is_restricted_elt", lambda ctx, x: False,
+        'non-restricted image x = {"w": [1, 2], "t": [0, -1]}',
     ),
     "bijection-involution": (
         "ctx_a2", check_bijections,
         "rho_check_involution", lambda ctx, x: x * translation_elt(A2, A2.rho),
-        "not an involution",
+        'not an involution at x = {"w": [1, 2], "t": [0, -1]}, y = {"w": [1, 2], "t": [1, 0]}',
     ),
     "bijection-length": (
         "ctx_a2", check_bijections,
-        "rho_check_involution", lambda ctx, x: x, "length reversal fails",
+        "rho_check_involution", lambda ctx, x: x,
+        'length reversal fails at x = {"w": [1, 2], "t": [0, -1]}, y = {"w": [1, 2], "t": [0, -1]}',
     ),
     "character-total": (
         "ctx_a2", lambda ctx: check_characters(ctx, seed=1),
@@ -192,12 +201,13 @@ FAILURES = {
     ),
     "galleries": (
         "ctx_a2", lambda ctx: check_galleries(ctx, 3, 9, seed=2, targets=20),
-        "PeriodicWindow", _ConstantWindow, "values {LaurentPoly('1'), LaurentPoly('v^5')}",
+        "PeriodicWindow", _ConstantWindow,
+        'default 1, seeded gallery v^5 at y = {"w": [], "t": [0, 0]}, w = {"w": [], "t": [0, 0]}',
     ),
     "translation-value": (
         "ctx_a2", lambda ctx: check_translation_invariance(ctx, 2, 12, seed=3, triples=10),
         "periodic_kl", lambda *args, calls=itertools.count(), **kw: LaurentPoly.gen(next(calls)),
-        "at (1, 1)",
+        '1 at y = {"w": [2], "t": [0, 0]}, w = {"w": [2, 1], "t": [0, 0]}, but v translated by (1, 1)',
     ),
     "translation-refused": (
         "ctx_a2", lambda ctx: check_translation_invariance(ctx, 2, 12, seed=3, triples=10),
