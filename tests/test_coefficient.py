@@ -14,7 +14,6 @@ from alcove_kl.periodic import PeriodicWindow
 from alcove_kl.rootsys import build_root_system
 from alcove_kl.weylext import (
     from_word,
-    identity_elt,
     is_coset_maximal,
     is_coset_minimal,
     length,
