@@ -34,7 +34,9 @@ antispherical module instead (see there); no command reads it yet.
 
 Entries are stored once per translation orbit, keyed by the canonical
 pair obtained by writing w = t_nu u with u in the finite Weyl group and
-translating both labels by -nu.
+translating both labels by -nu.  A query context keeps the value it read
+for each canonical pair and radius (``_waff_kl``), so the Ext and Loewy
+queries of ``repcalc`` read each orbit once.
 
 Two safeguards wrap the raw recursion.  Pairs outside the two-sided
 support band (y below w, and w0 y below w0 check(w), the latter forced
@@ -60,7 +62,7 @@ from .alcove import generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from .hecke import KLComputer, antispherical_computer
 from .laurent import LaurentPoly
-from .rootsys import ModularContext, RootSystem, Weight, _Record, _Value
+from .rootsys import ModularContext, RootSystem, _Record, _Value
 from .weylext import (
     ExtWeylElt,
     check_for_system,
@@ -73,7 +75,7 @@ from .weylext import (
     length,
     restricted_element_for,
     shi_coords,
-    translation_elt,
+    translate,
     w0_elt,
     waff_elements,
     weyl_group,
@@ -157,18 +159,14 @@ def canonical_pair(
     in the finite Weyl group, giving the orbit representative
     (t_{-nu} y, u).
 
-    For w = u t_lam (so nu = u(lam)) and y = v t_mu the first label is
-    v t_{mu - (v^-1 u)(lam)}: one table lookup and one matrix-vector
-    product, with no group product formed.  Both labels must lie in
-    W_aff, which ``periodic_kl`` checks and its other callers know.
+    For w = u t_lam, -nu = -u(lam) is one matrix-vector product, and
+    ``translate`` forms t_{-nu} y from coordinates with another, so no
+    group product is formed.  Both labels must lie in W_aff, which
+    ``periodic_kl`` checks and its other callers know.
     """
-    g = y.group
-    m = g.mats[g.product(g.inv[y.fin], w.fin)]
     lam = w.translation.coords
-    shifted = Weight(tuple([
-        c - sum(map(mul, row, lam)) for row, c in zip(m, y.translation.coords)
-    ]))
-    return ExtWeylElt(y.fin, shifted, g), finite_elt(sys, w.fin)
+    neg_nu = tuple([-sum(map(mul, row, lam)) for row in w.group.mats[w.fin]])
+    return translate(neg_nu, y), finite_elt(sys, w.fin)
 
 
 @lru_cache(maxsize=None)
@@ -222,11 +220,19 @@ def periodic_kl(
 
 def _waff_kl(ctx: ModularContext, y: ExtWeylElt, w: ExtWeylElt, radius: int) -> LaurentPoly:
     """``periodic_kl`` of a pair whose labels the caller knows lie in
-    W_aff, read at its translation-canonical representative."""
+    W_aff, read at its translation-canonical representative.
+
+    The value is kept in the context's value memo (``ctx._values``) under
+    (canonical y, canonical w, radius), and a later read of any pair in
+    that orbit at that radius returns it.  A read that raises keeps
+    nothing, so it raises again."""
     sys = ctx.system
-    y, w = canonical_pair(sys, y, w)
-    _validate_conventions(sys)
-    return _coefficient_stabilized(sys, y, w, radius)
+    key = (*canonical_pair(sys, y, w), radius)
+    value = ctx._values.get(key)
+    if value is None:
+        _validate_conventions(sys)
+        value = ctx._values[key] = _coefficient_stabilized(sys, *key)
+    return value
 
 
 def _read(
@@ -248,22 +254,25 @@ def antispherical_kl(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPo
     antispherical canonical basis (``hecke.antispherical_computer``).  The
     depth n starts at the first one at which ty and tw are both
     coset-minimal and grows until two successive depths agree; the
-    computer's length bound raises ResourceError when it runs out.  No
-    command reads this route yet.
+    computer's length bound raises ResourceError when it runs out.  Each
+    depth translates the labels of the last by t_{2 rho} from coordinates
+    (``translate``), so no group product is formed.  No command reads
+    this route yet.
     """
     if not (in_waff(sys, y) and in_waff(sys, w)):
         raise DomainError("periodic polynomials are indexed by W_aff pairs")
     comp = antispherical_computer(sys)
-    step = translation_elt(sys, Weight((2,) * sys.rank))  # t_{2 rho}
-    t = step
-    while not (is_coset_minimal(sys, t * y) and is_coset_minimal(sys, t * w)):
-        t = step * t
+    two_rho = (2,) * sys.rank
+    ty, tw = translate(two_rho, y), translate(two_rho, w)
+    while not (is_coset_minimal(sys, ty) and is_coset_minimal(sys, tw)):
+        ty, tw = translate(two_rho, ty), translate(two_rho, tw)
     last = None
     while True:
-        value = comp.coefficient(t * y, t * w)
+        value = comp.coefficient(ty, tw)
         if value == last:
             return value
-        last, t = value, step * t
+        last = value
+        ty, tw = translate(two_rho, ty), translate(two_rho, tw)
 
 
 def _coefficient_stabilized(

@@ -34,6 +34,7 @@ from .weylext import (
     restricted_element_for,
     restricted_shift,
     w0_elt,
+    w0_waff_elements,
     waff_elements,
 )
 
@@ -110,7 +111,10 @@ def loewy_layers(
     coefficient of p_{w0 w, w0 y}; by the grading comparison this is
     also the degree table of the graded baby Verma.  ``bound`` limits
     the length of the candidate labels y; it must reach w itself, whose
-    simple is the head, and ResourceError is raised otherwise.
+    simple is the head, and ResourceError is raised otherwise.  The
+    candidates are read with w0 y already formed, from one list per
+    system and bound (``weylext.w0_waff_elements``), so a table forms
+    only w0 w.
 
     A table is built once per context and (w, bound, radius), with
     ``radius=None`` meaning the default radius: once it has passed the
@@ -140,11 +144,10 @@ def _build_loewy_layers(
     ctx: ModularContext, w: ExtWeylElt, bound: int, rad: int
 ) -> GradedMultTable:
     sys = ctx.system
-    w0 = w0_elt(sys)
-    w0w = w0 * w
+    w0w = w0_elt(sys) * w
     entries: dict[tuple[StdLabel, int], int] = {}
-    for y in waff_elements(sys, bound):
-        p = _waff_kl(ctx, w0w, w0 * y, rad)  # w, w0 and y lie in W_aff
+    for w0y, y in w0_waff_elements(sys, bound):
+        p = _waff_kl(ctx, w0w, w0y, rad)  # w, w0 and y lie in W_aff
         if p.is_zero:
             continue
         label = StdLabel.make(ctx, "L", y)

@@ -73,19 +73,37 @@ class _Record:
         super().__init_subclass__(**kwargs)
         # an attrgetter reads the fields in C; it binds to no instance,
         # so it is called with the instance as its argument
-        if len(cls._fields) > 1:
-            cls._key = attrgetter(*cls._fields)
-        elif cls._fields:
-            get = attrgetter(cls._fields[0])
+        fields = cls._fields
+        if len(fields) > 1:
+            cls._key = attrgetter(*fields)
+        elif fields:
+            get = attrgetter(fields[0])
             cls._key = staticmethod(lambda x: (get(x),))
-        if cls._fields and "__init__" not in vars(cls):
-            # compiled, as namedtuple's is: a loop over _fields is several
-            # times slower, and every group product builds a Weight
-            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+        # compiled, as namedtuple's methods are: a loop over _fields is
+        # several times slower, every group product builds a Weight, and
+        # a one-field key builds a 1-tuple on each comparison
+        code = {}
+        if fields and "__init__" not in vars(cls):
+            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+            code["__init__"] = f"def __init__(self, {', '.join(fields)}):{body}"
+        if len(fields) == 1:
+            (f,) = fields
+            if "__eq__" not in vars(cls):
+                code["__eq__"] = (
+                    "def __eq__(self, other):\n"
+                    "    if other.__class__ is not self.__class__:\n"
+                    "        return NotImplemented\n"
+                    f"    return self.{f} == other.{f}"
+                )
+            if cls.__hash__ is not None and "__hash__" not in vars(cls):
+                # the hash of the 1-tuple, as the key's, so no order moves
+                code["__hash__"] = f"def __hash__(self):\n    return hash((self.{f},))"
+        for name, source in code.items():
             namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
-            exec(f"def __init__(self, {', '.join(cls._fields)}):{body}", namespace)
-            cls.__init__ = namespace["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            exec(source, namespace)
+            method = namespace[name]
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -227,14 +245,18 @@ class RootSystem(_Value):
 class ModularContext(_Value):
     """A root system together with a prime p > h.
 
-    One context serves a query session: it holds a private memo of the
-    tables the query layer has finished (``repcalc.loewy_layers``), so
-    reusing it spares their rebuilding.  The memo is not part of the
-    value: equal contexts compare and hash equal and print alike, and
-    no value returned through a context depends on its memo.
+    One context serves a query session.  It holds two private memos, so
+    that reusing it spares rebuilding what it has read: ``_memo`` holds
+    the tables the query layer has finished (``repcalc.loewy_layers``),
+    keyed by their arguments, and ``_values`` the periodic coefficients
+    that ``periodic._waff_kl`` has returned, keyed by (canonical y,
+    canonical w, radius).  Neither memo is part of the value: equal
+    contexts compare and hash equal and print alike, they share no memo,
+    a pickled context carries none, and no value returned through a
+    context depends on its memos.
     """
 
-    __slots__ = ("system", "p", "_memo")
+    __slots__ = ("system", "p", "_memo", "_values")
     _fields = ("system", "p")
 
     def __init__(self, system: RootSystem, p: int):
@@ -248,6 +270,7 @@ class ModularContext(_Value):
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_values", {})
 
 
 def default_radius(sys: RootSystem) -> int:

@@ -37,6 +37,7 @@ from .weylext import (
     rho_check_involution,
     translation_elt,
     w0_elt,
+    w0_waff_elements,
     waff_elements,
     weyl_group,
 )
@@ -77,12 +78,12 @@ def check_inversion_identity(ctx: ModularContext, bound: int, radius: int) -> Ch
     shift = LaurentPoly.gen(length(sys, w0))
     pairs = fails = 0
     try:
-        elements = waff_elements(sys, bound)
-        for w in elements:
-            wv = check(ctx, w)
-            for y in elements:
+        pairs_w0 = w0_waff_elements(sys, bound)
+        for w in waff_elements(sys, bound):
+            w0wv = w0 * check(ctx, w)
+            for w0y, y in pairs_w0:
                 pairs += 1
-                lhs = shift * periodic_kl(ctx, w0 * y, w0 * wv, radius).bar()
+                lhs = shift * periodic_kl(ctx, w0y, w0wv, radius).bar()
                 if lhs != periodic_kl(ctx, y, w, radius):
                     fails += 1
     except (ConsistencyError, StabilizationError) as exc:

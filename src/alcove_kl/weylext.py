@@ -27,7 +27,10 @@ The factorizations of an element that the engine needs are read off its
 coordinates rather than searched for with products: x = t_nu w_res, with
 w_res the restricted element sharing x's finite part
 (``restricted_shift``, used by the check involution); and x = t_nu u
-with u finite (u is x's finite part and nu = u(lam)).  Omega holds plain
+with u finite (u is x's finite part and nu = u(lam)).  A translate t_lam x
+is formed from coordinates too (``translate``), and the check involution
+and the translation-canonical pairs of ``periodic`` read it so, with no
+group product.  Omega holds plain
 elements, one per class of X modulo the root lattice, descended from t_0 and from t_omega for the minuscule
 fundamental weights omega.
 """
@@ -35,7 +38,7 @@ fundamental weights omega.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 from .errors import DomainError
 from .rootsys import (
@@ -265,6 +268,21 @@ def simple_reflection(sys: RootSystem, i: int) -> ExtWeylElt:
     return ExtWeylElt(g.simples[i - 1], Weight.zero(sys.rank), g)
 
 
+def translate(lam: tuple[int, ...], x: ExtWeylElt) -> ExtWeylElt:
+    """t_lam x, read off coordinates: for x = v t_mu it is
+    v t_{v^-1(lam) + mu}, one matrix-vector product with the table's
+    matrix of v^-1.  No group product is formed."""
+    g = x.group
+    return ExtWeylElt(
+        x.fin,
+        Weight(tuple([
+            sum(map(mul, row, lam)) + m
+            for row, m in zip(g.mats[g.inv[x.fin]], x.translation.coords)
+        ])),
+        g,
+    )
+
+
 def gen_indices(sys: RootSystem) -> range:
     """Indices of S_aff: 0 (affine) followed by 1..rank."""
     return range(sys.rank + 1)
@@ -473,6 +491,17 @@ def waff_elements(sys: RootSystem, length_bound: int) -> tuple[ExtWeylElt, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def w0_waff_elements(
+    sys: RootSystem, length_bound: int
+) -> tuple[tuple[ExtWeylElt, ExtWeylElt], ...]:
+    """The pairs (w0 y, y) for y in ``waff_elements(sys, length_bound)``,
+    in its order, memoized beside it: w0 y is formed once per (system,
+    bound), not once for each table that reads the pairs."""
+    w0 = w0_elt(sys)
+    return tuple([(w0 * y, y) for y in waff_elements(sys, length_bound)])
+
+
 def elt_key(sys: RootSystem, x: ExtWeylElt):
     """Deterministic sort key: length, then canonical serialization."""
     return (length(sys, x), finite_word(sys, x.fin), x.translation.coords)
@@ -512,15 +541,27 @@ def is_restricted_elt(ctx: ModularContext, x: ExtWeylElt) -> bool:
 def restricted_shift(sys: RootSystem, x: ExtWeylElt) -> Weight:
     """The nu with x = t_nu w_res, w_res the restricted element sharing
     x's finite part: for x = w t_lam and w_res = w t_mu it is w(lam - mu)."""
-    w_res = restricted_element_for(sys, x.fin)
-    return x.finite_apply(x.translation - w_res.translation)
+    mu = restricted_element_for(sys, x.fin).translation.coords
+    return Weight(_mat_vec(x.group.mats[x.fin], tuple(map(sub, x.translation.coords, mu))))
+
+
+@lru_cache(maxsize=None)
+def _w0_restricted(sys: RootSystem, m: int) -> ExtWeylElt:
+    """w0 w for the restricted element w = m t_mu with finite part m:
+    (w0 m) t_mu, one finite-table product."""
+    g = finite_group(sys)
+    return ExtWeylElt(
+        g.product(w0_elt(sys).fin, m), restricted_element_for(sys, m).translation, g
+    )
 
 
 def check_for_system(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
     """The permutation x = t_nu w  ->  t_nu w0 w, where w is the
-    restricted element sharing x's finite part (p-independent for p > h)."""
-    t_part = translation_elt(sys, restricted_shift(sys, x))
-    return t_part * w0_elt(sys) * restricted_element_for(sys, x.fin)
+    restricted element sharing x's finite part (p-independent for p > h).
+
+    w0 w is read from a table per finite part, and t_nu is applied to
+    it from coordinates (``translate``), so no group product is formed."""
+    return translate(restricted_shift(sys, x).coords, _w0_restricted(sys, x.fin))
 
 
 def check(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:

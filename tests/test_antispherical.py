@@ -20,6 +20,7 @@ from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import PeriodicWindow, antispherical_kl, in_support_band
 from alcove_kl.rootsys import Weight, build_root_system
 from alcove_kl.weylext import (
+    ExtWeylElt,
     check_for_system,
     from_word,
     identity_elt,
@@ -163,6 +164,21 @@ def test_a2_values_match_every_stabilized_window_value():
     pinned = {(_elt(sys, y), _elt(sys, w)): p for (y, w), p in BAND_ZEROED.items()}
     assert band_zeroed == pinned
     assert all(small.coefficient(y, w) == large.coefficient(y, w) for y, w in pinned)
+
+
+def test_a_warm_read_forms_no_product(monkeypatch):
+    """Each depth translates the labels from coordinates, so once the
+    computer holds the rows a read forms no group product, and the
+    band-zeroed pairs keep their pinned values."""
+    sys = SYSTEMS["A2"]
+    pairs = [(_elt(sys, y), _elt(sys, w)) for y, w in BAND_ZEROED]
+    for y, w in pairs:
+        antispherical_kl(sys, y, w)
+    calls, mul = [], ExtWeylElt.__mul__
+    monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    values = [str(antispherical_kl(sys, y, w)) for y, w in pairs]
+    assert len(pairs) == 28 and values == list(BAND_ZEROED.values())
+    assert calls == []
 
 
 def test_the_ext_example_pair_reads_v_at_every_depth():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from functools import partial
 
@@ -31,6 +32,7 @@ from alcove_kl.weylext import (
 )
 from conftest import dihedral_element
 
+A2, B2 = build_root_system("A", 2), build_root_system("B", 2)
 V = LaurentPoly.gen()
 VINV = LaurentPoly.gen(-1)
 ONE = LaurentPoly.one()
@@ -328,3 +330,58 @@ def test_periodic_kl_refuses_omega_labels_outside_waff():
                 for normalize in (True, False):
                     with pytest.raises(DomainError):
                         periodic_kl(ctx, y, w, radius=8, normalize=normalize)
+
+
+# -- the value memo ---------------------------------------------------------------
+
+
+def test_a_memoized_value_equals_a_fresh_contexts_value(a2, monkeypatch):
+    ctx = ModularContext(a2, 5)
+    elements = waff_elements(a2, 3)
+    first = {(y, w): periodic_kl(ctx, y, w, 13) for w in elements for y in elements}
+    canonical = {canonical_pair(a2, y, w) for y, w in first}
+    assert set(ctx._values) == {(y, w, 13) for y, w in canonical}
+    # a second read of every pair reads no window
+    reads, read = [], periodic._read
+    monkeypatch.setattr(periodic, "_read", lambda *args: reads.append(args) or read(*args))
+    again = {pair: periodic_kl(ctx, *pair, 13) for pair in first}
+    assert reads == [] and again == first
+    monkeypatch.undo()
+    fresh = ModularContext(a2, 5)
+    assert all(periodic_kl(fresh, y, w, 13) == value for (y, w), value in first.items())
+
+
+def test_equal_contexts_do_not_share_the_value_memo_and_a_pickle_has_none(a2):
+    ctx, other = ModularContext(a2, 5), ModularContext(a2, 5)
+    e = identity_elt(a2)
+    assert periodic_kl(ctx, e, e, 13) == ONE
+    assert ctx == other and len(ctx._values) == 1 and other._values == {}
+    clone = pickle.loads(pickle.dumps(ctx))
+    assert clone == ctx and clone._values == {} and clone._memo == {}
+
+
+def test_raw_reads_bypass_the_value_memo(a2):
+    ctx = ModularContext(a2, 5)
+    y, w = from_word(a2, [1, 0]), from_word(a2, [0])
+    periodic_kl(ctx, y, w, 13, normalize=False)
+    pkl_table(ctx, length_bound=2, radius=13)
+    assert ctx._values == {}
+
+
+RAISING_READS = {
+    # the error test's pair, unstable between radius 4 and 5
+    "small radius": (A2, from_word(A2, [2]), identity_elt(A2), 4, StabilizationError),
+    # its canonical column w0 is longer than the radius
+    "out of reach": (A2, w0_elt(A2), w0_elt(A2), 2, WindowError),
+    "B2 gate": (B2, identity_elt(B2), identity_elt(B2), 10, ConsistencyError),
+}
+
+
+@pytest.mark.parametrize("case", RAISING_READS)
+def test_a_read_that_raises_memoizes_nothing_and_raises_again(case):
+    sys, y, w, radius, error = RAISING_READS[case]
+    ctx = ModularContext(sys, 5)
+    for _ in range(2):
+        with pytest.raises(error):
+            periodic_kl(ctx, y, w, radius)
+        assert ctx._values == {}

@@ -148,8 +148,9 @@ def test_socle_degree_check_routes_rank_two(ctx_a2):
 
 
 def test_loewy_layers_forms_one_product_per_candidate(ctx_a2, monkeypatch):
-    # with the enumeration and the windows warm, a table forms w0 y for
-    # each candidate y and w0 w once
+    # with the enumeration and the windows warm, a table forms w0 w once:
+    # it reads w0 y for each candidate y from the list kept beside the
+    # enumeration, which forms it once per bound
     sys = ctx_a2.system
     w = from_word(sys, [1, 2])
     loewy_layers(ctx_a2, w, bound=9, radius=13)
@@ -160,6 +161,15 @@ def test_loewy_layers_forms_one_product_per_candidate(ctx_a2, monkeypatch):
     monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
     loewy_layers(fresh, w, bound=9, radius=13)
     assert 0 < len(calls) <= candidates + 1
+
+
+def test_a_second_table_of_one_bound_forms_one_product(a2, monkeypatch):
+    ctx = ModularContext(a2, 5)
+    w = from_word(a2, [0, 1])
+    loewy_layers(ctx, from_word(a2, [1, 2]), bound=9, radius=13)
+    calls = _count_work(monkeypatch)
+    loewy_layers(ctx, w, bound=9, radius=13)  # w0 w, and no w0 y
+    assert calls == {"mul": 1, "_waff_kl": len(waff_elements(a2, 9))}
 
 
 def test_loewy_layers_checks_w_aff_once_per_table(ctx_a2, monkeypatch):

@@ -159,10 +159,27 @@ def test_the_root_system_and_element_hashes_read_their_keys():
     assert hash(x) == hash((x.fin, x.translation.coords))
 
 
+@pytest.mark.parametrize("name", ["LaurentPoly", "Weight"])
+def test_a_one_field_value_compares_and_hashes_by_compiled_methods(name):
+    make, other, _, (field,) = FROZEN[name]
+    cls = type(make())
+    # compiled, as the constructor is, rather than read through the key
+    for method in ("__eq__", "__hash__"):
+        assert vars(cls)[method].__code__.co_filename == "<string>"
+    values = [make(), other(), make()]
+    keys = [(getattr(x, field),) for x in values]
+    assert [hash(x) for x in values] == [hash(k) for k in keys]
+    # so a set of values iterates in the order of the set of 1-tuples
+    assert [(getattr(x, field),) for x in set(values)] == list(set(keys))
+    assert values[0].__eq__(getattr(values[0], field)) is NotImplemented
+
+
 def test_the_context_memo_and_the_element_table_are_not_part_of_the_value():
     ctx = ModularContext(A1, 5)
     ctx._memo["key"] = "table"
+    ctx._values["key"] = "value"
     assert ctx == ModularContext(A1, 5) and "_memo" not in repr(ctx)
+    assert "_values" not in repr(ctx)
     assert hash(ctx) == hash(ModularContext(A1, 5))
     x = from_word(A1, [0, 1])
     assert "group" not in repr(x) and copy.copy(x).group is x.group

@@ -6,7 +6,9 @@ import pytest
 from alcove_kl.errors import DomainError
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system, is_restricted
 from alcove_kl.weylext import (
+    ExtWeylElt,
     check,
+    check_for_system,
     dot_action,
     elt_from_json,
     elt_to_json,
@@ -19,8 +21,10 @@ from alcove_kl.weylext import (
     omega_group,
     reduced_word,
     restricted_element_for,
+    restricted_shift,
     rho_check_involution,
     simple_reflection,
+    translate,
     translation_elt,
     w0_elt,
     waff_elements,
@@ -249,6 +253,36 @@ def test_check_is_permutation_small_window():
     elts = waff_elements(A2, 4)
     images = [check(CTX_A2, x) for x in elts]
     assert len(set(images)) == len(elts)
+
+
+# -- labels from coordinates ------------------------------------------------------
+
+LABEL_SYSTEMS = {"A1": A1, "A2": A2, "B2": B2, "G2": G2, "A3": build_root_system("A", 3)}
+# the number of restricted elements outside W_aff: 4 of 6 in A2
+RESTRICTED_OUTSIDE = {"A1": 1, "A2": 4, "B2": 4, "G2": 0, "A3": 18}
+
+
+@pytest.mark.parametrize("name", LABEL_SYSTEMS)
+def test_labels_from_coordinates_equal_the_product_formulas(name, monkeypatch):
+    sys = LABEL_SYSTEMS[name]
+    restricted = [restricted_element_for(sys, m) for m in weyl_group(sys)]
+    outside = [x for x in restricted if not in_waff(sys, x)]
+    assert len(outside) == RESTRICTED_OUTSIDE[name]
+    labels = [*waff_elements(sys, 6), *outside]
+    w0 = w0_elt(sys)
+    rank = sys.rank
+    lams = [sys.rho * 2, Weight((-1,) + (0,) * (rank - 1)), Weight(tuple(range(rank)))]
+    translated = [translation_elt(sys, lam) * x for lam in lams for x in labels]
+    # x = t_nu w_res defines the shift nu, and check(x) = t_nu w0 w_res
+    t_nu = [translation_elt(sys, restricted_shift(sys, x)) for x in labels]
+    w_res = [restricted_element_for(sys, x.fin) for x in labels]
+    assert [t * w for t, w in zip(t_nu, w_res)] == labels
+    checked = [t * w0 * w for t, w in zip(t_nu, w_res)]
+    calls, mul = [], ExtWeylElt.__mul__
+    monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert [translate(lam.coords, x) for lam in lams for x in labels] == translated
+    assert [check_for_system(sys, x) for x in labels] == checked
+    assert calls == []
 
 
 def test_rho_check_involution_a1():
