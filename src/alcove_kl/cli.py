@@ -1,13 +1,12 @@
 """Command-line interface: compute, cache, export, verify.
 
-Exit codes: 0 success, 2 configuration error, 3 stabilization failure,
-exceeded bound (window radius, element length, weight box) or an order
-query undecided within its radius, 4 identity-suite failure,
-141 (``CLOSED_STDOUT``, quietly) stdout closed before the output was
-written, as by ``| head -1``.  Other errors, usage errors included,
-are emitted as a JSON object on stderr, of the kind ``_EXITS`` gives.
-Every command takes --type (a letter A..G, in either case), --rank and
---cache-dir, and of the other common flags (--p, --window, --lmax,
+Exit codes: 0 success, 2 configuration error, 3 stabilization failure or
+exceeded bound (window radius, element length, weight box), 4
+identity-suite failure, 141 (``CLOSED_STDOUT``, quietly) stdout closed
+before the output was written, as by ``| head -1``.  Other errors,
+usage errors included, are emitted as a JSON object on stderr, of the
+kind ``_EXITS`` gives.  Every command takes --type (a letter A..G, in
+either case), --rank and --cache-dir, and of the other common flags (--p, --window, --lmax,
 --format, --seed) only those it reads; any other flag is a usage error,
 and so is a missing --type, --rank or --p.  A window radius out of
 reach exits 3 from every command, verify included.  Output is
@@ -42,7 +41,6 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     DomainError,
-    IndeterminateError,
     ResourceError,
     StabilizationError,
 )
@@ -374,7 +372,6 @@ _EXITS = (
     (DomainError, 2, "config"),
     (StabilizationError, 3, "stabilization"),
     (ResourceError, 3, "bound"),
-    (IndeterminateError, 3, "indeterminate"),
     (ConsistencyError, 4, "identity"),
 )
 

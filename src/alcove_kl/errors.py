@@ -3,8 +3,8 @@
 The CLI maps these to exit codes, each with a JSON error object on
 stderr whose "error" kind is given in brackets: ConfigError and
 DomainError -> 2 ("config"); StabilizationError -> 3 ("stabilization"),
-ResourceError and its subclass WindowError -> 3 ("bound"),
-IndeterminateError -> 3 ("indeterminate"); ConsistencyError -> 4 ("identity").
+ResourceError and its subclass WindowError -> 3 ("bound");
+ConsistencyError -> 4 ("identity").
 """
 
 
@@ -31,7 +31,3 @@ class StabilizationError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """An internal identity failed; carries a convention diagnostic."""
-
-
-class IndeterminateError(RuntimeError):
-    """A bounded order query could not be decided within its radius."""

@@ -41,13 +41,13 @@ queries of ``repcalc`` read each orbit once.
 Two safeguards wrap the raw recursion.  Pairs outside the two-sided
 support band (y below w, and w0 y below w0 check(w), the latter forced
 by the length-reversing inversion identity) are certified zero without
-any window work, by one componentwise comparison of Shi coordinates;
-the test is memoized per pair, because the Ext and Loewy queries of
-``repcalc`` ask for the same pairs again and again.  And an identity
-gate evaluates the socle coefficient p_{w0 x, w0 check(x)} = v^{l(w0)}
-once per root system, refusing to emit any value where the recursion
-does not reproduce it; the gate passes in types A1 and A2, while
-elsewhere (B2, G2, A3, ...) the pure-alcove seeding converges to a wrong
+any window work, by one componentwise comparison of Shi coordinates; a
+repeated query meets the context's value memo before it reaches the
+band.  And an identity gate evaluates the socle coefficient
+p_{w0 x, w0 check(x)} = v^{l(w0)} over ``weylext.socle_pairs`` once per
+root system, refusing to emit any value where the recursion does not
+reproduce it; the gate passes in types A1 and A2, while elsewhere (B2,
+G2, A3, ...) the pure-alcove seeding converges to a wrong
 self-consistent family and the gate withholds all values.
 """
 
@@ -73,12 +73,11 @@ from .weylext import (
     in_waff,
     is_coset_minimal,
     length,
-    restricted_element_for,
     shi_coords,
+    socle_pairs,
     translate,
     w0_elt,
     waff_elements,
-    weyl_group,
 )
 
 _ZERO = LaurentPoly.zero()
@@ -169,7 +168,6 @@ def canonical_pair(
     return translate(neg_nu, y), finite_elt(sys, w.fin)
 
 
-@lru_cache(maxsize=None)
 def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
     """Necessary condition for p_{y,w} to be nonzero: the componentwise
     test k(check(w)) <= k(y) <= k(w) on Shi coordinates.
@@ -187,7 +185,7 @@ def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
     ky = shi_coords(sys, y.fin, y.translation)
     if not all(map(le, ky, shi_coords(sys, w.fin, w.translation))):
         return False
-    # check(w) costs two products, so it is formed only for y below w
+    # check(w) is formed only for y below w
     wv = check_for_system(sys, w)
     return all(map(le, shi_coords(sys, wv.fin, wv.translation), ky))
 
@@ -308,20 +306,15 @@ def _gate_passes(sys: RootSystem) -> bool:
     """The built-in identity gate, run once per root system.
 
     The gate checks the diagonal normalization and the monomial identity
-    p_{w0 x, w0 check(x)} = v^{l(w0)} on every restricted element of the
-    Coxeter subgroup whose pair fits in a validation window of radius
-    ``_gate_radius``; on failure the module refuses to hand out values,
-    reporting the conventions in force.
+    p_{w0 x, w0 check(x)} = v^{l(w0)} on every triple of ``socle_pairs``
+    whose pair fits in a validation window of radius ``_gate_radius``;
+    on failure the module refuses to hand out values, reporting the
+    conventions in force.
     """
-    w0 = w0_elt(sys)
-    lw0 = length(sys, w0)
+    lw0 = length(sys, w0_elt(sys))
     rad = _gate_radius(sys)
     try:
-        for m in weyl_group(sys):
-            x = restricted_element_for(sys, m)
-            if not in_waff(sys, x):
-                continue
-            lhs, rhs = w0 * x, w0 * check_for_system(sys, x)
+        for x, lhs, rhs in socle_pairs(sys):
             if max(length(sys, lhs), length(sys, rhs)) > rad:
                 continue
             if _coefficient_stabilized(sys, lhs, rhs, rad) != LaurentPoly.gen(lw0):

@@ -19,7 +19,7 @@ from .alcove import generic_height
 from .errors import ConsistencyError, StabilizationError
 from .hecke import kl_basis, kl_basis_by_duality
 from .laurent import LaurentPoly
-from .periodic import PeriodicWindow, _gate_radius, _window, _words, in_support_band, periodic_kl, pkl_table
+from .periodic import PeriodicWindow, _gate_radius, _waff_kl, _window, _words, in_support_band, periodic_kl, pkl_table
 from .repcalc import (
     StdLabel,
     baby_verma_total_dim,
@@ -30,11 +30,11 @@ from .repcalc import (
 from .rootsys import ModularContext, Weight, _Record, scaled_root_coords
 from .weylext import (
     check,
-    in_waff,
     is_restricted_elt,
     length,
     restricted_element_for,
     rho_check_involution,
+    socle_pairs,
     translation_elt,
     w0_elt,
     w0_waff_elements,
@@ -50,16 +50,14 @@ class CheckResult(_Record):
 def check_monomial_identity(ctx: ModularContext, bound: int, radius: int) -> CheckResult:
     """p_{w0 x, w0 check(x)} = v^{l(w0)} on restricted Coxeter elements."""
     sys = ctx.system
-    w0 = w0_elt(sys)
-    expected = LaurentPoly.gen(length(sys, w0))
+    expected = LaurentPoly.gen(length(sys, w0_elt(sys)))
     tested = 0
     try:
-        for m in weyl_group(sys):
-            x = restricted_element_for(sys, m)
-            if not in_waff(sys, x) or length(sys, x) > bound:
+        for x, lhs, rhs in socle_pairs(sys):
+            if length(sys, x) > bound:
                 continue
             tested += 1
-            got = periodic_kl(ctx, w0 * x, w0 * check(ctx, x), radius)
+            got = periodic_kl(ctx, lhs, rhs, radius)
             if got != expected:
                 return CheckResult(
                     "monomial identity",
@@ -72,7 +70,11 @@ def check_monomial_identity(ctx: ModularContext, bound: int, radius: int) -> Che
 
 
 def check_inversion_identity(ctx: ModularContext, bound: int, radius: int) -> CheckResult:
-    """v^{l(w0)} p_{w0 y, w0 check(w)}(v^-1) = p_{y,w} on all pairs in range."""
+    """v^{l(w0)} p_{w0 y, w0 check(w)}(v^-1) = p_{y,w} on all pairs in range.
+
+    Every label lies in W_aff: y and w0 y come from ``waff_elements`` and
+    ``w0_waff_elements``, and w0 check(w) lies in W_aff with w.  So the
+    values are read through ``_waff_kl``, without ``periodic_kl``'s test."""
     sys = ctx.system
     w0 = w0_elt(sys)
     shift = LaurentPoly.gen(length(sys, w0))
@@ -83,8 +85,8 @@ def check_inversion_identity(ctx: ModularContext, bound: int, radius: int) -> Ch
             w0wv = w0 * check(ctx, w)
             for w0y, y in pairs_w0:
                 pairs += 1
-                lhs = shift * periodic_kl(ctx, w0y, w0wv, radius).bar()
-                if lhs != periodic_kl(ctx, y, w, radius):
+                lhs = shift * _waff_kl(ctx, w0y, w0wv, radius).bar()
+                if lhs != _waff_kl(ctx, y, w, radius):
                     fails += 1
     except (ConsistencyError, StabilizationError) as exc:
         return CheckResult("inversion identity", False, str(exc))

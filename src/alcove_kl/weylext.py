@@ -21,7 +21,7 @@ On top of the group structure this module provides Shi's alcove
 coordinates, with the length function and the test for maximality in a
 finite coset read off them, the p-dilated dot-action, the finite group
 Omega of length-zero elements, and the restricted elements with the
-check involution.
+check involution and the identity gate's ``socle_pairs``.
 
 The factorizations of an element that the engine needs are read off its
 coordinates rather than searched for with products: x = t_nu w_res, with
@@ -566,6 +566,15 @@ def check_for_system(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
 
 def check(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:
     return check_for_system(ctx.system, x)
+
+
+def socle_pairs(sys: RootSystem) -> list[tuple[ExtWeylElt, ExtWeylElt, ExtWeylElt]]:
+    """(x, w0 x, w0 check(x)) for each restricted x in W_aff, in
+    ``weyl_group`` order: x is the diagonal pair (x, x), and the other two
+    the pair whose coefficient is the socle monomial v^{l(w0)}."""
+    w0 = w0_elt(sys)
+    xs = [restricted_element_for(sys, m) for m in weyl_group(sys)]
+    return [(x, w0 * x, w0 * check_for_system(sys, x)) for x in xs if in_waff(sys, x)]
 
 
 def rho_check_involution(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:

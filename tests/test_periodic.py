@@ -167,7 +167,7 @@ def test_public_values_respect_support_order(ctx_a2):
                 continue
             gap = generic_height(sys, w) - generic_height(sys, y)
             assert gap >= 0
-            assert generic_leq(sys, y, w, radius=gap)
+            assert generic_leq(sys, y, w)
 
 
 def test_generic_column_is_the_boxed_orbit(ctx_a2):

@@ -24,10 +24,10 @@ def band_oracle(sys, y, w):
     hv = generic_height(sys, wv)
     if ha < hv:
         return False
-    if not generic_leq(sys, y, w, radius=hb - ha):
+    if not generic_leq(sys, y, w):
         return False
     w0 = w0_elt(sys)
-    return generic_leq(sys, w0 * y, w0 * wv, radius=ha - hv)
+    return generic_leq(sys, w0 * y, w0 * wv)
 
 
 @pytest.mark.parametrize(

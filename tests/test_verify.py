@@ -156,11 +156,11 @@ FAILURES = {
     ),
     "inversion-count": (
         "ctx_a1", lambda ctx: check_inversion_identity(ctx, 2, 8),
-        "periodic_kl", lambda *args: LaurentPoly.one(), "25 pairs, 25 failures",
+        "_waff_kl", lambda *args: LaurentPoly.one(), "25 pairs, 25 failures",
     ),
     "inversion-unstable": (
         "ctx_a1", lambda ctx: check_inversion_identity(ctx, 2, 8),
-        "periodic_kl", _raising(StabilizationError("no agreement")), "no agreement",
+        "_waff_kl", _raising(StabilizationError("no agreement")), "no agreement",
     ),
     "rank-one-layers": (
         "ctx_a1", lambda ctx: check_rank_one_oracle(ctx, 2, 8),

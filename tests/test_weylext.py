@@ -24,6 +24,7 @@ from alcove_kl.weylext import (
     restricted_shift,
     rho_check_involution,
     simple_reflection,
+    socle_pairs,
     translate,
     translation_elt,
     w0_elt,
@@ -283,6 +284,25 @@ def test_labels_from_coordinates_equal_the_product_formulas(name, monkeypatch):
     assert [translate(lam.coords, x) for lam in lams for x in labels] == translated
     assert [check_for_system(sys, x) for x in labels] == checked
     assert calls == []
+
+
+# the number of restricted elements in W_aff, one socle pair each
+SOCLE_COUNTS = {"A1": 1, "A2": 2, "B2": 4, "G2": 12, "A3": 6, "B3": 24}
+
+
+@pytest.mark.parametrize("name", SOCLE_COUNTS)
+def test_socle_pairs_equal_the_product_formula_list(name):
+    sys = build_root_system(name[0], int(name[1:]))
+    w0 = w0_elt(sys)
+    expected = []
+    for m in weyl_group(sys):
+        x = restricted_element_for(sys, m)
+        if in_waff(sys, x):
+            # check(x) = t_nu w0 w_res for x = t_nu w_res
+            t_nu = translation_elt(sys, restricted_shift(sys, x))
+            expected.append((x, w0 * x, w0 * (t_nu * w0 * restricted_element_for(sys, x.fin))))
+    assert socle_pairs(sys) == expected
+    assert len(expected) == SOCLE_COUNTS[name]
 
 
 def test_rho_check_involution_a1():
