@@ -94,12 +94,18 @@ def _elt_from_flag(sys, text):
     return from_word(sys, word)
 
 
-def _emit_rows(rows, header, fmt):
+def _emit_rows(rows, header, fmt, before=None, after=None, **fields):
     """Render a list of string tuples in the requested format; a CSV
-    cell holding a comma or a quote is quoted as RFC 4180 says."""
+    cell holding a comma or a quote is quoted as RFC 4180 says.  JSON is
+    a list of row objects, or one object of ``fields`` and ``rows``; the
+    other formats print the lines ``before`` and ``after`` around it."""
     if fmt == "json":
-        print(json.dumps([dict(zip(header, r)) for r in rows], indent=2, sort_keys=True))
-    elif fmt == "csv":
+        out = [dict(zip(header, r)) for r in rows]
+        print(json.dumps({**fields, "rows": out} if fields else out, indent=2, sort_keys=True))
+        return
+    if before is not None:
+        print(before)
+    if fmt == "csv":
         import csv
 
         writer = csv.writer(_sys.stdout, lineterminator="\n")
@@ -117,6 +123,8 @@ def _emit_rows(rows, header, fmt):
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
         for r in rows:
             print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
+    if after is not None:
+        print(after)
 
 
 def _elt_str(sys, x) -> str:
@@ -212,9 +220,9 @@ def cmd_ext(args) -> int:
     w = _elt_from_flag(sys, args.w)
     y = _elt_from_flag(sys, args.y)
     series = ext_dim(ctx, w, y, args.window)
-    rows = [(m, c) for m, c in series.terms]
-    print(f"# {CONJECTURE_NOTE}; series = {series}")
-    _emit_rows([(str(m), str(c)) for m, c in rows], ("degree", "dim"), args.format)
+    rows = [(str(m), str(c)) for m, c in series.terms]
+    _emit_rows(rows, ("degree", "dim"), args.format, before=f"# {CONJECTURE_NOTE}; series = {series}",
+               note=CONJECTURE_NOTE, series=str(series))
     return 0
 
 
@@ -235,8 +243,7 @@ def cmd_loewy(args) -> int:
             )
         )
     rows.sort()
-    print(f"# {table.note}")
-    _emit_rows(rows, ("layer", "simple", "mult"), args.format)
+    _emit_rows(rows, ("layer", "simple", "mult"), args.format, before=f"# {table.note}", note=table.note)
     return 0
 
 
@@ -247,8 +254,8 @@ def cmd_char(args) -> int:
     lam = _parse_weight(args.lam, ctx.system.rank)
     dims = weight_table(ctx, lam, ctx.p - 1 if args.module == "Z" else None)
     rows = sorted((str(mu), str(d)) for mu, d in dims.items())
-    _emit_rows(rows, ("weight", "dim"), args.format)
-    print(f"# total {sum(dims.values())}")
+    total = sum(dims.values())
+    _emit_rows(rows, ("weight", "dim"), args.format, after=f"# total {total}", total=total)
     return 0
 
 

@@ -44,9 +44,9 @@ by the length-reversing inversion identity) are certified zero without
 any window work, by one componentwise comparison of Shi coordinates; a
 repeated query meets the context's value memo before it reaches the
 band.  And an identity gate evaluates the socle coefficient
-p_{w0 x, w0 check(x)} = v^{l(w0)} over ``weylext.socle_pairs`` once per
-root system, refusing to emit any value where the recursion does not
-reproduce it; the gate passes in types A1 and A2, while elsewhere (B2,
+p_{w0 x, x} = v^{l(w0)} over the pairs (x, w0 x) of ``socle_pairs``
+once per root system, refusing to emit any value where the recursion
+does not reproduce it; the gate passes in types A1 and A2, while elsewhere (B2,
 G2, A3, ...) the pure-alcove seeding converges to a wrong
 self-consistent family and the gate withholds all values.
 """
@@ -190,35 +190,21 @@ def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
     return all(map(le, shi_coords(sys, wv.fin, wv.translation), ky))
 
 
-def periodic_kl(
-    ctx: ModularContext,
-    y: ExtWeylElt,
-    w: ExtWeylElt,
-    radius: int,
-    *,
-    normalize: bool = True,
-) -> LaurentPoly:
-    """The stabilized coefficient p_{y,w}.
-
-    Computed in the windows of radius R and R + 1 and returned only when
-    the two agree; raises StabilizationError otherwise and WindowError
-    when the pair is out of reach.  The value is extracted at the given
-    pair when possible and at its translation-canonical representative
-    otherwise (the two agree by translation equivariance, which the test
-    suite checks separately).
-    """
+def periodic_kl(ctx: ModularContext, y: ExtWeylElt, w: ExtWeylElt, radius: int) -> LaurentPoly:
+    """The stabilized coefficient p_{y,w}, read by ``_waff_kl`` once both
+    labels are known to lie in W_aff (DomainError otherwise): in the
+    windows of radius R and R + 1, and returned only when the two agree;
+    raises StabilizationError otherwise and WindowError when the pair is
+    out of reach."""
     sys = ctx.system
     if not (in_waff(sys, y) and in_waff(sys, w)):
         raise DomainError("periodic polynomials are indexed by W_aff pairs")
-    if normalize:
-        return _waff_kl(ctx, y, w, radius)
-    _validate_conventions(sys)
-    return _coefficient_stabilized(sys, y, w, radius)
+    return _waff_kl(ctx, y, w, radius)
 
 
 def _waff_kl(ctx: ModularContext, y: ExtWeylElt, w: ExtWeylElt, radius: int) -> LaurentPoly:
     """``periodic_kl`` of a pair whose labels the caller knows lie in
-    W_aff, read at its translation-canonical representative.
+    W_aff, read past the gate at its translation-canonical representative.
 
     The value is kept in the context's value memo (``ctx._values``) under
     (canonical y, canonical w, radius), and a later read of any pair in
@@ -276,6 +262,8 @@ def antispherical_kl(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPo
 def _coefficient_stabilized(
     sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt, radius: int
 ) -> LaurentPoly:
+    """p_{y,w} read raw at the pair as given, with no gate and no memo:
+    StabilizationError when the two windows disagree on it."""
     first, second = _read(sys, y, w, radius)
     if first != second:
         raise StabilizationError(
@@ -305,19 +293,19 @@ def _gate_radius(sys: RootSystem) -> int:
 def _gate_passes(sys: RootSystem) -> bool:
     """The built-in identity gate, run once per root system.
 
-    The gate checks the diagonal normalization and the monomial identity
-    p_{w0 x, w0 check(x)} = v^{l(w0)} on every triple of ``socle_pairs``
-    whose pair fits in a validation window of radius ``_gate_radius``;
-    on failure the module refuses to hand out values, reporting the
-    conventions in force.
+    The gate checks the diagonal normalization p_{x,x} = 1 and the
+    monomial identity p_{w0 x, x} = v^{l(w0)} on every pair (x, w0 x) of
+    ``socle_pairs`` that fits in a validation window of radius
+    ``_gate_radius``; on failure the module refuses to hand out values,
+    reporting the conventions in force.
     """
     lw0 = length(sys, w0_elt(sys))
     rad = _gate_radius(sys)
     try:
-        for x, lhs, rhs in socle_pairs(sys):
-            if max(length(sys, lhs), length(sys, rhs)) > rad:
+        for x, w0x in socle_pairs(sys):
+            if max(length(sys, x), length(sys, w0x)) > rad:
                 continue
-            if _coefficient_stabilized(sys, lhs, rhs, rad) != LaurentPoly.gen(lw0):
+            if _coefficient_stabilized(sys, w0x, x, rad) != LaurentPoly.gen(lw0):
                 return False
             if _coefficient_stabilized(sys, x, x, rad) != LaurentPoly.one():
                 return False

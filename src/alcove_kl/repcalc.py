@@ -14,7 +14,7 @@ import json
 
 from .errors import ConsistencyError, DomainError, ResourceError
 from .laurent import LaurentPoly
-from .periodic import _waff_kl
+from .periodic import _waff_kl, periodic_kl
 from .rootsys import (
     ModularContext,
     Weight,
@@ -91,12 +91,9 @@ def ext_dim(
 ) -> LaurentPoly:
     """Generating series of the Ext-dimensions from the simple object of w
     to the costandard object of y; equals the periodic coefficient
-    p_{y,w}."""
-    sys = ctx.system
-    for x in (w, y):
-        if not in_waff(sys, x):
-            raise DomainError("Ext series are indexed by Coxeter-group elements")
-    return _waff_kl(ctx, y, w, default_radius(sys) if radius is None else radius)
+    p_{y,w}, read by ``periodic_kl`` at the default radius unless one is
+    given."""
+    return periodic_kl(ctx, y, w, default_radius(ctx.system) if radius is None else radius)
 
 
 def loewy_layers(

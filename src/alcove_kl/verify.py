@@ -19,7 +19,7 @@ from .alcove import generic_height
 from .errors import ConsistencyError, StabilizationError
 from .hecke import kl_basis, kl_basis_by_duality
 from .laurent import LaurentPoly
-from .periodic import PeriodicWindow, _gate_radius, _waff_kl, _window, _words, in_support_band, periodic_kl, pkl_table
+from .periodic import PeriodicWindow, _coefficient_stabilized, _gate_radius, _validate_conventions, _waff_kl, _window, _words, in_support_band, pkl_table
 from .repcalc import (
     StdLabel,
     baby_verma_total_dim,
@@ -48,16 +48,17 @@ class CheckResult(_Record):
 
 
 def check_monomial_identity(ctx: ModularContext, bound: int, radius: int) -> CheckResult:
-    """p_{w0 x, w0 check(x)} = v^{l(w0)} on restricted Coxeter elements."""
+    """p_{w0 x, x} = v^{l(w0)} on the pairs (x, w0 x) of ``socle_pairs``,
+    restricted x in W_aff, read through ``_waff_kl``."""
     sys = ctx.system
     expected = LaurentPoly.gen(length(sys, w0_elt(sys)))
     tested = 0
     try:
-        for x, lhs, rhs in socle_pairs(sys):
+        for x, w0x in socle_pairs(sys):
             if length(sys, x) > bound:
                 continue
             tested += 1
-            got = periodic_kl(ctx, lhs, rhs, radius)
+            got = _waff_kl(ctx, w0x, x, radius)
             if got != expected:
                 return CheckResult(
                     "monomial identity",
@@ -97,7 +98,9 @@ def check_inversion_identity(ctx: ModularContext, bound: int, radius: int) -> Ch
 
 def check_rank_one_oracle(ctx: ModularContext, bound: int, radius: int) -> CheckResult:
     """In the infinite dihedral case every coefficient lies in {0, 1, v} and
-    every baby Verma has exactly a head and a one-step socle."""
+    every baby Verma has exactly a head and a one-step socle.  The labels
+    come from ``waff_elements``, so the values are read through
+    ``_waff_kl``."""
     sys = ctx.system
     if sys.rank != 1:
         return CheckResult("rank-one oracle", True, "skipped (rank > 1)")
@@ -105,7 +108,7 @@ def check_rank_one_oracle(ctx: ModularContext, bound: int, radius: int) -> Check
     elements = waff_elements(sys, bound)
     for w in elements:
         for y in elements:
-            value = periodic_kl(ctx, y, w, radius)
+            value = _waff_kl(ctx, y, w, radius)
             if value not in allowed:
                 return CheckResult(
                     "rank-one oracle",
@@ -242,19 +245,23 @@ def check_galleries(
 def check_translation_invariance(
     ctx: ModularContext, bound: int, radius: int, seed: int, triples: int
 ) -> CheckResult:
-    """p_{t_nu y, t_nu w} = p_{y,w} for random root-lattice translations."""
+    """p_{t_nu y, t_nu w} = p_{y,w} for random root-lattice translations.
+
+    Both pairs are read raw, each at its own labels and not at the orbit's
+    representative, once the identity gate has passed."""
     sys = ctx.system
     rng = random.Random(seed)
     elements = waff_elements(sys, bound)
     roots = [r.as_weight() for r in sys.positive_roots]
     done = 0
     try:
+        _validate_conventions(sys)
         for _ in range(triples):
             y, w = rng.choice(elements), rng.choice(elements)
             nu = rng.choice(roots) * rng.choice((1, -1))
             t = translation_elt(sys, nu)
-            base = periodic_kl(ctx, y, w, radius, normalize=False)
-            moved = periodic_kl(ctx, t * y, t * w, radius, normalize=False)
+            base = _coefficient_stabilized(sys, y, w, radius)
+            moved = _coefficient_stabilized(sys, t * y, t * w, radius)
             if base != moved:
                 detail = f"{base} at {_words(sys, y=y, w=w)}, but {moved} translated by {nu}"
                 return CheckResult("translation invariance", False, detail)
@@ -288,13 +295,13 @@ def check_flipped_convention_fails(ctx: ModularContext) -> CheckResult:
                 raise StabilizationError("flipped value did not stabilize")
             return first
 
-        ev = check(ctx, e)
         support_ok = all(
             x == e or generic_height(sys, x) < 0
             for x in win_lo.row(e)
         )
-        monomial_ok = flipped(w0 * e, w0 * ev) == top
-        inversion_ok = top * flipped(w0 * e, w0 * ev).bar() == flipped(e, e)
+        socle = flipped(w0, e)  # p_{w0 x, x} at x = e
+        monomial_ok = socle == top
+        inversion_ok = top * socle.bar() == flipped(e, e)
         good = support_ok and monomial_ok and inversion_ok
     except (ConsistencyError, StabilizationError):
         good = False

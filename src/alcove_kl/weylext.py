@@ -568,13 +568,13 @@ def check(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:
     return check_for_system(ctx.system, x)
 
 
-def socle_pairs(sys: RootSystem) -> list[tuple[ExtWeylElt, ExtWeylElt, ExtWeylElt]]:
-    """(x, w0 x, w0 check(x)) for each restricted x in W_aff, in
-    ``weyl_group`` order: x is the diagonal pair (x, x), and the other two
-    the pair whose coefficient is the socle monomial v^{l(w0)}."""
+def socle_pairs(sys: RootSystem) -> list[tuple[ExtWeylElt, ExtWeylElt]]:
+    """(x, w0 x) for each restricted x in W_aff, in ``weyl_group`` order:
+    p_{x,x} = 1, and p_{w0 x, x} is the socle monomial v^{l(w0)}, since
+    x has shift 0, so check(x) = w0 x and w0 check(x) = x."""
     w0 = w0_elt(sys)
     xs = [restricted_element_for(sys, m) for m in weyl_group(sys)]
-    return [(x, w0 * x, w0 * check_for_system(sys, x)) for x in xs if in_waff(sys, x)]
+    return [(x, w0 * x) for x in xs if in_waff(sys, x)]
 
 
 def rho_check_involution(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:

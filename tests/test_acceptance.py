@@ -9,7 +9,7 @@ import time
 
 from alcove_kl.hecke import kl_basis, kl_basis_by_duality
 from alcove_kl.laurent import LaurentPoly
-from alcove_kl.periodic import PeriodicWindow, in_support_band, periodic_kl, pkl_table
+from alcove_kl.periodic import PeriodicWindow, _coefficient_stabilized, in_support_band, periodic_kl, pkl_table
 from alcove_kl.repcalc import (
     StdLabel,
     baby_verma_total_dim,
@@ -190,7 +190,7 @@ def test_criterion_8_translation_invariance():
             y, w = rng.choice(elements), rng.choice(elements)
             nu = rng.choice(roots) * rng.choice((1, -1))
             t = translation_elt(sys, nu)
-            base = periodic_kl(ctx, y, w, radius, normalize=False)
-            moved = periodic_kl(ctx, t * y, t * w, radius, normalize=False)
+            base = _coefficient_stabilized(sys, y, w, radius)
+            moved = _coefficient_stabilized(sys, t * y, t * w, radius)
             assert base == moved
     _report(8, "translation invariance", t0, 120)

@@ -42,7 +42,8 @@ SYSTEMS = {name: build_root_system(name[0], int(name[1])) for name in ("A1", "A2
 
 def gate_identities(sys):
     """(passed, total) over the restricted x in W_aff of the identities
-    p_{w0 x, w0 check(x)} = v^{l(w0)} and p_{x,x} = 1."""
+    p_{w0 x, x} = v^{l(w0)} and p_{x,x} = 1, the column x formed here as
+    w0 check(x), which it equals for a restricted x."""
     w0 = w0_elt(sys)
     top = LaurentPoly.gen(length(sys, w0))
     xs = [restricted_element_for(sys, m) for m in weyl_group(sys)]

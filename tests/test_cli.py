@@ -249,6 +249,31 @@ def test_periodic_json_format(tmp_path, capsys):
     assert all(set(r) == {"y", "w", "p", "stabilized"} for r in rows)
 
 
+NOTE = "conditional on Lusztig's conjecture"
+# the fields that --format json prints beside the rows, which the other
+# formats print as a comment line before or after the table
+JSON_OBJECTS = {
+    "ext": ("ext --type A --rank 2 --p 5 --w 1 --y 1", {"note": NOTE, "series": "1"}),
+    "loewy": ("loewy --type A --rank 1 --p 5 --w 0,1", {"note": NOTE}),
+    "char": ("char --type A --rank 1 --p 5 --lam 0", {"total": 5}),
+}
+
+
+@pytest.mark.parametrize("command", JSON_OBJECTS)
+def test_json_format_prints_one_object(tmp_path, capsys, command):
+    import csv
+
+    args, fields = JSON_OBJECTS[command]
+    code, out, _ = run(capsys, *args.split(), "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    rows = doc.pop("rows")
+    assert doc == fields
+    _, table, _ = run(capsys, *args.split(), "--format", "csv", "--cache-dir", str(tmp_path))
+    lines = [line for line in table.splitlines() if not line.startswith("#")]
+    assert rows == list(csv.DictReader(lines)) and rows
+
+
 def test_ext_constant_term(tmp_path, capsys):
     code, out, _ = run(
         capsys,

@@ -12,7 +12,7 @@ import pytest
 
 from alcove_kl.cli import main
 from alcove_kl.errors import ConsistencyError, DomainError, StabilizationError, WindowError
-from alcove_kl.periodic import PeriodicWindow, periodic_kl, pkl_table
+from alcove_kl.periodic import PeriodicWindow, _coefficient_stabilized, periodic_kl, pkl_table
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
 from alcove_kl.weylext import elt_to_json, from_word, length, translation_elt, waff_elements
 
@@ -39,7 +39,7 @@ def test_unstable_coefficient_names_pair_radii_and_next_radius():
 def test_pair_out_of_reach_names_the_smallest_radius():
     y, w = from_word(A1, [0, 1, 0, 1]), from_word(A1, [0, 1, 0, 1, 0])
     with pytest.raises(WindowError) as info:
-        periodic_kl(CTX_A1, y, w, radius=3, normalize=False)
+        _coefficient_stabilized(A1, y, w, radius=3)
     assert str(info.value) == (
         f"pair {words(A1, y=y, w=w)} of lengths (4, 5) is out of reach of "
         "window radius 3; radius 5 reaches it"

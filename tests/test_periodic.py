@@ -222,8 +222,8 @@ def test_translation_invariance_raw(ctx_a2):
         y, w = rng.choice(elts), rng.choice(elts)
         nu = rng.choice(roots)
         t = translation_elt(sys, nu)
-        base = periodic_kl(ctx_a2, y, w, radius=12, normalize=False)
-        moved = periodic_kl(ctx_a2, t * y, t * w, radius=12, normalize=False)
+        base = periodic._coefficient_stabilized(sys, y, w, radius=12)
+        moved = periodic._coefficient_stabilized(sys, t * y, t * w, radius=12)
         assert base == moved
 
 
@@ -300,7 +300,7 @@ def test_out_of_reach_raises(ctx_a1):
     y = dihedral_element(sys, 4)
     w = dihedral_element(sys, 5)
     with pytest.raises((WindowError, StabilizationError)):
-        periodic_kl(ctx_a1, y, w, radius=3, normalize=False)
+        periodic._coefficient_stabilized(sys, y, w, radius=3)
     # the translation-normalized form of the same pair is in reach
     assert periodic_kl(ctx_a1, y, w, radius=3) == V
 
@@ -311,9 +311,8 @@ def test_periodic_kl_rejects_labels_outside_waff(ctx_a1):
     t = translation_elt(sys, Weight((1,)))
     e = identity_elt(sys)
     for y, w in ((t, e), (e, t)):
-        for normalize in (True, False):
-            with pytest.raises(DomainError):
-                periodic_kl(ctx_a1, y, w, radius=8, normalize=normalize)
+        with pytest.raises(DomainError):
+            periodic_kl(ctx_a1, y, w, radius=8)
 
 
 def test_periodic_kl_refuses_omega_labels_outside_waff():
@@ -327,9 +326,8 @@ def test_periodic_kl_refuses_omega_labels_outside_waff():
         assert outside or str(sys) == "G2"  # G2's Omega is trivial
         for o in outside:
             for y, w in ((o, e), (e, o), (o, o)):
-                for normalize in (True, False):
-                    with pytest.raises(DomainError):
-                        periodic_kl(ctx, y, w, radius=8, normalize=normalize)
+                with pytest.raises(DomainError):
+                    periodic_kl(ctx, y, w, radius=8)
 
 
 # -- the value memo ---------------------------------------------------------------
@@ -361,9 +359,8 @@ def test_equal_contexts_do_not_share_the_value_memo_and_a_pickle_has_none(a2):
 
 
 def test_raw_reads_bypass_the_value_memo(a2):
+    # a table reads raw, through no context's value memo
     ctx = ModularContext(a2, 5)
-    y, w = from_word(a2, [1, 0]), from_word(a2, [0])
-    periodic_kl(ctx, y, w, 13, normalize=False)
     pkl_table(ctx, length_bound=2, radius=13)
     assert ctx._values == {}
 

@@ -111,7 +111,7 @@ def test_stabilization_detail_names_the_pair_by_words(ctx_a2):
 
 
 def test_rank_one_oracle_detail_names_the_pair_and_the_value(ctx_a1, monkeypatch):
-    monkeypatch.setattr(verify, "periodic_kl", lambda *args: LaurentPoly.gen(2))
+    monkeypatch.setattr(verify, "_waff_kl", lambda *args: LaurentPoly.gen(2))
     result = check_rank_one_oracle(ctx_a1, 2, 8)
     assert not result.passed
     assert result.detail == (
@@ -152,7 +152,7 @@ class _ConstantWindow:
 FAILURES = {
     "monomial-value": (
         "ctx_a2", lambda ctx: check_monomial_identity(ctx, 6, 12),
-        "periodic_kl", lambda *args: LaurentPoly.gen(), "value v at length 1, expected v^3",
+        "_waff_kl", lambda *args: LaurentPoly.gen(), "value v at length 1, expected v^3",
     ),
     "inversion-count": (
         "ctx_a1", lambda ctx: check_inversion_identity(ctx, 2, 8),
@@ -206,12 +206,12 @@ FAILURES = {
     ),
     "translation-value": (
         "ctx_a2", lambda ctx: check_translation_invariance(ctx, 2, 12, seed=3, triples=10),
-        "periodic_kl", lambda *args, calls=itertools.count(), **kw: LaurentPoly.gen(next(calls)),
+        "_coefficient_stabilized", lambda *args, calls=itertools.count(): LaurentPoly.gen(next(calls)),
         '1 at y = {"w": [2], "t": [0, 0]}, w = {"w": [2, 1], "t": [0, 0]}, but v translated by (1, 1)',
     ),
     "translation-refused": (
         "ctx_a2", lambda ctx: check_translation_invariance(ctx, 2, 12, seed=3, triples=10),
-        "periodic_kl", _raising(ConsistencyError("refused")), "refused",
+        "_validate_conventions", _raising(ConsistencyError("refused")), "refused",
     ),
     "negative-control": (
         "ctx_a2", check_flipped_convention_fails,

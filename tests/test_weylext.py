@@ -292,6 +292,8 @@ SOCLE_COUNTS = {"A1": 1, "A2": 2, "B2": 4, "G2": 12, "A3": 6, "B3": 24}
 
 @pytest.mark.parametrize("name", SOCLE_COUNTS)
 def test_socle_pairs_equal_the_product_formula_list(name):
+    """The socle identity p_{w0 x, w0 check(x)} = v^{l(w0)} is read as
+    p_{w0 x, x}: for restricted x, w0 check(x), formed with products, is x."""
     sys = build_root_system(name[0], int(name[1:]))
     w0 = w0_elt(sys)
     expected = []
@@ -300,7 +302,9 @@ def test_socle_pairs_equal_the_product_formula_list(name):
         if in_waff(sys, x):
             # check(x) = t_nu w0 w_res for x = t_nu w_res
             t_nu = translation_elt(sys, restricted_shift(sys, x))
-            expected.append((x, w0 * x, w0 * (t_nu * w0 * restricted_element_for(sys, x.fin))))
+            assert w0 * (t_nu * w0 * restricted_element_for(sys, x.fin)) == x
+            assert w0 * check_for_system(sys, x) == x
+            expected.append((x, w0 * x))
     assert socle_pairs(sys) == expected
     assert len(expected) == SOCLE_COUNTS[name]
 
