@@ -11,7 +11,8 @@ partial order generated by up-crossings.
 
 Both are read off Shi's integer alcove coordinates k_alpha(A), the
 floor of the pairing with the coroot alpha^vee on A
-(``weylext.shi_coords``): d(A) is their sum, a crossing changes exactly
+(``weylext.shi_coords``), read from the label table of the root
+system, which computes them once per label: d(A) is their sum, a crossing changes exactly
 one of them by one, and A <= B in the generic order exactly when
 k(A) <= k(B) componentwise.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .rootsys import RootSystem
-from .weylext import ExtWeylElt, shi_coords
+from .weylext import ExtWeylElt
 
 
 @lru_cache(maxsize=None)
@@ -32,7 +33,7 @@ def generic_height(sys: RootSystem, x: ExtWeylElt) -> int:
     """d(x(A+)) = sum of the Shi coordinates, the floors of the positive
     coroot pairings at an interior point; each up-crossing raises it by
     exactly one."""
-    return sum(shi_coords(sys, x.fin, x.translation))
+    return sum(x.group.table.coords(x))
 
 
 def generic_leq(sys: RootSystem, x: ExtWeylElt, y: ExtWeylElt) -> bool:
@@ -48,5 +49,5 @@ def generic_leq(sys: RootSystem, x: ExtWeylElt, y: ExtWeylElt) -> bool:
         return True
     if generic_height(sys, y) <= generic_height(sys, x):
         return False
-    kx = shi_coords(sys, x.fin, x.translation)
-    return all(a <= b for a, b in zip(kx, shi_coords(sys, y.fin, y.translation)))
+    table = x.group.table
+    return all(a <= b for a, b in zip(table.coords(x), table.coords(y)))

@@ -57,11 +57,15 @@ longer (up) or shorter (down):
 ``mul_gen``, ``mul_kl_gen`` and ``mul_bar_gen`` act by these stays, and
 ``bar_std`` expands bar(H_y) by the last along a reduced word.
 
-``KLComputer`` numbers its labels as it meets them (F. du Cloux's
-encoding, Experiment. Math. 2002) and keys its rows by number; per
-number it keeps the element, the numbers of its neighbours x s_i (each
-product formed once), a rank and a kept flag.  It reads its module as
-data, given when it is made:
+The labels are numbered once per root system, in the label table
+``weylext.LabelTable`` that the system's finite Weyl group table holds
+(F. du Cloux's encoding, Experiment. Math. 2002): per number it keeps
+the element, its Shi coordinates and the numbers of its neighbours
+x s_i, each product formed once per process whichever computer asks for
+it first.  Every ``KLComputer`` keys its rows by those numbers and keeps
+only its module's data: the rank and kept flag of each number it
+reaches, read off the stored Shi coordinates k, its rows and its flags.
+It reads its module as data, given when it is made:
 
     module            kept            rank            dropped stays     bound
     Hecke algebra     every element   length          (none)            64
@@ -69,9 +73,12 @@ data, given when it is made:
     periodic window   length <= R     generic height  v, v^-1           64
     antispherical     coset-minimal   length          0, 0              200
 
-The action of Hb_s is one rule read off the table: x . Hb_s = xs +
-v^{+-1} x (v when xs ranks higher) when xs is kept; otherwise xs is
-dropped and x stays with the dropped stay of the direction (up, down).
+with the length the sum of |k_alpha| and the generic height the sum of
+the k_alpha; a window keeps the labels of its radius's prefix of the
+table's breadth-first order of W_aff.  The action of Hb_s is one rule
+read off the table: x . Hb_s = xs + v^{+-1} x (v when xs ranks higher)
+when xs is kept; otherwise xs is dropped and x stays with the dropped
+stay of the direction (up, down).
 The descent of x is the first generator s with xs ranked lower and
 kept, and the bound is the longest label whose row ``row`` computes and
 the degree bound of the codec.
@@ -88,7 +95,7 @@ from .rootsys import RootSystem
 from .weylext import (
     ExtWeylElt,
     elt_key,
-    gen_indices,
+    finite_group,
     identity_elt,
     in_waff,
     is_coset_maximal,
@@ -212,21 +219,30 @@ def mul_bar_gen(
 # -- canonical rows (the top-down mu-recursion) ----------------------------------
 
 
-class KLComputer:
-    """Memoized canonical rows of the module given by ``kept``, ``rank``
-    (of sys and x), ``dropped`` and ``length_bound``, on the label table of
-    the module docstring.
+def _shi_length(k: tuple[int, ...]) -> int:
+    """The length of a label from its Shi coordinates: the sum of |k_alpha|."""
+    return sum(map(abs, k))
 
-    ``elts[k]``, ``nbrs[k][i]``, ``ranks[k]`` and ``kept[k]`` are the
-    element numbered k, the number of elts[k] s_i, its rank and its kept
-    flag.  ``rows[k]`` is its certified row of ``codec`` integers, seeded
-    {k: 1} when k has no descent, and ``flags[k]`` whether that row, or
-    one it was made from, met a crossing ``act`` dropped: in a window,
-    the rows that lost a term to truncation.
+
+class KLComputer:
+    """Memoized canonical rows of the module given by ``kept`` (of x),
+    ``rank`` (of the Shi coordinates of x), ``dropped`` and
+    ``length_bound``, keyed by the numbers
+    of the system's label table (``weylext.LabelTable``; see the module
+    docstring).
+
+    ``table`` is that table and ``elts`` its list of elements, shared
+    with every other computer of the system.  The computer keeps only its
+    module's data: ``ranks[k]`` and ``kept[k]`` are the rank and the kept
+    flag of elts[k] once the computer has reached k (None before), and
+    ``rows[k]`` is its certified row of ``codec`` integers, seeded {k: 1}
+    when k has no descent; ``flags[k]`` is whether that row, or one it
+    was made from, met a crossing ``act`` dropped: in a window, the rows
+    that lost a term to truncation.
     """
 
     def __init__(
-        self, sys: RootSystem, name: str, kept, rank=length,
+        self, sys: RootSystem, name: str, kept, rank=_shi_length,
         dropped=(_V_PLUS_VINV, _V_PLUS_VINV), length_bound: int = 64,
     ):
         self.sys = sys
@@ -234,33 +250,35 @@ class KLComputer:
         self._is_kept = kept
         self._rank_of = rank
         self._dropped_stays = tuple(_STAYS[stay] for stay in dropped)
-        self._gens = [simple_reflection(sys, i) for i in gen_indices(sys)]
-        self._number: dict[ExtWeylElt, int] = {}
-        self.elts: list[ExtWeylElt] = []
-        self.nbrs: list[list[int | None]] = []
-        self.ranks: list[int] = []
-        self.kept: list[bool] = []
+        self.table = finite_group(sys).table
+        self.elts = self.table.elts
+        self.ranks: list[int | None] = []
+        self.kept: list[bool | None] = []
         self.codec = PackedCodec(length_bound)
         self.rows: dict[int, dict[int, int]] = {}
         self.flags: dict[int, bool] = {}
 
     def number(self, x: ExtWeylElt) -> int:
-        """The number of x in the label table, assigned on first sight."""
-        k = self._number.get(x)
-        if k is None:
-            k = self._number[x] = len(self.elts)
-            self.elts.append(x)
-            self.nbrs.append([None] * len(self._gens))
-            self.ranks.append(self._rank_of(self.sys, x))
-            self.kept.append(self._is_kept(x))
+        """The number of x in the label table, reached by this computer."""
+        return self._reach(self.table.number(x))
+
+    def _reach(self, k: int) -> int:
+        """k, with its rank and kept flag made the first time it is reached."""
+        ranks, kept = self.ranks, self.kept
+        if k >= len(ranks):
+            pad = [None] * (k + 1 - len(ranks))
+            ranks += pad
+            kept += pad
+        if ranks[k] is None:
+            ranks[k] = self._rank_of(self.table.shi[k])
+            kept[k] = self._is_kept(self.elts[k])
         return k
 
     def nbr(self, k: int, i: int) -> int:
         """The number of x s_i for x the element numbered k."""
-        n = self.nbrs[k][i]
-        if n is None:
-            n = self.nbrs[k][i] = self.number(self.elts[k] * self._gens[i])
-        return n
+        n = self.table.nbr(k, i)
+        ranks = self.ranks
+        return n if n < len(ranks) and ranks[n] is not None else self._reach(n)
 
     def act(self, i: int, k: int) -> tuple[int | None, LaurentPoly]:
         """The rule of Hb_s = Hb_{s_i} at elts[k] (see the module docstring)."""
@@ -271,7 +289,7 @@ class KLComputer:
     def descent(self, k: int) -> int | None:
         """The first generator whose neighbour is lower and kept."""
         rk = self.ranks[k]
-        for i in range(len(self._gens)):
+        for i in range(len(self.table.gens)):
             ks = self.nbr(k, i)
             if self.ranks[ks] < rk and self.kept[ks]:
                 return i
@@ -297,7 +315,7 @@ class KLComputer:
         """The entry of y in ``row(w)``, decoded alone.  y is never numbered:
         the row of w numbers every label it holds, so no number reads 0."""
         row = self._row(self._top(w, y))
-        p = row.get(self._number.get(y))
+        p = row.get(self.table.index.get(y))
         return _ZERO if p is None else self.codec.unpack(p)
 
     def _row(self, top: int) -> dict[int, int]:

@@ -56,24 +56,21 @@ from __future__ import annotations
 import json
 import random
 from functools import lru_cache
-from operator import le, mul
+from operator import le
 
-from .alcove import generic_height
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from .hecke import KLComputer, antispherical_computer
 from .laurent import LaurentPoly
 from .rootsys import ModularContext, RootSystem, _Record, _Value
 from .weylext import (
     ExtWeylElt,
-    check_for_system,
     elt_key,
     elt_to_json,
-    finite_elt,
+    finite_group,
     gen_indices,
     in_waff,
     is_coset_minimal,
     length,
-    shi_coords,
     socle_pairs,
     translate,
     w0_elt,
@@ -86,39 +83,53 @@ _ZERO = LaurentPoly.zero()
 class PeriodicWindow(KLComputer):
     """Canonical elements E_A for every alcove of length at most R.
 
-    The members are numbered first (``members`` maps each to its number),
-    ranked by signed generic height and kept, so the descent of a member
-    is its first lower member neighbour.  A crossing that leaves the
-    window is dropped with the stay of its direction, and recorded.
-    ``gallery_seed`` draws the descent of every member at construction,
-    by increasing height; ``sign=-1`` reverses the crossing orientation
-    (heights are negated), which the negative control relies on.
+    The members are the labels of ``waff_elements(sys, R)``, a prefix of
+    the breadth-first order of the system's label table, which the window
+    extends to R when it is made; a label is kept exactly when that
+    prefix holds it.  Labels are ranked by signed generic height, so the
+    descent of a member is its first lower member neighbour.  A crossing
+    that leaves the window is dropped with the stay of its direction, and
+    recorded.  ``gallery_seed`` draws the descent of every member at
+    construction, by increasing height; ``sign=-1`` reverses the crossing
+    orientation (heights are negated), which the negative control relies
+    on.
     """
 
     def __init__(
         self, sys: RootSystem, radius: int, gallery_seed: int | None = None, sign: int = 1
     ):
+        table = finite_group(sys).table
+        members = table.waff_order(radius)
+        depth = table.depth
+
+        def inside(x: ExtWeylElt) -> bool:
+            d = depth(x)
+            return d is not None and d <= radius
+
         super().__init__(
-            sys, "periodic", lambda x: length(sys, x) <= radius,
-            rank=lambda sys, x: sign * generic_height(sys, x),
+            sys, "periodic", inside,
+            rank=lambda k: sign * sum(k),
             dropped=(LaurentPoly.gen(), LaurentPoly.gen(-1)),
         )
         self.radius = radius
-        elements = waff_elements(sys, radius)
-        self.members = {x: self.number(x) for x in elements}
         self._drawn = None
         if gallery_seed is not None:
             rng = random.Random(gallery_seed)
-            ranks, kept = self.ranks, self.kept
+            ranks, kept, elts = self.ranks, self.kept, self.elts
             self._drawn = {}
             order = sorted(
-                range(len(elements)), key=lambda k: (ranks[k], elt_key(sys, elements[k]))
+                map(self._reach, members), key=lambda k: (ranks[k], elt_key(sys, elts[k]))
             )
             for c in order:
                 nbrs = [self.nbr(c, i) for i in gen_indices(sys)]
                 downs = [(i, a) for i, a in enumerate(nbrs) if kept[a] and ranks[a] < ranks[c]]
                 if downs:
                     self._drawn[c] = rng.choice(downs)[0]
+
+    @property
+    def members(self) -> dict[ExtWeylElt, int]:
+        """Each member with its number in the label table."""
+        return {self.elts[k]: self._reach(k) for k in self.table.waff_order(self.radius)}
 
     def descent(self, k: int) -> int | None:
         return super().descent(k) if self._drawn is None else self._drawn.get(k)
@@ -127,15 +138,14 @@ class PeriodicWindow(KLComputer):
         """The number of the member w, whose row is read (at the member y):
         WindowError naming the radius that reaches a non-member, and
         DomainError for a row outside W_aff, which no radius reaches."""
-        members = self.members
-        k = members.get(w)
-        if y is not None and (k is None or y not in members):
+        k = self.number(w)
+        if y is not None and not (self.kept[k] and self._is_kept(y)):
             ly, lw = length(self.sys, y), length(self.sys, w)
             raise WindowError(
                 f"pair {_words(self.sys, y=y, w=w)} of lengths ({ly}, {lw}) is out "
                 f"of reach of window radius {self.radius}; radius {max(ly, lw)} reaches it"
             )
-        if k is None:
+        if not self.kept[k]:
             if not in_waff(self.sys, w):
                 raise DomainError("periodic basis elements are indexed by W_aff")
             lw = length(self.sys, w)
@@ -158,14 +168,16 @@ def canonical_pair(
     in the finite Weyl group, giving the orbit representative
     (t_{-nu} y, u).
 
-    For w = u t_lam, -nu = -u(lam) is one matrix-vector product, and
-    ``translate`` forms t_{-nu} y from coordinates with another, so no
+    nu is read off the Shi coordinates of w that the label table holds:
+    k_{alpha_i}(w) is <nu, alpha_i^vee>, less 1 when u^-1(alpha_i) is
+    negative.  ``translate`` forms t_{-nu} y from coordinates, so no
     group product is formed.  Both labels must lie in W_aff, which
     ``periodic_kl`` checks and its other callers know.
     """
-    lam = w.translation.coords
-    neg_nu = tuple([-sum(map(mul, row, lam)) for row in w.group.mats[w.fin]])
-    return translate(neg_nu, y), finite_elt(sys, w.fin)
+    g = w.group
+    k, signs = g.table.coords(w), g.roots[w.fin]
+    neg_nu = tuple([-k[j] - (signs[j] < 0) for j in g._simple_pos])
+    return translate(neg_nu, y), g.elts[w.fin]
 
 
 def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
@@ -181,13 +193,17 @@ def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
     k(check(w)) <= k(y).  Summing the coordinates, the band lies in the
     height band d(check(w)) <= d(y) <= d(w).  Both labels lie in W_aff
     (or in one coset of it), where the coordinates determine the element.
+
+    Every coordinate vector is read from the system's label table: those
+    of y and w are stored with their labels, and those of check(w) are
+    formed once per column w, the first time y lies below w.
     """
-    ky = shi_coords(sys, y.fin, y.translation)
-    if not all(map(le, ky, shi_coords(sys, w.fin, w.translation))):
+    table = w.group.table
+    ky = table.coords(y)
+    kw = table.number(w)
+    if not all(map(le, ky, table.shi[kw])):
         return False
-    # check(w) is formed only for y below w
-    wv = check_for_system(sys, w)
-    return all(map(le, shi_coords(sys, wv.fin, wv.translation), ky))
+    return all(map(le, table.check_shi(kw), ky))
 
 
 def periodic_kl(ctx: ModularContext, y: ExtWeylElt, w: ExtWeylElt, radius: int) -> LaurentPoly:
@@ -285,8 +301,11 @@ def _validate_conventions(sys: RootSystem) -> None:
 
 
 def _gate_radius(sys: RootSystem) -> int:
-    """The radius of the gate's validation window, 2 l(w0) + 2."""
-    return 2 * length(sys, w0_elt(sys)) + 2
+    """The radius of the gate's validation window: 2 l(w0) + 2, or the
+    length of the longest label of ``socle_pairs`` where that is longer
+    (G2, B3, C3, D4), so that the window reaches every pair."""
+    longest = max(length(sys, x) for pair in socle_pairs(sys) for x in pair)
+    return max(2 * length(sys, w0_elt(sys)) + 2, longest)
 
 
 @lru_cache(maxsize=None)
@@ -295,16 +314,16 @@ def _gate_passes(sys: RootSystem) -> bool:
 
     The gate checks the diagonal normalization p_{x,x} = 1 and the
     monomial identity p_{w0 x, x} = v^{l(w0)} on every pair (x, w0 x) of
-    ``socle_pairs`` that fits in a validation window of radius
-    ``_gate_radius``; on failure the module refuses to hand out values,
-    reporting the conventions in force.
+    ``socle_pairs``, in validation windows of radius ``_gate_radius`` and
+    one more, which reach every pair.  It fails closed: a value that
+    differs, does not stabilize or lies out of the windows' reach fails
+    it, and on failure the module refuses to hand out values, reporting
+    the conventions in force.
     """
     lw0 = length(sys, w0_elt(sys))
     rad = _gate_radius(sys)
     try:
         for x, w0x in socle_pairs(sys):
-            if max(length(sys, x), length(sys, w0x)) > rad:
-                continue
             if _coefficient_stabilized(sys, w0x, x, rad) != LaurentPoly.gen(lw0):
                 return False
             if _coefficient_stabilized(sys, x, x, rad) != LaurentPoly.one():

@@ -17,11 +17,21 @@ matrices are ever multiplied.  The multiplication rule is
 so a product costs two table lookups and one rank-sized matrix-vector
 product, and an element hashes as (number, translation).
 
+The group table also holds the system's label table (``LabelTable``,
+reached from any element as ``x.group.table``): every element the
+engine labels a basis element or an alcove by is numbered there once
+per process (F. du Cloux's encoding, Experiment. Math. 2002), with its
+Shi coordinates, computed once, and the numbers of its neighbours x s_i,
+each product formed once, when first asked for.  The table also lists
+W_aff in one breadth-first order by length, which ``waff_elements``
+reads a prefix of, and every ``hecke.KLComputer`` of the system, the
+periodic windows included, keys its rows by the table's numbers.
+
 On top of the group structure this module provides Shi's alcove
 coordinates, with the length function and the test for maximality in a
-finite coset read off them, the p-dilated dot-action, the finite group
-Omega of length-zero elements, and the restricted elements with the
-check involution and the identity gate's ``socle_pairs``.
+finite coset read off the stored ones, the p-dilated dot-action, the
+finite group Omega of length-zero elements, and the restricted elements
+with the check involution and the identity gate's ``socle_pairs``.
 
 The factorizations of an element that the engine needs are read off its
 coordinates rather than searched for with products: x = t_nu w_res, with
@@ -83,11 +93,12 @@ class FiniteWeylGroup:
     permutation: row i is the coroot of w^-1(alpha_i), and ``elts[k]``,
     the ``ExtWeylElt`` with no translation.  A reflection is read off
     root coordinates: s(beta) = beta - <beta, alpha^vee> alpha.  Nothing
-    here closes the whole group; only ``weyl_group`` does.
+    here closes the whole group; only ``weyl_group`` does.  ``table`` is
+    the system's ``LabelTable`` of affine labels.
     """
 
     __slots__ = (
-        "mats", "inv", "roots", "elts", "identity", "simples",
+        "mats", "inv", "roots", "elts", "identity", "simples", "table",
         "_sys", "_index", "_products", "_stride", "_simple_pos", "_signed_coroots",
     )
 
@@ -110,6 +121,7 @@ class FiniteWeylGroup:
         self._signed_coroots = coroots + [tuple([-c for c in r]) for r in reversed(coroots)]
         self.identity = self._add(tuple(range(len(coroots))))
         self.simples = tuple(self.reflection(sys.positive_roots[j]) for j in self._simple_pos)
+        self.table = LabelTable(self)
 
     def _add(self, perm: tuple[int, ...]) -> int:
         """Number a new element and its inverse; every numbered element
@@ -186,10 +198,10 @@ class ExtWeylElt(_Value):
     _fields = ("fin", "translation")
 
     def __init__(self, fin: int, translation: Weight, group: FiniteWeylGroup):
-        object.__setattr__(self, "fin", fin)
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "_hash", hash((fin, translation.coords)))
+        _set_fin(self, fin)
+        _set_translation(self, translation)
+        _set_group(self, group)
+        _set_hash(self, hash((fin, translation.coords)))
 
     def __reduce__(self):
         return ExtWeylElt, (self.fin, self.translation, self.group)
@@ -239,6 +251,116 @@ class ExtWeylElt(_Value):
         return _mat_vec(self.group.mats[self.fin], shifted)
 
 
+# each slot's own setter, called once per slot: object.__setattr__ would
+# look the slot up by name on every call, and assignment is refused
+_set_fin, _set_translation, _set_group, _set_hash = (
+    ExtWeylElt.__dict__[name].__set__ for name in ExtWeylElt.__slots__
+)
+
+
+class LabelTable:
+    """The labels of one root system, numbered as they are met (F. du
+    Cloux's encoding, Experiment. Math. 2002), and what is known of each.
+
+    The table lives on the system's ``FiniteWeylGroup`` (``x.group.table``),
+    and every ``hecke.KLComputer`` of the system keys its rows by its
+    numbers, so each fact about a label is formed once per process:
+
+    - ``elts[k]`` is the element numbered k, and ``index`` maps it back;
+    - ``shi[k]`` are its Shi coordinates, computed when it is numbered;
+    - ``nbrs[k][i]`` is the number of elts[k] s_i, formed the first time
+      it is asked for; s_i is an involution, so that also fills the
+      entry of elts[k] s_i back;
+    - ``level[k]`` is its length once the breadth-first order of W_aff
+      holds it (``depth``); no other label has an entry.
+
+    The breadth-first order lists W_aff by length from the identity, in
+    the order ``waff_elements`` returns, and grows one length at a time
+    as longer elements are asked for.  The Shi coordinates of check(x)
+    are kept per number once read (``check_shi``).  ``gens`` are the
+    Coxeter generators s_0, s_1, ..., s_rank.
+    """
+
+    __slots__ = (
+        "gens", "elts", "index", "shi", "nbrs", "level",
+        "_sys", "_identity", "_checks", "_order", "_ends",
+    )
+
+    def __init__(self, group: FiniteWeylGroup):
+        sys = group._sys
+        zero = Weight.zero(sys.rank)
+        theta = sys.affine_root
+        self.gens = (
+            ExtWeylElt(group.reflection(theta), -theta.as_weight(), group),
+            *(ExtWeylElt(s, zero, group) for s in group.simples),
+        )
+        self.elts: list[ExtWeylElt] = []
+        self.index: dict[ExtWeylElt, int] = {}
+        self.shi: list[tuple[int, ...]] = []
+        self.nbrs: list[list[int | None]] = []
+        self.level: dict[int, int] = {}
+        self._sys = sys
+        self._identity = group.elts[group.identity]
+        self._checks: dict[int, tuple[int, ...]] = {}
+        self._order: list[int] = []
+        self._ends: list[int] = []  # _order[:_ends[L]] has length <= L
+
+    def number(self, x: ExtWeylElt) -> int:
+        """The number of x, assigned on first sight."""
+        k = self.index.get(x)
+        if k is None:
+            k = self.index[x] = len(self.elts)
+            self.elts.append(x)
+            self.shi.append(shi_coords(self._sys, x.fin, x.translation))
+            self.nbrs.append([None] * len(self.gens))
+        return k
+
+    def coords(self, x: ExtWeylElt) -> tuple[int, ...]:
+        """The Shi coordinates of x."""
+        return self.shi[self.number(x)]
+
+    def nbr(self, k: int, i: int) -> int:
+        """The number of x s_i for x the element numbered k."""
+        n = self.nbrs[k][i]
+        if n is None:
+            n = self.nbrs[k][i] = self.number(self.elts[k] * self.gens[i])
+            self.nbrs[n][i] = k
+        return n
+
+    def depth(self, x: ExtWeylElt) -> int | None:
+        """The length of x if the breadth-first order holds it, else None."""
+        return self.level.get(self.index.get(x))
+
+    def waff_order(self, length_bound: int) -> list[int]:
+        """The numbers of the W_aff elements of length at most the bound,
+        in breadth-first order from the identity: each length is listed
+        once, from the neighbours of the one before it, in order."""
+        order, ends, level, shi = self._order, self._ends, self.level, self.shi
+        if not ends:
+            k = self.number(self._identity)
+            level[k] = 0
+            order.append(k)
+            ends.append(1)
+        while len(ends) <= length_bound:
+            cur = len(ends)
+            for k in order[ends[-2] if cur > 1 else 0 : ends[-1]]:
+                for i in range(len(self.gens)):
+                    n = self.nbr(k, i)
+                    if n not in level and sum(map(abs, shi[n])) == cur:
+                        level[n] = cur
+                        order.append(n)
+            ends.append(len(order))
+        return order[: ends[max(length_bound, 0)]]
+
+    def check_shi(self, k: int) -> tuple[int, ...]:
+        """The Shi coordinates of check(x) for x the element numbered k."""
+        c = self._checks.get(k)
+        if c is None:
+            xv = check_for_system(self._sys, self.elts[k])
+            c = self._checks[k] = shi_coords(self._sys, xv.fin, xv.translation)
+        return c
+
+
 # -- constructors -----------------------------------------------------------
 
 
@@ -251,21 +373,17 @@ def translation_elt(sys: RootSystem, lam: Weight) -> ExtWeylElt:
     return ExtWeylElt(g.identity, lam, g)
 
 
-@lru_cache(maxsize=None)
 def simple_reflection(sys: RootSystem, i: int) -> ExtWeylElt:
-    """Coxeter generator of W_aff: i = 1..rank finite, i = 0 affine.
+    """Coxeter generator of W_aff: i = 1..rank finite, i = 0 affine, as
+    the system's label table holds it.
 
     The affine generator reflects in the hyperplane where the highest
     coroot pairs to 1, i.e. s_0 = t_theta s_theta for the corresponding
     root theta.
     """
-    g = finite_group(sys)
-    if i == 0:
-        theta = sys.affine_root
-        return ExtWeylElt(g.reflection(theta), -theta.as_weight(), g)
-    if not 1 <= i <= sys.rank:
+    if not 0 <= i <= sys.rank:
         raise DomainError(f"no simple reflection with index {i}")
-    return ExtWeylElt(g.simples[i - 1], Weight.zero(sys.rank), g)
+    return finite_group(sys).table.gens[i]
 
 
 def translate(lam: tuple[int, ...], x: ExtWeylElt) -> ExtWeylElt:
@@ -315,8 +433,9 @@ def shi_coords(sys: RootSystem, fin: int, lam: Weight) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def length(sys: RootSystem, x: ExtWeylElt) -> int:
-    """The number of walls between A+ and x(A+): the sum of |k_alpha|."""
-    return sum(map(abs, shi_coords(sys, x.fin, x.translation)))
+    """The number of walls between A+ and x(A+): the sum of |k_alpha|,
+    read off the Shi coordinates the label table holds."""
+    return sum(map(abs, x.group.table.coords(x)))
 
 
 def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
@@ -327,14 +446,14 @@ def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
     coordinates, so s_i x is shorter exactly when k_{alpha_i}(x) < 0.  The
     simple roots are the positive roots of height one, listed first.
     """
-    k = shi_coords(sys, x.fin, x.translation)
+    k = x.group.table.coords(x)
     return all(c < 0 for c in k[: sys.rank])
 
 
 def is_coset_minimal(sys: RootSystem, x: ExtWeylElt) -> bool:
     """Minimal in Wx: every finite simple reflection is a left ascent, so
     every simple Shi coordinate is >= 0."""
-    k = shi_coords(sys, x.fin, x.translation)
+    k = x.group.table.coords(x)
     return all(c >= 0 for c in k[: sys.rank])
 
 
@@ -469,26 +588,15 @@ def omega_group(sys: RootSystem) -> tuple[ExtWeylElt, ...]:
 def waff_elements(sys: RootSystem, length_bound: int) -> tuple[ExtWeylElt, ...]:
     """All W_aff elements of length at most the bound, BFS from identity.
 
-    Memoized per system and bound: every caller shares one tuple, in BFS
-    order, so the group is walked once for each (system, bound).
+    A prefix of the one breadth-first order the system's label table
+    holds (``LabelTable.waff_order``): the group is walked once per
+    system, each length the first time a bound reaches it, so a longer
+    bound extends the order a shorter one read and forms no product
+    again.  Memoized per system and bound, so every caller of one bound
+    shares one tuple.
     """
-    e = identity_elt(sys)
-    seen = {e}
-    out = [e]
-    frontier = [e]
-    cur = 0
-    while frontier and cur < length_bound:
-        cur += 1
-        nxt = []
-        for x in frontier:
-            for i in gen_indices(sys):
-                y = x * simple_reflection(sys, i)
-                if y not in seen and length(sys, y) == cur:
-                    seen.add(y)
-                    nxt.append(y)
-        out.extend(nxt)
-        frontier = nxt
-    return tuple(out)
+    table = finite_group(sys).table
+    return tuple(map(table.elts.__getitem__, table.waff_order(length_bound)))
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
+import contextlib
 import itertools
 
 import pytest
 
 from alcove_kl.rootsys import ModularContext, build_root_system
-from alcove_kl.weylext import from_word, length, simple_reflection
+from alcove_kl.weylext import ExtWeylElt, LabelTable, finite_group, from_word, length, simple_reflection
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +25,35 @@ def ctx_a1(a1):
 @pytest.fixture(scope="session")
 def ctx_a2(a2):
     return ModularContext(a2, 5)
+
+
+@contextlib.contextmanager
+def fresh_table(sys):
+    """A cold label table for ``sys`` while the block runs, as a fresh
+    process has: computers made in the block number their labels and
+    form their products from scratch.  The table the rest of the session
+    shares is put back after the block."""
+    group = finite_group(sys)
+    shared = group.table
+    group.table = LabelTable(group)
+    try:
+        yield group.table
+    finally:
+        group.table = shared
+
+
+def count_products(monkeypatch):
+    """The list that records every group product formed from here on."""
+    calls = []
+    mul = ExtWeylElt.__mul__
+    monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append((a, b)) or mul(a, b))
+    return calls
+
+
+def filled_entries(table):
+    """The (number, generator) entries of the table's neighbour lists
+    that hold a number."""
+    return {(k, i) for k, nbrs in enumerate(table.nbrs) for i, n in enumerate(nbrs) if n is not None}
 
 
 def dihedral_element(sys, n):

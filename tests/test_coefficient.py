@@ -1,9 +1,9 @@
 """One entry of a canonical row, read without the rest of the row.
 
 ``KLComputer.coefficient(y, w)`` is the entry of y in ``row(w)``: it
-decodes that one packed entry, and numbers no label the row does not
-hold.  A ``PeriodicWindow`` reads through it too, after its own label
-check.
+decodes that one packed entry, and numbers no label in the system's
+label table that the row does not hold.  A ``PeriodicWindow`` reads
+through it too, after its own label check.
 """
 
 import pytest
@@ -20,6 +20,8 @@ from alcove_kl.weylext import (
     w0_elt,
     waff_elements,
 )
+
+from conftest import fresh_table
 
 SYSTEMS = {name: build_root_system(name[0], int(name[1])) for name in ("A2", "B2")}
 _ZERO = LaurentPoly.zero()
@@ -82,15 +84,17 @@ def test_one_coefficient_decodes_one_entry(monkeypatch, window):
 
 def test_a_coefficient_numbers_no_label():
     sys = SYSTEMS["A2"]
-    comp = KLComputer(sys, "canonical", lambda x: True)
     w = from_word(sys, [0, 1, 2])
-    row = comp.row(w)
-    numbered = len(comp.elts)
     far = from_word(sys, [1, 2, 1, 0, 1, 2, 1])
-    assert far not in row
-    assert comp.coefficient(far, w) == _ZERO
-    assert len(comp.elts) == numbered
+    with fresh_table(sys) as table:
+        comp = KLComputer(sys, "canonical", lambda x: True)
+        row = comp.row(w)
+        numbered = list(table.elts)
+        assert far not in row
+        assert comp.coefficient(far, w) == _ZERO
+        assert table.elts == numbered and far not in table.index
     # a cold read numbers exactly what the row of w numbers
-    cold = KLComputer(sys, "canonical", lambda x: True)
-    assert cold.coefficient(far, w) == _ZERO
-    assert cold.elts == comp.elts
+    with fresh_table(sys) as table:
+        cold = KLComputer(sys, "canonical", lambda x: True)
+        assert cold.coefficient(far, w) == _ZERO
+        assert table.elts == numbered

@@ -1,10 +1,13 @@
-"""The integer label table of ``KLComputer`` and parity outside type A.
+"""The label table of a root system, the computers keyed by it, and
+parity outside type A.
 
-The computers number basis labels as the recursion meets them and key
-their rows by number; these tests check the table against the group it
-numbers, and the rows it builds against the independent oracles in B2
-and G2 (``test_hecke`` covers A1 and A2) and against ``canonical_step``
-on ``LaurentPoly`` rows driven by the computer's own action rule.
+The system's ``LabelTable`` numbers basis labels as the computers meet
+them, and every computer keys its rows by those numbers; these tests
+check the table against the group it numbers, the products it forms
+against the entries it fills, and the rows the computers build against
+the independent oracles in B2 and G2 (``test_hecke`` covers A1 and A2)
+and against ``canonical_step`` on ``LaurentPoly`` rows driven by the
+computer's own action rule.
 """
 
 from functools import partial
@@ -26,16 +29,17 @@ from alcove_kl.hecke import (
 from alcove_kl.laurent import LaurentPoly, PackedCodec
 from alcove_kl.rootsys import build_root_system
 from alcove_kl.weylext import (
-    ExtWeylElt,
+    finite_group,
     from_word,
     gen_indices,
     is_coset_minimal,
     length,
+    shi_coords,
     simple_reflection,
     waff_elements,
 )
 
-from conftest import product_coset_rep
+from conftest import count_products, filled_entries, fresh_table, product_coset_rep
 
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
@@ -49,19 +53,30 @@ def test_kl_rows_match_duality_oracle(sys):
 
 
 def assert_table_laws(sys, comp, kept):
-    gens = [simple_reflection(sys, i) for i in gen_indices(sys)]
-    elts = comp.elts
-    assert len(set(elts)) == len(elts) == len(comp.ranks) == len(comp.nbrs)
+    """The system's label table numbers each label once, with its Shi
+    coordinates and the numbers of the neighbours formed so far; the
+    computer keys its rows by those numbers and ranks and keeps each
+    label it reached."""
+    table = finite_group(sys).table
+    assert comp.table is table and comp.elts is table.elts
+    elts = table.elts
+    assert len(set(elts)) == len(elts) == len(table.shi) == len(table.nbrs)
     filled = 0
     for k, x in enumerate(elts):
-        assert comp.number(x) == k
-        assert comp.ranks[k] == length(sys, x)
-        assert comp.kept[k] == kept(x)
-        for i, n in enumerate(comp.nbrs[k]):
+        assert table.number(x) == k
+        assert table.shi[k] == shi_coords(sys, x.fin, x.translation)
+        for i, n in enumerate(table.nbrs[k]):
             if n is not None:
                 filled += 1
-                assert elts[n] == x * gens[i]
+                assert elts[n] == x * table.gens[i]
+                assert table.nbrs[n][i] == k
     assert filled > 0
+    assert len(comp.ranks) == len(comp.kept) <= len(elts)
+    reached = [k for k, r in enumerate(comp.ranks) if r is not None]
+    assert set(comp.rows) <= set(reached)
+    for k in reached:
+        assert comp.ranks[k] == length(sys, elts[k])
+        assert comp.kept[k] == kept(elts[k])
 
 
 @pytest.mark.parametrize(
@@ -86,27 +101,50 @@ def test_descent_is_the_smallest_right_descent():
     comp = kl_computer(B2)
     w = from_word(B2, [0, 1, 2, 1, 0, 2, 1])
     kl_basis(B2, w)
-    for k, x in enumerate(list(comp.elts)):
+    reached = [k for k, r in enumerate(comp.ranks) if r is not None]
+    assert len(reached) > 10
+    for k in reached:
+        x = comp.elts[k]
         lx = length(B2, x)
         down = [i for i in gen_indices(B2) if length(B2, x * simple_reflection(B2, i)) < lx]
         assert comp.descent(k) == (min(down) if down else None)
 
 
 def test_a_row_forms_each_product_once(monkeypatch):
-    """A B2 row of length 26 forms one group product per filled entry of
-    the neighbour table, and no other."""
+    """A B2 row of length 26, on a cold label table, forms one group
+    product per pair of neighbour entries it fills (x s_i and, back,
+    x s_i s_i = x), and no other."""
     word = "0,1,2,0,1,2,0,1,2,1,0,1,2,1,0,1,2,1,0,1,2,1,0,1,2,1"
     w = from_word(B2, [int(c) for c in word.split(",")])
     expected = kl_basis(B2, w)
-    comp = KLComputer(B2, "canonical", lambda x: True)
-    calls = []
-    mul = ExtWeylElt.__mul__
-    monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    row = comp.row(w)
-    monkeypatch.undo()
-    assert row == expected
-    filled = sum(n is not None for nbrs in comp.nbrs for n in nbrs)
-    assert len(calls) == filled < 2500
+    with fresh_table(B2) as table:
+        comp = KLComputer(B2, "canonical", lambda x: True)
+        calls = count_products(monkeypatch)
+        row = comp.row(w)
+        monkeypatch.undo()
+        assert row == expected
+        assert 2 * len(calls) == len(filled_entries(table))
+        assert 0 < len(calls) < 2500
+
+
+def test_a_second_computer_forms_no_product_the_table_holds(monkeypatch):
+    """Computers of one system share its label table: a spherical row
+    read after a Hecke row forms only the products the Hecke row did not,
+    and a second Hecke computer reads its row with no product at all."""
+    w = from_word(B2, [0, 1, 2, 0, 1, 2, 1, 0, 1])
+    top = product_coset_rep(B2, w, longer=True)
+    hecke_row, spherical_row = kl_basis(B2, top), spherical_kl(B2, top)
+    with fresh_table(B2) as table:
+        KLComputer(B2, "canonical", lambda x: True).row(top)
+        held = filled_entries(table)
+        calls = count_products(monkeypatch)
+        assert KLComputer(B2, "canonical", lambda x: True).row(top) == hecke_row
+        assert calls == []
+        sph = KLComputer(B2, "spherical", partial(is_coset_maximal, B2))
+        assert sph.row(top) == spherical_row
+        monkeypatch.undo()
+        formed = {(table.index[a], table.gens.index(b)) for a, b in calls}
+        assert formed and not formed & held
 
 
 def laurent_rows(comp):

@@ -26,6 +26,7 @@ from alcove_kl.weylext import (
     length,
     omega_group,
     simple_reflection,
+    socle_pairs,
     translation_elt,
     w0_elt,
     waff_elements,
@@ -293,6 +294,15 @@ def test_the_gate_refuses_a_wrong_value(a2, monkeypatch, wrong):
     # the gate refused at the first wrong value, after one right socle
     # value when the diagonal is wrong
     assert diagonals == {"socle": [False], "diagonal": [False, True]}[wrong]
+
+
+def test_the_gate_fails_closed_on_a_pair_out_of_reach(a2, monkeypatch):
+    # the gate's radius reaches every socle pair; one that does not reach
+    # the longest pair refuses rather than skip it
+    longest = max(length(a2, x) for pair in socle_pairs(a2) for x in pair)
+    assert periodic._gate_radius(a2) >= longest
+    monkeypatch.setattr(periodic, "_gate_radius", lambda sys: longest - 1)
+    assert periodic._gate_passes.__wrapped__(a2) is False
 
 
 def test_out_of_reach_raises(ctx_a1):

@@ -1,9 +1,10 @@
 """Periodic windows built on the numbered label table.
 
-``PeriodicWindow`` numbers its alcove labels and keys its rows by int.
+``PeriodicWindow`` keys its rows by the numbers of the system's label table.
 These tests hold it to the element-keyed build it replaced, kept here as
 an oracle: equal rows, truncation flags and gallery choices in A1, A2,
-B2 and G2, and one group product per (member, generator) pair.
+B2 and G2, and one group product per (member, generator) pair, formed
+once in the system's label table whichever window asks for it first.
 """
 
 import random
@@ -17,12 +18,15 @@ from alcove_kl.laurent import LaurentPoly
 from alcove_kl.periodic import PeriodicWindow
 from alcove_kl.rootsys import build_root_system
 from alcove_kl.weylext import (
-    ExtWeylElt,
     elt_key,
     gen_indices,
+    identity_elt,
+    length,
     simple_reflection,
     waff_elements,
 )
+
+from conftest import count_products, filled_entries, fresh_table
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -148,16 +152,66 @@ def test_window_lookups_read_the_numbered_rows():
 @pytest.mark.parametrize("sys,radius", CASES, ids=["A1", "A2", "B2", "G2"])
 @pytest.mark.parametrize("options", VARIANTS[:3], ids=["default", "gallery", "flipped"])
 def test_a_window_forms_each_product_once(monkeypatch, sys, radius, options):
-    """Beyond enumerating its members, a window forms each x s_i at most
-    once: at most (rank + 1) products per member."""
-    calls = []
-    mul = ExtWeylElt.__mul__
-    monkeypatch.setattr(ExtWeylElt, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    # the enumeration is memoized; clear it so that the hook is seen to count
-    waff_elements.cache_clear()
-    members = len(waff_elements(sys, radius))
-    enumerated = len(calls)
-    del calls[:]
-    PeriodicWindow(sys, radius, **options)
-    assert enumerated > 0
-    assert len(calls) - enumerated <= (sys.rank + 1) * members
+    """On a cold label table, a window forms each x s_i at most once,
+    enumerating its members included: at most (rank + 1) products per
+    member, and one per pair of neighbour entries the table fills."""
+    with fresh_table(sys) as table:
+        calls = count_products(monkeypatch)
+        PeriodicWindow(sys, radius, **options)
+        monkeypatch.undo()
+        members = len(table.waff_order(radius))
+        assert 0 < len(calls) <= (sys.rank + 1) * members
+        assert 2 * len(calls) == len(filled_entries(table))
+
+
+@pytest.mark.parametrize("sys,radius", CASES, ids=["A1", "A2", "B2", "G2"])
+def test_a_second_window_forms_no_product_the_table_holds(monkeypatch, sys, radius):
+    """Windows of one system share its label table: a second window, of
+    the same radius or one more, with or without a gallery, forms no
+    product for an entry the first one filled, and a window reading rows
+    the first one read forms none at all."""
+    with fresh_table(sys) as table:
+        first = PeriodicWindow(sys, radius)
+        columns = waff_elements(sys, 2)
+        rows = [first.row(w) for w in columns]
+        held = filled_entries(table)
+        calls = count_products(monkeypatch)
+        assert [PeriodicWindow(sys, radius).row(w) for w in columns] == rows
+        assert calls == []
+        for options in ({"gallery_seed": 17}, {"sign": -1}):
+            later = PeriodicWindow(sys, radius + 1, **options)
+            for w in columns:
+                later.row(w)
+        monkeypatch.undo()
+        formed = {(table.index[a], table.gens.index(b)) for a, b in calls}
+        assert formed and not formed & held
+
+
+def breadth_first(sys, bound):
+    """W_aff by length, walked from the identity for this bound alone:
+    the per-bound enumeration the shared order replaced."""
+    e = identity_elt(sys)
+    seen, out, frontier = {e}, [e], [e]
+    for cur in range(1, bound + 1):
+        nxt = []
+        for x in frontier:
+            for i in gen_indices(sys):
+                y = x * simple_reflection(sys, i)
+                if y not in seen and length(sys, y) == cur:
+                    seen.add(y)
+                    nxt.append(y)
+        out += nxt
+        frontier = nxt
+    return tuple(out)
+
+
+@pytest.mark.parametrize("sys,radius", CASES, ids=["A1", "A2", "B2", "G2"])
+def test_the_enumeration_is_a_prefix_of_one_order(sys, radius):
+    shorter, longer = waff_elements(sys, radius), waff_elements(sys, radius + 3)
+    assert len(shorter) < len(longer) and longer[: len(shorter)] == shorter
+    assert longer == breadth_first(sys, radius + 3)
+    # a cold table that reaches the longer bound first lists the same order
+    with fresh_table(sys) as table:
+        numbers = table.waff_order(radius + 3)
+        assert tuple(table.elts[k] for k in numbers) == longer
+        assert table.waff_order(radius) == numbers[: len(shorter)]
