@@ -11,9 +11,9 @@ partial order generated by up-crossings.
 
 Both are read off Shi's integer alcove coordinates k_alpha(A), the
 floor of the pairing with the coroot alpha^vee on A
-(``weylext.shi_coords``), read from the label table of the root
-system, which computes them once per label: d(A) is their sum, a crossing changes exactly
-one of them by one, and A <= B in the generic order exactly when
+(``weylext.shi_coords``), as the label table of the root system stores
+them, once per label: d(A) is their sum, a crossing changes exactly one
+of them by one, and A <= B in the generic order exactly when
 k(A) <= k(B) componentwise.
 
 Convention: a crossing is "up" when it moves toward the side where the

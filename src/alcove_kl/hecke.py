@@ -227,9 +227,8 @@ def _shi_length(k: tuple[int, ...]) -> int:
 class KLComputer:
     """Memoized canonical rows of the module given by ``kept`` (of x),
     ``rank`` (of the Shi coordinates of x), ``dropped`` and
-    ``length_bound``, keyed by the numbers
-    of the system's label table (``weylext.LabelTable``; see the module
-    docstring).
+    ``length_bound``, keyed by the numbers of the system's label table
+    (``weylext.LabelTable``; see the module docstring).
 
     ``table`` is that table and ``elts`` its list of elements, shared
     with every other computer of the system.  The computer keeps only its

@@ -27,6 +27,7 @@ from alcove_kl.weylext import (
     omega_group,
     simple_reflection,
     socle_pairs,
+    translate,
     translation_elt,
     w0_elt,
     waff_elements,
@@ -297,11 +298,15 @@ def test_the_gate_refuses_a_wrong_value(a2, monkeypatch, wrong):
 
 
 def test_the_gate_fails_closed_on_a_pair_out_of_reach(a2, monkeypatch):
-    # the gate's radius reaches every socle pair; one that does not reach
-    # the longest pair refuses rather than skip it
-    longest = max(length(a2, x) for pair in socle_pairs(a2) for x in pair)
-    assert periodic._gate_radius(a2) >= longest
-    monkeypatch.setattr(periodic, "_gate_radius", lambda sys: longest - 1)
+    pairs = socle_pairs(a2)
+    rad = periodic._gate_radius(a2)
+    assert rad >= max(length(a2, x) for pair in pairs for x in pair)
+    # a radius that reaches every pair but a translate of one: the gate
+    # refuses, where one that skipped that pair would pass on the rest
+    far = tuple(translate((2 * rad,) * a2.rank, x) for x in pairs[0])
+    assert min(map(partial(length, a2), far)) > rad
+    monkeypatch.setattr(periodic, "socle_pairs", lambda sys: [*pairs, far])
+    monkeypatch.setattr(periodic, "_gate_radius", lambda sys: rad)
     assert periodic._gate_passes.__wrapped__(a2) is False
 
 
