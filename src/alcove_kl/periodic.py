@@ -32,18 +32,25 @@ raises StabilizationError and the table marks the entry unstabilized.
 A second route, ``antispherical_kl``, reads p_{y,w} off the
 antispherical module instead (see there); no command reads it yet.
 
-Entries are stored once per translation orbit, keyed by the canonical
-pair obtained by writing w = t_nu u with u in the finite Weyl group and
-translating both labels by -nu.  A query context keeps the value it read
-for each canonical pair and radius (``_waff_kl``), so the Ext and Loewy
-queries of ``repcalc`` read each orbit once.
+Entries are stored once per translation orbit.  The values are
+invariant under translating y and w together by the root lattice
+(Lusztig, Adv. Math. 37, 1980), and an orbit is named by integers read
+off the label table (``orbit_key``): the finite parts of y and w and the
+differences k_alpha(y) - k_alpha(w) of their Shi coordinates at the
+simple roots.  A query context keeps the value it read for each orbit
+key and radius (``_waff_kl``), so the Ext and Loewy queries of
+``repcalc`` read each orbit once, and a repeated read forms no element.
+Only a value that has to be read from windows is read at the orbit's
+canonical pair, obtained by writing w = t_nu u with u in the finite Weyl
+group and translating both labels by -nu (``canonical_pair``).
 
 Two safeguards wrap the raw recursion.  Pairs outside the two-sided
 support band (y below w, and w0 y below w0 check(w), the latter forced
 by the length-reversing inversion identity) are certified zero without
-any window work, by one componentwise comparison of Shi coordinates; a
-repeated query meets the context's value memo before it reaches the
-band.  And an identity gate evaluates the socle coefficient
+any window work, by one componentwise comparison of Shi coordinates.
+The band is translation invariant, so a read tests it at the pair as
+given, after the context's value memo and before any canonical pair is
+formed.  And an identity gate evaluates the socle coefficient
 p_{w0 x, x} = v^{l(w0)} over the pairs (x, w0 x) of ``socle_pairs``
 once per root system, refusing to emit any value where the recursion
 does not reproduce it; the gate passes in types A1 and A2, while elsewhere (B2,
@@ -161,6 +168,23 @@ def _window(sys: RootSystem, radius: int) -> PeriodicWindow:
     return PeriodicWindow(sys, radius)
 
 
+def orbit_key(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> tuple[int, ...]:
+    """The integers that name the translation orbit of (y, w): the finite
+    parts of y and w, then k_{alpha_j}(y) - k_{alpha_j}(w) for each simple
+    root alpha_j, read off the label table.
+
+    The key is invariant, since k_alpha(t_nu x) = k_alpha(x) + <nu, alpha^vee>.
+    It is exact: the finite part of w fixes the sign corrections of
+    ``canonical_pair``, so the differences fix the coordinates of
+    t_{-nu} y at the simple roots, which with its finite part determine
+    it.  So two pairs share a key exactly when they share a canonical
+    pair, and no element is formed to find it.
+    """
+    g = w.group
+    ky, kw = g.table.coords(y), g.table.coords(w)
+    return (y.fin, w.fin, *[ky[j] - kw[j] for j in g._simple_pos])
+
+
 def canonical_pair(
     sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt
 ) -> tuple[ExtWeylElt, ExtWeylElt]:
@@ -172,7 +196,10 @@ def canonical_pair(
     k_{alpha_i}(w) is <nu, alpha_i^vee>, less 1 when u^-1(alpha_i) is
     negative.  ``translate`` forms t_{-nu} y from coordinates, so no
     group product is formed.  Both labels must lie in W_aff, which
-    ``periodic_kl`` checks and its other callers know.
+    ``periodic_kl`` checks and its other callers know.  The read path
+    names orbits by ``orbit_key`` and forms the representative only for
+    a value it reads from windows; ``pkl_table`` forms it once per
+    orbit, to key its entries.
     """
     g = w.group
     k, signs = g.table.coords(w), g.roots[w.fin]
@@ -193,6 +220,11 @@ def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
     k(check(w)) <= k(y).  Summing the coordinates, the band lies in the
     height band d(check(w)) <= d(y) <= d(w).  Both labels lie in W_aff
     (or in one coset of it), where the coordinates determine the element.
+
+    The test is invariant under translating y and w together: check(t_nu
+    x) = t_nu check(x), and t_nu adds <nu, alpha^vee> to every coordinate
+    k_alpha of all three labels.  ``_waff_kl`` relies on this to test a
+    pair as given rather than at its canonical pair.
 
     Every coordinate vector is read from the system's label table: those
     of y and w are stored with their labels, and those of check(w) are
@@ -220,18 +252,25 @@ def periodic_kl(ctx: ModularContext, y: ExtWeylElt, w: ExtWeylElt, radius: int) 
 
 def _waff_kl(ctx: ModularContext, y: ExtWeylElt, w: ExtWeylElt, radius: int) -> LaurentPoly:
     """``periodic_kl`` of a pair whose labels the caller knows lie in
-    W_aff, read past the gate at its translation-canonical representative.
+    W_aff, read past the gate once per translation orbit.
 
     The value is kept in the context's value memo (``ctx._values``) under
-    (canonical y, canonical w, radius), and a later read of any pair in
-    that orbit at that radius returns it.  A read that raises keeps
-    nothing, so it raises again."""
+    (``orbit_key``, radius), and a later read of any pair in that orbit
+    at that radius returns it without forming an element.  A miss runs
+    the gate, then tests the support band at the pair as given, which
+    the band's translation invariance makes exact; only a pair inside it
+    is read from the windows, at its canonical pair.  A read that raises
+    keeps nothing, so it raises again."""
     sys = ctx.system
-    key = (*canonical_pair(sys, y, w), radius)
+    key = (orbit_key(sys, y, w), radius)
     value = ctx._values.get(key)
     if value is None:
         _validate_conventions(sys)
-        value = ctx._values[key] = _coefficient_stabilized(sys, *key)
+        value = ctx._values[key] = (
+            _coefficient_stabilized(sys, *canonical_pair(sys, y, w), radius)
+            if in_support_band(sys, y, w)
+            else _ZERO
+        )
     return value
 
 
@@ -358,7 +397,8 @@ def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:
 
     Translation invariance across each orbit is asserted on the fly: a
     raw (untranslated) extraction that is itself stabilized must agree
-    with the canonical entry.
+    with the canonical entry.  Pairs are grouped by ``orbit_key``, so the
+    canonical pair that keys an entry is formed once per orbit.
     """
     sys = ctx.system
     if length_bound > radius:
@@ -369,11 +409,15 @@ def pkl_table(ctx: ModularContext, length_bound: int, radius: int) -> PKLTable:
     _validate_conventions(sys)
     elements = waff_elements(sys, length_bound)
     entries: dict[tuple[ExtWeylElt, ExtWeylElt], PKLEntry] = {}
+    canonical: dict[tuple[int, ...], tuple[ExtWeylElt, ExtWeylElt]] = {}
     for w in elements:
         for y in elements:
             first, second = _read(sys, y, w, radius)
             found = PKLEntry(second, first == second)
-            key = canonical_pair(sys, y, w)
+            orbit = orbit_key(sys, y, w)
+            key = canonical.get(orbit)
+            if key is None:
+                key = canonical[orbit] = canonical_pair(sys, y, w)
             cur = entries.get(key)
             if cur is None:
                 entries[key] = found

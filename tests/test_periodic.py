@@ -13,11 +13,13 @@ from alcove_kl.periodic import (
     PeriodicWindow,
     canonical_pair,
     in_support_band,
+    orbit_key,
     periodic_kl,
     pkl_table,
 )
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
 from alcove_kl.weylext import (
+    ExtWeylElt,
     check,
     from_word,
     gen_indices,
@@ -352,8 +354,14 @@ def test_a_memoized_value_equals_a_fresh_contexts_value(a2, monkeypatch):
     ctx = ModularContext(a2, 5)
     elements = waff_elements(a2, 3)
     first = {(y, w): periodic_kl(ctx, y, w, 13) for w in elements for y in elements}
-    canonical = {canonical_pair(a2, y, w) for y, w in first}
-    assert set(ctx._values) == {(y, w, 13) for y, w in canonical}
+    # one memo key per orbit: as many keys as canonical pairs, each the
+    # orbit key of every pair that shares the canonical pair
+    orbits = {}
+    for y, w in first:
+        orbits.setdefault(canonical_pair(a2, y, w), set()).add(orbit_key(a2, y, w))
+    assert all(len(keys) == 1 for keys in orbits.values())
+    assert set(ctx._values) == {(key, 13) for (key,) in orbits.values()}
+    assert len(ctx._values) == len(orbits)
     # a second read of every pair reads no window
     reads, read = [], periodic._read
     monkeypatch.setattr(periodic, "_read", lambda *args: reads.append(args) or read(*args))
@@ -362,6 +370,54 @@ def test_a_memoized_value_equals_a_fresh_contexts_value(a2, monkeypatch):
     monkeypatch.undo()
     fresh = ModularContext(a2, 5)
     assert all(periodic_kl(fresh, y, w, 13) == value for (y, w), value in first.items())
+
+
+def calls_of(monkeypatch, name):
+    """The list that records every call of ``periodic.<name>`` from here on."""
+    calls, fn = [], getattr(periodic, name)
+    monkeypatch.setattr(periodic, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def elements_made(monkeypatch):
+    """The list that records every ``ExtWeylElt`` formed from here on."""
+    made, init = [], ExtWeylElt.__init__
+    monkeypatch.setattr(ExtWeylElt, "__init__", lambda x, *args: made.append(args) or init(x, *args))
+    return made
+
+
+# a root-lattice translation of A2: alpha_1 + 2 alpha_2 on the fundamental weights
+NU = (0, 3)
+
+
+def test_a_memo_hit_forms_no_element(a2, monkeypatch):
+    ctx = ModularContext(a2, 5)
+    x, w0x = socle_pairs(a2)[0]
+    assert periodic_kl(ctx, w0x, x, 13) == V**3
+    far = translate(NU, w0x), translate(NU, x)
+    translates, made = calls_of(monkeypatch, "translate"), elements_made(monkeypatch)
+    assert periodic_kl(ctx, *far, 13) == V**3 and periodic_kl(ctx, w0x, x, 13) == V**3
+    assert translates == [] and made == [] and len(ctx._values) == 1
+
+
+def test_an_out_of_band_miss_forms_no_element_and_reads_no_window(a2, monkeypatch):
+    ctx = ModularContext(a2, 5)
+    periodic._validate_conventions(a2)  # the gate reads its own windows first
+    e = identity_elt(a2)
+    deep = translation_elt(a2, Weight((-4, -4)))
+    pairs = [(deep, e), (translate(NU, deep), translate(NU, e))]
+    assert not any(in_support_band(a2, y, w) for y, w in pairs)
+    translates, made = calls_of(monkeypatch, "translate"), elements_made(monkeypatch)
+    reads = calls_of(monkeypatch, "_read")
+    assert all(periodic_kl(ctx, y, w, 13) == ZERO for y, w in pairs)
+    assert translates == [] and made == [] and reads == [] and len(ctx._values) == 1
+
+
+def test_a_table_forms_one_canonical_pair_per_orbit(a2, monkeypatch):
+    calls = calls_of(monkeypatch, "canonical_pair")
+    table = pkl_table(ModularContext(a2, 5), length_bound=4, radius=10)
+    assert len(calls) == len(table.entries) == 486
+    assert set(table.entries) == {canonical_pair(*args) for args in calls}
 
 
 def test_equal_contexts_do_not_share_the_value_memo_and_a_pickle_has_none(a2):
