@@ -80,8 +80,8 @@ class _Record:
             get = attrgetter(fields[0])
             cls._key = staticmethod(lambda x: (get(x),))
         # compiled, as namedtuple's methods are: a loop over _fields is
-        # several times slower, every group product builds a Weight, and
-        # a one-field key builds a 1-tuple on each comparison
+        # several times slower, and a one-field key builds a 1-tuple on
+        # each comparison
         code = {}
         if fields and "__init__" not in vars(cls):
             body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)

@@ -1,48 +1,36 @@
 """The extended affine Weyl group W ltimes X and its combinatorics.
 
-Elements are stored as pairs (w, lam) representing w * t_lam.  The
-finite part w is an integer: its number in the finite Weyl group table
-of the root system (``FiniteWeylGroup``), which numbers an element, with
-its inverse, the first time it turns up as a product or a reflection, so
-a large group is never enumerated unless ``weyl_group`` asks for all of
-it.  In the table an element is its signed positive-root permutation: a
-product composes two permutations and looks the result up, and products
-are memoized as they are asked for.  The element's matrix on the
-fundamental-weight basis is read off its permutation (row i is the
-coroot of w^-1(alpha_i)) and kept with the number of its inverse; no two
-matrices are ever multiplied.  The multiplication rule is
+An element w * t_lam is two integer values: the number of w in the
+finite Weyl group table of its root system (``FiniteWeylGroup``), and
+the tuple of coordinates of lam on the fundamental weights.  The table
+numbers an element, with its inverse, the first time it turns up as a
+product or a reflection, so a large group is never enumerated unless
+``weyl_group`` asks for all of it.  In the table an element is its
+signed positive-root permutation: a product composes two permutations
+and looks the result up, memoized.  Its matrix on the fundamental-weight
+basis is read off the permutation (row i is the coroot of
+w^-1(alpha_i)); no two matrices are ever multiplied.  One translation
+rule, t_lam v t_mu = v t_{v^-1(lam) + mu}, gives the product
 
-    (w t_lam)(w' t_mu) = (w w') t_{w'^{-1}(lam) + mu},
+    (w t_lam)(w' t_mu) = (w w') t_{w'^{-1}(lam) + mu}
 
-so a product costs two table lookups and one rank-sized matrix-vector
-product, and an element hashes as (number, translation).
+and ``translate``, which forms t_lam x with no product.  An element
+hashes as (number, translation), and pickles as its system, the root
+permutation of w and the translation, so a pickle holds no table.
 
 The group table also holds the system's label table (``LabelTable``,
-reached from any element as ``x.group.table``): every element the
-engine labels a basis element or an alcove by is numbered there once
-per process (F. du Cloux's encoding, Experiment. Math. 2002), with its
-Shi coordinates, computed once, and the numbers of its neighbours x s_i,
-each product formed once, when first asked for.  The table also lists
-W_aff in one breadth-first order by length, which ``waff_elements``
-reads a prefix of, and every ``hecke.KLComputer`` of the system, the
-periodic windows included, keys its rows by the table's numbers.
+``x.group.table``), which numbers every label once per process, and by
+whose numbers every ``hecke.KLComputer`` of the system keys its rows.
 
 On top of the group structure this module provides Shi's alcove
-coordinates, with the length function and the test for maximality in a
-finite coset read off the stored ones, the p-dilated dot-action, the
-finite group Omega of length-zero elements, and the restricted elements
-with the check involution and the identity gate's ``socle_pairs``.
-
-The factorizations of an element that the engine needs are read off its
-coordinates rather than searched for with products: x = t_nu w_res, with
-w_res the restricted element sharing x's finite part
-(``restricted_shift``, used by the check involution); and x = t_nu u
-with u finite (u is x's finite part and nu = u(lam)).  A translate t_lam x
-is formed from coordinates too (``translate``), and the check involution
-and the translation-canonical pairs of ``periodic`` read it so, with no
-group product.  Omega holds plain
-elements, one per class of X modulo the root lattice, descended from t_0 and from t_omega for the minuscule
-fundamental weights omega.
+coordinates, with the length function and the coset tests read off the
+stored ones, the p-dilated dot-action, the group Omega of length-zero
+elements, one per class of X modulo the root lattice, and the
+restricted elements with the check involution and the identity gate's
+``socle_pairs``.  The factorizations of an element the engine needs are
+read off its coordinates rather than searched for with products: x =
+t_nu w_res, with w_res the restricted element sharing x's finite part
+(``restricted_shift``), and x = t_nu u with u finite (nu = u(lam)).
 """
 
 from __future__ import annotations
@@ -57,7 +45,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     _Value,
-    in_root_lattice,
+    _cartan_adjugate,
     is_restricted,
 )
 
@@ -141,7 +129,7 @@ class FiniteWeylGroup:
             self.roots.append(p)
             # row i is the coroot of w^-1(alpha_i), read at alpha_i's position
             self.mats.append(tuple([self._signed_coroots[p[j]] for j in self._simple_pos]))
-            self.elts.append(ExtWeylElt(len(self.elts), Weight.zero(self._sys.rank), self))
+            self.elts.append(ExtWeylElt(len(self.elts), (0,) * self._sys.rank, self))
         self.inv += [k] if len(new) == 1 else [k + 1, k]
         return k
 
@@ -159,7 +147,10 @@ class FiniteWeylGroup:
         for beta in roots:
             pair = sum(map(mul, beta.fund, root.coroot))
             perm.append(position[tuple([b - pair * a for b, a in zip(beta.root, root.root)])])
-        perm = tuple(perm)
+        return self.number(tuple(perm))
+
+    def number(self, perm: tuple[int, ...]) -> int:
+        """The number of a signed root permutation, numbered if it is new."""
         k = self._index.get(perm)
         return self._add(perm) if k is None else k
 
@@ -171,11 +162,9 @@ class FiniteWeylGroup:
             # if i(beta_b) = +-alpha_t and j(beta_c) = +-beta_b, then
             # i j (beta_c) = +-alpha_t
             rj = self.roots[j]
-            perm = tuple([rj[b] if b >= 0 else ~rj[~b] for b in self.roots[i]])
-            k = self._index.get(perm)
-            if k is None:
-                k = self._add(perm)
-            self._products[key] = k
+            k = self._products[key] = self.number(
+                tuple([rj[b] if b >= 0 else ~rj[~b] for b in self.roots[i]])
+            )
         return k
 
 
@@ -188,30 +177,34 @@ def finite_group(sys: RootSystem) -> FiniteWeylGroup:
 class ExtWeylElt(_Value):
     """An element w * t_lam of the extended affine Weyl group.
 
-    ``fin`` is the number of w in the table ``group`` of its root system.
-    Numbers mean nothing across tables, so equal elements share the table
-    as well as ``fin`` and the translation; the hash reads ``fin`` and the
-    translation only, and it and the printed form leave out the table.
+    ``fin`` is the number of w in the table ``group`` of its root system,
+    and ``translation`` the coordinates of lam.  Equal elements share the
+    table as well as ``fin`` and the translation; the hash and the printed
+    form leave out the table.  A product with an element of another
+    system raises DomainError.  An element pickles as its system, the
+    signed root permutation of w and the translation, and w is numbered
+    again on the reading process's table.
     """
 
     __slots__ = ("fin", "translation", "group", "_hash")
     _fields = ("fin", "translation")
 
-    def __init__(self, fin: int, translation: Weight, group: FiniteWeylGroup):
+    def __init__(self, fin: int, translation: tuple[int, ...], group: FiniteWeylGroup):
         _set_fin(self, fin)
         _set_translation(self, translation)
         _set_group(self, group)
-        _set_hash(self, hash((fin, translation.coords)))
+        _set_hash(self, hash((fin, translation)))
 
     def __reduce__(self):
-        return ExtWeylElt, (self.fin, self.translation, self.group)
+        g = self.group
+        return _from_roots, (g._sys, g.roots[self.fin], self.translation)
 
     def __eq__(self, other: object) -> bool:
         try:
             return (
                 self.fin == other.fin
                 and self.group is other.group
-                and self.translation.coords == other.translation.coords
+                and self.translation == other.translation
             )
         except AttributeError:
             return NotImplemented
@@ -220,26 +213,16 @@ class ExtWeylElt(_Value):
         return self._hash
 
     def __mul__(self, other: "ExtWeylElt") -> "ExtWeylElt":
-        # (w t_lam)(w' t_mu) = (w w') t_{w'^-1(lam) + mu}
+        # (w t_lam)(w' t_mu) = (w w') t_lam' with t_lam w' t_mu = w' t_lam'
         g = self.group
-        j = other.fin
-        lam = self.translation.coords
-        return ExtWeylElt(
-            g.product(self.fin, j),
-            Weight(tuple([
-                sum(map(mul, row, lam)) + m
-                for row, m in zip(g.mats[g.inv[j]], other.translation.coords)
-            ])),
-            g,
-        )
+        if other.group is not g:
+            raise _other_system(g._sys, other)
+        return ExtWeylElt(g.product(self.fin, other.fin), _moved(self.translation, other), g)
 
     def inverse(self) -> "ExtWeylElt":
+        # (w t_lam)^-1 = t_{-lam} w^-1
         g = self.group
-        return ExtWeylElt(
-            g.inv[self.fin],
-            Weight(tuple([-c for c in _mat_vec(g.mats[self.fin], self.translation.coords)])),
-            g,
-        )
+        return translate(tuple([-c for c in self.translation]), g.elts[g.inv[self.fin]])
 
     def finite_apply(self, lam: Weight) -> Weight:
         """Apply only the finite part, linearly."""
@@ -247,7 +230,7 @@ class ExtWeylElt(_Value):
 
     def act_affine(self, point: tuple) -> tuple:
         """The affine action on X tensor Q: x -> w(x + lam)."""
-        shifted = tuple(p + t for p, t in zip(point, self.translation.coords))
+        shifted = tuple(p + t for p, t in zip(point, self.translation))
         return _mat_vec(self.group.mats[self.fin], shifted)
 
 
@@ -256,6 +239,33 @@ class ExtWeylElt(_Value):
 _set_fin, _set_translation, _set_group, _set_hash = (
     ExtWeylElt.__dict__[name].__set__ for name in ExtWeylElt.__slots__
 )
+
+
+def _moved(lam: tuple[int, ...], x: ExtWeylElt) -> tuple[int, ...]:
+    """The translation rule of the product and of ``translate``: the
+    translation of t_lam x, v^-1(lam) + mu for x = v t_mu."""
+    g = x.group
+    return tuple([
+        sum(map(mul, row, lam)) + m for row, m in zip(g.mats[g.inv[x.fin]], x.translation)
+    ])
+
+
+def _other_system(sys: RootSystem, x: ExtWeylElt) -> DomainError:
+    return DomainError(f"an element of {x.group._sys} where one of {sys} is expected")
+
+
+def _table_of(sys: RootSystem, x: ExtWeylElt) -> LabelTable:
+    """The label table of x; DomainError for an element of another system."""
+    other = x.group._sys
+    if other is not sys and other != sys:
+        raise _other_system(sys, x)
+    return x.group.table
+
+
+def _from_roots(sys: RootSystem, roots: tuple[int, ...], translation: tuple[int, ...]) -> ExtWeylElt:
+    """The element a pickle holds, numbered on the table of ``sys``."""
+    g = finite_group(sys)
+    return ExtWeylElt(g.number(roots), translation, g)
 
 
 class LabelTable:
@@ -288,11 +298,10 @@ class LabelTable:
 
     def __init__(self, group: FiniteWeylGroup):
         sys = group._sys
-        zero = Weight.zero(sys.rank)
         theta = sys.affine_root
         self.gens = (
-            ExtWeylElt(group.reflection(theta), -theta.as_weight(), group),
-            *(ExtWeylElt(s, zero, group) for s in group.simples),
+            ExtWeylElt(group.reflection(theta), tuple([-c for c in theta.fund]), group),
+            *(group.elts[s] for s in group.simples),
         )
         self.elts: list[ExtWeylElt] = []
         self.index: dict[ExtWeylElt, int] = {}
@@ -309,6 +318,8 @@ class LabelTable:
         """The number of x, assigned on first sight."""
         k = self.index.get(x)
         if k is None:
+            if x.group is not self._identity.group:
+                raise _other_system(self._sys, x)
             k = self.index[x] = len(self.elts)
             self.elts.append(x)
             self.shi.append(shi_coords(self._sys, x.fin, x.translation))
@@ -370,7 +381,7 @@ def identity_elt(sys: RootSystem) -> ExtWeylElt:
 
 def translation_elt(sys: RootSystem, lam: Weight) -> ExtWeylElt:
     g = finite_group(sys)
-    return ExtWeylElt(g.identity, lam, g)
+    return ExtWeylElt(g.identity, lam.coords, g)
 
 
 def simple_reflection(sys: RootSystem, i: int) -> ExtWeylElt:
@@ -387,18 +398,9 @@ def simple_reflection(sys: RootSystem, i: int) -> ExtWeylElt:
 
 
 def translate(lam: tuple[int, ...], x: ExtWeylElt) -> ExtWeylElt:
-    """t_lam x, read off coordinates: for x = v t_mu it is
-    v t_{v^-1(lam) + mu}, one matrix-vector product with the table's
-    matrix of v^-1.  No group product is formed."""
-    g = x.group
-    return ExtWeylElt(
-        x.fin,
-        Weight(tuple([
-            sum(map(mul, row, lam)) + m
-            for row, m in zip(g.mats[g.inv[x.fin]], x.translation.coords)
-        ])),
-        g,
-    )
+    """t_lam x, read off coordinates by the product's translation rule:
+    for x = v t_mu it is v t_{v^-1(lam) + mu}, and no product is formed."""
+    return ExtWeylElt(x.fin, _moved(lam, x), x.group)
 
 
 def gen_indices(sys: RootSystem) -> range:
@@ -416,7 +418,7 @@ def from_word(sys: RootSystem, word: tuple[int, ...] | list[int]) -> ExtWeylElt:
 # -- Shi coordinates, length and descents ---------------------------------------
 
 
-def shi_coords(sys: RootSystem, fin: int, lam: Weight) -> tuple[int, ...]:
+def shi_coords(sys: RootSystem, fin: int, lam: tuple[int, ...]) -> tuple[int, ...]:
     """Shi's alcove coordinates of x = w t_lam (J.-Y. Shi, LNM 1179, 1986).
 
     Entry j is k_alpha for alpha the j-th positive root: the floor of
@@ -425,7 +427,7 @@ def shi_coords(sys: RootSystem, fin: int, lam: Weight) -> tuple[int, ...]:
     on the sign +, and -<lam, beta^vee> - 1 on the sign -.  Crossing one
     wall moves exactly one coordinate by one, upward when it grows.
     """
-    pair = [sum(map(mul, lam.coords, r.coroot)) for r in sys.positive_roots]
+    pair = [sum(map(mul, lam, r.coroot)) for r in sys.positive_roots]
     return tuple([
         pair[b] if b >= 0 else -1 - pair[~b] for b in finite_group(sys).roots[fin]
     ])
@@ -435,7 +437,7 @@ def shi_coords(sys: RootSystem, fin: int, lam: Weight) -> tuple[int, ...]:
 def length(sys: RootSystem, x: ExtWeylElt) -> int:
     """The number of walls between A+ and x(A+): the sum of |k_alpha|,
     read off the Shi coordinates the label table holds."""
-    return sum(map(abs, x.group.table.coords(x)))
+    return sum(map(abs, _table_of(sys, x).coords(x)))
 
 
 def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
@@ -446,14 +448,14 @@ def is_coset_maximal(sys: RootSystem, x: ExtWeylElt) -> bool:
     coordinates, so s_i x is shorter exactly when k_{alpha_i}(x) < 0.  The
     simple roots are the positive roots of height one, listed first.
     """
-    k = x.group.table.coords(x)
+    k = _table_of(sys, x).coords(x)
     return all(c < 0 for c in k[: sys.rank])
 
 
 def is_coset_minimal(sys: RootSystem, x: ExtWeylElt) -> bool:
     """Minimal in Wx: every finite simple reflection is a left ascent, so
     every simple Shi coordinate is >= 0."""
-    k = x.group.table.coords(x)
+    k = _table_of(sys, x).coords(x)
     return all(c >= 0 for c in k[: sys.rank])
 
 
@@ -477,7 +479,11 @@ def reduced_word(sys: RootSystem, x: ExtWeylElt) -> tuple[int, ...]:
 
 
 def in_waff(sys: RootSystem, x: ExtWeylElt) -> bool:
-    return in_root_lattice(sys, x.translation)
+    """The translation lies in the root lattice, as ``in_root_lattice``
+    tests it; DomainError for an element of another system."""
+    _table_of(sys, x)
+    d, adj = _cartan_adjugate(sys)
+    return all(sum(map(mul, row, x.translation)) % d == 0 for row in adj)
 
 
 # -- the finite Weyl group ----------------------------------------------------
@@ -488,7 +494,6 @@ def finite_length_of(sys: RootSystem, m: int) -> int:
     return sum(b < 0 for b in finite_group(sys).roots[m])
 
 
-@lru_cache(maxsize=None)
 def weyl_group(sys: RootSystem) -> tuple[int, ...]:
     """The numbers of all elements of the finite Weyl group, by
     breadth-first closure, in the sorted order of their matrices."""
@@ -540,14 +545,13 @@ def w0_elt(sys: RootSystem) -> ExtWeylElt:
 def dot_action(ctx: ModularContext, x: ExtWeylElt, mu: Weight) -> Weight:
     """(w t_lam) . mu = w(mu + p*lam + rho) - rho."""
     sys = ctx.system
-    inner = mu + ctx.p * x.translation + sys.rho
+    inner = mu + ctx.p * Weight(x.translation) + sys.rho
     return x.finite_apply(inner) - sys.rho
 
 
 # -- Omega: length-zero elements ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def omega_group(sys: RootSystem) -> tuple[ExtWeylElt, ...]:
     """All length-zero elements, one per class of X modulo the root lattice.
 
@@ -584,7 +588,6 @@ def omega_group(sys: RootSystem) -> tuple[ExtWeylElt, ...]:
 # -- enumeration ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def waff_elements(sys: RootSystem, length_bound: int) -> tuple[ExtWeylElt, ...]:
     """All W_aff elements of length at most the bound, BFS from identity.
 
@@ -592,8 +595,8 @@ def waff_elements(sys: RootSystem, length_bound: int) -> tuple[ExtWeylElt, ...]:
     holds (``LabelTable.waff_order``): the group is walked once per
     system, each length the first time a bound reaches it, so a longer
     bound extends the order a shorter one read and forms no product
-    again.  Memoized per system and bound, so every caller of one bound
-    shares one tuple.
+    again.  Each call reads the prefix into a new tuple; the table, not
+    a memo, keeps the elements.
     """
     table = finite_group(sys).table
     return tuple(map(table.elts.__getitem__, table.waff_order(length_bound)))
@@ -612,16 +615,16 @@ def w0_waff_elements(
 
 def elt_key(sys: RootSystem, x: ExtWeylElt):
     """Deterministic sort key: length, then canonical serialization."""
-    return (length(sys, x), finite_word(sys, x.fin), x.translation.coords)
+    return (length(sys, x), finite_word(sys, x.fin), x.translation)
 
 
 def elt_to_json(sys: RootSystem, x: ExtWeylElt) -> dict:
-    return {"w": list(finite_word(sys, x.fin)), "t": list(x.translation.coords)}
+    return {"w": list(finite_word(sys, x.fin)), "t": list(x.translation)}
 
 
 def elt_from_json(sys: RootSystem, d: dict) -> ExtWeylElt:
     fin = from_word(sys, [int(i) for i in d["w"]])
-    return ExtWeylElt(fin.fin, Weight(tuple(int(c) for c in d["t"])), fin.group)
+    return ExtWeylElt(fin.fin, tuple([int(c) for c in d["t"]]), fin.group)
 
 
 # -- restricted elements and the check involution --------------------------------
@@ -639,7 +642,7 @@ def restricted_element_for(sys: RootSystem, m: int) -> ExtWeylElt:
     g = finite_group(sys)
     roots = g.roots[m]
     sigma = tuple(1 if roots[j] < 0 else 0 for j in g._simple_pos)
-    return ExtWeylElt(m, Weight(_mat_vec(g.mats[g.inv[m]], sigma)), g)
+    return ExtWeylElt(m, _mat_vec(g.mats[g.inv[m]], sigma), g)
 
 
 def is_restricted_elt(ctx: ModularContext, x: ExtWeylElt) -> bool:
@@ -649,27 +652,21 @@ def is_restricted_elt(ctx: ModularContext, x: ExtWeylElt) -> bool:
 def restricted_shift(sys: RootSystem, x: ExtWeylElt) -> Weight:
     """The nu with x = t_nu w_res, w_res the restricted element sharing
     x's finite part: for x = w t_lam and w_res = w t_mu it is w(lam - mu)."""
-    mu = restricted_element_for(sys, x.fin).translation.coords
-    return Weight(_mat_vec(x.group.mats[x.fin], tuple(map(sub, x.translation.coords, mu))))
-
-
-@lru_cache(maxsize=None)
-def _w0_restricted(sys: RootSystem, m: int) -> ExtWeylElt:
-    """w0 w for the restricted element w = m t_mu with finite part m:
-    (w0 m) t_mu, one finite-table product."""
-    g = finite_group(sys)
-    return ExtWeylElt(
-        g.product(w0_elt(sys).fin, m), restricted_element_for(sys, m).translation, g
-    )
+    mu = restricted_element_for(sys, x.fin).translation
+    return Weight(_mat_vec(x.group.mats[x.fin], tuple(map(sub, x.translation, mu))))
 
 
 def check_for_system(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
     """The permutation x = t_nu w  ->  t_nu w0 w, where w is the
     restricted element sharing x's finite part (p-independent for p > h).
 
-    w0 w is read from a table per finite part, and t_nu is applied to
-    it from coordinates (``translate``), so no group product is formed."""
-    return translate(restricted_shift(sys, x).coords, _w0_restricted(sys, x.fin))
+    For w = u t_mu, w0 w is (w0 u) t_mu, one finite-table product, and
+    t_nu is applied to it from coordinates (``translate``), so no group
+    product is formed.  ``LabelTable.check_shi`` keeps the coordinates
+    of the value once per label."""
+    g, mu = x.group, restricted_element_for(sys, x.fin).translation
+    w0w = ExtWeylElt(g.product(w0_elt(sys).fin, x.fin), mu, g)
+    return translate(restricted_shift(sys, x).coords, w0w)
 
 
 def check(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:

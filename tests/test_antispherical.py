@@ -30,8 +30,10 @@ from alcove_kl.weylext import (
     omega_group,
     restricted_element_for,
     simple_reflection,
+    socle_pairs,
     translation_elt,
     w0_elt,
+    w0_waff_elements,
     waff_elements,
     weyl_group,
 )
@@ -118,6 +120,30 @@ def test_the_spherical_stay_in_place_of_0_fails_the_inversion_identity(
 ):
     monkeypatch.setattr(periodic, "antispherical_computer", spherical_stays)
     assert inversion_failures(SYSTEMS[name], 3) == expected
+
+
+# Donkin-BGG (ROADMAP item 7(b)): for p >= 2h - 2 and lam = x.0 restricted,
+# dim T(t_{2 rho} w0 x . 0) = p^{|positive roots|} * sum over w in W_aff of
+# p_{w0 w, w0 x}(1).  Each column sum, summed over the w of length <= L,
+# is stable across two successive bounds L; by l(x): A1 (0), A2 (1, 0)
+# and B2 (1, 2, 3, 0).  G2's sums still grow at L = 21, and the windows'
+# periodic_kl reads 8 in place of 12 at A2's x = e.
+@pytest.mark.parametrize(
+    "name, bounds, sums",
+    [
+        ("A1", (4, 5), {0: 2}),
+        ("A2", (9, 10), {1: 6, 0: 12}),
+        ("B2", (13, 14), {1: 24, 2: 16, 3: 8, 0: 32}),
+    ],
+)
+def test_the_donkin_bgg_column_sums_are_stable(name, bounds, sums):
+    sys = SYSTEMS[name]
+    for bound in bounds:
+        pairs = w0_waff_elements(sys, bound)
+        assert {
+            length(sys, x): sum(antispherical_kl(sys, w0w, w0x).eval_at_one() for w0w, _ in pairs)
+            for x, w0x in socle_pairs(sys)
+        } == sums
 
 
 # The A2 pairs (y, w) of length <= 4, as reduced words, where the engine

@@ -3,7 +3,9 @@
 Each message names the labels as ``elt_to_json`` words.  A
 StabilizationError names both radii and the next radius to try; a
 WindowError names the smallest radius that reaches the pair, or the
-table's length bound.  Exit codes and JSON error kinds are those of ``errors``.
+table's length bound.  A DomainError for an element of another root
+system names both systems.  Exit codes and JSON error kinds are those of
+``errors``.
 """
 
 import json
@@ -12,9 +14,26 @@ import pytest
 
 from alcove_kl.cli import main
 from alcove_kl.errors import ConsistencyError, DomainError, StabilizationError, WindowError
-from alcove_kl.periodic import PeriodicWindow, _coefficient_stabilized, periodic_kl, pkl_table
+from alcove_kl.hecke import kl_basis, spherical_kl
+from alcove_kl.periodic import (
+    PeriodicWindow,
+    _coefficient_stabilized,
+    antispherical_kl,
+    periodic_kl,
+    pkl_table,
+)
+from alcove_kl.repcalc import loewy_layers
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
-from alcove_kl.weylext import elt_to_json, from_word, length, translation_elt, waff_elements
+from alcove_kl.weylext import (
+    elt_to_json,
+    from_word,
+    identity_elt,
+    length,
+    simple_reflection,
+    translation_elt,
+    w0_elt,
+    waff_elements,
+)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -122,3 +141,33 @@ def test_cli_keeps_exit_code_and_kind(tmp_path, capsys):
     assert err["error"] == "stabilization"
     assert err["message"].endswith("try radius 5")
     assert "did not stabilize between radius 4 and 5" in err["message"]
+
+
+B2, G2 = build_root_system("B", 2), build_root_system("G", 2)
+E_A2, E_B2, Y_B2 = identity_elt(A2), identity_elt(B2), from_word(B2, [0, 1, 2])
+X_G2 = from_word(G2, [1, 2, 1])
+
+# each read gives A2 an element of B2 or G2; a table numbers only the
+# elements of its own system, and a product of elements of two systems
+# has no meaning, but each read used to return a value or raise a bare
+# IndexError
+FOREIGN_READS = {
+    "product": lambda: E_A2 * simple_reflection(G2, 1),
+    "length": lambda: length(A2, X_G2),
+    "kl_basis": lambda: kl_basis(A2, X_G2),
+    "spherical_kl": lambda: spherical_kl(A2, X_G2),
+    "spherical_kl, coset-maximal": lambda: spherical_kl(A2, w0_elt(G2)),
+    "periodic_kl": lambda: periodic_kl(CTX_A2, E_B2, Y_B2, 13),
+    "periodic_kl, memoized key": lambda: periodic_kl(CTX_A2, E_B2, E_B2, 13),
+    "periodic_kl, one label": lambda: periodic_kl(CTX_A2, E_A2, E_B2, 13),
+    "antispherical_kl": lambda: antispherical_kl(A2, E_B2, Y_B2),
+    "antispherical_kl, identity": lambda: antispherical_kl(A2, E_B2, E_B2),
+    "loewy_layers": lambda: loewy_layers(CTX_A2, X_G2, 3, 13),
+}
+
+
+@pytest.mark.parametrize("name", FOREIGN_READS)
+def test_an_element_of_another_system_is_refused_naming_both_systems(name):
+    periodic_kl(CTX_A2, E_A2, E_A2, 13)  # (e, e)'s orbit key is in the memo
+    with pytest.raises(DomainError, match=r"^an element of [BG]2 where one of A2 is expected$"):
+        FOREIGN_READS[name]()

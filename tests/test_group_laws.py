@@ -202,7 +202,7 @@ def test_canonical_pair_equals_the_product_route(data):
     # the product route: w = t_nu u with nu = u(lam), then (t_{-nu} y, u)
     sys = data.draw(st.sampled_from(SYSTEMS))
     y, w = (from_word(sys, data.draw(words(sys))) for _ in range(2))
-    nu = w.finite_apply(w.translation)
+    nu = w.finite_apply(Weight(w.translation))
     assert canonical_pair(sys, y, w) == (
         translation_elt(sys, -nu) * y,
         finite_elt(sys, w.fin),
@@ -240,7 +240,7 @@ def test_omega_has_one_length_zero_element_per_class(name):
     # no two of them differ by a translation in the root lattice
     for i, a in enumerate(omegas):
         for b in omegas[:i]:
-            assert not in_root_lattice(sys, a.translation - b.translation)
+            assert not in_root_lattice(sys, Weight(a.translation) - Weight(b.translation))
 
 
 def test_every_exported_name_resolves():

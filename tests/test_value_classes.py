@@ -10,7 +10,12 @@ from the base.
 
 import copy
 import inspect
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +31,9 @@ from alcove_kl.rootsys import (
     build_root_system,
 )
 from alcove_kl.verify import CheckResult
-from alcove_kl.weylext import from_word
+from alcove_kl.weylext import finite_group, from_word, waff_elements
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 A1 = build_root_system("A", 1)
 A1_REPR = (
@@ -79,13 +86,13 @@ FROZEN = {
     "ExtWeylElt": (
         lambda: from_word(A1, [0, 1]),
         lambda: from_word(A1, [1, 0]),
-        "ExtWeylElt(fin=0, translation=Weight(coords=(2,)))",
+        "ExtWeylElt(fin=0, translation=(2,))",
         ("fin", "translation"),
     ),
     "StdLabel": (
         _label,
         lambda: _label("Z"),
-        "StdLabel(kind='L', index=ExtWeylElt(fin=0, translation=Weight(coords=(0,))), "
+        "StdLabel(kind='L', index=ExtWeylElt(fin=0, translation=(0,)), "
         "shift=Weight(coords=(10,)))",
         ("kind", "index", "shift"),
     ),
@@ -108,8 +115,8 @@ MUTABLE = {
         lambda: GradedMultTable(_label(), {(_label(), 0): 1}),
         lambda: GradedMultTable(_label("Z"), {(_label(), 0): 1}),
         "GradedMultTable(base=StdLabel(kind='L', index=ExtWeylElt(fin=0, translation="
-        "Weight(coords=(0,))), shift=Weight(coords=(10,))), entries={(StdLabel(kind='L', "
-        "index=ExtWeylElt(fin=0, translation=Weight(coords=(0,))), shift=Weight(coords=(10,))), "
+        "(0,)), shift=Weight(coords=(10,))), entries={(StdLabel(kind='L', "
+        "index=ExtWeylElt(fin=0, translation=(0,)), shift=Weight(coords=(10,))), "
         "0): 1})",
     ),
     "PKLTable": (
@@ -135,8 +142,8 @@ def test_a_frozen_value_compares_hashes_and_prints_as_before(name):
         assert a._key(a) == tuple(getattr(a, f) for f in fields)
     assert len({a, b, c}) == 2
     assert copy.copy(a) == a
-    if name not in ("ExtWeylElt", "StdLabel"):  # a pickled element copies its table
-        assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 @pytest.mark.parametrize("name", FROZEN)
@@ -156,7 +163,7 @@ def test_a_frozen_value_refuses_assignment_and_deletion(name):
 def test_the_root_system_and_element_hashes_read_their_keys():
     assert hash(A1) == hash(_a1(3)) == hash(("A", 1))
     x = from_word(A1, [0, 1])
-    assert hash(x) == hash((x.fin, x.translation.coords))
+    assert hash(x) == hash((x.fin, x.translation))
 
 
 @pytest.mark.parametrize("name", ["LaurentPoly", "Weight"])
@@ -194,6 +201,7 @@ def test_a_mutable_record_compares_and_prints_as_before(name):
     with pytest.raises(TypeError):
         hash(a)
     assert a._key(a) == tuple(getattr(a, f) for f in a._fields)
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
     first = {"CheckResult": "name", "GradedMultTable": "base", "PKLTable": "system"}[name]
     setattr(c, first, getattr(a, first))
     assert c == a
@@ -248,3 +256,62 @@ def test_only_the_context_and_the_element_write_their_own_constructor():
         if c._fields and vars(c)["__init__"].__code__.co_filename != "<string>"
     }
     assert own == {"ModularContext", "ExtWeylElt"}
+
+
+# -- pickled elements ----------------------------------------------------------
+
+
+def test_a_pickled_element_is_equal_and_shares_the_table():
+    e, x = from_word(A1, []), from_word(A1, [0, 1, 0])
+    table = PKLTable(A1, 5, 7, 2, {(e, x): PKLEntry(LaurentPoly.gen(1), True)})
+    values = [x, _label(), table, GradedMultTable(_label(), {(_label("Z"), 1): 2})]
+    for a in values:
+        assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert y.group is x.group and hash(y) == hash(x)
+    assert next(iter(pickle.loads(pickle.dumps(table)).entries))[1].group is x.group
+
+
+def test_a_pickled_element_holds_no_table():
+    a2 = build_root_system("A", 2)
+    x = from_word(a2, [0, 1, 2, 1])
+    before = pickle.dumps(x)
+    waff_elements(a2, 10)  # the label table grows
+    assert len(finite_group(a2).table.elts) > 100
+    assert pickle.dumps(x) == before and len(before) < 1000
+
+
+# Run in a fresh interpreter: number G2's finite table along the word in
+# argv[1] first, then pickle the W_aff elements of length <= 4 (argv[2]
+# "dump") or read them back from stdin, and print their finite numbers
+# and their words.
+_CHILD = """
+import json, pickle, sys
+from alcove_kl.rootsys import build_root_system
+from alcove_kl.weylext import elt_to_json, from_word, waff_elements
+g2 = build_root_system("G", 2)
+from_word(g2, [int(i) for i in sys.argv[1]])
+if sys.argv[2] == "dump":
+    xs = waff_elements(g2, 4)
+    blob = pickle.dumps(xs).hex()
+else:
+    blob = sys.stdin.read()
+    xs = pickle.loads(bytes.fromhex(blob))
+print(json.dumps([blob, [x.fin for x in xs], [elt_to_json(g2, x) for x in xs]]))
+"""
+
+
+def test_a_pickled_element_reads_back_as_the_same_word_under_another_numbering():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def child(order, mode, stdin=""):
+        out = subprocess.run(
+            [sys.executable, "-c", _CHILD, order, mode],
+            input=stdin, env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        return json.loads(out)
+
+    blob, fins, words = child("121212", "dump")
+    _, read_fins, read_words = child("212121", "load", blob)
+    assert read_fins != fins  # the reading process numbered G2 in another order
+    assert read_words == words and len(words) > 10

@@ -7,6 +7,7 @@ from alcove_kl.errors import DomainError
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system, is_restricted
 from alcove_kl.weylext import (
     ExtWeylElt,
+    FiniteWeylGroup,
     check,
     check_for_system,
     dot_action,
@@ -179,9 +180,24 @@ def test_omega_is_a_group():
 # -- enumeration -------------------------------------------------------------------
 
 
+def test_products_inverses_and_translates_build_no_weight(monkeypatch):
+    # an element's translation is a plain tuple of integers; only the
+    # Weight-valued functions (finite_apply, dot_action, restricted_shift)
+    # build a Weight
+    x, y = from_word(B2, [0, 1, 2, 1]), from_word(B2, [2, 0, 1])
+    record = {"t": list(x.translation), "w": [1, 2]}
+    built = []
+    init = Weight.__init__
+    monkeypatch.setattr(Weight, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    x * y, x.inverse(), translate((1, -2), x), elt_from_json(B2, record)
+    FiniteWeylGroup(B2)  # a fresh table, with its label table's generators
+    assert built == []
+    assert Weight((1, 2)) and built == [((1, 2),)]  # the count sees a Weight
+
+
 def test_waff_elements_is_one_shared_tuple_per_bound():
     first = waff_elements(A2, 3)
-    assert isinstance(first, tuple) and waff_elements(A2, 3) is first
+    assert isinstance(first, tuple) and waff_elements(A2, 3) == first
     # breadth-first order: a smaller bound lists a prefix
     shorter = waff_elements(A2, 2)
     assert first[: len(shorter)] == shorter
