@@ -435,22 +435,24 @@ def kl_basis(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
 @lru_cache(maxsize=None)
 def bar_std(sys: RootSystem, y: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
     """Expansion of bar(H_y) in the standard basis, built along a reduced
-    word: bar(H_y) = bar(H_{ys}) bar(H_s) for a right descent s of y."""
+    word: bar(H_y) = bar(H_{ys}) bar(H_s) for the smallest right descent
+    s of y, with ys read off the label table's neighbours."""
     descents = right_descents(sys, y)
     if not descents:
         return {y: _ONE}
-    i = min(descents)
-    return mul_bar_gen(sys, bar_std(sys, y * simple_reflection(sys, i)), i)
+    i, table = descents[0], y.group.table
+    return mul_bar_gen(sys, bar_std(sys, table.elts[table.nbr(table.index[y], i)]), i)
 
 
 def bruhat_interval_below(sys: RootSystem, w: ExtWeylElt) -> list[ExtWeylElt]:
-    """All y <= w, generated from subwords of one reduced word."""
+    """All y <= w, generated from subwords of one reduced word, stepped
+    along the label table's neighbours."""
     word = reduced_word(sys, w)
-    out = {identity_elt(sys)}
+    table = w.group.table
+    out = {table.number(identity_elt(sys))}
     for i in word:
-        s = simple_reflection(sys, i)
-        out |= {x * s for x in out}
-    return sorted(out, key=lambda x: elt_key(sys, x))
+        out |= {table.nbr(k, i) for k in out}
+    return sorted(map(table.elts.__getitem__, out), key=lambda x: elt_key(sys, x))
 
 
 def kl_basis_by_duality(sys: RootSystem, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:

@@ -55,9 +55,8 @@ class StdLabel(_Value):
         if kind not in KINDS:
             raise DomainError(f"unknown family {kind!r}")
         sys = ctx.system
-        return StdLabel(
-            kind, restricted_element_for(sys, x.fin), ctx.p * restricted_shift(sys, x)
-        )
+        shift = ctx.p * restricted_shift(sys, x)  # refuses an element of another system
+        return StdLabel(kind, restricted_element_for(sys, x.fin), shift)
 
     def weight(self, ctx: ModularContext) -> Weight:
         """The highest weight this label denotes."""

@@ -22,6 +22,13 @@ The group table also holds the system's label table (``LabelTable``,
 ``x.group.table``), which numbers every label once per process, and by
 whose numbers every ``hecke.KLComputer`` of the system keys its rows.
 
+Descents are read off stored data, not probed with products: the left
+descents of a finite element off the signs of its root permutation at
+the simple roots, and the right descents of a label off the stored
+lengths of its neighbours in the label table, along which reduced words
+and the Hecke duality oracle step.  The finite table keeps the number
+of w0, the shortlex word of each element and its restricted element.
+
 On top of the group structure this module provides Shi's alcove
 coordinates, with the length function and the coset tests read off the
 stored ones, the p-dilated dot-action, the group Omega of length-zero
@@ -35,7 +42,7 @@ t_nu w_res, with w_res the restricted element sharing x's finite part
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul, sub
 
 from .errors import DomainError
@@ -83,11 +90,18 @@ class FiniteWeylGroup:
     root coordinates: s(beta) = beta - <beta, alpha^vee> alpha.  Nothing
     here closes the whole group; only ``weyl_group`` does.  ``table`` is
     the system's ``LabelTable`` of affine labels.
+
+    The left descents of an element are read off the signs of its
+    permutation at the simple roots (``left_descents``), and the table
+    keeps the facts the engine reads of a finite element: ``restricted[k]``,
+    the restricted element with finite part k, made when k is numbered;
+    its shortlex word (``word``), made on first use; and ``w0``, the
+    number of the longest element, None until ``w0_elt`` first folds it.
     """
 
     __slots__ = (
-        "mats", "inv", "roots", "elts", "identity", "simples", "table",
-        "_sys", "_index", "_products", "_stride", "_simple_pos", "_signed_coroots",
+        "mats", "inv", "roots", "elts", "restricted", "identity", "simples", "table", "w0",
+        "_sys", "_index", "_products", "_stride", "_simple_pos", "_signed_coroots", "_words",
     )
 
     def __init__(self, sys: RootSystem):
@@ -96,6 +110,7 @@ class FiniteWeylGroup:
         self.inv: list[int] = []
         self.roots: list[tuple[int, ...]] = []
         self.elts: list[ExtWeylElt] = []
+        self.restricted: list[ExtWeylElt] = []
         self._index: dict[tuple[int, ...], int] = {}
         self._products: dict[int, int] = {}  # i * stride + j -> product
         self._stride = sys.weyl_order
@@ -108,6 +123,8 @@ class FiniteWeylGroup:
         coroots = [r.coroot for r in sys.positive_roots]
         self._signed_coroots = coroots + [tuple([-c for c in r]) for r in reversed(coroots)]
         self.identity = self._add(tuple(range(len(coroots))))
+        self._words: dict[int, tuple[int, ...]] = {self.identity: ()}
+        self.w0: int | None = None
         self.simples = tuple(self.reflection(sys.positive_roots[j]) for j in self._simple_pos)
         self.table = LabelTable(self)
 
@@ -124,14 +141,34 @@ class FiniteWeylGroup:
         inv_perm = tuple(inv_perm)
         k = len(self.roots)
         new = (perm,) if inv_perm == perm else (perm, inv_perm)
-        for p in new:
-            self._index[p] = len(self.roots)
+        self.inv += [k] if len(new) == 1 else [k + 1, k]
+        for m, p in enumerate(new, k):
+            self._index[p] = m
             self.roots.append(p)
             # row i is the coroot of w^-1(alpha_i), read at alpha_i's position
             self.mats.append(tuple([self._signed_coroots[p[j]] for j in self._simple_pos]))
-            self.elts.append(ExtWeylElt(len(self.elts), (0,) * self._sys.rank, self))
-        self.inv += [k] if len(new) == 1 else [k + 1, k]
+            self.elts.append(ExtWeylElt(m, (0,) * self._sys.rank, self))
+        for m in range(k, len(self.roots)):
+            # u t_lam with lam = u^-1(sum of omega_i over the left descents
+            # s_i of u) makes u t_lam . 0 restricted for every p > h
+            lam = _mat_vec(self.mats[self.inv[m]], self.left_descents(m))
+            self.restricted.append(ExtWeylElt(m, lam, self))
         return k
+
+    def left_descents(self, m: int) -> tuple[bool, ...]:
+        """Entry i - 1 is whether s_i m is shorter than m: whether
+        m^-1(alpha_i) is negative, the sign with which m maps a positive
+        root onto +-alpha_i."""
+        return tuple([self.roots[m][j] < 0 for j in self._simple_pos])
+
+    def word(self, m: int) -> tuple[int, ...]:
+        """The shortlex reduced word (1-based) of element m: its smallest
+        left descent s_i, then the word of s_i m, one product a letter."""
+        w = self._words.get(m)
+        if w is None:
+            i = self.left_descents(m).index(True)
+            w = self._words[m] = (i + 1, *self.word(self.product(self.simples[i], m)))
+        return w
 
     def reflection(self, root: PosRoot) -> int:
         """The number of the reflection in a positive root."""
@@ -280,7 +317,9 @@ class LabelTable:
     - ``shi[k]`` are its Shi coordinates, computed when it is numbered;
     - ``nbrs[k][i]`` is the number of elts[k] s_i, formed the first time
       it is asked for; s_i is an involution, so that also fills the
-      entry of elts[k] s_i back;
+      entry of elts[k] s_i back.  Right descents (``right_descents``)
+      compare the lengths of these neighbours, and reduced words and the
+      Hecke duality oracle step along them;
     - ``level[k]`` is its length once the breadth-first order of W_aff
       holds it (``depth``); no other label has an entry.
 
@@ -409,10 +448,7 @@ def gen_indices(sys: RootSystem) -> range:
 
 
 def from_word(sys: RootSystem, word: tuple[int, ...] | list[int]) -> ExtWeylElt:
-    x = identity_elt(sys)
-    for i in word:
-        x = x * simple_reflection(sys, i)
-    return x
+    return reduce(mul, [simple_reflection(sys, i) for i in word], identity_elt(sys))
 
 
 # -- Shi coordinates, length and descents ---------------------------------------
@@ -460,21 +496,25 @@ def is_coset_minimal(sys: RootSystem, x: ExtWeylElt) -> bool:
 
 
 def right_descents(sys: RootSystem, x: ExtWeylElt) -> list[int]:
-    lx = length(sys, x)
-    return [
-        i for i in gen_indices(sys) if length(sys, x * simple_reflection(sys, i)) < lx
-    ]
+    """The i with x s_i shorter than x, in increasing order: x is
+    numbered in the label table, and the lengths of its neighbours
+    ``nbr(k, i)`` are compared, so each x s_i is formed once per process."""
+    table = _table_of(sys, x)
+    k, shi = table.number(x), table.shi
+    lx = sum(map(abs, shi[k]))
+    return [i for i in gen_indices(sys) if sum(map(abs, shi[table.nbr(k, i)])) < lx]
 
 
 def reduced_word(sys: RootSystem, x: ExtWeylElt) -> tuple[int, ...]:
-    """A canonical reduced word in S_aff (greedy smallest right descent)."""
+    """A canonical reduced word in S_aff (greedy smallest right descent),
+    stepped along the label table's neighbours."""
     if not in_waff(sys, x):
         raise DomainError("reduced words are defined for W_aff elements only")
+    table = x.group.table
     out: list[int] = []
-    while length(sys, x) > 0:
-        i = min(right_descents(sys, x))
-        out.append(i)
-        x = x * simple_reflection(sys, i)
+    while descents := right_descents(sys, x):
+        out.append(descents[0])
+        x = table.elts[table.nbr(table.index[x], descents[0])]
     return tuple(reversed(out))
 
 
@@ -487,11 +527,6 @@ def in_waff(sys: RootSystem, x: ExtWeylElt) -> bool:
 
 
 # -- the finite Weyl group ----------------------------------------------------
-
-
-def finite_length_of(sys: RootSystem, m: int) -> int:
-    """The number of positive roots the finite element m makes negative."""
-    return sum(b < 0 for b in finite_group(sys).roots[m])
 
 
 def weyl_group(sys: RootSystem) -> tuple[int, ...]:
@@ -513,30 +548,24 @@ def weyl_group(sys: RootSystem) -> tuple[int, ...]:
     return tuple(sorted(seen, key=g.mats.__getitem__))
 
 
-@lru_cache(maxsize=None)
 def finite_word(sys: RootSystem, m: int) -> tuple[int, ...]:
-    """Shortlex reduced word (1-based) of a finite Weyl group element."""
-    g = finite_group(sys)
-    word: list[int] = []
-    while m != g.identity:
-        for i, s in enumerate(g.simples, 1):
-            sm = g.product(s, m)
-            if finite_length_of(sys, sm) < finite_length_of(sys, m):
-                word.append(i)
-                m = sm
-                break
-        else:  # pragma: no cover - closure guarantees a descent
-            raise AssertionError("no descent found")
-    return tuple(word)
+    """Shortlex reduced word (1-based) of a finite Weyl group element,
+    kept on the finite table (``FiniteWeylGroup.word``): its smallest
+    left descent, read off the signs of its root permutation, first."""
+    return finite_group(sys).word(m)
 
 
 def finite_elt(sys: RootSystem, m: int) -> ExtWeylElt:
     return finite_group(sys).elts[m]
 
 
-@lru_cache(maxsize=None)
 def w0_elt(sys: RootSystem) -> ExtWeylElt:
-    return from_word(sys, sys.w0_word)
+    """The longest element, whose number the finite table keeps: folded
+    from finite-table products along ``sys.w0_word`` on first use."""
+    g = finite_group(sys)
+    if g.w0 is None:
+        g.w0 = reduce(g.product, [g.simples[i - 1] for i in sys.w0_word], g.identity)
+    return g.elts[g.w0]
 
 
 # -- the dot-action ------------------------------------------------------------
@@ -545,6 +574,7 @@ def w0_elt(sys: RootSystem) -> ExtWeylElt:
 def dot_action(ctx: ModularContext, x: ExtWeylElt, mu: Weight) -> Weight:
     """(w t_lam) . mu = w(mu + p*lam + rho) - rho."""
     sys = ctx.system
+    _table_of(sys, x)
     inner = mu + ctx.p * Weight(x.translation) + sys.rho
     return x.finite_apply(inner) - sys.rho
 
@@ -619,6 +649,7 @@ def elt_key(sys: RootSystem, x: ExtWeylElt):
 
 
 def elt_to_json(sys: RootSystem, x: ExtWeylElt) -> dict:
+    _table_of(sys, x)
     return {"w": list(finite_word(sys, x.fin)), "t": list(x.translation)}
 
 
@@ -630,19 +661,16 @@ def elt_from_json(sys: RootSystem, d: dict) -> ExtWeylElt:
 # -- restricted elements and the check involution --------------------------------
 
 
-@lru_cache(maxsize=None)
 def restricted_element_for(sys: RootSystem, m: int) -> ExtWeylElt:
     """The unique element of W_ex^res with the given finite part.
 
     For u in W the recipe is u t_lam with lam = u^{-1}(sum of the
-    fundamental weights indexed by {i : u^{-1}(alpha_i) < 0}); this makes
-    u t_lam . 0 restricted for every p > h.  The sign of u^{-1}(alpha_i)
-    is the sign with which u maps some positive root onto +-alpha_i.
+    fundamental weights indexed by the left descents s_i of u, those with
+    u^{-1}(alpha_i) < 0); this makes u t_lam . 0 restricted for every
+    p > h.  The finite table makes it when it numbers u
+    (``FiniteWeylGroup.restricted``).
     """
-    g = finite_group(sys)
-    roots = g.roots[m]
-    sigma = tuple(1 if roots[j] < 0 else 0 for j in g._simple_pos)
-    return ExtWeylElt(m, _mat_vec(g.mats[g.inv[m]], sigma), g)
+    return finite_group(sys).restricted[m]
 
 
 def is_restricted_elt(ctx: ModularContext, x: ExtWeylElt) -> bool:
@@ -652,6 +680,7 @@ def is_restricted_elt(ctx: ModularContext, x: ExtWeylElt) -> bool:
 def restricted_shift(sys: RootSystem, x: ExtWeylElt) -> Weight:
     """The nu with x = t_nu w_res, w_res the restricted element sharing
     x's finite part: for x = w t_lam and w_res = w t_mu it is w(lam - mu)."""
+    _table_of(sys, x)
     mu = restricted_element_for(sys, x.fin).translation
     return Weight(_mat_vec(x.group.mats[x.fin], tuple(map(sub, x.translation, mu))))
 
@@ -664,9 +693,9 @@ def check_for_system(sys: RootSystem, x: ExtWeylElt) -> ExtWeylElt:
     t_nu is applied to it from coordinates (``translate``), so no group
     product is formed.  ``LabelTable.check_shi`` keeps the coordinates
     of the value once per label."""
-    g, mu = x.group, restricted_element_for(sys, x.fin).translation
-    w0w = ExtWeylElt(g.product(w0_elt(sys).fin, x.fin), mu, g)
-    return translate(restricted_shift(sys, x).coords, w0w)
+    g, nu = x.group, restricted_shift(sys, x).coords  # refuses another system's x
+    w0w = ExtWeylElt(g.product(w0_elt(sys).fin, x.fin), g.restricted[x.fin].translation, g)
+    return translate(nu, w0w)
 
 
 def check(ctx: ModularContext, x: ExtWeylElt) -> ExtWeylElt:

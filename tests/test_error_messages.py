@@ -22,13 +22,19 @@ from alcove_kl.periodic import (
     periodic_kl,
     pkl_table,
 )
-from alcove_kl.repcalc import loewy_layers
+from alcove_kl.repcalc import StdLabel, loewy_layers
 from alcove_kl.rootsys import ModularContext, Weight, build_root_system
 from alcove_kl.weylext import (
+    check,
+    check_for_system,
+    dot_action,
     elt_to_json,
     from_word,
     identity_elt,
+    is_restricted_elt,
     length,
+    restricted_shift,
+    rho_check_involution,
     simple_reflection,
     translation_elt,
     w0_elt,
@@ -146,11 +152,24 @@ def test_cli_keeps_exit_code_and_kind(tmp_path, capsys):
 B2, G2 = build_root_system("B", 2), build_root_system("G", 2)
 E_A2, E_B2, Y_B2 = identity_elt(A2), identity_elt(B2), from_word(B2, [0, 1, 2])
 X_G2 = from_word(G2, [1, 2, 1])
+# two finite G2 elements for the reads of A2's finite table, which has
+# six entries: a G2 number below six names an A2 entry, one past it none
+FINITE_G2 = {"s1 s2 s1 s2 s1": from_word(G2, [1, 2, 1, 2, 1]), "w0": w0_elt(G2)}
+FINITE_READS = {
+    "elt_to_json": lambda x: elt_to_json(A2, x),
+    "check_for_system": lambda x: check_for_system(A2, x),
+    "check": lambda x: check(CTX_A2, x),
+    "restricted_shift": lambda x: restricted_shift(A2, x),
+    "StdLabel.make": lambda x: StdLabel.make(CTX_A2, "L", x),
+    "dot_action": lambda x: dot_action(CTX_A2, x, Weight.zero(2)),
+    "is_restricted_elt": lambda x: is_restricted_elt(CTX_A2, x),
+    "rho_check_involution": lambda x: rho_check_involution(CTX_A2, x),
+}
 
 # each read gives A2 an element of B2 or G2; a table numbers only the
 # elements of its own system, and a product of elements of two systems
 # has no meaning, but each read used to return a value or raise a bare
-# IndexError
+# IndexError (or, for rho_check_involution, refuse it as unrestricted)
 FOREIGN_READS = {
     "product": lambda: E_A2 * simple_reflection(G2, 1),
     "length": lambda: length(A2, X_G2),
@@ -163,6 +182,11 @@ FOREIGN_READS = {
     "antispherical_kl": lambda: antispherical_kl(A2, E_B2, Y_B2),
     "antispherical_kl, identity": lambda: antispherical_kl(A2, E_B2, E_B2),
     "loewy_layers": lambda: loewy_layers(CTX_A2, X_G2, 3, 13),
+    **{
+        f"{read}, {name}": (lambda read=read, x=x: FINITE_READS[read](x))
+        for read in FINITE_READS
+        for name, x in FINITE_G2.items()
+    },
 }
 
 

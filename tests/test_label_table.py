@@ -34,6 +34,7 @@ from alcove_kl.weylext import (
     gen_indices,
     is_coset_minimal,
     length,
+    right_descents,
     shi_coords,
     simple_reflection,
     waff_elements,
@@ -108,6 +109,18 @@ def test_descent_is_the_smallest_right_descent():
         lx = length(B2, x)
         down = [i for i in gen_indices(B2) if length(B2, x * simple_reflection(B2, i)) < lx]
         assert comp.descent(k) == (min(down) if down else None)
+
+
+def test_a_second_right_descents_forms_no_product(monkeypatch):
+    """Right descents are read off the lengths of the label table's
+    stored neighbours, so asking again forms no group product."""
+    x = from_word(G2, [0, 1, 2, 1, 0, 2])
+    down = right_descents(G2, x)
+    calls = count_products(monkeypatch)
+    assert right_descents(G2, x) == down
+    assert calls == []
+    lx = length(G2, x)
+    assert down == [i for i in gen_indices(G2) if length(G2, x * simple_reflection(G2, i)) < lx]
 
 
 def test_a_row_forms_each_product_once(monkeypatch):
