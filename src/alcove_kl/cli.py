@@ -171,7 +171,8 @@ def _row_command(args, command: str, column: str, compute: str) -> int:
 
         sys = _system(args)
         row = getattr(hecke, compute)(sys, _elt_from_flag(sys, args.w))
-        return [(_elt_str(sys, y), str(p)) for y, p in row.items()]
+        text = {p: str(p) for p in set(row.values())}
+        return [(_elt_str(sys, y), text[p]) for y, p in row.items()]
 
     key = "w=" + ",".join(map(str, _parse_word(args.w)))
     return _cached_rows(args, command, key, rows, ("y", column))

@@ -28,16 +28,21 @@ One recursion, ``KLComputer``, builds the canonical rows of each module
 in the table below, top-down along descents and only when a row is
 read.  Each coefficient is packed into one integer by
 ``laurent.PackedCodec`` (v -> 2^64, one signed digit per power of v):
-the stays v, v^-1 and v + v^-1 are shifts, a stay of 0 adds nothing, mu
-is the digit of v, and a mu-correction is one integer multiply-add per
-entry.  Every stored row is certified: its digits lie in [-2^32, 2^32),
-which one biased mask-AND per entry checks, and the |mu| one step
-subtracts sum to less than 2^31 - 3, so its digits are its coefficients
-(ResourceError otherwise); it is monic with every lower coefficient in
-vZ[v] (ConsistencyError otherwise).  Entries become ``LaurentPoly``
-values only when read, by ``row`` (a row) or ``coefficient`` (one entry).
-``canonical_step``, the same step on ``LaurentPoly`` rows, is the
-reference the tests hold the packed step to.
+the stays v, v^-1 and v + v^-1 are shifts, a stay of 0 adds nothing, and
+mu is the digit of v.  Each crossing is resolved once per computer, label
+and generator and stored as one stay code (``KLComputer.stays``), which
+the step's scalar loop reads beside the table's neighbours; each
+mu-correction is one C-level ``map`` pass over the row it subtracts, and
+zeros are dropped by one ``filter`` pass.  Every stored
+row is certified: its digits lie in [-2^32, 2^32), which
+``PackedCodec.all_certified`` checks in one pass over the row, and the
+|mu| one step subtracts sum to less than 2^31 - 3, so its digits are its
+coefficients (ResourceError otherwise); it is monic with every lower
+coefficient in vZ[v], one ``sum`` pass (ConsistencyError otherwise,
+naming the coefficient).  Entries become ``LaurentPoly`` values only when
+read, by ``row`` (a row, each distinct value decoded once) or
+``coefficient`` (one entry).  ``canonical_step``, the same step on
+``LaurentPoly`` rows, is the reference the tests hold the packed step to.
 
 An element of the Hecke algebra, of the spherical module or of the
 periodic module is a dict from basis labels in W_aff to nonzero
@@ -87,6 +92,8 @@ the degree bound of the codec.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import repeat
+from operator import itemgetter, mul, sub
 from typing import Mapping
 
 from .errors import ConsistencyError, DomainError, ResourceError
@@ -111,10 +118,12 @@ _V = LaurentPoly.gen()
 _VINV = LaurentPoly.gen(-1)
 _ONE = LaurentPoly.one()
 _V_PLUS_VINV = _V + _VINV
-# the packed step tells stays apart by identity, so every stay a
-# KLComputer holds is one of these objects
-_STAYS = {stay: stay for stay in (_ZERO, _V, _VINV, _V_PLUS_VINV)}
-_KEPT = (_V, _VINV)  # the stays of a kept crossing, up and down
+# A KLComputer stores each crossing it resolves as one code: the stay's
+# index in _STAY_OF, plus _CUT when the crossed term is dropped.
+_STAY_OF = (None, _V, _ZERO, _VINV, _V_PLUS_VINV)
+_UP, _NONE, _DOWN = 1, 2, 3
+_CUT = 4
+_CODE = {stay: code for code, stay in enumerate(_STAY_OF) if code}
 
 def unit(sys: RootSystem) -> dict[ExtWeylElt, LaurentPoly]:
     return {identity_elt(sys): _ONE}
@@ -136,10 +145,14 @@ def std_elt(sys: RootSystem, x: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
 def crossing_rule(s: ExtWeylElt, rank, up=_V, down=_VINV):
     """The rule x . T = xs + stay x, with the stay ``up`` exactly when
     rank(xs) > rank(x) and ``down`` otherwise.  The defaults give Hb_s;
-    the module docstring lists the stays of H_s and bar(H_s)."""
+    the module docstring lists the stays of H_s and bar(H_s).  xs is
+    read off the label table's neighbours, formed once per process."""
+    table = s.group.table
+    i = table.gens.index(s)
+    elts, nbr, number = table.elts, table.nbr, table.number
 
     def act(x):
-        xs = x * s
+        xs = elts[nbr(number(x), i)]
         return xs, (up if rank(xs) > rank(x) else down)
 
     return act
@@ -234,6 +247,10 @@ class KLComputer:
     with every other computer of the system.  The computer keeps only its
     module's data: ``ranks[k]`` and ``kept[k]`` are the rank and the kept
     flag of elts[k] once the computer has reached k (None before), and
+    ``stays[i][k]`` is the code of the crossing of Hb_{s_i} at elts[k]
+    once resolved (0 before): the index of its stay in (v, 0, v^-1,
+    v + v^-1), counted from 1, plus 4 when the crossed term is dropped;
+    the crossed term of a kept crossing is the table's ``nbrs[k][i]``.
     ``rows[k]`` is its certified row of ``codec`` integers, seeded {k: 1}
     when k has no descent; ``flags[k]`` is whether that row, or one it
     was made from, met a crossing ``act`` dropped: in a window, the rows
@@ -248,11 +265,12 @@ class KLComputer:
         self.name = name
         self._is_kept = kept
         self._rank_of = rank
-        self._dropped_stays = tuple(_STAYS[stay] for stay in dropped)
+        self._dropped = tuple(_CUT + _CODE[stay] for stay in dropped)
         self.table = finite_group(sys).table
         self.elts = self.table.elts
         self.ranks: list[int | None] = []
         self.kept: list[bool | None] = []
+        self.stays = [bytearray() for _ in self.table.gens]
         self.codec = PackedCodec(length_bound)
         self.rows: dict[int, dict[int, int]] = {}
         self.flags: dict[int, bool] = {}
@@ -265,9 +283,12 @@ class KLComputer:
         """k, with its rank and kept flag made the first time it is reached."""
         ranks, kept = self.ranks, self.kept
         if k >= len(ranks):
-            pad = [None] * (k + 1 - len(ranks))
+            n = k + 1 - len(ranks)
+            pad = [None] * n
             ranks += pad
             kept += pad
+            for codes in self.stays:
+                codes += bytes(n)
         if ranks[k] is None:
             ranks[k] = self._rank_of(self.table.shi[k])
             kept[k] = self._is_kept(self.elts[k])
@@ -279,11 +300,21 @@ class KLComputer:
         ranks = self.ranks
         return n if n < len(ranks) and ranks[n] is not None else self._reach(n)
 
-    def act(self, i: int, k: int) -> tuple[int | None, LaurentPoly]:
-        """The rule of Hb_s = Hb_{s_i} at elts[k] (see the module docstring)."""
+    def _cross(self, i: int, k: int) -> int:
+        """The code of the crossing of Hb_{s_i} at the reached k, stored
+        in ``stays`` the first time it is asked for."""
         ks = self.nbr(k, i)
         down = self.ranks[ks] <= self.ranks[k]
-        return (ks, _KEPT[down]) if self.kept[ks] else (None, self._dropped_stays[down])
+        code = (_DOWN if down else _UP) if self.kept[ks] else self._dropped[down]
+        self.stays[i][k] = code
+        return code
+
+    def act(self, i: int, k: int) -> tuple[int | None, LaurentPoly]:
+        """The rule of Hb_s = Hb_{s_i} at elts[k] (see the module docstring)."""
+        code = self.stays[i][k] or self._cross(i, k)
+        if code > _CUT:
+            return None, _STAY_OF[code - _CUT]
+        return self.table.nbrs[k][i], _STAY_OF[code]
 
     def descent(self, k: int) -> int | None:
         """The first generator whose neighbour is lower and kept."""
@@ -306,9 +337,11 @@ class KLComputer:
         return self.number(w)
 
     def row(self, w: ExtWeylElt) -> dict[ExtWeylElt, LaurentPoly]:
-        """The map y -> coefficient of y in the canonical element of w."""
-        elts, unpack = self.elts, self.codec.unpack
-        return {elts[y]: unpack(p) for y, p in self._row(self._top(w)).items()}
+        """The map y -> coefficient of y in the canonical element of w,
+        with each distinct coefficient decoded once."""
+        row = self._row(self._top(w))
+        value = {p: self.codec.unpack(p) for p in set(row.values())}
+        return dict(zip(map(self.elts.__getitem__, row), map(value.__getitem__, row.values())))
 
     def coefficient(self, y: ExtWeylElt, w: ExtWeylElt) -> LaurentPoly:
         """The entry of y in ``row(w)``, decoded alone.  y is never numbered:
@@ -323,7 +356,10 @@ class KLComputer:
         Rows wait on an explicit stack, not on Python's, so a chain of
         descents may be as long as the table: a row waits for its base,
         and once spread (``_spread``) it waits, with its partial sum, for
-        the rows it subtracts.
+        the rows it subtracts.  Each subtraction mu(B) E_B is one
+        ``update`` of the partial sum over the entries of E_B, with no
+        multiply when mu(B) is 1, as it nearly always is; the sum is
+        filtered only when it holds a zero.
         """
         rows, flags = self.rows, self.flags
         if top in rows:
@@ -345,24 +381,28 @@ class KLComputer:
                     continue
                 waiting[k] = (a, *self._spread(rows[a], i))
             a, acc, subtract, cut = waiting[k]
-            missing = [b for b, _ in subtract if b not in rows]
+            missing = [b for b in subtract if b not in rows]
             if missing:
                 todo += missing
                 continue
             del waiting[k]
-            for b, mu in subtract:
-                for z, q in rows[b].items():
-                    acc[z] = acc.get(z, 0) - mu * q
-            row = {z: p for z, p in acc.items() if p}
+            get = acc.get
+            for b, mu in subtract.items():
+                q = rows[b]
+                scaled = q.values() if mu == 1 else map(mul, q.values(), repeat(mu))
+                acc.update(zip(q, map(sub, map(get, q, repeat(0)), scaled)))
+            row = dict(filter(itemgetter(1), acc.items())) if 0 in acc.values() else acc
             self._check(k, row)
             rows[k] = row
-            flags[k] = cut or flags[a] or any(flags[b] for b, _ in subtract)
+            flags[k] = cut or flags[a] or any(map(flags.__getitem__, subtract))
         return rows[top]
 
-    def _spread(self, base: dict[int, int], i: int) -> tuple[dict[int, int], list, bool]:
+    def _spread(self, base: dict[int, int], i: int) -> tuple[dict[int, int], dict[int, int], bool]:
         """The packed ``canonical_step`` E_{us} = E_u . Hb_s - sum_B mu(B) E_B
         up to the sum, for the certified row ``base`` of E_u: E_u . Hb_s,
-        the pairs (B, mu(B)) and whether ``act`` dropped a crossing.
+        the map B -> mu(B) and whether ``act`` dropped a crossing.  Each
+        crossing is read off ``stays`` and the table's ``nbrs``, resolved
+        once per label and generator.
 
         Every base value lies in Z[v], so the stay v^-1 is an exact right
         shift, and a stay of 0 adds no own term and needs no mu-correction.
@@ -373,29 +413,32 @@ class KLComputer:
         which keeps its digits equal to its coefficients.
         """
         B = PackedCodec.B
-        act, mu_of = self.act, self.codec.mu
+        codes, nbrs, cross, mu_of = self.stays[i], self.table.nbrs, self._cross, self.codec.mu
         acc: dict[int, int] = {}
-        subtract = []
+        get = acc.get
+        subtract = {}
         cut = False
         for x, p in base.items():
-            xs, stay = act(i, x)
-            if xs is None:
+            code = codes[x] or cross(i, x)
+            if code > _CUT:
                 cut = True
+                code -= _CUT
             else:
-                q = acc.get(xs)
+                xs = nbrs[x][i]
+                q = get(xs)
                 acc[xs] = p if q is None else q + p
-            if stay is _V:
+            if code == _UP:
                 p <<= B
-            elif stay is _ZERO:
+            elif code == _NONE:
                 continue
             else:
                 mu = mu_of(p)
                 if mu:
-                    subtract.append((x, mu))
-                p = p >> B if stay is _VINV else (p << B) + (p >> B)
-            q = acc.get(x)
+                    subtract[x] = mu
+                p = p >> B if code == _DOWN else (p << B) + (p >> B)
+            q = get(x)
             acc[x] = p if q is None else q + p
-        if 3 + sum(abs(mu) for _, mu in subtract) >= self.codec.sum_bound:
+        if 3 + sum(map(abs, subtract.values())) >= self.codec.sum_bound:
             raise ResourceError(
                 f"{self.name} basis row needs more mu-corrections than the packed rows certify"
             )
@@ -403,20 +446,22 @@ class KLComputer:
 
     def _check(self, k: int, row: dict[int, int]) -> None:
         """Certify the new row of k, then check it is monic with every
-        lower coefficient in vZ[v]."""
-        codec = self.codec
-        if not all(map(codec.certified, row.values())):
+        lower coefficient in vZ[v]: each a pass over the whole row, and
+        on a failure of the last a scan for the coefficient to name."""
+        codec, values = self.codec, row.values()
+        if not codec.all_certified(values):
             raise ResourceError(
                 f"{self.name} basis row has a coefficient beyond the certified "
                 f"bound 2^{codec.BOUND_BITS} of the packed rows"
             )
         if row.get(k) != codec.one:
             raise ConsistencyError(f"{self.name} basis row is not monic")
-        for y, p in row.items():
-            if y != k and not codec.in_positive_v(p):
-                raise ConsistencyError(
-                    f"{self.name} coefficient {codec.unpack(p)} at a lower term is not in vZ[v]"
-                )
+        if not codec.others_in_positive_v(values):
+            for y, p in row.items():
+                if y != k and not codec.in_positive_v(p):
+                    raise ConsistencyError(
+                        f"{self.name} coefficient {codec.unpack(p)} at a lower term is not in vZ[v]"
+                    )
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,9 @@ the canonical-row kernel of ``hecke.KLComputer``.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
+from operator import add, and_, or_
 from typing import Mapping
 
 from .errors import DomainError, ResourceError
@@ -255,10 +258,22 @@ class PackedCodec:
     max_degree + 2).  That is exact both ways: passing at any such n
     forces every digit into [-2^b, 2^b), and a certified value whose top
     digit is the k-th (from 0) exceeds 2^(Bk-1) in absolute value, so
-    n > k.  A sum of certified values, each times an integer, with
-    multipliers of total absolute value m has coefficients of absolute
-    value at most m 2^b, so its digits are its coefficients while
-    m < 2^(B-1-b) = ``sum_bound``.  Only certified values are decoded.
+    n > k.  ``all_certified`` tests a whole row in two C-level passes,
+    each one mask-AND of the OR of its values, which fails exactly when
+    one of them sets a bit of the mask (a negative value sets infinitely
+    many).  The first, on the values as they are, passes exactly when each
+    is nonnegative with every base-2^B digit below 2^b up to v^max_degree
+    and none set above; such digits are its balanced digits, so the row is
+    certified (Hecke and spherical rows, whose coefficients are
+    nonnegative, pass here).  Otherwise the second is the biased test of
+    every value at one digit count, that of the longest value, which is
+    exact for the same reason as above: that count is at least each
+    value's own n and at most max_degree + 2, and the test of a value
+    passes at every such count exactly when it passes at its own.  A sum
+    of certified values, each times an integer, with multipliers of total
+    absolute value m has coefficients of absolute value at most m 2^b, so
+    its digits are its coefficients while m < 2^(B-1-b) = ``sum_bound``.
+    Only certified values are decoded.
 
     >>> codec = PackedCodec(4)
     >>> p = LaurentPoly.from_dict({1: 3, 2: -1})
@@ -278,13 +293,17 @@ class PackedCodec:
         # the bias and the mask of the lowest n digits, at index n
         self._digits = max_degree + 2
         self._bias, self._outside = [0], [-1]
+        # every bit but the lowest b of each digit up to v^max_degree
+        self._unsigned_outside = -1
         for j in range(self._digits):
             self._bias.append(self._bias[-1] + (1 << (B * j + b)))
             self._outside.append(self._outside[-1] & ~(((1 << (b + 1)) - 1) << (B * j)))
+            self._unsigned_outside &= ~(((1 << b) - 1) << (B * j))
         self._low = (1 << 2 * B) - 1
         self.sum_bound = 1 << (B - 1 - b)
         half = 1 << (B - 1)
         self._mu_bias = half * (1 + (1 << B) + (1 << 2 * B))
+        self._mu_shift, self._digit_mask, self._half = 2 * B, (1 << B) - 1, half
 
     def pack(self, p: LaurentPoly) -> int:
         """The integer of p, which must lie in v^-1 Z[v] with coefficients
@@ -305,6 +324,17 @@ class PackedCodec:
         if n > self._digits:
             n = self._digits
         return not (x + self._bias[n]) & self._outside[n]
+
+    def all_certified(self, xs) -> bool:
+        """True if every x of the re-iterable xs is certified: the OR of
+        all tested unsigned, else the OR of all biased at the digit count
+        of the longest."""
+        if not reduce(or_, xs, 0) & self._unsigned_outside:
+            return True
+        n = max(map(int.bit_length, xs), default=0) // self.B + 1
+        if n > self._digits:
+            n = self._digits
+        return not reduce(or_, map(add, xs, repeat(self._bias[n])), 0) & self._outside[n]
 
     def unpack(self, x: int) -> LaurentPoly:
         """The polynomial of a certified x; ResourceError for any other."""
@@ -327,8 +357,15 @@ class PackedCodec:
     def mu(self, x: int) -> int:
         """The balanced digit of v^1 in x (the coefficient of v when x is
         certified)."""
-        return (((x + self._mu_bias) >> 2 * self.B) & ((1 << self.B) - 1)) - (1 << (self.B - 1))
+        return (((x + self._mu_bias) >> self._mu_shift) & self._digit_mask) - self._half
 
     def in_positive_v(self, x: int) -> bool:
         """For x certified: True if its polynomial lies in v Z[v]."""
         return not x & self._low
+
+    def others_in_positive_v(self, xs) -> bool:
+        """For certified xs of which one is ``one``: True if every other
+        lies in v Z[v].  The v^-1 and v^0 digits of each, masked off, are
+        a nonnegative integer, zero exactly for a value of v Z[v], and that
+        of ``one`` is ``one``; so they sum to ``one`` exactly then."""
+        return sum(map(and_, xs, repeat(self._low))) == self.one

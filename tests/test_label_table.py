@@ -10,11 +10,12 @@ and against ``canonical_step`` on ``LaurentPoly`` rows driven by the
 computer's own action rule.
 """
 
+import re
 from functools import partial
 
 import pytest
 
-from alcove_kl.errors import ResourceError
+from alcove_kl.errors import ConsistencyError, ResourceError
 from alcove_kl.hecke import (
     KLComputer,
     antispherical_computer,
@@ -213,3 +214,71 @@ def test_an_uncertified_row_is_refused():
         comp.row(u)
     with pytest.raises(ResourceError, match="certified bound"):
         comp.row(u * simple_reflection(B2, 1))
+
+
+def built_below(word):
+    """A fresh B2 computer holding the row of the base E_u of w = from_word(word)
+    and not the row of w: the computer, w, the descent i of w and the number of u."""
+    comp = KLComputer(B2, "canonical", lambda x: True)
+    w = from_word(B2, word)
+    k = comp.number(w)
+    i = comp.descent(k)
+    u = comp.nbr(k, i)
+    comp.row(comp.elts[u])
+    assert k not in comp.rows
+    return comp, w, i, u
+
+
+def test_a_row_built_on_a_base_that_is_not_monic_is_refused():
+    comp, w, _, u = built_below([2, 1, 2, 0, 1, 2, 0, 1, 2])
+    comp.rows[u][u] += comp.codec.one
+    with pytest.raises(ConsistencyError, match="^canonical basis row is not monic$"):
+        comp.row(w)
+
+
+def test_a_lower_coefficient_outside_v_z_v_is_refused_by_value():
+    """One added to the entry of y in the base, where y crosses up to ys,
+    adds one to the entry of ys in the new row: the refusal names it."""
+    comp, w, i, u = built_below([2, 1, 2, 0, 1, 2, 0, 1, 2])
+    y, ys = next(
+        (y, comp.act(i, y)[0]) for y in comp.rows[u] if y != u and comp.act(i, y)[1] == LaurentPoly.gen()
+    )
+    comp.rows[u][y] += comp.codec.one
+    value = kl_basis(B2, w).get(comp.elts[ys], LaurentPoly.zero()) + 1
+    message = f"canonical coefficient {value} at a lower term is not in vZ[v]"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        comp.row(w)
+
+
+def test_a_row_needing_more_mu_corrections_than_certified_is_refused():
+    """A certified base entry whose v-digit is at least sum_bound, at a
+    label whose crossing goes down, asks for a mu past the bound."""
+    comp, w, i, u = built_below([2, 1, 2, 0, 1, 2, 0, 1, 2])
+    y = next(y for y in comp.rows[u] if comp.act(i, y)[1] == LaurentPoly.gen(-1))
+    comp.rows[u][y] += comp.codec.sum_bound << 2 * PackedCodec.B
+    assert comp.codec.certified(comp.rows[u][y])
+    with pytest.raises(
+        ResourceError, match="^canonical basis row needs more mu-corrections than the packed rows certify$"
+    ):
+        comp.row(w)
+
+
+# The first word of each kl-rows pool of the benchmark (perfbench/reference.json),
+# with the size of its row and the rows a fresh computer builds for it.
+BENCHMARK_ROWS = [
+    (B2, "canonical", "2,1,2,0,1,2,0,1,2,0,1,2,0,1,2,0,1,2,0,1,2,0,1,2,1,0", 628, 141),
+    (G2, "canonical", "2,1,2,1,2,0,1,2,1,2,0,1,2,0,1,2,0,1,2,0,1,2,0,1,2,0", 612, 149),
+    (B2, "spherical", "2,1,2,0,1,2,0,1,2,1,0,1,2,1,0,1,2,1,0,1,2,1,0,1,2,1,0,1,2,0,1,0", 132, 83),
+]
+
+
+@pytest.mark.parametrize(
+    "sys, name, word, size, built", BENCHMARK_ROWS, ids=["B2 kl", "G2 kl", "B2 spherical"]
+)
+def test_the_benchmark_rows_do_the_same_work(sys, name, word, size, built):
+    kept = (lambda x: True) if name == "canonical" else partial(is_coset_maximal, sys)
+    comp = KLComputer(sys, name, kept)
+    w = from_word(sys, [int(i) for i in word.split(",")])
+    row = comp.row(w)
+    assert (len(row), len(comp.rows)) == (size, built)
+    assert row == laurent_rows(comp)(w)

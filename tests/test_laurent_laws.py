@@ -216,6 +216,26 @@ def test_packed_codec_certifies_on_the_digits_the_value_spans(value):
     assert CODECS[n].certified(x) == full_width_certified(CODECS[n], x)
 
 
+@PROPERTY
+@given(st.lists(ZV, max_size=6), st.lists(packed_values(), max_size=3))
+def test_packed_codec_certifies_a_row_as_it_certifies_each_value(fs, values):
+    """The OR passes over a whole row, unsigned and then biased at the
+    digit count of its longest value, decide the same as testing each
+    value over all its digits; a row of packed polynomials passes."""
+    xs = [CODEC.pack(f) for f in fs]
+    assert CODEC.all_certified(xs)
+    xs += [x for _, x in values]
+    assert CODEC.all_certified(xs) == all(full_width_certified(CODEC, x) for x in xs)
+
+
+@PROPERTY
+@given(st.lists(ZV, max_size=6), st.integers(0, 6))
+def test_packed_codec_tests_the_lower_entries_of_a_monic_row_in_one_sum(fs, k):
+    xs = [CODEC.pack(f) for f in fs]
+    xs.insert(k, CODEC.one)
+    assert CODEC.others_in_positive_v(xs) == all(f.in_positive_v() for f in fs)
+
+
 def test_the_certificate_holds_at_the_edges_of_each_width():
     for n, codec in CODECS.items():
         for k in range(n + 3):
