@@ -127,15 +127,23 @@ def _emit_rows(rows, header, fmt, before=None, after=None, **fields):
         print(after)
 
 
-def _elt_str(sys, x) -> str:
-    """The printed form ``word|translation`` of an element, read off its
-    ``elt_to_json`` record."""
-    from .weylext import elt_to_json
+def _elt_names(sys):
+    """The printer of elements of ``sys`` in the form ``word|translation``:
+    the shortlex word of the finite part (``finite_word``), dotted, or
+    ``e`` when empty, then the translation, as ``elt_to_json`` has them.
+    Each distinct label is formatted once per printer."""
+    from .weylext import finite_group
 
-    d = elt_to_json(sys, x)
-    word = ".".join(str(i) for i in d["w"]) or "e"
-    tra = ",".join(str(c) for c in d["t"])
-    return f"{word}|{tra}"
+    word = finite_group(sys).word
+    names: dict = {}
+
+    def name(x) -> str:
+        s = names.get(x)
+        if s is None:
+            s = names[x] = f"{'.'.join(map(str, word(x.fin))) or 'e'}|{','.join(map(str, x.translation))}"
+        return s
+
+    return name
 
 
 def _cached_rows(args, command: str, key: str, compute, header) -> int:
@@ -172,7 +180,8 @@ def _row_command(args, command: str, column: str, compute: str) -> int:
         sys = _system(args)
         row = getattr(hecke, compute)(sys, _elt_from_flag(sys, args.w))
         text = {p: str(p) for p in set(row.values())}
-        return [(_elt_str(sys, y), text[p]) for y, p in row.items()]
+        name = _elt_names(sys)
+        return [(name(y), text[p]) for y, p in row.items()]
 
     key = "w=" + ",".join(map(str, _parse_word(args.w)))
     return _cached_rows(args, command, key, rows, ("y", column))
@@ -199,10 +208,11 @@ def cmd_periodic(args) -> int:
         ctx = _context(args)
         sys = ctx.system
         table = pkl_table(ctx, args.lmax, radius)
+        name = _elt_names(sys)
         return [
             (
-                _elt_str(sys, y),
-                _elt_str(sys, w),
+                name(y),
+                name(w),
                 str(entry.poly),
                 "yes" if entry.stabilized else "no",
             )
@@ -234,12 +244,13 @@ def cmd_loewy(args) -> int:
     sys = ctx.system
     w = _elt_from_flag(sys, args.w)
     table = loewy_layers(ctx, w, bound=args.lmax, radius=args.window)
+    name = _elt_names(sys)
     rows = []
     for (label, degree), mult in table.entries.items():
         rows.append(
             (
                 str(degree),
-                f"L[{_elt_str(sys, label.index)}]<{','.join(str(c) for c in label.shift.coords)}>",
+                f"L[{name(label.index)}]<{','.join(str(c) for c in label.shift.coords)}>",
                 str(mult),
             )
         )

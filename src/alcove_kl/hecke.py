@@ -317,11 +317,15 @@ class KLComputer:
         return self.table.nbrs[k][i], _STAY_OF[code]
 
     def descent(self, k: int) -> int | None:
-        """The first generator whose neighbour is lower and kept."""
-        rk = self.ranks[k]
-        for i in range(len(self.table.gens)):
-            ks = self.nbr(k, i)
-            if self.ranks[ks] < rk and self.kept[ks]:
+        """The first generator whose neighbour is lower and kept: the first
+        i whose stay code at the reached k is ``_DOWN``, resolved by
+        ``_cross`` if it is not yet.  ``_cross`` counts a neighbour of
+        equal rank as lower, but no neighbour has equal rank: a crossing
+        moves one Shi coordinate by one, so it moves the length and the
+        generic height by one."""
+        stays, cross = self.stays, self._cross
+        for i in range(len(stays)):
+            if (stays[i][k] or cross(i, k)) == _DOWN:
                 return i
         return None
 

@@ -23,11 +23,12 @@ certifies each: monic, lower coefficients in vZ[v], digits within the
 codec's bounds.  Terms leaving the window are truncated, and a row's
 truncation flag records whether it or a row it was built from lost one.
 A window with a gallery seed draws every member's descent when it is
-made.  One reader, ``_read``, decides every value that ``periodic_kl``,
-the identity gate and ``pkl_table`` report: a coefficient p_{y,w} (of
-y(A+) in E_{w(A+)}) is read in the windows of radius R and R + 1, and
-reported only when the two agree on it exactly; otherwise the query
-raises StabilizationError and the table marks the entry unstabilized.
+made.  One window reader, ``_read_windows``, reads every value that
+``periodic_kl``, the identity gate and ``pkl_table`` report: a
+coefficient p_{y,w} (of y(A+) in E_{w(A+)}) is read in the windows of
+radius R and R + 1, and reported only when the two agree on it exactly
+(``_stable``); otherwise the query raises StabilizationError and the
+table marks the entry unstabilized.
 
 A second route, ``antispherical_kl``, reads p_{y,w} off the
 antispherical module instead (see there); no command reads it yet.
@@ -38,24 +39,28 @@ invariant under translating y and w together by the root lattice
 off the label table (``orbit_key``): the finite parts of y and w and the
 differences k_alpha(y) - k_alpha(w) of their Shi coordinates at the
 simple roots.  A query context keeps the value it read for each orbit
-key and radius (``_waff_kl``), so the Ext and Loewy queries of
-``repcalc`` read each orbit once, and a repeated read forms no element.
-Only a value that has to be read from windows is read at the orbit's
-canonical pair, obtained by writing w = t_nu u with u in the finite Weyl
-group and translating both labels by -nu (``canonical_pair``).
+key and radius, so the Ext and Loewy queries of ``repcalc`` read each
+orbit once, and a repeated read forms no element.  ``_waff_kl`` reads
+one pair; ``_waff_batch`` reads many pairs that share a row or a column
+label, reading the shared label once and the other label of each pair
+by identity in the label table.  Both read a miss through one routine
+(``_misses``).  Only a value that has to be read from windows is read at
+the orbit's canonical pair, obtained by writing w = t_nu u with u in the
+finite Weyl group and translating both labels by -nu
+(``canonical_pair``).
 
 Two safeguards wrap the raw recursion.  Pairs outside the two-sided
 support band (y below w, and w0 y below w0 check(w), the latter forced
 by the length-reversing inversion identity) are certified zero without
 any window work, by one componentwise comparison of Shi coordinates.
-The band is translation invariant, so a read tests it at the pair as
-given, after the context's value memo and before any canonical pair is
-formed.  And an identity gate evaluates the socle coefficient
-p_{w0 x, x} = v^{l(w0)} over the pairs (x, w0 x) of ``socle_pairs``
-once per root system, refusing to emit any value where the recursion
-does not reproduce it; the gate passes in types A1 and A2, while elsewhere (B2,
-G2, A3, ...) the pure-alcove seeding converges to a wrong
-self-consistent family and the gate withholds all values.
+The band is translation invariant, so a memo miss tests it once, at
+the pair as given, before any canonical pair is formed.  And an
+identity gate evaluates the socle coefficient p_{w0 x, x} = v^{l(w0)}
+over the pairs (x, w0 x) of ``socle_pairs`` once per root system,
+refusing to emit any value where the recursion does not reproduce it;
+the gate passes in types A1 and A2, while elsewhere (B2, G2, A3, ...)
+the pure-alcove seeding converges to a wrong self-consistent family and
+the gate withholds all values.
 """
 
 from __future__ import annotations
@@ -63,7 +68,8 @@ from __future__ import annotations
 import json
 import random
 from functools import lru_cache
-from operator import le
+from operator import le, sub
+from typing import Iterable, Iterator
 
 from .errors import ConsistencyError, DomainError, StabilizationError, WindowError
 from .hecke import KLComputer, antispherical_computer
@@ -71,6 +77,7 @@ from .laurent import LaurentPoly
 from .rootsys import ModularContext, RootSystem, _Record, _Value
 from .weylext import (
     ExtWeylElt,
+    LabelTable,
     elt_key,
     elt_to_json,
     finite_group,
@@ -223,7 +230,7 @@ def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
 
     The test is invariant under translating y and w together: check(t_nu
     x) = t_nu check(x), and t_nu adds <nu, alpha^vee> to every coordinate
-    k_alpha of all three labels.  ``_waff_kl`` relies on this to test a
+    k_alpha of all three labels.  ``_misses`` relies on this to test a
     pair as given rather than at its canonical pair.
 
     Every coordinate vector is read from the system's label table: those
@@ -231,11 +238,13 @@ def in_support_band(sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt) -> bool:
     formed once per column w, the first time y lies below w.
     """
     table = w.group.table
-    ky = table.coords(y)
-    kw = table.number(w)
-    if not all(map(le, ky, table.shi[kw])):
-        return False
-    return all(map(le, table.check_shi(kw), ky))
+    return _in_band(table, table.coords(y), table.number(w))
+
+
+def _in_band(table: LabelTable, ky: tuple[int, ...], kw: int) -> bool:
+    """``in_support_band`` of a label of Shi coordinates ky and the label
+    numbered kw in ``table``."""
+    return all(map(le, ky, table.shi[kw])) and all(map(le, table.check_shi(kw), ky))
 
 
 def periodic_kl(ctx: ModularContext, y: ExtWeylElt, w: ExtWeylElt, radius: int) -> LaurentPoly:
@@ -256,22 +265,101 @@ def _waff_kl(ctx: ModularContext, y: ExtWeylElt, w: ExtWeylElt, radius: int) -> 
 
     The value is kept in the context's value memo (``ctx._values``) under
     (``orbit_key``, radius), and a later read of any pair in that orbit
-    at that radius returns it without forming an element.  A miss runs
-    the gate, then tests the support band at the pair as given, which
-    the band's translation invariance makes exact; only a pair inside it
-    is read from the windows, at its canonical pair.  A read that raises
-    keeps nothing, so it raises again."""
-    sys = ctx.system
-    key = (orbit_key(sys, y, w), radius)
+    at that radius returns it without forming an element.  A miss is
+    read by ``_misses``, as a miss of ``_waff_batch`` is."""
+    key = (orbit_key(ctx.system, y, w), radius)
     value = ctx._values.get(key)
     if value is None:
-        _validate_conventions(sys)
-        value = ctx._values[key] = (
-            _coefficient_stabilized(sys, *canonical_pair(sys, y, w), radius)
-            if in_support_band(sys, y, w)
-            else _ZERO
-        )
+        table = w.group.table
+        value = _misses(ctx, radius)(key, y, table.coords(y), w, table.number(w))
     return value
+
+
+def _waff_batch(
+    ctx: ModularContext, label: ExtWeylElt, others: Iterable[ExtWeylElt], radius: int,
+    column: bool = True,
+) -> Iterator[LaurentPoly]:
+    """``_waff_kl`` of many pairs that share one label, in order: p_{y,
+    label} for each y of ``others`` when ``column``, else p_{label, w} for
+    each w of ``others``.  Every label lies in W_aff, as the caller knows.
+
+    The shared label is read once per batch: its number, its Shi
+    coordinates and their simple-root entries (``_batch_key``).  For each
+    pair only the other label is looked up in the label table, by
+    identity when it is the table's own element, and the orbit key is
+    formed from integers.  The values are yielded one at a time, so a
+    caller that stops early reads no further pair, and one that zips two
+    batches reads their pairs alternately, as a loop over ``_waff_kl``
+    would.  The misses of a batch share one ``_misses`` routine, which
+    runs the gate once, before the first of them."""
+    table = label.group.table
+    shi, index, number = table.shi, table.index, table.number
+    k = number(label)
+    kl = shi[k]
+    key_of = _batch_key(label, kl, radius, column)
+    get = ctx._values.get
+    miss = _misses(ctx, radius)
+    for x in others:
+        n = index.get(x)
+        if n is None:
+            n = number(x)
+        kx = shi[n]
+        key = key_of(x.fin, kx)
+        value = get(key)
+        if value is None:
+            value = miss(key, x, kx, label, k) if column else miss(key, label, kl, x, n)
+        yield value
+
+
+def _batch_key(label: ExtWeylElt, k: tuple[int, ...], radius: int, column: bool):
+    """The memo key (``orbit_key``, radius) of a pair of a batch that
+    shares ``label``, of Shi coordinates k, as a function of the finite
+    part f and the Shi coordinates c of the other label.  In rank 2 the
+    key is written out, which is several times faster than the ``map``
+    of the general rank."""
+    g = label.group
+    pos, fin = g._simple_pos, label.fin
+    fixed = [k[j] for j in pos]
+    if len(pos) == 2:
+        (a, b), (ka, kb) = pos, fixed
+        if column:
+            return lambda f, c: ((f, fin, c[a] - ka, c[b] - kb), radius)
+        return lambda f, c: ((fin, f, ka - c[a], kb - c[b]), radius)
+    if column:
+        return lambda f, c: ((f, fin, *map(sub, map(c.__getitem__, pos), fixed)), radius)
+    return lambda f, c: ((fin, f, *map(sub, fixed, map(c.__getitem__, pos))), radius)
+
+
+def _misses(ctx: ModularContext, radius: int):
+    """The miss routine of ``_waff_kl`` and ``_waff_batch``, for one
+    batch at one radius: ``read(key, y, ky, w, kw)`` is p_{y,w}, stored in
+    the context's value memo under ``key``, for y of Shi coordinates ky
+    and w numbered kw in the label table.
+
+    The first miss runs the gate.  Each tests the support band at the
+    pair as given, which the band's translation invariance makes exact,
+    and stores zero for a pair outside it.  An in-band pair is read at
+    its canonical pair in the windows of radius R and R + 1
+    (``_read_windows``), and stored only when the two agree (``_stable``).
+    A read that raises stores nothing, so it raises again.
+    """
+    sys, values = ctx.system, ctx._values
+    gated = False
+
+    def read(key: tuple, y: ExtWeylElt, ky: tuple[int, ...], w: ExtWeylElt, kw: int) -> LaurentPoly:
+        nonlocal gated
+        if not gated:
+            _validate_conventions(sys)
+            gated = True
+        if _in_band(w.group.table, ky, kw):
+            y, u = canonical_pair(sys, y, w)
+            value = _stable(sys, y, u, radius, *_read_windows(sys, y, u, radius))
+        else:
+            value = _ZERO
+        values[key] = value
+        return value
+
+    return read
 
 
 def _read(
@@ -282,6 +370,15 @@ def _read(
     is longer than R."""
     if not in_support_band(sys, y, w):
         return _ZERO, _ZERO
+    return _read_windows(sys, y, w, radius)
+
+
+def _read_windows(
+    sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt, radius: int
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """p_{y,w} read off the rows of w in the windows of radius R and
+    R + 1, with no band test: the value readers, the gate and
+    ``pkl_table`` read the shared windows only through here."""
     return _window(sys, radius).coefficient(y, w), _window(sys, radius + 1).coefficient(y, w)
 
 
@@ -319,7 +416,15 @@ def _coefficient_stabilized(
 ) -> LaurentPoly:
     """p_{y,w} read raw at the pair as given, with no gate and no memo:
     StabilizationError when the two windows disagree on it."""
-    first, second = _read(sys, y, w, radius)
+    return _stable(sys, y, w, radius, *_read(sys, y, w, radius))
+
+
+def _stable(
+    sys: RootSystem, y: ExtWeylElt, w: ExtWeylElt, radius: int,
+    first: LaurentPoly, second: LaurentPoly,
+) -> LaurentPoly:
+    """The value read at (y, w) in the windows of radius R and R + 1,
+    when the two agree on it; StabilizationError otherwise."""
     if first != second:
         raise StabilizationError(
             f"coefficient at {_words(sys, y=y, w=w)} did not stabilize "

@@ -11,10 +11,11 @@ corresponding annotation.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .errors import ConsistencyError, DomainError, ResourceError
 from .laurent import LaurentPoly
-from .periodic import _waff_kl, periodic_kl
+from .periodic import _waff_batch, periodic_kl
 from .rootsys import (
     ModularContext,
     Weight,
@@ -110,7 +111,8 @@ def loewy_layers(
     simple is the head, and ResourceError is raised otherwise.  The
     candidates are read with w0 y already formed, from one list per
     system and bound (``weylext.w0_waff_elements``), so a table forms
-    only w0 w.
+    only w0 w, and the row w0 w is read as one ``periodic._waff_batch``
+    over the candidates' labels w0 y, the label table's own elements.
 
     A table is built once per context and (w, bound, radius), with
     ``radius=None`` meaning the default radius: once it has passed the
@@ -142,9 +144,10 @@ def _build_loewy_layers(
     sys = ctx.system
     w0w = w0_elt(sys) * w
     entries: dict[tuple[StdLabel, int], int] = {}
-    for w0y, y in w0_waff_elements(sys, bound):
-        p = _waff_kl(ctx, w0w, w0y, rad)  # w, w0 and y lie in W_aff
-        if p.is_zero:
+    pairs = w0_waff_elements(sys, bound)
+    # the row w0 w is shared, and w, w0 and y lie in W_aff
+    for (_, y), p in zip(pairs, _waff_batch(ctx, w0w, map(itemgetter(0), pairs), rad, column=False)):
+        if not p.terms:
             continue
         label = StdLabel.make(ctx, "L", y)
         for m, c in p.terms:
@@ -172,7 +175,9 @@ def socle_degree_check(
     longest finite element (the socle degree constant); any other shift
     is expected to fail and raises with a diagnostic.  The Loewy tables
     do not depend on x: checking several x on one context builds each
-    table once, while the Ext series are computed on every call.
+    table once, while the Ext series are read on every call, as one
+    ``periodic._waff_batch`` down the column x, through the context's
+    value memo.
     """
     sys = ctx.system
     w0 = w0_elt(sys)
@@ -180,8 +185,11 @@ def socle_degree_check(
         shift = length(sys, w0)
     xv = check(ctx, x)
     socle_label = StdLabel.make(ctx, "L", xv)
-    for y in waff_elements(sys, bound):
-        series = ext_dim(ctx, x, y, radius)
+    if not in_waff(sys, x):
+        raise DomainError("periodic polynomials are indexed by W_aff pairs")
+    rad = default_radius(sys) if radius is None else radius
+    ys = waff_elements(sys, bound)
+    for y, series in zip(ys, _waff_batch(ctx, x, ys, rad)):  # the column x is shared
         layers = loewy_layers(ctx, y, bound=bound + 2 * length(sys, w0), radius=radius)
         degrees = {m for m, _ in series.terms} | {
             shift - deg for (lab, deg) in layers.entries if lab == socle_label

@@ -249,8 +249,10 @@ class ModularContext(_Value):
     that reusing it spares rebuilding what it has read: ``_memo`` holds
     the tables the query layer has finished (``repcalc.loewy_layers``),
     keyed by their arguments, and ``_values`` the periodic coefficients
-    that ``periodic._waff_kl`` has returned, keyed by the orbit key of
-    the pair (``periodic.orbit_key``) and the radius.  Neither memo is
+    that ``periodic._waff_kl`` and the batched ``periodic._waff_batch``
+    have read, keyed by the orbit key of the pair (``periodic.orbit_key``)
+    and the radius; the two readers store the same key and value for a
+    pair.  Neither memo is
     part of the value: equal contexts compare and hash equal and print
     alike, they share no memo, a pickled context carries none, and no
     value returned through a context depends on its memos.

@@ -25,7 +25,7 @@ from .alcove import generic_height
 from .errors import ConsistencyError, StabilizationError
 from .hecke import kl_basis, kl_basis_by_duality
 from .laurent import LaurentPoly
-from .periodic import PeriodicWindow, _coefficient_stabilized, _gate_radius, _validate_conventions, _waff_kl, _window, _words, in_support_band, pkl_table
+from .periodic import PeriodicWindow, _coefficient_stabilized, _gate_radius, _validate_conventions, _waff_batch, _waff_kl, _window, _words, in_support_band, pkl_table
 from .repcalc import (
     StdLabel,
     baby_verma_total_dim,
@@ -93,18 +93,20 @@ def check_inversion_identity(ctx: ModularContext, bound: int, radius: int) -> tu
 
     Every label lies in W_aff: y and w0 y come from ``waff_elements`` and
     ``w0_waff_elements``, and w0 check(w) lies in W_aff with w.  So the
-    values are read through ``_waff_kl``, without ``periodic_kl``'s test."""
+    values are read without ``periodic_kl``'s test, each side as one
+    ``_waff_batch`` down its column, the two read pair by pair."""
     sys = ctx.system
     w0 = w0_elt(sys)
     shift = LaurentPoly.gen(length(sys, w0))
     pairs = fails = 0
     pairs_w0 = w0_waff_elements(sys, bound)
+    ys = [y for _, y in pairs_w0]
+    w0ys = [w0y for w0y, _ in pairs_w0]
     for w in waff_elements(sys, bound):
         w0wv = w0 * check(ctx, w)
-        for w0y, y in pairs_w0:
+        for left, right in zip(_waff_batch(ctx, w0wv, w0ys, radius), _waff_batch(ctx, w, ys, radius)):
             pairs += 1
-            lhs = shift * _waff_kl(ctx, w0y, w0wv, radius).bar()
-            if lhs != _waff_kl(ctx, y, w, radius):
+            if shift * left.bar() != right:
                 fails += 1
     return fails == 0, f"{pairs} pairs, {fails} failures"
 
@@ -113,16 +115,15 @@ def check_inversion_identity(ctx: ModularContext, bound: int, radius: int) -> tu
 def check_rank_one_oracle(ctx: ModularContext, bound: int, radius: int) -> tuple[bool, str]:
     """In the infinite dihedral case every coefficient lies in {0, 1, v} and
     every baby Verma has exactly a head and a one-step socle.  The labels
-    come from ``waff_elements``, so the values are read through
-    ``_waff_kl``."""
+    come from ``waff_elements``, so each column is read as one
+    ``_waff_batch``."""
     sys = ctx.system
     if sys.rank != 1:
         return True, "skipped (rank > 1)"
     allowed = {LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.gen()}
     elements = waff_elements(sys, bound)
     for w in elements:
-        for y in elements:
-            value = _waff_kl(ctx, y, w, radius)
+        for y, value in zip(elements, _waff_batch(ctx, w, elements, radius)):
             if value not in allowed:
                 return False, f"value {value} outside {{0,1,v}} at {_words(sys, y=y, w=w)}"
         table = loewy_layers(ctx, w, bound=bound + 2, radius=radius)

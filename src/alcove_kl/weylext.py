@@ -638,9 +638,12 @@ def w0_waff_elements(
 ) -> tuple[tuple[ExtWeylElt, ExtWeylElt], ...]:
     """The pairs (w0 y, y) for y in ``waff_elements(sys, length_bound)``,
     in its order, memoized beside it: w0 y is formed once per (system,
-    bound), not once for each table that reads the pairs."""
-    w0 = w0_elt(sys)
-    return tuple([(w0 * y, y) for y in waff_elements(sys, length_bound)])
+    bound), not once for each table that reads the pairs.  Both labels
+    are the label table's own elements, so a lookup of either in the
+    table, or in a memo the table's elements key, matches by identity."""
+    w0, table = w0_elt(sys), finite_group(sys).table
+    elts, number = table.elts, table.number
+    return tuple([(elts[number(w0 * y)], y) for y in waff_elements(sys, length_bound)])
 
 
 def elt_key(sys: RootSystem, x: ExtWeylElt):

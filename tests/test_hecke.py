@@ -13,6 +13,7 @@ from alcove_kl.hecke import (
     is_coset_maximal,
     kl_basis,
     kl_basis_by_duality,
+    kl_computer,
     mul_gen,
     mul_kl_gen,
     spherical_computer,
@@ -21,6 +22,7 @@ from alcove_kl.hecke import (
     unit,
 )
 from alcove_kl.laurent import LaurentPoly
+from alcove_kl.periodic import PeriodicWindow
 from alcove_kl.rootsys import build_root_system
 from alcove_kl.weylext import (
     from_word,
@@ -38,6 +40,29 @@ from conftest import product_coset_rep
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
+
+
+@pytest.mark.parametrize("cartan,rank,bound", [("A", 1, 8), ("A", 2, 5), ("B", 2, 5), ("G", 2, 5)])
+def test_no_two_neighbouring_labels_have_equal_rank(cartan, rank, bound):
+    """In every module no crossing keeps the rank, so ``_cross``, which
+    calls a neighbour of rank at most k's lower, and a descent, a kept
+    neighbour of rank below k's, agree: ``descent`` is the first
+    generator whose stay code is down."""
+    sys = build_root_system(cartan, rank)
+    computers = [
+        kl_computer(sys), spherical_computer(sys), antispherical_computer(sys),
+        PeriodicWindow(sys, bound), PeriodicWindow(sys, bound, sign=-1),
+    ]
+    for comp in computers:
+        for x in waff_elements(sys, bound):
+            k = comp.number(x)
+            lower = []
+            for i in gen_indices(sys):
+                n = comp.nbr(k, i)
+                assert comp.ranks[n] != comp.ranks[k], (comp.name, x, i)
+                if comp.ranks[n] < comp.ranks[k] and comp.kept[n]:
+                    lower.append(i)
+            assert comp.descent(k) == (lower[0] if lower else None)
 
 V = LaurentPoly.gen()
 VINV = LaurentPoly.gen(-1)

@@ -169,7 +169,7 @@ def test_a_second_table_of_one_bound_forms_one_product(a2, monkeypatch):
     loewy_layers(ctx, from_word(a2, [1, 2]), bound=9, radius=13)
     calls = _count_work(monkeypatch)
     loewy_layers(ctx, w, bound=9, radius=13)  # w0 w, and no w0 y
-    assert calls == {"mul": 1, "_waff_kl": len(waff_elements(a2, 9))}
+    assert calls == {"mul": 1, "read": len(waff_elements(a2, 9))}
 
 
 def test_loewy_layers_checks_w_aff_once_per_table(ctx_a2, monkeypatch):
@@ -189,19 +189,23 @@ def test_loewy_layers_checks_w_aff_once_per_table(ctx_a2, monkeypatch):
 
 
 def _count_work(monkeypatch):
-    """Count the group products and the periodic coefficients read (through
-    ``periodic_kl``'s reader ``_waff_kl``) from here on."""
-    calls = {"mul": 0, "_waff_kl": 0}
+    """Count the group products and the periodic coefficients read (the
+    values ``periodic_kl``'s batched reader ``_waff_batch`` yields to
+    ``repcalc``) from here on."""
+    calls = {"mul": 0, "read": 0}
+    mul, batch = ExtWeylElt.__mul__, repcalc._waff_batch
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
 
-        return wrapped
+    def counted_batch(*args, **kwargs):
+        for value in batch(*args, **kwargs):
+            calls["read"] += 1
+            yield value
 
-    monkeypatch.setattr(ExtWeylElt, "__mul__", counting("mul", ExtWeylElt.__mul__))
-    monkeypatch.setattr(repcalc, "_waff_kl", counting("_waff_kl", repcalc._waff_kl))
+    monkeypatch.setattr(ExtWeylElt, "__mul__", counted_mul)
+    monkeypatch.setattr(repcalc, "_waff_batch", counted_batch)
     return calls
 
 
@@ -211,7 +215,7 @@ def test_repeated_loewy_layers_reads_the_context_memo(a2, monkeypatch):
     first = loewy_layers(ctx, w, bound=7, radius=13)
     calls = _count_work(monkeypatch)
     again = loewy_layers(ctx, w, bound=7, radius=13)
-    assert calls == {"mul": 0, "_waff_kl": 0}
+    assert calls == {"mul": 0, "read": 0}
     assert again == first and again is not first
 
 
@@ -238,7 +242,10 @@ def test_loewy_layers_errors_store_nothing(a2, monkeypatch):
         assert ctx._memo == {}
     w = from_word(a2, [1])
     with monkeypatch.context() as patch:
-        patch.setattr(repcalc, "_waff_kl", lambda *args: LaurentPoly.zero())
+        # every pair the table reads is zero, so the head is missing
+        patch.setattr(repcalc, "_waff_batch", lambda ctx, label, others, *args, **kwargs: (
+            LaurentPoly.zero() for _ in others
+        ))
         for _ in range(2):
             with pytest.raises(ConsistencyError, match="head"):
                 loewy_layers(ctx, w, bound=5)
@@ -252,9 +259,9 @@ def test_loewy_layers_memo_keys_resolve_the_default_radius(a2, monkeypatch):
     table = loewy_layers(ctx, w, bound=7)
     calls = _count_work(monkeypatch)
     assert loewy_layers(ctx, w, bound=7, radius=default_radius(a2)) == table
-    assert calls["_waff_kl"] == 0 and len(ctx._memo) == 1
+    assert calls["read"] == 0 and len(ctx._memo) == 1
     wider = loewy_layers(ctx, w, bound=8)
-    assert calls["_waff_kl"] == len(waff_elements(a2, 8))
+    assert calls["read"] == len(waff_elements(a2, 8))
     assert len(ctx._memo) == 2
     assert wider.entries.items() >= table.entries.items()
 

@@ -111,7 +111,7 @@ def test_stabilization_detail_names_the_pair_by_words(ctx_a2):
 
 
 def test_rank_one_oracle_detail_names_the_pair_and_the_value(ctx_a1, monkeypatch):
-    monkeypatch.setattr(verify, "_waff_kl", lambda *args: LaurentPoly.gen(2))
+    monkeypatch.setattr(verify, "_waff_batch", _constant_batch(LaurentPoly.gen(2)))
     result = check_rank_one_oracle(ctx_a1, 2, 8)
     assert not result.passed
     assert result.detail == (
@@ -136,6 +136,11 @@ def _raising(exc):
     return fake
 
 
+def _constant_batch(value):
+    """A ``_waff_batch`` that reads ``value`` at every pair of its batch."""
+    return lambda ctx, label, others, *args, **kwargs: (value for _ in others)
+
+
 class _ConstantWindow:
     """A window that reads v^5 at every pair, whatever its gallery."""
 
@@ -156,11 +161,11 @@ FAILURES = {
     ),
     "inversion-count": (
         "ctx_a1", lambda ctx: check_inversion_identity(ctx, 2, 8),
-        "_waff_kl", lambda *args: LaurentPoly.one(), "25 pairs, 25 failures",
+        "_waff_batch", _constant_batch(LaurentPoly.one()), "25 pairs, 25 failures",
     ),
     "inversion-unstable": (
         "ctx_a1", lambda ctx: check_inversion_identity(ctx, 2, 8),
-        "_waff_kl", _raising(StabilizationError("no agreement")), "no agreement",
+        "_waff_batch", _raising(StabilizationError("no agreement")), "no agreement",
     ),
     "rank-one-layers": (
         "ctx_a1", lambda ctx: check_rank_one_oracle(ctx, 2, 8),
@@ -234,8 +239,8 @@ def test_a_wrong_value_fails_the_check_with_its_detail(case, request, monkeypatc
 # verify's namespace through which the engine is made to refuse).
 REFUSALS = {
     "monomial": ("ctx_a2", lambda ctx: check_monomial_identity(ctx, 6, 12), "_waff_kl"),
-    "inversion": ("ctx_a1", lambda ctx: check_inversion_identity(ctx, 2, 8), "_waff_kl"),
-    "rank-one": ("ctx_a1", lambda ctx: check_rank_one_oracle(ctx, 2, 8), "_waff_kl"),
+    "inversion": ("ctx_a1", lambda ctx: check_inversion_identity(ctx, 2, 8), "_waff_batch"),
+    "rank-one": ("ctx_a1", lambda ctx: check_rank_one_oracle(ctx, 2, 8), "_waff_batch"),
     "kl-oracle": ("ctx_a2", lambda ctx: check_kl_oracle(ctx, 2), "kl_basis_by_duality"),
     "bijections": ("ctx_a2", check_bijections, "restricted_element_for"),
     "characters": ("ctx_a2", lambda ctx: check_characters(ctx, seed=1), "baby_verma_total_dim"),

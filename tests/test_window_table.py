@@ -38,8 +38,10 @@ _ONE = LaurentPoly.one()
 
 def element_keyed_window(sys, radius, gallery_seed=None, sign=1):
     """The rows and truncation flags of the window, built with every
-    label a group element: each crossing forms its product again and
-    reads the heights by element."""
+    label a group element and every height read by element: the descent
+    candidates c s of each member are formed as products, and the
+    crossings of each step read the label table's neighbours
+    (``crossing_rule``)."""
     rng = random.Random(gallery_seed) if gallery_seed is not None else None
     elements = waff_elements(sys, radius)
     members = set(elements)
