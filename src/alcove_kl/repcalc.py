@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from .errors import ConsistencyError, DomainError, ResourceError
 from .laurent import LaurentPoly
-from .periodic import _waff_batch, periodic_kl
+from .periodic import _check_waff, _waff_batch, periodic_kl
 from .rootsys import (
     ModularContext,
     Weight,
@@ -185,12 +185,11 @@ def socle_degree_check(
         shift = length(sys, w0)
     xv = check(ctx, x)
     socle_label = StdLabel.make(ctx, "L", xv)
-    if not in_waff(sys, x):
-        raise DomainError("periodic polynomials are indexed by W_aff pairs")
+    _check_waff(sys, x)
     rad = default_radius(sys) if radius is None else radius
     ys = waff_elements(sys, bound)
     for y, series in zip(ys, _waff_batch(ctx, x, ys, rad)):  # the column x is shared
-        layers = loewy_layers(ctx, y, bound=bound + 2 * length(sys, w0), radius=radius)
+        layers = loewy_layers(ctx, y, bound=bound + 2 * length(sys, w0), radius=rad)
         degrees = {m for m, _ in series.terms} | {
             shift - deg for (lab, deg) in layers.entries if lab == socle_label
         }

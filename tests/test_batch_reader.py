@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcove_kl.errors import ConsistencyError, StabilizationError, WindowError
-from alcove_kl.periodic import _waff_batch, _waff_kl
+from alcove_kl.periodic import _batch_key, _waff_batch, _waff_kl, orbit_key
 from alcove_kl.rootsys import ModularContext, build_root_system
 from alcove_kl.weylext import ExtWeylElt, finite_group, translate, w0_waff_elements, waff_elements
 
@@ -94,6 +94,22 @@ def test_a_batch_that_raises_keeps_only_the_pairs_before_it(data):
     if str(sys) == "B2":
         assert got == ([], (ConsistencyError, got[1][1]))
         assert ctx._values == {}
+
+
+def test_a_batch_keys_each_pair_by_its_orbit_key():
+    # the batch forms the key of every rank from the shared label's simple
+    # root entries; in rank 3 too it is the scalar reader's orbit key
+    for name, rank in (("A", 1), ("A", 2), ("G", 2), ("A", 3), ("B", 3)):
+        sys = build_root_system(name, rank)
+        table = finite_group(sys).table
+        labels = waff_elements(sys, 3)
+        for label in labels:
+            k = table.shi[table.number(label)]
+            to_column, to_row = _batch_key(label, k, 7, True), _batch_key(label, k, 7, False)
+            for x in labels:
+                kx = table.coords(x)
+                assert to_column(x.fin, kx) == (orbit_key(sys, x, label), 7)
+                assert to_row(x.fin, kx) == (orbit_key(sys, label, x), 7)
 
 
 def test_the_loewy_candidates_are_the_label_tables_own_elements():

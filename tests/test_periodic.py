@@ -363,7 +363,8 @@ def test_a_memoized_value_equals_a_fresh_contexts_value(a2, monkeypatch):
     assert set(ctx._values) == {(key, 13) for (key,) in orbits.values()}
     assert len(ctx._values) == len(orbits)
     # a second read of every pair reads no window
-    reads = calls_of(monkeypatch, "_read_windows")
+    reads, read = [], periodic._read
+    monkeypatch.setattr(periodic, "_read", lambda *args: reads.append(args) or read(*args))
     again = {pair: periodic_kl(ctx, *pair, 13) for pair in first}
     assert reads == [] and again == first
     monkeypatch.undo()
@@ -407,7 +408,7 @@ def test_an_out_of_band_miss_forms_no_element_and_reads_no_window(a2, monkeypatc
     pairs = [(deep, e), (translate(NU, deep), translate(NU, e))]
     assert not any(in_support_band(a2, y, w) for y, w in pairs)
     translates, made = calls_of(monkeypatch, "translate"), elements_made(monkeypatch)
-    reads = calls_of(monkeypatch, "_read_windows")
+    reads = calls_of(monkeypatch, "_read")
     assert all(periodic_kl(ctx, y, w, 13) == ZERO for y, w in pairs)
     assert translates == [] and made == [] and reads == [] and len(ctx._values) == 1
 
